@@ -292,11 +292,9 @@ def _with_sweep_value(config: RunConfig, value: float) -> RunConfig:
         params["radius"] = value
         return replace(config, loop_params=params)
     if parameter == "particle.v":
-        particle = ParticleSpec(config.particle.charge, config.particle.mass, value)
-        return replace(config, particle=particle)
+        return replace(config, particle=replace(config.particle, speed=value))
     if parameter == "solenoid.flux":
-        solenoid = SolenoidSpec(flux=value, radius=config.solenoid.radius)
-        return replace(config, solenoid=solenoid)
+        return replace(config, solenoid=replace(config.solenoid, flux=value))
     raise ConfigError(f"unsupported sweep parameter {parameter!r}")
 
 

@@ -26,6 +26,8 @@ PAULI = (
 
 MINKOWSKI_METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
 
+_PAULI_STACK = np.stack(PAULI)
+
 _I2 = np.eye(2, dtype=complex)
 _ALPHA = tuple(
     np.block([[np.zeros((2, 2), dtype=complex), s], [s, np.zeros((2, 2), dtype=complex)]])
@@ -97,18 +99,19 @@ def on_shell_spinor(p3, m: float, branch: str = "particle1") -> np.ndarray:
 
     E = +sqrt(|p3|^2 + m^2) is computed internally. The two branches are
     built from the two-spinors (1,0) and (0,1); they are exactly orthogonal
-    because (sigma.p)^dagger (sigma.p) = |p|^2 I.
+    because (sigma.p)^dagger (sigma.p) = |p|^2 I. A 3-vector gives one
+    4-spinor; an (..., 3) array of momenta gives an (..., 4) array of them.
     """
     if not (m > 0.0):
         raise DomainError("on-shell spinor requires m > 0")
     if branch not in ("particle1", "particle2"):
         raise DomainError(f"unknown spinor branch {branch!r}")
     p3 = np.asarray(p3, dtype=float)
-    if p3.shape != (3,):
-        raise DomainError("p3 must be a 3-vector")
-    energy = float(np.sqrt(p3 @ p3 + m * m))
+    if p3.ndim == 0 or p3.shape[-1] != 3:
+        raise DomainError("p3 must be a 3-vector or an (..., 3) array of them")
+    energy = np.sqrt(np.sum(p3 * p3, axis=-1) + m * m)
     chi = np.array([1.0, 0.0], dtype=complex) if branch == "particle1" else np.array([0.0, 1.0], dtype=complex)
-    sigma_p = p3[0] * PAULI[0] + p3[1] * PAULI[1] + p3[2] * PAULI[2]
-    lower = (sigma_p @ chi) / (energy + m)
-    u = np.concatenate([chi, lower])
-    return u / np.linalg.norm(u)
+    sigma_p = np.tensordot(p3, _PAULI_STACK, axes=(-1, 0))
+    lower = (sigma_p @ chi) / (energy + m)[..., None]
+    u = np.concatenate([np.broadcast_to(chi, lower.shape), lower], axis=-1)
+    return u / np.linalg.norm(u, axis=-1, keepdims=True)

@@ -4,7 +4,10 @@ Loops are piecewise-smooth parametric curves; each piece maps s in [0, 1] to
 points with an analytic tangent. Line integrals use composite Gauss-Legendre
 per piece, with the error estimated by node doubling. The built-in field
 source is the ideal infinite solenoid: purely azimuthal potential, flux
-Phi / (2 pi rho) outside the coil and Phi rho / (2 pi R^2) inside.
+Phi / (2 pi rho) outside the coil and Phi rho / (2 pi R^2) inside. Its
+potential takes a whole (n, 3) array of points, so ``solenoid_circulation``
+samples each segment's nodes in one call; generic fields handed to
+``line_integral`` are still called once per point.
 """
 
 from __future__ import annotations
@@ -52,27 +55,32 @@ class SolenoidSpec:
         object.__setattr__(self, "axis_direction", tuple(float(c) for c in direction))
 
     def axial_decomposition(self, point):
-        """Split point - axis_point into (radial vector, radial distance)."""
+        """Split point - axis_point into (radial vector, radial distance).
+
+        ``point`` is a 3-vector, giving a float distance, or an (..., 3)
+        array, giving an (...) array of distances.
+        """
         rel = np.asarray(point, dtype=float) - np.asarray(self.axis_point)
         d = np.asarray(self.axis_direction)
-        radial = rel - (rel @ d) * d
-        return radial, float(np.linalg.norm(radial))
+        radial = rel - np.sum(rel * d, axis=-1)[..., None] * d
+        rho = np.linalg.norm(radial, axis=-1)
+        return radial, (float(rho) if rho.ndim == 0 else rho)
 
 
 def solenoid_vector_potential(point, spec: SolenoidSpec) -> np.ndarray:
     """Azimuthal vector potential of the ideal solenoid, in Cartesian components.
 
-    Continuous at the coil radius; singular-direction only on the axis itself,
-    which is rejected.
+    Takes a 3-vector or an (..., 3) array of points and returns the same
+    shape. Continuous at the coil radius; singular-direction only on the axis
+    itself, which is rejected if any point lies on it.
     """
     radial, rho = spec.axial_decomposition(point)
-    if rho == 0.0:
+    if np.any(rho == 0.0):
         raise SingularInputError("vector potential direction is undefined on the solenoid axis")
-    d = np.asarray(spec.axis_direction)
-    azimuthal = np.cross(d, radial)  # magnitude rho, direction phi-hat * rho
-    if rho >= spec.radius:
-        return spec.flux / (2.0 * math.pi * rho * rho) * azimuthal
-    return spec.flux / (2.0 * math.pi * spec.radius**2) * azimuthal
+    azimuthal = np.cross(np.asarray(spec.axis_direction), radial)  # magnitude rho, direction phi-hat * rho
+    # Phi / (2 pi rho^2) outside the coil, Phi / (2 pi R^2) inside
+    r = np.maximum(rho, spec.radius)
+    return (spec.flux / (2.0 * math.pi * r * r))[..., None] * azimuthal
 
 
 def solenoid_field(spec: SolenoidSpec) -> Callable[[np.ndarray], np.ndarray]:
@@ -90,17 +98,20 @@ class Segment:
     """One smooth parametric piece: s in [0, 1] -> R^3, with analytic tangent.
 
     Both callables must accept a 1D array of parameters and return an
-    (n, 3) array.
+    (n, 3) array. Straight pieces also record their (start, end) points,
+    which lets the field-free check use the exact closest approach.
     """
 
     point: Callable[[np.ndarray], np.ndarray]
     tangent: Callable[[np.ndarray], np.ndarray]
+    endpoints: tuple | None = None
 
     def reversed(self) -> "Segment":
         fwd_point, fwd_tangent = self.point, self.tangent
         return Segment(
             point=lambda s: fwd_point(1.0 - np.asarray(s, dtype=float)),
             tangent=lambda s: -fwd_tangent(1.0 - np.asarray(s, dtype=float)),
+            endpoints=None if self.endpoints is None else self.endpoints[::-1],
         )
 
 
@@ -119,7 +130,7 @@ def line_segment(start, end) -> Segment:
         s = np.atleast_1d(np.asarray(s, dtype=float))
         return np.tile(delta, (s.size, 1))
 
-    return Segment(point, tangent)
+    return Segment(point, tangent, endpoints=(tuple(start), tuple(end)))
 
 
 def arc_segment(center, radius, theta0, theta1, z=None) -> Segment:
@@ -202,10 +213,6 @@ class LoopPath:
     def reverse(self) -> "LoopPath":
         return LoopPath(tuple(seg.reversed() for seg in reversed(self.segments)), closed=self.closed)
 
-    def sample(self, per_segment: int = 64) -> np.ndarray:
-        s = np.linspace(0.0, 1.0, per_segment)
-        return np.vstack([seg.point(s) for seg in self.segments])
-
     def concat(self, other: "LoopPath") -> "LoopPath":
         """Join two paths sharing a junction point into one path."""
         return LoopPath(self.segments + other.segments, closed=self.closed and other.closed)
@@ -285,47 +292,61 @@ def _unit_interval_rule(n: int):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _field_samples(field, pts, s):
-    vals = np.asarray([field(p) for p in pts], dtype=float)
-    if not np.isfinite(vals).all():
-        bad = int(np.argwhere(~np.isfinite(vals))[0, 0])
-        raise FieldEvaluationError(
-            f"field sample is not finite at curve parameter s = {s[bad]!r}", parameter=float(s[bad])
-        )
-    return vals
+def _field_samples(field, pts):
+    """Evaluate a per-point field at each row of an (n, 3) array of points."""
+    return np.asarray([field(p) for p in pts], dtype=float)
 
 
-def _circulation_at(field, loop, n):
+def _circulation_at(sample, loop, n):
     s, w = _unit_interval_rule(n)
     total = 0.0
     for seg in loop.segments:
-        pts = seg.point(s)
-        tans = seg.tangent(s)
-        vals = _field_samples(field, pts, s)
-        total += float(np.sum(w * np.einsum("ij,ij->i", vals, tans)))
+        vals = np.asarray(sample(seg.point(s)), dtype=float)
+        if not np.isfinite(vals).all():
+            bad = int(np.argwhere(~np.isfinite(vals))[0, 0])
+            raise FieldEvaluationError(
+                f"field sample is not finite at curve parameter s = {s[bad]!r}", parameter=float(s[bad])
+            )
+        total += float(np.sum(w * np.einsum("ij,ij->i", vals, seg.tangent(s))))
     return total
 
 
 def _refine(evaluate, quad: QuadratureSpec):
-    """Shared node-doubling driver; returns (fine value, |fine - coarse|, fine nodes)."""
+    """Shared node-doubling refinement; returns (fine value, max |fine - coarse|, fine nodes).
+
+    ``evaluate(n)`` may return a scalar or an array; the error is the largest
+    entrywise change between the last two rules.
+    """
     n = quad.nodes_per_segment
     coarse = evaluate(n)
     fine = evaluate(2 * n)
-    err = abs(fine - coarse)
+    err = float(np.max(np.abs(fine - coarse)))
     if quad.refinement == "doubling":
         while err > quad.tolerance and 2 * n < _MAX_NODES_PER_SEGMENT:
             n *= 2
             coarse = fine
             fine = evaluate(2 * n)
-            err = abs(fine - coarse)
+            err = float(np.max(np.abs(fine - coarse)))
     return fine, err, 2 * n
 
 
-def line_integral(field, loop: LoopPath, quad: QuadratureSpec | None = None) -> IntegralResult:
-    """Circulation of a vector field along the path, with a doubling error estimate."""
-    quad = quad or QuadratureSpec()
-    value, err, nodes = _refine(lambda n: _circulation_at(field, loop, n), quad)
+def _circulation(sample, loop, quad) -> IntegralResult:
+    value, err, nodes = _refine(lambda n: _circulation_at(sample, loop, n), quad or QuadratureSpec())
     return IntegralResult(value=value, error_estimate=err, nodes_per_segment=nodes)
+
+
+def line_integral(field, loop: LoopPath, quad: QuadratureSpec | None = None) -> IntegralResult:
+    """Circulation of a per-point vector field along the path, with a doubling error estimate."""
+    return _circulation(lambda pts: _field_samples(field, pts), loop, quad)
+
+
+def solenoid_circulation(spec: SolenoidSpec, loop: LoopPath, quad: QuadratureSpec | None = None) -> IntegralResult:
+    """Circulation of the solenoid potential, sampling each segment's nodes in one batch.
+
+    Same nodes, refinement and error estimate as
+    ``line_integral(solenoid_field(spec), loop, quad)``.
+    """
+    return _circulation(lambda pts: solenoid_vector_potential(pts, spec), loop, quad)
 
 
 def loop_length(loop: LoopPath, quad: QuadratureSpec | None = None) -> IntegralResult:

@@ -24,16 +24,16 @@ from typing import Callable
 
 import numpy as np
 
-from .clifford import FourVector, alpha, beta, gamma, on_shell_spinor, slash
+from .clifford import FourVector, alpha, beta, gamma, on_shell_spinor
 from .errors import DomainError, GeometryError
 from .field_geometry import (
     IntegralResult,
     LoopPath,
     QuadratureSpec,
     SolenoidSpec,
+    _refine,
     _unit_interval_rule,
-    line_integral,
-    solenoid_field,
+    solenoid_circulation,
 )
 
 _G0 = gamma(0)
@@ -105,18 +105,38 @@ class PhaseResult:
         )
 
 
+def _closest_radius_of_lines(ends: np.ndarray, solenoid: SolenoidSpec) -> float:
+    """Exact least distance from the axis over straight segments given as (k, 2, 3) endpoints.
+
+    The radial offset r_a + t r_delta is linear in t, so its norm is least at
+    t* = -r_a . r_delta / |r_delta|^2, clamped to [0, 1].
+    """
+    radial, _ = solenoid.axial_decomposition(ends)
+    r_a, r_delta = radial[:, 0], radial[:, 1] - radial[:, 0]
+    length_sq = np.sum(r_delta * r_delta, axis=1)
+    t = np.divide(-np.sum(r_a * r_delta, axis=1), length_sq, out=np.zeros_like(length_sq), where=length_sq > 0.0)
+    closest = r_a + np.clip(t, 0.0, 1.0)[:, None] * r_delta
+    return float(np.min(np.linalg.norm(closest, axis=1)))
+
+
 def _require_outside(loop: LoopPath, solenoid: SolenoidSpec, per_segment: int = 256):
-    for point in loop.sample(per_segment):
-        _, rho = solenoid.axial_decomposition(point)
-        if rho <= solenoid.radius:
-            raise GeometryError(
-                "loop enters the solenoid interior; the flux phase requires field-free paths"
-            )
+    """Reject loops that reach the coil: exactly for straight segments, on a sample otherwise."""
+    lines = [seg.endpoints for seg in loop.segments if seg.endpoints is not None]
+    curves = [seg for seg in loop.segments if seg.endpoints is None]
+    rho = []
+    if lines:
+        rho.append(_closest_radius_of_lines(np.asarray(lines, dtype=float), solenoid))
+    if curves:
+        s = np.linspace(0.0, 1.0, per_segment)
+        _, sampled = solenoid.axial_decomposition(np.vstack([seg.point(s) for seg in curves]))
+        rho.append(float(np.min(sampled)))
+    if min(rho) <= solenoid.radius:
+        raise GeometryError("loop enters the solenoid interior; the flux phase requires field-free paths")
 
 
 def _ab_integral(particle, solenoid, loop, quad) -> IntegralResult:
     _require_outside(loop, solenoid)
-    result = line_integral(solenoid_field(solenoid), loop, quad)
+    result = solenoid_circulation(solenoid, loop, quad)
     return IntegralResult(
         value=particle.charge * result.value,
         error_estimate=abs(particle.charge) * result.error_estimate,
@@ -151,59 +171,51 @@ def kinematic_momentum(loop: LoopPath, particle: ParticleSpec) -> Callable[[floa
     return momentum
 
 
-def _matrix_refine(evaluate, quad: QuadratureSpec):
-    n = quad.nodes_per_segment
-    coarse = evaluate(n)
-    fine = evaluate(2 * n)
-    err = float(np.max(np.abs(fine - coarse)))
-    if quad.refinement == "doubling":
-        while err > quad.tolerance and 2 * n < 1024:
-            n *= 2
-            coarse = fine
-            fine = evaluate(2 * n)
-            err = float(np.max(np.abs(fine - coarse)))
-    return fine, err
+def _node_kinematics(particle: ParticleSpec, seg, s):
+    """Unit tangents, p0 . x'(s) and the (n, 4, 4) stack of slash(p0(s)) at one segment's nodes."""
+    energy, p = particle.energy, particle.momentum
+    tans = seg.tangent(s)
+    speed = np.linalg.norm(tans, axis=1)
+    that = tans / speed[:, None]
+    contraction = (energy / particle.speed - p) * speed
+    slashes = energy * _G0 - p * np.tensordot(that, _G_SPATIAL, axes=(1, 0))
+    return that, contraction, slashes
 
 
 def _matrix_base(particle: ParticleSpec, loop: LoopPath, quad: QuadratureSpec):
     """Node-wise accumulation of slash(p0(s)) (p0 . dx), without the -a q factor."""
-    energy, p, v = particle.energy, particle.momentum, particle.speed
 
     def evaluate(n):
         s, w = _unit_interval_rule(n)
         total = np.zeros((4, 4), dtype=complex)
         for seg in loop.segments:
-            tans = seg.tangent(s)
-            speed = np.linalg.norm(tans, axis=1)
-            that = tans / speed[:, None]
-            contraction = (energy / v - p) * speed  # p0 . x'(s)
-            slashes = energy * _G0 - p * np.tensordot(that, _G_SPATIAL, axes=(1, 0))
+            _, contraction, slashes = _node_kinematics(particle, seg, s)
             total = total + np.tensordot(w * contraction, slashes, axes=(0, 0))
         return total
 
-    return _matrix_refine(evaluate, quad)
+    matrix, err, _ = _refine(evaluate, quad)
+    return matrix, err
 
 
 def _comoving_base(particle: ParticleSpec, loop: LoopPath, quad: QuadratureSpec):
-    """Node-wise spinor projection <u(s)|slash(p0(s))|u(s)> (p0 . dx), no -a q factor."""
-    energy, p, v, m = particle.energy, particle.momentum, particle.speed, particle.mass
+    """Node-wise spinor projection <u(s)|slash(p0(s))|u(s)> (p0 . dx), no -a q factor.
+
+    The spinors of one segment's nodes are built in one batch; the (n, 4, 4)
+    slash stack is never larger than one segment.
+    """
 
     def evaluate(n):
         s, w = _unit_interval_rule(n)
         total = 0.0
         for seg in loop.segments:
-            tans = seg.tangent(s)
-            speed = np.linalg.norm(tans, axis=1)
-            that = tans / speed[:, None]
-            contraction = (energy / v - p) * speed
-            for k in range(s.size):
-                u = on_shell_spinor(p * that[k], m)
-                projected = float(np.real(np.vdot(u, slash(FourVector.from_spatial(energy, p * that[k])) @ u)))
-                total += w[k] * contraction[k] * projected
+            that, contraction, slashes = _node_kinematics(particle, seg, s)
+            u = on_shell_spinor(particle.momentum * that, particle.mass)
+            projected = np.einsum("ni,nij,nj->n", u.conj(), slashes, u).real
+            total += float(np.sum(w * contraction * projected))
         return total
 
-    value, err = _matrix_refine(lambda n: np.array(evaluate(n)), quad)
-    return float(value), err
+    value, err, _ = _refine(evaluate, quad)
+    return value, err
 
 
 def gup_phase_matrix(particle: ParticleSpec, loop: LoopPath, a: float, quad: QuadratureSpec | None = None) -> np.ndarray:
@@ -245,7 +257,8 @@ def gup_phase_projected(
     return value
 
 
-def _projected_correction(particle, loop, a, quad, projection, spinor):
+def _projected_correction(particle, loop, a, quad, projection, spinor, correction=None):
+    """(value, error) of the projection; ``correction`` reuses a (matrix, error) already built."""
     if a < 0.0:
         raise DomainError("deformation parameter a must be nonnegative")
     if projection == "comoving_on_shell":
@@ -261,7 +274,7 @@ def _projected_correction(particle, loop, a, quad, projection, spinor):
         norm_sq = float(np.real(np.vdot(u, u)))
         if norm_sq == 0.0:
             raise DomainError("spinor must be nonzero")
-        matrix, err = _matrix_correction(particle, loop, a, quad)
+        matrix, err = correction or _matrix_correction(particle, loop, a, quad)
         value = float(np.real(np.vdot(u, matrix @ u))) / norm_sq
         return value, err
     raise DomainError(f"unknown projection {projection!r}")
@@ -280,7 +293,9 @@ def total_phase(
     quad = quad or QuadratureSpec()
     standard = _ab_integral(particle, solenoid, loop, quad)
     matrix, matrix_err = _matrix_correction(particle, loop, a, quad)
-    projected, projected_err = _projected_correction(particle, loop, a, quad, projection, spinor)
+    projected, projected_err = _projected_correction(
+        particle, loop, a, quad, projection, spinor, (matrix, matrix_err)
+    )
     return PhaseResult(
         standard_phase=standard.value,
         correction_matrix=matrix,

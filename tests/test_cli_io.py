@@ -3,6 +3,8 @@ import math
 import subprocess
 import sys
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from gupab.cli_io import (
     sweep_csv,
 )
 from gupab.errors import ConfigError
+from gupab.field_geometry import SolenoidSpec
 from gupab.phase_engine import PhaseResult
 
 BASE_CONFIG = {
@@ -311,3 +314,34 @@ def test_sweep_csv_floats_round_trip(tmp_path):
     text = sweep_csv(rows)
     parsed = [float(x) for x in text.strip().split("\n")[1].split(",")]
     assert parsed[3] == rows[0][1].projected_correction
+
+
+def test_sweep_keeps_solenoid_axis(tmp_path):
+    payload = json.loads(json.dumps(BASE_CONFIG))
+    payload["sweep"] = {"parameter": "solenoid.flux", "values": [1.0, 2.5]}
+    config = load_config(write_config(tmp_path, payload))
+    # the circle of radius 2 about the origin does not enclose this axis
+    offset = SolenoidSpec(flux=1.0, radius=0.1, axis_point=(5.0, 0.0, 0.0), axis_direction=(0.0, 0.2, 1.0))
+    rows = run_sweep(replace(config, solenoid=offset))
+    for value, result in rows:
+        expected = run_phase(replace(config, solenoid=replace(offset, flux=value)))
+        assert result.standard_phase == expected.standard_phase
+        assert result.standard_phase == pytest.approx(0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "vertices, coil",
+    [
+        ([[-50.0, 0.003, 0.0], [50.0, 0.003, 0.0], [50.0, 20.0, 0.0], [-50.0, 20.0, 0.0]], 0.01),
+        ([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], 1e-6),
+    ],
+)
+def test_cmd_phase_straight_edge_into_coil_exits_1(tmp_path, capsys, vertices, coil):
+    payload = json.loads(json.dumps(BASE_CONFIG))
+    payload["solenoid"]["radius"] = coil
+    payload["loop"] = {"kind": "polyline", "vertices": vertices}
+    code = main(["phase", "-c", write_config(tmp_path, payload)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "solenoid interior" in captured.err
+    assert captured.out == ""

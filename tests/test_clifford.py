@@ -180,3 +180,22 @@ def test_spinor_domain_errors():
         on_shell_spinor((0.0, 0.0, 0.0), 0.0)
     with pytest.raises(DomainError):
         on_shell_spinor((0.0, 0.0, 0.0), 1.0, "antiparticle")
+
+
+@pytest.mark.parametrize("branch", ["particle1", "particle2"])
+def test_batched_spinors_match_per_row(branch):
+    rng = np.random.default_rng(29)
+    momenta = rng.uniform(-2.0, 2.0, size=(64, 3))
+    momenta[0] = 0.0  # rest frame row
+    batch = on_shell_spinor(momenta, 0.7, branch)
+    assert batch.shape == (64, 4)
+    rows = np.array([on_shell_spinor(p3, 0.7, branch) for p3 in momenta])
+    np.testing.assert_allclose(batch, rows, rtol=0.0, atol=1e-15)
+    stacked = on_shell_spinor(momenta.reshape(8, 8, 3), 0.7, branch)
+    np.testing.assert_allclose(stacked.reshape(64, 4), rows, rtol=0.0, atol=1e-15)
+
+
+def test_spinor_shape_errors():
+    for bad in (1.0, (1.0, 2.0), np.zeros((4, 2))):
+        with pytest.raises(DomainError):
+            on_shell_spinor(bad, 1.0)

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from helpers import fourier_loop, random_polynomial_gauge, riemann_circulation
+from gupab import field_geometry
 from gupab.errors import DomainError, FieldEvaluationError, GeometryError, SingularInputError
 from gupab.field_geometry import (
     LoopPath,
@@ -19,6 +22,7 @@ from gupab.field_geometry import (
     make_loop,
     polyline_loop,
     rectangle_loop,
+    solenoid_circulation,
     solenoid_field,
     solenoid_vector_potential,
     winding_number,
@@ -320,3 +324,125 @@ def test_arc_segment_quarter_circle():
     seg = arc_segment((0.0, 0.0, 0.0), 2.0, 0.0, math.pi / 2.0)
     path = LoopPath((seg,), closed=False)
     assert loop_length(path, DOUBLING).value == pytest.approx(math.pi, abs=1e-12)
+
+
+TILTED = SolenoidSpec(flux=0.9, radius=0.05, axis_point=(1.0, 2.0, 3.0), axis_direction=(1.0, 1.0, 0.3))
+
+
+@pytest.mark.parametrize("spec", [SolenoidSpec(flux=1.3, radius=0.4), TILTED])
+def test_batched_potential_matches_per_point(spec):
+    rng = np.random.default_rng(71)
+    origin = np.asarray(spec.axis_point)
+    # half the points fall inside the coil, half outside
+    pts = origin + rng.normal(scale=0.5, size=(200, 3))
+    _, rho = spec.axial_decomposition(pts)
+    assert rho.shape == (200,)
+    assert np.any(rho < spec.radius) and np.any(rho > spec.radius)
+    batch = solenoid_vector_potential(pts, spec)
+    assert batch.shape == (200, 3)
+    rows = np.array([solenoid_vector_potential(p, spec) for p in pts])
+    np.testing.assert_allclose(batch, rows, rtol=1e-15, atol=0.0)
+    assert np.array_equal(rho, [spec.axial_decomposition(p)[1] for p in pts])
+    stacked = solenoid_vector_potential(pts.reshape(10, 20, 3), spec)
+    np.testing.assert_allclose(stacked.reshape(200, 3), rows, rtol=1e-15, atol=0.0)
+
+
+def test_batched_potential_rejects_any_point_on_axis():
+    spec = SolenoidSpec(flux=1.0, radius=0.2)
+    pts = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 5.0], [0.0, 2.0, 1.0]])
+    with pytest.raises(SingularInputError):
+        solenoid_vector_potential(pts, spec)
+
+
+def _tilted_circle(spec, radius, windings=1):
+    direction = np.asarray(spec.axis_direction)
+    e1 = np.cross(direction, [0.0, 0.0, 1.0])
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(direction, e1)
+    origin = np.asarray(spec.axis_point)
+    turns = 2.0 * math.pi * windings
+
+    def point(s):
+        th = turns * np.atleast_1d(np.asarray(s, dtype=float))
+        return origin + radius * (np.outer(np.cos(th), e1) + np.outer(np.sin(th), e2))
+
+    def tangent(s):
+        th = turns * np.atleast_1d(np.asarray(s, dtype=float))
+        return turns * radius * (np.outer(-np.sin(th), e1) + np.outer(np.cos(th), e2))
+
+    return LoopPath((Segment(point, tangent),))
+
+
+@pytest.mark.parametrize("quad", [QuadratureSpec(), QuadratureSpec(8, "doubling", 1e-12)])
+def test_solenoid_circulation_matches_line_integral(quad):
+    spec = SolenoidSpec(flux=1.0, radius=0.1)
+    cases = [
+        (spec, polyline_loop([(2, 0, 0), (0, 2, 0.5), (-2, -1, 0), (1, -1.5, -0.3)])),
+        (spec, rectangle_loop([(1, 1, 0), (-1, 1, 0), (-1, -1, 0), (1, -1, 0)])),
+        (spec, polyline_loop([(3, 1, 0), (4, 1, 0), (4, 2, 0)])),
+        (spec, circle_loop(radius=1.5, windings=3)),
+        (spec, circle_loop(center=(0.3, -0.2, 1.0), radius=0.8, windings=-2)),
+        (spec, fourier_loop(np.random.default_rng(73), z_amplitude=0.3)),
+        (TILTED, _tilted_circle(TILTED, 1.5, windings=2)),
+    ]
+    for case_spec, loop in cases:
+        batched = solenoid_circulation(case_spec, loop, quad)
+        reference = line_integral(solenoid_field(case_spec), loop, quad)
+        assert abs(batched.value - reference.value) <= 1e-13
+        assert abs(batched.error_estimate - reference.error_estimate) <= 1e-13
+        assert batched.nodes_per_segment == reference.nodes_per_segment
+    assert solenoid_circulation(TILTED, _tilted_circle(TILTED, 1.5, windings=2), quad).value == pytest.approx(
+        1.8, abs=1e-9
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.floats(0.5, 3.0), st.floats(0.05, 1.2), st.floats(-1.0, 1.0)),
+        min_size=6,
+        max_size=12,
+    ),
+    st.floats(0.0, 2.0 * math.pi),
+)
+def test_polyline_circulation_property(steps, start):
+    # star-shaped about the axis with turns under 1.2 rad, and a closing edge
+    # that turns under 2.5 rad: every edge keeps 0.1 or more from the axis
+    angles = start + np.cumsum([0.0] + [turn for _, turn, _ in steps[1:]])
+    closing = math.remainder(angles[0] - angles[-1], 2.0 * math.pi)
+    assume(abs(closing) <= 2.5)
+    radii = np.array([r for r, _, _ in steps])
+    heights = np.array([z for _, _, z in steps])
+    vertices = np.column_stack([radii * np.cos(angles), radii * np.sin(angles), heights])
+    spec = SolenoidSpec(flux=1.0, radius=0.05)
+    loop = polyline_loop(vertices)
+    quad = QuadratureSpec(16, "doubling", 1e-12)
+    batched = solenoid_circulation(spec, loop, quad)
+    reference = line_integral(solenoid_field(spec), loop, quad)
+    assert abs(batched.value - reference.value) <= 1e-13
+    # Aharonov-Bohm: Phi / 2 pi times the angle the closed polyline sweeps about the axis
+    swept = angles[-1] - angles[0] + closing
+    assert batched.value == pytest.approx(swept / (2.0 * math.pi), abs=1e-9)
+
+
+def test_refine_error_is_entrywise_max_and_capped(monkeypatch):
+    monkeypatch.setattr(field_geometry, "_MAX_NODES_PER_SEGMENT", 64)
+    calls = []
+
+    def evaluate(n):
+        calls.append(n)
+        return np.array([1.0, 2.0 + 1.0 / n])
+
+    value, err, nodes = field_geometry._refine(evaluate, QuadratureSpec(8, "doubling", 1e-15))
+    assert calls == [8, 16, 32, 64]
+    assert nodes == 64
+    assert err == pytest.approx(1.0 / 32 - 1.0 / 64, rel=1e-15)
+    assert np.array_equal(value, [1.0, 2.0 + 1.0 / 64])
+
+
+def test_line_segment_records_endpoints():
+    seg = line_segment((0.0, 1.0, 2.0), (3.0, 4.0, 5.0))
+    assert seg.endpoints == ((0.0, 1.0, 2.0), (3.0, 4.0, 5.0))
+    assert seg.reversed().endpoints == ((3.0, 4.0, 5.0), (0.0, 1.0, 2.0))
+    assert arc_segment((0.0, 0.0, 0.0), 1.0, 0.0, 1.0).endpoints is None
+    assert all(s.endpoints is not None for s in polyline_loop([(1, 0, 0), (0, 1, 0), (-1, -1, 0)]).reverse().segments)

@@ -10,6 +10,7 @@ from helpers import (
     riemann_projected_phase,
     riemann_tangent_sums,
 )
+from gupab import phase_engine
 from gupab.clifford import gamma, on_shell_spinor
 from gupab.errors import DomainError, GeometryError
 from gupab.field_geometry import (
@@ -18,6 +19,7 @@ from gupab.field_geometry import (
     SolenoidSpec,
     circle_loop,
     line_segment,
+    polyline_loop,
     rectangle_loop,
     winding_number,
 )
@@ -330,3 +332,67 @@ def test_fringe_shift_values():
     reading = fringe_shift(phi)
     assert reading.intensity(-phi) == pytest.approx(1.0, rel=1e-15)
     assert reading.intensity(math.pi - phi) == pytest.approx(0.0, abs=1e-15)
+
+
+# Straight edges that reach the coil between the 256 samples of a sampled
+# check: a long edge grazing a thin coil, and an edge through the axis.
+LONG_EDGE_GRAZING_COIL = (
+    polyline_loop([(-50.0, 0.003, 0.0), (50.0, 0.003, 0.0), (50.0, 20.0, 0.0), (-50.0, 20.0, 0.0)]),
+    SolenoidSpec(flux=1.0, radius=0.01),
+)
+EDGE_THROUGH_AXIS = (
+    polyline_loop([(-1.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]),
+    SolenoidSpec(flux=1.0, radius=1e-6),
+)
+
+
+@pytest.mark.parametrize("loop, solenoid", [LONG_EDGE_GRAZING_COIL, EDGE_THROUGH_AXIS])
+def test_straight_edge_reaching_coil_rejected(loop, solenoid):
+    for path in (loop, loop.reverse()):
+        with pytest.raises(GeometryError):
+            ab_phase(PARTICLE, solenoid, path, DOUBLING)
+        with pytest.raises(GeometryError):
+            total_phase(PARTICLE, solenoid, path, 0.01, DOUBLING)
+
+
+def test_straight_edge_clearance_is_exact():
+    # closest approach of the edge y = 0.5 is 0.5 at x = 0; the sampled
+    # nodes never land there, yet a coil just inside it is still accepted
+    loop = polyline_loop([(-1.0, 0.5, 0.0), (1.0, 0.5, 0.0), (0.0, 2.0, 0.0)])
+    assert ab_phase(PARTICLE, SolenoidSpec(flux=1.0, radius=0.4999999), loop) == pytest.approx(0.0, abs=1e-3)
+    with pytest.raises(GeometryError):
+        ab_phase(PARTICLE, SolenoidSpec(flux=1.0, radius=0.5), loop)
+    # axis along x: two edges run parallel to it (no radial motion), the
+    # other two cross 0.25 from it, inside the 0.3 coil
+    tilted = SolenoidSpec(flux=1.0, radius=0.3, axis_direction=(1.0, 0.0, 0.0))
+    square = polyline_loop([(0.0, 0.25, -1.0), (1.0, 0.25, -1.0), (1.0, 0.25, 1.0), (0.0, 0.25, 1.0)])
+    with pytest.raises(GeometryError):
+        ab_phase(PARTICLE, tilted, square)
+
+
+def test_comoving_projection_matches_riemann_oracle():
+    rng = np.random.default_rng(89)
+    loops = [
+        polyline_loop([(2, 0, 0), (0, 2, 0.5), (-2, -1, 0), (1, -1.5, -0.3)]),
+        circle_loop(radius=1.5, windings=3),
+        fourier_loop(rng, z_amplitude=0.2),
+    ]
+    for loop in loops:
+        projected = gup_phase_projected(PARTICLE, loop, 0.02, DOUBLING)
+        assert projected == pytest.approx(riemann_projected_phase(loop, PARTICLE, 0.02, nodes=200_000), rel=1e-9)
+
+
+def test_total_phase_builds_matrix_once_for_fixed_spinor(monkeypatch):
+    calls = []
+    original = phase_engine._matrix_base
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(phase_engine, "_matrix_base", counted)
+    u = on_shell_spinor((0.3, 0.0, 0.4), PARTICLE.mass)
+    result = total_phase(PARTICLE, SOLENOID, circle_loop(radius=2.0), 0.01, DOUBLING, "fixed_spinor", u)
+    assert len(calls) == 1
+    alone = gup_phase_projected(PARTICLE, circle_loop(radius=2.0), 0.01, DOUBLING, "fixed_spinor", u)
+    assert result.projected_correction == alone
