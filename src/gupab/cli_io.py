@@ -65,20 +65,22 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully validated inputs for one engine run (plus an optional sweep)."""
+    """Fully validated inputs for one engine run (plus an optional sweep).
+
+    ``loop`` is built from ``loop_kind`` and ``loop_params`` once, when the
+    config is parsed; a sweep over ``loop.radius`` rebuilds it per row.
+    """
 
     particle: ParticleSpec
     solenoid: SolenoidSpec
     loop_kind: str
     loop_params: dict
+    loop: LoopPath
     a: float
     quadrature: QuadratureSpec
     projection: str
     spinor: np.ndarray | None
     sweep: SweepSpec | None
-
-    def build_loop(self) -> LoopPath:
-        return make_loop(self.loop_kind, **self.loop_params)
 
 
 def _parse_particle(raw) -> ParticleSpec:
@@ -204,15 +206,14 @@ def _parse_sweep(raw) -> SweepSpec:
     return SweepSpec(parameter=parameter, values=values)
 
 
-def _validate_sweep_values(config: RunConfig):
-    sweep = config.sweep
+def _validate_sweep_values(sweep: SweepSpec | None, loop_kind: str):
     if sweep is None:
         return
     for value in sweep.values:
         if sweep.parameter == "gup.a" and value < 0.0:
             raise ConfigError("sweep.values for gup.a must be nonnegative")
         if sweep.parameter == "loop.radius":
-            if config.loop_kind != "circle":
+            if loop_kind != "circle":
                 raise ConfigError("sweeping loop.radius requires a circle loop")
             if not value > 0.0:
                 raise ConfigError("sweep.values for loop.radius must be positive")
@@ -239,23 +240,23 @@ def parse_config(raw: dict) -> RunConfig:
     elif "spinor" in raw:
         raise ConfigError("spinor is only meaningful with projection 'fixed_spinor'")
     sweep = _parse_sweep(raw["sweep"]) if "sweep" in raw else None
-    config = RunConfig(
+    _validate_sweep_values(sweep, loop_kind)
+    try:
+        loop = make_loop(loop_kind, **loop_params)  # surfaces degenerate geometry before any computation
+    except GupabError as exc:
+        raise ConfigError(f"loop: {exc}") from exc
+    return RunConfig(
         particle=particle,
         solenoid=solenoid,
         loop_kind=loop_kind,
         loop_params=loop_params,
+        loop=loop,
         a=a,
         quadrature=quadrature,
         projection=projection,
         spinor=spinor,
         sweep=sweep,
     )
-    _validate_sweep_values(config)
-    try:
-        config.build_loop()  # surfaces degenerate geometry before any computation
-    except GupabError as exc:
-        raise ConfigError(f"loop: {exc}") from exc
-    return config
 
 
 def load_config(path) -> RunConfig:
@@ -275,7 +276,7 @@ def run_phase(config: RunConfig) -> PhaseResult:
     return total_phase(
         config.particle,
         config.solenoid,
-        config.build_loop(),
+        config.loop,
         config.a,
         config.quadrature,
         projection=config.projection,
@@ -288,9 +289,8 @@ def _with_sweep_value(config: RunConfig, value: float) -> RunConfig:
     if parameter == "gup.a":
         return replace(config, a=value)
     if parameter == "loop.radius":
-        params = dict(config.loop_params)
-        params["radius"] = value
-        return replace(config, loop_params=params)
+        params = dict(config.loop_params, radius=value)
+        return replace(config, loop_params=params, loop=make_loop(config.loop_kind, **params))
     if parameter == "particle.v":
         return replace(config, particle=replace(config.particle, speed=value))
     if parameter == "solenoid.flux":

@@ -1,13 +1,16 @@
 """Solenoid vector potential, closed-loop geometry, and line-integral quadrature.
 
 Loops are piecewise-smooth parametric curves; each piece maps s in [0, 1] to
-points with an analytic tangent. Line integrals use composite Gauss-Legendre
-per piece, with the error estimated by node doubling. The built-in field
-source is the ideal infinite solenoid: purely azimuthal potential, flux
-Phi / (2 pi rho) outside the coil and Phi rho / (2 pi R^2) inside. Its
-potential takes a whole (n, 3) array of points, so ``solenoid_circulation``
-samples each segment's nodes in one call; generic fields handed to
-``line_integral`` are still called once per point.
+points with an analytic tangent. Straight pieces and circular arcs also
+record their shape, and ``loop_geometry`` turns it into closed forms: the
+exact length, the azimuth swept about a solenoid axis, and the least
+distance from that axis. Generic curves, which record no shape, go through
+composite Gauss-Legendre quadrature per piece, with the error estimated by
+node doubling. The built-in field source is the ideal infinite solenoid:
+purely azimuthal potential, flux Phi / (2 pi rho) outside the coil and
+Phi rho / (2 pi R^2) inside. Its potential takes a whole (n, 3) array of
+points, so ``solenoid_circulation`` samples each segment's nodes in one
+call; generic fields handed to ``line_integral`` are called once per point.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .errors import DomainError, FieldEvaluationError, GeometryError, SingularIn
 
 _MAX_NODES_PER_SEGMENT = 1024  # 2**10 cap for the doubling refinement
 _VALIDATION_SAMPLES = 64
+_CLEARANCE_SAMPLES = 256  # per segment, for curves with no closed-form closest approach
 
 
 def _unit(v, name):
@@ -98,20 +102,28 @@ class Segment:
     """One smooth parametric piece: s in [0, 1] -> R^3, with analytic tangent.
 
     Both callables must accept a 1D array of parameters and return an
-    (n, 3) array. Straight pieces also record their (start, end) points,
-    which lets the field-free check use the exact closest approach.
+    (n, 3) array. Straight pieces also record their (start, end) points, and
+    circular arcs their (center, radius, theta0, sweep): the piece runs over
+    the angles theta0 + s sweep about the center, in the plane z = center_z.
+    ``loop_geometry`` uses these for closed forms.
     """
 
     point: Callable[[np.ndarray], np.ndarray]
     tangent: Callable[[np.ndarray], np.ndarray]
     endpoints: tuple | None = None
+    arc: tuple | None = None
 
     def reversed(self) -> "Segment":
         fwd_point, fwd_tangent = self.point, self.tangent
+        arc = None
+        if self.arc is not None:
+            center, radius, theta0, sweep = self.arc
+            arc = (center, radius, theta0 + sweep, -sweep)
         return Segment(
             point=lambda s: fwd_point(1.0 - np.asarray(s, dtype=float)),
             tangent=lambda s: -fwd_tangent(1.0 - np.asarray(s, dtype=float)),
             endpoints=None if self.endpoints is None else self.endpoints[::-1],
+            arc=arc,
         )
 
 
@@ -157,7 +169,8 @@ def arc_segment(center, radius, theta0, theta1, z=None) -> Segment:
             [-radius * sweep * np.sin(th), radius * sweep * np.cos(th), np.zeros(s.size)]
         )
 
-    return Segment(point, tangent)
+    arc = ((float(center[0]), float(center[1]), height), float(radius), float(theta0), float(sweep))
+    return Segment(point, tangent, arc=arc)
 
 
 @dataclass(frozen=True)
@@ -281,9 +294,11 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class IntegralResult:
+    """A loop integral; closed forms report error 0.0 and no node count."""
+
     value: float
     error_estimate: float
-    nodes_per_segment: int
+    nodes_per_segment: int | None = None
 
 
 @lru_cache(maxsize=32)
@@ -362,6 +377,95 @@ def loop_length(loop: LoopPath, quad: QuadratureSpec | None = None) -> IntegralR
 
     value, err, nodes = _refine(evaluate, quad)
     return IntegralResult(value=value, error_estimate=err, nodes_per_segment=nodes)
+
+
+class LoopGeometry(NamedTuple):
+    """Closed forms of a path: None where some segment has none (see ``loop_geometry``)."""
+
+    length: float | None
+    swept_angle: float | None = None
+    clearance: float | None = None
+
+
+def _closest_radius_of_lines(radial: np.ndarray) -> float:
+    """Exact least distance from the axis over straight segments, from (k, 2, 3) endpoint radial vectors.
+
+    The radial offset r_a + t r_delta is linear in t, so its norm is least at
+    t* = -r_a . r_delta / |r_delta|^2, clamped to [0, 1].
+    """
+    r_a, r_delta = radial[:, 0], radial[:, 1] - radial[:, 0]
+    length_sq = np.sum(r_delta * r_delta, axis=1)
+    t = np.divide(-np.sum(r_a * r_delta, axis=1), length_sq, out=np.zeros_like(length_sq), where=length_sq > 0.0)
+    closest = r_a + np.clip(t, 0.0, 1.0)[:, None] * r_delta
+    return float(np.min(np.linalg.norm(closest, axis=1)))
+
+
+def _arc_about_axis(arc, spec: SolenoidSpec):
+    """(closest approach, swept azimuth) of an arc whose plane is normal to the solenoid axis."""
+    (cx, cy, _), radius, theta0, sweep = arc
+    facing = spec.axis_direction[2]  # +1 or -1: the arc's plane normal, seen along the axis
+    ax, ay = spec.axis_point[0] - cx, spec.axis_point[1] - cy  # axis foot P relative to the center c
+    offset = math.hypot(ax, ay)
+    # |P - c| - r is attained where P's azimuth about c falls inside the sweep; otherwise at an end
+    bearing = ((math.atan2(ay, ax) - theta0) * math.copysign(1.0, sweep)) % (2.0 * math.pi)
+    ends = (theta0, theta0 + sweep)
+    clearance = min(math.hypot(radius * math.cos(t) - ax, radius * math.sin(t) - ay) for t in ends)
+    if abs(sweep) >= 2.0 * math.pi or offset == 0.0 or bearing <= abs(sweep):
+        clearance = abs(offset - radius)
+    # Sub-arcs of sweep <= pi/2 each turn by their chord's angle about the axis, plus a full turn
+    # when the axis lies between sub-arc and chord: inside the circle, on the arc's side of the chord.
+    # One cross-product scalar feeds both the atan2 and the side test, so an axis on a chord line
+    # gives the same total from either sign of zero.
+    t = np.linspace(theta0, theta0 + sweep, math.ceil(abs(sweep) / (0.5 * math.pi)) + 1)
+    u, v = radius * np.cos(t) - ax, radius * np.sin(t) - ay
+    cross = facing * (u[:-1] * v[1:] - v[:-1] * u[1:])
+    angles = np.arctan2(cross, u[:-1] * u[1:] + v[:-1] * v[1:])
+    turning = facing * sweep
+    between = np.count_nonzero(np.signbit(cross) != (turning < 0.0)) if offset < radius else 0
+    return clearance, float(np.sum(angles)) + math.copysign(2.0 * math.pi, turning) * between
+
+
+def loop_geometry(loop: LoopPath, spec: SolenoidSpec | None = None) -> LoopGeometry:
+    """Closed-form length of a path and, given a solenoid, its swept azimuth and clearance.
+
+    Lines and arcs have exact lengths, |end - start| and r |sweep|; the
+    length is None if some segment is a generic curve. About the solenoid
+    axis, a line sweeps the atan2 angle between its endpoints' radial
+    vectors, and an arc whose plane is normal to the axis sweeps the sum
+    from ``_arc_about_axis``; the swept angle is None if some segment is
+    neither. The clearance, the least distance from the axis, is always
+    given: exact for lines and normal arcs, the least of 256 samples per
+    segment otherwise.
+    """
+    lines = [seg.endpoints for seg in loop.segments if seg.endpoints is not None]
+    arcs = [seg for seg in loop.segments if seg.arc is not None]
+    curves = [seg for seg in loop.segments if seg.endpoints is None and seg.arc is None]
+    ends = np.asarray(lines, dtype=float).reshape(-1, 2, 3)
+    length = None
+    if not curves:
+        chords = float(np.sum(np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1)))
+        length = chords + sum(seg.arc[1] * abs(seg.arc[3]) for seg in arcs)
+    if spec is None:
+        return LoopGeometry(length)
+    swept, rho = 0.0, []
+    if lines:
+        d = np.asarray(spec.axis_direction)
+        radial, _ = spec.axial_decomposition(ends)
+        rho.append(_closest_radius_of_lines(radial))
+        turns = np.cross(radial[:, 0], radial[:, 1]) @ d
+        swept += float(np.sum(np.arctan2(turns, np.sum(radial[:, 0] * radial[:, 1], axis=1))))
+    if spec.axis_direction[0] == 0.0 and spec.axis_direction[1] == 0.0:
+        for seg in arcs:
+            clearance, angle = _arc_about_axis(seg.arc, spec)
+            rho.append(clearance)
+            swept += angle
+    else:
+        curves += arcs  # tilted to the axis: sampled clearance, quadrature flux
+    if curves:
+        s = np.linspace(0.0, 1.0, _CLEARANCE_SAMPLES)
+        _, sampled = spec.axial_decomposition(np.vstack([seg.point(s) for seg in curves]))
+        rho.append(float(np.min(sampled)))
+    return LoopGeometry(length, None if curves else swept, min(rho))
 
 
 class WindingResult(NamedTuple):

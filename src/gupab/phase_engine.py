@@ -1,19 +1,25 @@
 """Flux phase, minimal-length correction, dispersion, and fringe readout.
 
-The charged particle traverses the loop at constant speed v, so each spatial
-step |dr| is accompanied by a time step dt = |dr| / v; contour integrals of
-four-vectors are evaluated over that worldline. With on-shell kinematics
-(E, p t-hat(s)) along the unit tangent, the contraction with the worldline
-element reduces to
+Outside an ideal coil the vector potential is Phi grad(theta) / 2 pi, so the
+flux phase of a field-free path is q Phi dtheta / 2 pi, where dtheta is the
+azimuth the path sweeps about the solenoid axis. The charged particle
+traverses the loop at constant speed v, so each spatial step |dr| is
+accompanied by a time step dt = |dr| / v; contour integrals of four-vectors
+are evaluated over that worldline. With on-shell kinematics (E, p t-hat(s))
+along the unit tangent, the contraction with the worldline element reduces to
 
     p0 . dx = (E / v - p) |dr|,
 
-and the correction integrand is the matrix -a q slash(p0(s)) (p0 . dx). The
-default reading projects it node by node onto the local positive-energy
-spinor, for which slash(p0) u = m u collapses the matrix to the scalar
--a q m (E / v - p) |dr|; the raw matrix and a fixed-spinor projection are
-exposed as alternatives. All phases are reported in radians without 2 pi
-reduction. Natural units (hbar = c = 1).
+and the correction integrand is the matrix -a q slash(p0(s)) (p0 . dx).
+Since |dr| t-hat = dr, it integrates to -a q (E / v - p)(E L gamma^0 -
+p dx . gamma), with L the path length and dx its end-to-end displacement
+(zero on closed loops). The default reading projects the integrand onto the
+comoving positive-energy spinor, for which slash(p0) u = m u collapses it to
+-a q m (E / v - p) L; the raw matrix and a fixed-spinor projection are
+exposed as alternatives. Lines and circular arcs give dtheta and L in closed
+form (``field_geometry.loop_geometry``); a path with a generic curve falls
+back to quadrature for the flux and the length. All phases are reported in
+radians without 2 pi reduction. Natural units (hbar = c = 1).
 """
 
 from __future__ import annotations
@@ -24,15 +30,15 @@ from typing import Callable
 
 import numpy as np
 
-from .clifford import FourVector, alpha, beta, gamma, on_shell_spinor
+from .clifford import FourVector, alpha, beta, gamma
 from .errors import DomainError, GeometryError
 from .field_geometry import (
     IntegralResult,
     LoopPath,
     QuadratureSpec,
     SolenoidSpec,
-    _refine,
-    _unit_interval_rule,
+    loop_geometry,
+    loop_length,
     solenoid_circulation,
 )
 
@@ -105,37 +111,13 @@ class PhaseResult:
         )
 
 
-def _closest_radius_of_lines(ends: np.ndarray, solenoid: SolenoidSpec) -> float:
-    """Exact least distance from the axis over straight segments given as (k, 2, 3) endpoints.
-
-    The radial offset r_a + t r_delta is linear in t, so its norm is least at
-    t* = -r_a . r_delta / |r_delta|^2, clamped to [0, 1].
-    """
-    radial, _ = solenoid.axial_decomposition(ends)
-    r_a, r_delta = radial[:, 0], radial[:, 1] - radial[:, 0]
-    length_sq = np.sum(r_delta * r_delta, axis=1)
-    t = np.divide(-np.sum(r_a * r_delta, axis=1), length_sq, out=np.zeros_like(length_sq), where=length_sq > 0.0)
-    closest = r_a + np.clip(t, 0.0, 1.0)[:, None] * r_delta
-    return float(np.min(np.linalg.norm(closest, axis=1)))
-
-
-def _require_outside(loop: LoopPath, solenoid: SolenoidSpec, per_segment: int = 256):
-    """Reject loops that reach the coil: exactly for straight segments, on a sample otherwise."""
-    lines = [seg.endpoints for seg in loop.segments if seg.endpoints is not None]
-    curves = [seg for seg in loop.segments if seg.endpoints is None]
-    rho = []
-    if lines:
-        rho.append(_closest_radius_of_lines(np.asarray(lines, dtype=float), solenoid))
-    if curves:
-        s = np.linspace(0.0, 1.0, per_segment)
-        _, sampled = solenoid.axial_decomposition(np.vstack([seg.point(s) for seg in curves]))
-        rho.append(float(np.min(sampled)))
-    if min(rho) <= solenoid.radius:
-        raise GeometryError("loop enters the solenoid interior; the flux phase requires field-free paths")
-
-
 def _ab_integral(particle, solenoid, loop, quad) -> IntegralResult:
-    _require_outside(loop, solenoid)
+    geometry = loop_geometry(loop, solenoid)
+    if geometry.clearance <= solenoid.radius:
+        raise GeometryError("loop enters the solenoid interior; the flux phase requires field-free paths")
+    if geometry.swept_angle is not None:
+        turns = geometry.swept_angle / (2.0 * math.pi)
+        return IntegralResult(value=particle.charge * solenoid.flux * turns, error_estimate=0.0)
     result = solenoid_circulation(solenoid, loop, quad)
     return IntegralResult(
         value=particle.charge * result.value,
@@ -171,51 +153,35 @@ def kinematic_momentum(loop: LoopPath, particle: ParticleSpec) -> Callable[[floa
     return momentum
 
 
-def _node_kinematics(particle: ParticleSpec, seg, s):
-    """Unit tangents, p0 . x'(s) and the (n, 4, 4) stack of slash(p0(s)) at one segment's nodes."""
-    energy, p = particle.energy, particle.momentum
-    tans = seg.tangent(s)
-    speed = np.linalg.norm(tans, axis=1)
-    that = tans / speed[:, None]
-    contraction = (energy / particle.speed - p) * speed
-    slashes = energy * _G0 - p * np.tensordot(that, _G_SPATIAL, axes=(1, 0))
-    return that, contraction, slashes
+def _path_length(loop: LoopPath, quad: QuadratureSpec):
+    """(L, error): exact for lines and arcs, by quadrature when some segment is a generic curve."""
+    length = loop_geometry(loop).length
+    if length is not None:
+        return length, 0.0
+    result = loop_length(loop, quad)
+    return result.value, result.error_estimate
 
 
 def _matrix_base(particle: ParticleSpec, loop: LoopPath, quad: QuadratureSpec):
-    """Node-wise accumulation of slash(p0(s)) (p0 . dx), without the -a q factor."""
+    """Contour integral of slash(p0) (p0 . dx), without the -a q factor.
 
-    def evaluate(n):
-        s, w = _unit_interval_rule(n)
-        total = np.zeros((4, 4), dtype=complex)
-        for seg in loop.segments:
-            _, contraction, slashes = _node_kinematics(particle, seg, s)
-            total = total + np.tensordot(w * contraction, slashes, axes=(0, 0))
-        return total
-
-    matrix, err, _ = _refine(evaluate, quad)
-    return matrix, err
+    Equals (E/v - p)(E L gamma^0 - p dx . gamma), since |dr| t-hat = dr; dx
+    is the end-to-end displacement, zero on closed loops.
+    """
+    length, err = _path_length(loop, quad)
+    contraction = particle.energy / particle.speed - particle.momentum
+    matrix = particle.energy * length * _G0
+    if not loop.closed:
+        displacement = loop.segments[-1].point(np.array([1.0]))[0] - loop.segments[0].point(np.array([0.0]))[0]
+        matrix = matrix - particle.momentum * np.tensordot(displacement, _G_SPATIAL, axes=1)
+    return contraction * matrix, contraction * particle.energy * err
 
 
 def _comoving_base(particle: ParticleSpec, loop: LoopPath, quad: QuadratureSpec):
-    """Node-wise spinor projection <u(s)|slash(p0(s))|u(s)> (p0 . dx), no -a q factor.
-
-    The spinors of one segment's nodes are built in one batch; the (n, 4, 4)
-    slash stack is never larger than one segment.
-    """
-
-    def evaluate(n):
-        s, w = _unit_interval_rule(n)
-        total = 0.0
-        for seg in loop.segments:
-            that, contraction, slashes = _node_kinematics(particle, seg, s)
-            u = on_shell_spinor(particle.momentum * that, particle.mass)
-            projected = np.einsum("ni,nij,nj->n", u.conj(), slashes, u).real
-            total += float(np.sum(w * contraction * projected))
-        return total
-
-    value, err, _ = _refine(evaluate, quad)
-    return value, err
+    """Projection onto the comoving on-shell spinor, m (E/v - p) L, without the -a q factor."""
+    length, err = _path_length(loop, quad)
+    scale = particle.mass * (particle.energy / particle.speed - particle.momentum)
+    return scale * length, scale * err
 
 
 def gup_phase_matrix(particle: ParticleSpec, loop: LoopPath, a: float, quad: QuadratureSpec | None = None) -> np.ndarray:
@@ -248,9 +214,9 @@ def gup_phase_projected(
 ) -> float:
     """Scalar correction phase under the chosen spinor projection.
 
-    'comoving_on_shell' projects the integrand node by node onto the local
-    positive-energy spinor, which collapses it to -a q m (E/v - p) |dr| and
-    integrates to -a q m (E/v - p) * loop length. 'fixed_spinor' evaluates
+    'comoving_on_shell' projects the integrand onto the local positive-energy
+    spinor, which collapses it to -a q m (E/v - p) |dr| and integrates to
+    -a q m (E/v - p) * loop length. 'fixed_spinor' evaluates
     Re <u| matrix |u> / <u|u> for a caller-supplied spinor u.
     """
     value, _ = _projected_correction(particle, loop, a, quad or QuadratureSpec(), projection, spinor)

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from gupab import cli_io
 from gupab.cli_io import (
     DISPERSION_CSV_HEADER,
     SWEEP_CSV_HEADER,
@@ -345,3 +346,40 @@ def test_cmd_phase_straight_edge_into_coil_exits_1(tmp_path, capsys, vertices, c
     assert code == 1
     assert "solenoid interior" in captured.err
     assert captured.out == ""
+
+
+def test_cmd_phase_circle_into_coil_exits_1(tmp_path, capsys):
+    payload = json.loads(json.dumps(BASE_CONFIG))
+    payload["solenoid"]["radius"] = 0.001
+    payload["loop"] = {"kind": "circle", "center": [2.0004, 0.0, 0.0], "radius": 2.0, "windings": 2}
+    code = main(["phase", "-c", write_config(tmp_path, payload)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "solenoid interior" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "sweep, builds",
+    [
+        (None, 1),
+        ({"parameter": "gup.a", "values": [0.0, 0.01, 0.02]}, 1),
+        ({"parameter": "loop.radius", "values": [1.0, 1.5, 2.0]}, 4),
+    ],
+)
+def test_loop_built_once_per_command(tmp_path, capsys, monkeypatch, sweep, builds):
+    calls = []
+    original = cli_io.make_loop
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli_io, "make_loop", counted)
+    payload = json.loads(json.dumps(BASE_CONFIG))
+    if sweep is not None:
+        payload["sweep"] = sweep
+    assert main(["sweep" if sweep else "phase", "-c", write_config(tmp_path, payload)]) == 0
+    assert len(calls) == builds
+    if sweep and sweep["parameter"] == "loop.radius":
+        assert [kwargs["radius"] for kwargs in calls[1:]] == sweep["values"]

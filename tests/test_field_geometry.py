@@ -18,6 +18,7 @@ from gupab.field_geometry import (
     gauge_shift,
     line_integral,
     line_segment,
+    loop_geometry,
     loop_length,
     make_loop,
     polyline_loop,
@@ -423,6 +424,10 @@ def test_polyline_circulation_property(steps, start):
     # Aharonov-Bohm: Phi / 2 pi times the angle the closed polyline sweeps about the axis
     swept = angles[-1] - angles[0] + closing
     assert batched.value == pytest.approx(swept / (2.0 * math.pi), abs=1e-9)
+    # the closed form agrees with the converged quadrature, in both orientations
+    closed_form = loop_geometry(loop, spec).swept_angle
+    assert closed_form / (2.0 * math.pi) == pytest.approx(batched.value, abs=1e-11)
+    assert loop_geometry(loop.reverse(), spec).swept_angle == pytest.approx(-closed_form, abs=1e-14)
 
 
 def test_refine_error_is_entrywise_max_and_capped(monkeypatch):
@@ -446,3 +451,96 @@ def test_line_segment_records_endpoints():
     assert seg.reversed().endpoints == ((3.0, 4.0, 5.0), (0.0, 1.0, 2.0))
     assert arc_segment((0.0, 0.0, 0.0), 1.0, 0.0, 1.0).endpoints is None
     assert all(s.endpoints is not None for s in polyline_loop([(1, 0, 0), (0, 1, 0), (-1, -1, 0)]).reverse().segments)
+
+
+def test_arc_segment_records_arc():
+    seg = arc_segment((1.0, 2.0, 0.5), 3.0, 0.25, -2.0, z=1.5)
+    assert seg.arc == ((1.0, 2.0, 1.5), 3.0, 0.25, -2.25)
+    back = seg.reversed()
+    assert back.arc == ((1.0, 2.0, 1.5), 3.0, -2.0, 2.25)
+    s = np.linspace(0.0, 1.0, 7)
+    for piece in (seg, back):
+        (cx, cy, cz), radius, theta0, sweep = piece.arc
+        th = theta0 + s * sweep
+        expected = np.column_stack([cx + radius * np.cos(th), cy + radius * np.sin(th), np.full(s.size, cz)])
+        np.testing.assert_allclose(piece.point(s), expected, rtol=0.0, atol=1e-14)
+    assert line_segment((0.0, 0.0, 0.0), (1.0, 0.0, 0.0)).arc is None
+    assert all(piece.arc is not None for piece in circle_loop(radius=1.0, windings=-2).reverse().segments)
+
+
+def test_loop_geometry_lengths_are_exact():
+    half_disk = LoopPath(
+        (arc_segment((0.0, -0.5, 0.0), 2.0, 0.0, math.pi), line_segment((-2.0, -0.5, 0.0), (2.0, -0.5, 0.0)))
+    )
+    cases = [
+        (circle_loop(center=(0.3, 0.1, 2.0), radius=1.5, windings=-3), 9.0 * math.pi),
+        (rectangle_loop([(1, 1, 0), (-1, 1, 0), (-1, -1, 0), (1, -1, 0)]), 8.0),
+        (half_disk, 2.0 * math.pi + 4.0),
+    ]
+    for loop, length in cases:
+        assert loop_geometry(loop).length == pytest.approx(length, rel=1e-15)
+        assert loop_geometry(loop).length == pytest.approx(loop_length(loop, DOUBLING).value, rel=1e-13)
+        assert loop_geometry(loop.reverse()).length == pytest.approx(length, rel=1e-15)
+    assert loop_geometry(fourier_loop(np.random.default_rng(79))).length is None
+    # a generic curve leaves the flux to quadrature, but still gets a (sampled) clearance
+    generic = loop_geometry(fourier_loop(np.random.default_rng(79)), SolenoidSpec(flux=1.0, radius=0.1))
+    assert generic.swept_angle is None and generic.clearance > 1.0
+
+
+def test_arc_clearance_is_exact():
+    quarter = LoopPath((arc_segment((0.0, 0.0, 0.0), 1.0, 0.0, 0.5 * math.pi),), closed=False)
+    diagonal = 1.25 / math.sqrt(2.0)
+    cases = [
+        ((diagonal, diagonal, 0.0), 0.25),  # axis foot inside the sweep, outside the circle
+        ((0.5 / math.sqrt(2.0), 0.5 / math.sqrt(2.0), 3.0), 0.5),  # inside the sweep and the circle
+        ((-1.0, 0.0, 0.0), math.sqrt(2.0)),  # on the circle, outside the sweep: nearer end (0, 1)
+        ((1.0, -0.5, 0.0), 0.5),  # outside the sweep: nearer end (1, 0)
+        ((0.0, 0.0, -1.0), 1.0),  # at the center
+    ]
+    for axis_point, clearance in cases:
+        spec = SolenoidSpec(flux=1.0, radius=0.01, axis_point=axis_point)
+        assert loop_geometry(quarter, spec).clearance == pytest.approx(clearance, abs=1e-15)
+        assert loop_geometry(quarter.reverse(), spec).clearance == pytest.approx(clearance, abs=1e-15)
+    # a full turn is least |offset - radius| away whatever the offset's bearing
+    spec = SolenoidSpec(flux=1.0, radius=0.001, axis_point=(0.0, -1.2, 0.0))
+    assert loop_geometry(circle_loop(radius=2.0, windings=2), spec).clearance == pytest.approx(0.8, abs=1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.floats(0.5, 3.0),
+    st.floats(-math.pi, math.pi),
+    st.floats(-6.0 * math.pi, 6.0 * math.pi).filter(lambda sweep: abs(sweep) > 0.05),
+    st.one_of(
+        st.tuples(st.just("polar"), st.floats(0.0, 2.5), st.floats(0.0, 2.0 * math.pi)),
+        st.tuples(st.just("chord"), st.integers(0, 23), st.floats(-0.5, 1.5)),
+    ),
+    st.sampled_from([1.0, -1.0]),
+)
+def test_arc_circulation_property(radius, theta0, sweep, placement, facing):
+    # partial arcs of up to three turns either way, with the axis inside or outside the
+    # circle or on the line through the ends of one of the sub-arcs the closed form splits into
+    center = np.array([0.4, -0.3, 0.7])
+    if placement[0] == "polar":
+        _, offset, bearing = placement
+        foot = center[:2] + offset * radius * np.array([math.cos(bearing), math.sin(bearing)])
+    else:
+        _, index, along = placement
+        ends = np.linspace(theta0, theta0 + sweep, math.ceil(abs(sweep) / (0.5 * math.pi)) + 1)
+        k = index % (ends.size - 1)
+        a, b = (center[:2] + radius * np.array([math.cos(t), math.sin(t)]) for t in ends[k : k + 2])
+        foot = a + along * (b - a)
+    spec = SolenoidSpec(flux=1.0, radius=0.01, axis_point=(foot[0], foot[1], -2.0), axis_direction=(0.0, 0.0, facing))
+    path = LoopPath((arc_segment(center, radius, theta0, theta0 + sweep),), closed=False)
+    geometry = loop_geometry(path, spec)
+    s = np.linspace(0.0, 1.0, 200_001)
+    _, rho = spec.axial_decomposition(path.segments[0].point(s))
+    spacing = radius * abs(sweep) / (s.size - 1)
+    assert float(np.min(rho)) - spacing <= geometry.clearance <= float(np.min(rho)) + 1e-12
+    assume(geometry.clearance >= 0.25 * radius)
+    # doubling may stop at its node cap a little above 1e-12 on the longest arcs
+    reference = solenoid_circulation(spec, path, DOUBLING)
+    assert reference.error_estimate <= 1e-10
+    tolerance = 1e-11 + 10.0 * reference.error_estimate
+    assert geometry.swept_angle / (2.0 * math.pi) == pytest.approx(reference.value, abs=tolerance)
+    assert loop_geometry(path.reverse(), spec).swept_angle == pytest.approx(-geometry.swept_angle, abs=1e-14)

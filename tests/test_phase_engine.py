@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     ORACLE_GAMMA,
@@ -17,6 +19,7 @@ from gupab.field_geometry import (
     LoopPath,
     QuadratureSpec,
     SolenoidSpec,
+    arc_segment,
     circle_loop,
     line_segment,
     polyline_loop,
@@ -396,3 +399,83 @@ def test_total_phase_builds_matrix_once_for_fixed_spinor(monkeypatch):
     assert len(calls) == 1
     alone = gup_phase_projected(PARTICLE, circle_loop(radius=2.0), 0.01, DOUBLING, "fixed_spinor", u)
     assert result.projected_correction == alone
+
+
+def test_circle_grazing_coil_rejected():
+    # two turns passing 0.0004 from the axis of a 0.001 coil, between the samples a sampled check takes
+    loop = circle_loop(center=(2.0004, 0.0, 0.0), radius=2.0, windings=2)
+    solenoid = SolenoidSpec(flux=1.0, radius=0.001)
+    for path in (loop, loop.reverse()):
+        with pytest.raises(GeometryError):
+            ab_phase(PARTICLE, solenoid, path, DOUBLING)
+        with pytest.raises(GeometryError):
+            total_phase(PARTICLE, solenoid, path, 0.01, DOUBLING)
+
+
+def test_near_coil_square_is_exact():
+    # an edge 0.0015 from the axis of a 0.001 coil: node doubling stops at its cap far above
+    # the tolerance there, while the swept azimuth is exact
+    square = polyline_loop([(-0.0015, -1.0, 0.0), (1.0, -1.0, 0.0), (1.0, 1.0, 0.0), (-0.0015, 1.0, 0.0)])
+    result = total_phase(PARTICLE, SolenoidSpec(flux=1.0, radius=0.001), square, 0.01, DOUBLING)
+    assert result.standard_phase == pytest.approx(1.0, abs=1e-12)
+    perimeter = 2.0 * 2.0 + 2.0 * 1.0015
+    assert result.projected_correction == pytest.approx(closed_form(PARTICLE, 0.01, perimeter), rel=1e-14)
+    assert result.quadrature_error == 0.0
+
+
+@pytest.mark.parametrize("windings", [2, -2, 3, -3])
+def test_multi_winding_circle_phase_is_exact(windings):
+    # one arc of several turns around an off-center axis, under the default fixed 16-node rule
+    for center in ((1.5, 0.0, 0.0), (0.3, -0.2, 1.0)):
+        loop = circle_loop(center=center, radius=2.0, windings=windings)
+        result = total_phase(PARTICLE, SOLENOID, loop, 0.01, QuadratureSpec())
+        assert result.standard_phase == pytest.approx(PARTICLE.charge * SOLENOID.flux * windings, abs=1e-12)
+        assert result.quadrature_error == 0.0
+        backward = ab_phase(PARTICLE, SOLENOID, loop.reverse(), QuadratureSpec())
+        assert abs(result.standard_phase + backward) <= 1e-14
+
+
+def test_reverse_negates_phase_of_arcs_and_polylines():
+    half_disk = LoopPath(
+        (arc_segment((0.0, -0.5, 0.0), 2.0, 0.0, math.pi), line_segment((-2.0, -0.5, 0.0), (2.0, -0.5, 0.0)))
+    )
+    cases = [
+        (half_disk, 1.0),
+        (polyline_loop([(2, 0, 0), (0, 2, 0.5), (-2, -1, 0), (1, -1.5, -0.3)]), 1.0),
+        (polyline_loop([(3, 1, 0), (4, 1, 0), (4, 2, 0)]), 0.0),
+        (LoopPath((arc_segment((0.5, 0.2, 0.0), 1.5, 0.3, 7.3),), closed=False), None),
+        (LoopPath((line_segment((1.0, -1.0, 0.0), (1.0, 1.0, 0.0)),), closed=False), 0.25),
+    ]
+    for path, expected in cases:
+        forward = ab_phase(PARTICLE, SOLENOID, path, QuadratureSpec())
+        if expected is not None:
+            assert forward == pytest.approx(expected, abs=1e-12)
+        assert abs(forward + ab_phase(PARTICLE, SOLENOID, path.reverse(), QuadratureSpec())) <= 1e-14
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.tuples(*[st.floats(-2.0, 2.0)] * 3), min_size=2, max_size=5).map(lambda pts: ("polyline", pts)),
+        st.tuples(st.floats(0.3, 2.0), st.floats(-math.pi, math.pi), st.floats(-12.0, 12.0)).map(
+            lambda arc: ("arc", arc)
+        ),
+    )
+)
+def test_open_path_matrix_property(shape):
+    # open paths keep the -p dx . gamma part of the closed form; the Riemann oracle sums the integrand
+    kind, params = shape
+    if kind == "polyline":
+        pieces = [line_segment(a, b) for a, b in zip(params[:-1], params[1:]) if a != b]
+    else:
+        radius, theta0, sweep = params
+        pieces = [arc_segment((0.2, -0.1, 0.4), radius, theta0, theta0 + sweep)] if abs(sweep) > 1e-3 else []
+    if not pieces:
+        return
+    path = LoopPath(tuple(pieces), closed=False)
+    for oriented in (path, path.reverse()):
+        matrix = gup_phase_matrix(PARTICLE, oriented, 0.02, DOUBLING)
+        oracle = riemann_phase_matrix(oriented, PARTICLE, 0.02, nodes=100_000)
+        assert np.max(np.abs(matrix - oracle)) < 1e-9
+        projected = gup_phase_projected(PARTICLE, oriented, 0.02, DOUBLING)
+        assert projected == pytest.approx(riemann_projected_phase(oriented, PARTICLE, 0.02, nodes=100_000), rel=1e-9)
