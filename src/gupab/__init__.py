@@ -46,15 +46,12 @@ from .gup_algebra import (
 )
 from .phase_engine import (
     DispersionResult,
-    FringeShift,
     ParticleSpec,
     PhaseResult,
     ab_phase,
     dispersion,
-    fringe_shift,
     gup_phase_matrix,
     gup_phase_projected,
-    kinematic_momentum,
     total_phase,
 )
 from .units import (

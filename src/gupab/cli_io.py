@@ -1,7 +1,10 @@
 """Config loading, command dispatch, parameter sweeps, and machine output.
 
-Configs are strict JSON: unknown keys are rejected, every parameter is
-validated against its engine precondition before any computation starts.
+Configs are strict JSON. This module checks their shape: unknown keys, JSON
+types, and the string choices that pick a code path (loop kind, gup units,
+projection, sweep parameter). Every value is validated once, by the engine
+constructor that uses it, before any computation starts; ``_build`` turns
+that constructor's error into a ``ConfigError`` naming ``section.key``.
 Structured results go out as JSON, sweep tables as CSV with a frozen header.
 Exit codes: 0 success, 1 verification or computation failure, 2 config error.
 """
@@ -18,10 +21,10 @@ from pathlib import Path
 import numpy as np
 
 from . import clifford, gup_algebra
-from .errors import ConfigError, GupabError
+from .errors import ConfigError, DomainError, GeometryError, GupabError
 from .field_geometry import LoopPath, QuadratureSpec, SolenoidSpec, make_loop
 from .phase_engine import ParticleSpec, PhaseResult, dispersion, gup_phase_projected, total_phase
-from .units import UnitSystem, gup_from_a0
+from .units import GupParameter, UnitSystem, gup_from_a0
 
 SWEEP_CSV_HEADER = "sweep_value,a,standard_phase,projected_correction,total_phase,quadrature_error"
 DISPERSION_CSV_HEADER = "p,E_plus_a0,E_plus,shift"
@@ -33,7 +36,13 @@ def _reject_unknown(mapping: dict, allowed, context: str):
     for key in mapping:
         if key not in allowed:
             where = context or "top level"
-            raise ConfigError(f"unknown key '{key}' in {where}")
+            raise ConfigError(f"unknown key {key!r} in {where}")
+
+
+def _section(raw, name: str, allowed):
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{name} must be an object")
+    _reject_unknown(raw, allowed, name)
 
 
 def _require(mapping: dict, key: str, context: str):
@@ -51,10 +60,34 @@ def _number(value, name: str) -> float:
     return value
 
 
+def _integer(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer")
+    return value
+
+
 def _vector3(value, name: str):
     if not (isinstance(value, list) and len(value) == 3):
         raise ConfigError(f"{name} must be a list of three numbers")
     return [_number(c, name) for c in value]
+
+
+def _points(value, name: str):
+    if not isinstance(value, list):
+        raise ConfigError(f"{name} must be a list of points")
+    return [_vector3(point, name) for point in value]
+
+
+def _build(section: str, factory, *args, **kwargs):
+    """Call an engine constructor; its error becomes a ConfigError under ``section``.
+
+    Each precondition message starts with the schema name of the value it
+    checks, so the user reads, for example, "particle.v must be in (0,1)".
+    """
+    try:
+        return factory(*args, **kwargs)
+    except (DomainError, GeometryError) as exc:
+        raise ConfigError(f"{section}.{exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -84,28 +117,15 @@ class RunConfig:
 
 
 def _parse_particle(raw) -> ParticleSpec:
-    if not isinstance(raw, dict):
-        raise ConfigError("particle must be an object")
-    _reject_unknown(raw, {"q", "m", "v"}, "particle")
-    q = _number(_require(raw, "q", "particle"), "particle.q")
-    m = _number(_require(raw, "m", "particle"), "particle.m")
-    v = _number(_require(raw, "v", "particle"), "particle.v")
-    if not m > 0.0:
-        raise ConfigError("particle.m must be positive")
-    if not (0.0 < v < 1.0):
-        raise ConfigError("particle.v must be in (0,1)")
-    return ParticleSpec(charge=q, mass=m, speed=v)
+    _section(raw, "particle", {"q", "m", "v"})
+    q, m, v = (_number(_require(raw, key, "particle"), f"particle.{key}") for key in ("q", "m", "v"))
+    return _build("particle", ParticleSpec, charge=q, mass=m, speed=v)
 
 
 def _parse_solenoid(raw) -> SolenoidSpec:
-    if not isinstance(raw, dict):
-        raise ConfigError("solenoid must be an object")
-    _reject_unknown(raw, {"flux", "radius"}, "solenoid")
-    flux = _number(_require(raw, "flux", "solenoid"), "solenoid.flux")
-    radius = _number(_require(raw, "radius", "solenoid"), "solenoid.radius")
-    if not radius > 0.0:
-        raise ConfigError("solenoid.radius must be positive")
-    return SolenoidSpec(flux=flux, radius=radius)
+    _section(raw, "solenoid", {"flux", "radius"})
+    flux, radius = (_number(_require(raw, key, "solenoid"), f"solenoid.{key}") for key in ("flux", "radius"))
+    return _build("solenoid", SolenoidSpec, flux=flux, radius=radius)
 
 
 def _parse_loop(raw):
@@ -117,85 +137,56 @@ def _parse_loop(raw):
         params = {
             "radius": _number(_require(raw, "radius", "loop"), "loop.radius"),
             "center": tuple(_vector3(raw.get("center", [0.0, 0.0, 0.0]), "loop.center")),
+            "windings": _integer(raw.get("windings", 1), "loop.windings"),
         }
-        windings = raw.get("windings", 1)
-        if isinstance(windings, bool) or not isinstance(windings, int) or windings == 0:
-            raise ConfigError("loop.windings must be a nonzero integer")
-        params["windings"] = windings
-        if not params["radius"] > 0.0:
-            raise ConfigError("loop.radius must be positive")
     elif kind == "rectangle":
         _reject_unknown(raw, {"kind", "corners"}, "loop")
-        corners = _require(raw, "corners", "loop")
-        if not (isinstance(corners, list) and len(corners) == 4):
-            raise ConfigError("loop.corners must list exactly four points")
-        params = {"corners": [_vector3(c, "loop.corners") for c in corners]}
+        params = {"corners": _points(_require(raw, "corners", "loop"), "loop.corners")}
     elif kind == "polyline":
         _reject_unknown(raw, {"kind", "vertices"}, "loop")
-        vertices = _require(raw, "vertices", "loop")
-        if not (isinstance(vertices, list) and len(vertices) >= 3):
-            raise ConfigError("loop.vertices must list at least three points")
-        params = {"vertices": [_vector3(v, "loop.vertices") for v in vertices]}
+        params = {"vertices": _points(_require(raw, "vertices", "loop"), "loop.vertices")}
     else:
         raise ConfigError("loop.kind must be one of circle, rectangle, polyline")
     return kind, params
 
 
 def _parse_gup(raw) -> float:
-    if not isinstance(raw, dict):
-        raise ConfigError("gup must be an object")
-    _reject_unknown(raw, {"a", "a0", "units"}, "gup")
+    _section(raw, "gup", {"a", "a0", "units"})
     if "a" in raw:
         if "a0" in raw or "units" in raw:
             raise ConfigError("gup accepts either 'a' or 'a0'+'units', not both")
         a = _number(raw["a"], "gup.a")
-    else:
-        a0 = _number(_require(raw, "a0", "gup"), "gup.a0")
-        mode = raw.get("units", "natural")
-        if mode not in ("natural", "si"):
-            raise ConfigError("gup.units must be 'natural' or 'si'")
-        units = UnitSystem.si() if mode == "si" else UnitSystem.natural()
-        if a0 < 0.0:
-            raise ConfigError("gup.a0 must be nonnegative")
-        a = gup_from_a0(a0, units).a
-    if a < 0.0:
-        raise ConfigError("gup.a must be nonnegative")
-    return a
+        return _build("gup", GupParameter, a=a, a0=a).a
+    a0 = _number(_require(raw, "a0", "gup"), "gup.a0")
+    mode = raw.get("units", "natural")
+    if mode not in ("natural", "si"):
+        raise ConfigError("gup.units must be 'natural' or 'si'")
+    units = UnitSystem.si() if mode == "si" else UnitSystem.natural()
+    return _build("gup", gup_from_a0, a0, units).a
 
 
 def _parse_quadrature(raw) -> QuadratureSpec:
     if raw is None:
         return QuadratureSpec()
-    if not isinstance(raw, dict):
-        raise ConfigError("quadrature must be an object")
-    _reject_unknown(raw, {"nodes_per_segment", "tolerance", "refinement"}, "quadrature")
-    nodes = raw.get("nodes_per_segment", 16)
-    if isinstance(nodes, bool) or not isinstance(nodes, int) or nodes < 4:
-        raise ConfigError("quadrature.nodes_per_segment must be an integer >= 4")
-    tolerance = _number(raw.get("tolerance", 1e-10), "quadrature.tolerance")
-    if not tolerance > 0.0:
-        raise ConfigError("quadrature.tolerance must be positive")
-    refinement = raw.get("refinement", "fixed")
-    if refinement not in ("fixed", "doubling"):
-        raise ConfigError("quadrature.refinement must be 'fixed' or 'doubling'")
-    return QuadratureSpec(nodes_per_segment=nodes, refinement=refinement, tolerance=tolerance)
+    _section(raw, "quadrature", {"nodes_per_segment", "tolerance", "refinement"})
+    return _build(
+        "quadrature",
+        QuadratureSpec,
+        nodes_per_segment=_integer(raw.get("nodes_per_segment", 16), "quadrature.nodes_per_segment"),
+        refinement=raw.get("refinement", "fixed"),
+        tolerance=_number(raw.get("tolerance", 1e-10), "quadrature.tolerance"),
+    )
 
 
 def _parse_spinor(raw, particle: ParticleSpec):
-    if not isinstance(raw, dict):
-        raise ConfigError("spinor must be an object")
-    _reject_unknown(raw, {"momentum", "branch"}, "spinor")
+    _section(raw, "spinor", {"momentum", "branch"})
     momentum = _vector3(_require(raw, "momentum", "spinor"), "spinor.momentum")
     branch = raw.get("branch", "particle1")
-    if branch not in ("particle1", "particle2"):
-        raise ConfigError("spinor.branch must be 'particle1' or 'particle2'")
-    return clifford.on_shell_spinor(np.asarray(momentum), particle.mass, branch)
+    return _build("spinor", clifford.on_shell_spinor, np.asarray(momentum), particle.mass, branch)
 
 
 def _parse_sweep(raw) -> SweepSpec:
-    if not isinstance(raw, dict):
-        raise ConfigError("sweep must be an object")
-    _reject_unknown(raw, {"parameter", "values"}, "sweep")
+    _section(raw, "sweep", {"parameter", "values"})
     parameter = _require(raw, "parameter", "sweep")
     if parameter not in SWEEP_PARAMETERS:
         raise ConfigError(f"sweep.parameter must be one of {', '.join(SWEEP_PARAMETERS)}")
@@ -206,19 +197,20 @@ def _parse_sweep(raw) -> SweepSpec:
     return SweepSpec(parameter=parameter, values=values)
 
 
-def _validate_sweep_values(sweep: SweepSpec | None, loop_kind: str):
-    if sweep is None:
-        return
-    for value in sweep.values:
-        if sweep.parameter == "gup.a" and value < 0.0:
-            raise ConfigError("sweep.values for gup.a must be nonnegative")
-        if sweep.parameter == "loop.radius":
-            if loop_kind != "circle":
-                raise ConfigError("sweeping loop.radius requires a circle loop")
-            if not value > 0.0:
-                raise ConfigError("sweep.values for loop.radius must be positive")
-        if sweep.parameter == "particle.v" and not (0.0 < value < 1.0):
-            raise ConfigError("sweep.values for particle.v must be in (0,1)")
+def _check_sweep_values(config: RunConfig):
+    """Build every row's swept value now, as the row will, so a bad one is a config error.
+
+    A loop.radius row would build a whole loop, so those values get only the
+    checks its builder needs: a circle loop and a positive radius.
+    """
+    parameter = config.sweep.parameter
+    for value in config.sweep.values:
+        if parameter != "loop.radius":
+            _build(f"sweep.values for {parameter.split('.')[0]}", _swept, config, value)
+        elif config.loop_kind != "circle":
+            raise ConfigError("sweeping loop.radius requires a circle loop")
+        elif not value > 0.0:
+            raise ConfigError("sweep.values for loop.radius must be positive")
 
 
 def parse_config(raw: dict) -> RunConfig:
@@ -239,24 +231,21 @@ def parse_config(raw: dict) -> RunConfig:
         spinor = _parse_spinor(_require(raw, "spinor", ""), particle)
     elif "spinor" in raw:
         raise ConfigError("spinor is only meaningful with projection 'fixed_spinor'")
-    sweep = _parse_sweep(raw["sweep"]) if "sweep" in raw else None
-    _validate_sweep_values(sweep, loop_kind)
-    try:
-        loop = make_loop(loop_kind, **loop_params)  # surfaces degenerate geometry before any computation
-    except GupabError as exc:
-        raise ConfigError(f"loop: {exc}") from exc
-    return RunConfig(
+    config = RunConfig(
         particle=particle,
         solenoid=solenoid,
         loop_kind=loop_kind,
         loop_params=loop_params,
-        loop=loop,
+        loop=_build("loop", make_loop, loop_kind, **loop_params),
         a=a,
         quadrature=quadrature,
         projection=projection,
         spinor=spinor,
-        sweep=sweep,
+        sweep=_parse_sweep(raw["sweep"]) if "sweep" in raw else None,
     )
+    if config.sweep is not None:
+        _check_sweep_values(config)
+    return config
 
 
 def load_config(path) -> RunConfig:
@@ -284,18 +273,26 @@ def run_phase(config: RunConfig) -> PhaseResult:
     )
 
 
-def _with_sweep_value(config: RunConfig, value: float) -> RunConfig:
+def _swept(config: RunConfig, value: float) -> dict:
+    """The RunConfig field that a gup.a, particle.v or solenoid.flux row replaces.
+
+    It is built by the engine constructor of the swept value, which rejects a bad one.
+    """
     parameter = config.sweep.parameter
     if parameter == "gup.a":
-        return replace(config, a=value)
-    if parameter == "loop.radius":
+        return {"a": GupParameter(a=value, a0=value).a}
+    if parameter == "particle.v":
+        return {"particle": replace(config.particle, speed=value)}
+    if parameter == "solenoid.flux":
+        return {"solenoid": replace(config.solenoid, flux=value)}
+    raise ConfigError(f"unsupported sweep parameter {parameter!r}")
+
+
+def _with_sweep_value(config: RunConfig, value: float) -> RunConfig:
+    if config.sweep.parameter == "loop.radius":
         params = dict(config.loop_params, radius=value)
         return replace(config, loop_params=params, loop=make_loop(config.loop_kind, **params))
-    if parameter == "particle.v":
-        return replace(config, particle=replace(config.particle, speed=value))
-    if parameter == "solenoid.flux":
-        return replace(config, solenoid=replace(config.solenoid, flux=value))
-    raise ConfigError(f"unsupported sweep parameter {parameter!r}")
+    return replace(config, **_swept(config, value))
 
 
 def run_sweep(config: RunConfig):

@@ -77,9 +77,6 @@ class FourVector:
     def __add__(self, other: "FourVector") -> "FourVector":
         return FourVector(self.t + other.t, self.x + other.x, self.y + other.y, self.z + other.z)
 
-    def __neg__(self) -> "FourVector":
-        return FourVector(-self.t, -self.x, -self.y, -self.z)
-
     @classmethod
     def from_spatial(cls, t: float, p3) -> "FourVector":
         p3 = np.asarray(p3, dtype=float)
@@ -103,9 +100,9 @@ def on_shell_spinor(p3, m: float, branch: str = "particle1") -> np.ndarray:
     4-spinor; an (..., 3) array of momenta gives an (..., 4) array of them.
     """
     if not (m > 0.0):
-        raise DomainError("on-shell spinor requires m > 0")
+        raise DomainError("m must be positive")
     if branch not in ("particle1", "particle2"):
-        raise DomainError(f"unknown spinor branch {branch!r}")
+        raise DomainError("branch must be 'particle1' or 'particle2'")
     p3 = np.asarray(p3, dtype=float)
     if p3.ndim == 0 or p3.shape[-1] != 3:
         raise DomainError("p3 must be a 3-vector or an (..., 3) array of them")

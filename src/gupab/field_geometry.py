@@ -48,9 +48,9 @@ class SolenoidSpec:
 
     def __post_init__(self):
         if not (self.radius > 0.0):
-            raise DomainError("solenoid radius must be positive")
+            raise DomainError("radius must be positive")
         if not math.isfinite(self.flux):
-            raise DomainError("solenoid flux must be finite")
+            raise DomainError("flux must be finite")
         origin = np.asarray(self.axis_point, dtype=float)
         if origin.shape != (3,):
             raise DomainError("axis point must be a 3-vector")
@@ -179,7 +179,10 @@ class LoopPath:
 
     Construction validates finiteness and nonvanishing of every tangent on a
     64-point sample, junction continuity, and, for closed paths, overall
-    closure relative to the path diameter.
+    closure. Gaps are measured against the path's length scale, the sum of
+    each segment's mean tangent norm: unlike the spread of the sampled
+    points, it cannot collapse when a many-turn arc returns to the same
+    point at every sample.
     """
 
     segments: tuple
@@ -191,7 +194,7 @@ class LoopPath:
         if not segments:
             raise GeometryError("path needs at least one segment")
         s = np.linspace(0.0, 1.0, _VALIDATION_SAMPLES)
-        clouds = []
+        scale = 0.0
         for seg in segments:
             pts = np.asarray(seg.point(s), dtype=float)
             tans = np.asarray(seg.tangent(s), dtype=float)
@@ -199,14 +202,11 @@ class LoopPath:
                 raise GeometryError("segment callables must map (n,) parameters to (n, 3) arrays")
             if not (np.isfinite(pts).all() and np.isfinite(tans).all()):
                 raise GeometryError("segment has non-finite points or tangents")
-            if np.min(np.linalg.norm(tans, axis=1)) <= 0.0:
+            speed = np.linalg.norm(tans, axis=1)
+            if np.min(speed) <= 0.0:
                 raise GeometryError("segment tangent vanishes somewhere on [0, 1]")
-            clouds.append(pts)
-        cloud = np.vstack(clouds)
-        diameter = float(np.linalg.norm(cloud.max(axis=0) - cloud.min(axis=0)))
-        if diameter == 0.0:
-            raise GeometryError("path has zero spatial extent")
-        tol = 1e-12 * diameter
+            scale += float(np.mean(speed))
+        tol = 1e-12 * scale
         for prev, nxt in zip(segments[:-1], segments[1:]):
             gap = np.linalg.norm(prev.point(np.array([1.0]))[0] - nxt.point(np.array([0.0]))[0])
             if gap >= tol:
@@ -217,24 +217,15 @@ class LoopPath:
             )
             if gap >= tol:
                 raise GeometryError(f"path marked closed but endpoints differ by {gap:.3e}")
-        object.__setattr__(self, "_diameter", diameter)
-
-    @property
-    def diameter(self) -> float:
-        return self._diameter
 
     def reverse(self) -> "LoopPath":
         return LoopPath(tuple(seg.reversed() for seg in reversed(self.segments)), closed=self.closed)
-
-    def concat(self, other: "LoopPath") -> "LoopPath":
-        """Join two paths sharing a junction point into one path."""
-        return LoopPath(self.segments + other.segments, closed=self.closed and other.closed)
 
 
 def circle_loop(center=(0.0, 0.0, 0.0), radius=1.0, windings=1, phase=0.0) -> LoopPath:
     """Circle in the z = center_z plane, traversed ``windings`` times (sign = orientation)."""
     if not (radius > 0.0):
-        raise GeometryError("circle radius must be positive")
+        raise GeometryError("radius must be positive")
     w = int(windings)
     if w != windings or w == 0:
         raise GeometryError("windings must be a nonzero integer")
@@ -244,25 +235,25 @@ def circle_loop(center=(0.0, 0.0, 0.0), radius=1.0, windings=1, phase=0.0) -> Lo
 def rectangle_loop(corners) -> LoopPath:
     corners = np.asarray(corners, dtype=float)
     if corners.shape != (4, 3):
-        raise GeometryError("rectangle needs exactly four 3D corners")
+        raise GeometryError("corners must list exactly four 3D points")
     edges = [corners[(k + 1) % 4] - corners[k] for k in range(4)]
     normal = np.cross(edges[0], edges[1])
     if np.linalg.norm(normal) == 0.0:
-        raise GeometryError("rectangle corners are collinear")
+        raise GeometryError("corners are collinear")
     scale = float(np.max(np.abs(corners - corners[0]))) or 1.0
     if abs((corners[3] - corners[0]) @ normal) > 1e-9 * scale * np.linalg.norm(normal):
-        raise GeometryError("rectangle corners are not planar")
+        raise GeometryError("corners are not planar")
     return polyline_loop(corners)
 
 
 def polyline_loop(vertices) -> LoopPath:
     vertices = np.asarray(vertices, dtype=float)
     if vertices.ndim != 2 or vertices.shape[0] < 3 or vertices.shape[1] != 3:
-        raise GeometryError("polyline needs at least three 3D vertices")
+        raise GeometryError("vertices must list at least three 3D points")
     n = vertices.shape[0]
     for k in range(n):
         if np.array_equal(vertices[k], vertices[(k + 1) % n]):
-            raise GeometryError(f"repeated consecutive vertex at index {k}")
+            raise GeometryError(f"vertices repeat consecutively at index {k}")
     segs = tuple(line_segment(vertices[k], vertices[(k + 1) % n]) for k in range(n))
     return LoopPath(segs)
 
@@ -285,11 +276,11 @@ class QuadratureSpec:
 
     def __post_init__(self):
         if self.nodes_per_segment < 4:
-            raise DomainError("need at least 4 quadrature nodes per segment")
+            raise DomainError("nodes_per_segment must be an integer >= 4")
         if self.refinement not in ("fixed", "doubling"):
-            raise DomainError(f"unknown refinement mode {self.refinement!r}")
+            raise DomainError("refinement must be 'fixed' or 'doubling'")
         if not (self.tolerance > 0.0):
-            raise DomainError("quadrature tolerance must be positive")
+            raise DomainError("tolerance must be positive")
 
 
 @dataclass(frozen=True)

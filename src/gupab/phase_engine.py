@@ -1,4 +1,4 @@
-"""Flux phase, minimal-length correction, dispersion, and fringe readout.
+"""Flux phase, minimal-length correction, and dispersion.
 
 Outside an ideal coil the vector potential is Phi grad(theta) / 2 pi, so the
 flux phase of a field-free path is q Phi dtheta / 2 pi, where dtheta is the
@@ -26,12 +26,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .clifford import FourVector, alpha, beta, gamma
-from .errors import DomainError, GeometryError
+from .clifford import alpha, beta, gamma
+from .errors import DomainError, GeometryError, GupabError
 from .field_geometry import (
     IntegralResult,
     LoopPath,
@@ -56,9 +55,9 @@ class ParticleSpec:
 
     def __post_init__(self):
         if not (self.mass > 0.0):
-            raise DomainError("particle mass must be positive")
+            raise DomainError("m must be positive")
         if not (0.0 < self.speed < 1.0):
-            raise DomainError("particle speed must be in (0,1)")
+            raise DomainError("v must be in (0,1)")
 
     @property
     def lorentz_gamma(self) -> float:
@@ -131,57 +130,23 @@ def ab_phase(particle: ParticleSpec, solenoid: SolenoidSpec, loop: LoopPath, qua
     return _ab_integral(particle, solenoid, loop, quad or QuadratureSpec()).value
 
 
-def kinematic_momentum(loop: LoopPath, particle: ParticleSpec) -> Callable[[float], FourVector]:
-    """Four-momentum along the contour: (E, p t-hat(s)) on the unit tangent.
-
-    The returned map takes the global parameter s in [0, 1], split evenly
-    across segments.
-    """
-    segments = loop.segments
-    count = len(segments)
-
-    def momentum(s: float) -> FourVector:
-        s = float(s)
-        if not (0.0 <= s <= 1.0):
-            raise DomainError("path parameter must lie in [0, 1]")
-        idx = min(int(s * count), count - 1)
-        local = s * count - idx
-        tan = segments[idx].tangent(np.array([local]))[0]
-        that = tan / np.linalg.norm(tan)
-        return FourVector.from_spatial(particle.energy, particle.momentum * that)
-
-    return momentum
-
-
-def _path_length(loop: LoopPath, quad: QuadratureSpec):
-    """(L, error): exact for lines and arcs, by quadrature when some segment is a generic curve."""
-    length = loop_geometry(loop).length
-    if length is not None:
-        return length, 0.0
-    result = loop_length(loop, quad)
-    return result.value, result.error_estimate
-
-
 def _matrix_base(particle: ParticleSpec, loop: LoopPath, quad: QuadratureSpec):
     """Contour integral of slash(p0) (p0 . dx), without the -a q factor.
 
     Equals (E/v - p)(E L gamma^0 - p dx . gamma), since |dr| t-hat = dr; dx
-    is the end-to-end displacement, zero on closed loops.
+    is the end-to-end displacement, zero on closed loops. L is exact for lines
+    and arcs, and integrated, with its error, when some segment is a generic curve.
     """
-    length, err = _path_length(loop, quad)
+    length, err = loop_geometry(loop).length, 0.0
+    if length is None:
+        result = loop_length(loop, quad)
+        length, err = result.value, result.error_estimate
     contraction = particle.energy / particle.speed - particle.momentum
     matrix = particle.energy * length * _G0
     if not loop.closed:
         displacement = loop.segments[-1].point(np.array([1.0]))[0] - loop.segments[0].point(np.array([0.0]))[0]
         matrix = matrix - particle.momentum * np.tensordot(displacement, _G_SPATIAL, axes=1)
     return contraction * matrix, contraction * particle.energy * err
-
-
-def _comoving_base(particle: ParticleSpec, loop: LoopPath, quad: QuadratureSpec):
-    """Projection onto the comoving on-shell spinor, m (E/v - p) L, without the -a q factor."""
-    length, err = _path_length(loop, quad)
-    scale = particle.mass * (particle.energy / particle.speed - particle.momentum)
-    return scale * length, scale * err
 
 
 def gup_phase_matrix(particle: ParticleSpec, loop: LoopPath, a: float, quad: QuadratureSpec | None = None) -> np.ndarray:
@@ -216,8 +181,10 @@ def gup_phase_projected(
 
     'comoving_on_shell' projects the integrand onto the local positive-energy
     spinor, which collapses it to -a q m (E/v - p) |dr| and integrates to
-    -a q m (E/v - p) * loop length. 'fixed_spinor' evaluates
-    Re <u| matrix |u> / <u|u> for a caller-supplied spinor u.
+    -a q m (E/v - p) * loop length, read off the correction matrix M as
+    (m / E) Re M[0, 0], since the spatial gammas have a zero diagonal.
+    'fixed_spinor' evaluates Re <u| M |u> / <u|u> for a caller-supplied
+    spinor u.
     """
     value, _ = _projected_correction(particle, loop, a, quad or QuadratureSpec(), projection, spinor)
     return value
@@ -225,12 +192,10 @@ def gup_phase_projected(
 
 def _projected_correction(particle, loop, a, quad, projection, spinor, correction=None):
     """(value, error) of the projection; ``correction`` reuses a (matrix, error) already built."""
-    if a < 0.0:
-        raise DomainError("deformation parameter a must be nonnegative")
     if projection == "comoving_on_shell":
-        base, err = _comoving_base(particle, loop, quad)
-        factor = -a * particle.charge
-        return factor * base + 0.0, abs(factor) * err
+        matrix, err = correction or _matrix_correction(particle, loop, a, quad)
+        ratio = particle.mass / particle.energy
+        return ratio * float(matrix[0, 0].real), ratio * err
     if projection == "fixed_spinor":
         if spinor is None:
             raise DomainError("fixed_spinor projection needs a spinor")
@@ -255,18 +220,27 @@ def total_phase(
     projection: str = "comoving_on_shell",
     spinor=None,
 ) -> PhaseResult:
-    """Assemble standard phase, correction matrix, projection, and their sum."""
+    """Assemble standard phase, correction matrix, projection, and their sum.
+
+    Raises ``GupabError`` if any of them is not finite, as when E / v or
+    a q overflows double precision.
+    """
     quad = quad or QuadratureSpec()
-    standard = _ab_integral(particle, solenoid, loop, quad)
-    matrix, matrix_err = _matrix_correction(particle, loop, a, quad)
-    projected, projected_err = _projected_correction(
-        particle, loop, a, quad, projection, spinor, (matrix, matrix_err)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # reported once, below
+        standard = _ab_integral(particle, solenoid, loop, quad)
+        matrix, matrix_err = _matrix_correction(particle, loop, a, quad)
+        projected, projected_err = _projected_correction(
+            particle, loop, a, quad, projection, spinor, (matrix, matrix_err)
+        )
+    total = standard.value + projected
+    scalars = (standard.value, projected, total, standard.error_estimate, matrix_err, projected_err)
+    if not (all(map(math.isfinite, scalars)) and np.isfinite(matrix).all()):
+        raise GupabError("phase is not finite: the inputs overflow double precision")
     return PhaseResult(
         standard_phase=standard.value,
         correction_matrix=matrix,
         projected_correction=projected,
-        total_phase=standard.value + projected,
+        total_phase=total,
         quadrature_error=max(standard.error_estimate, matrix_err, projected_err),
         a=a,
     )
@@ -302,18 +276,3 @@ def dispersion(p3, m: float, a: float) -> DispersionResult:
     root = math.sqrt(p_sq + m * m)
     return DispersionResult(e_plus=root + a * p_sq, e_minus=-root + a * p_sq, eigenvalues=eigenvalues)
 
-
-@dataclass(frozen=True)
-class FringeShift:
-    """Fringe displacement in fringe counts, plus the two-path intensity profile."""
-
-    delta_n: float
-    intensity: Callable[[float], float]
-
-
-def fringe_shift(phase: float) -> FringeShift:
-    """Two-path interferometry readout of a phase: delta_n = phase / 2 pi."""
-    return FringeShift(
-        delta_n=phase / (2.0 * math.pi),
-        intensity=lambda offset: math.cos((phase + offset) / 2.0) ** 2,
-    )

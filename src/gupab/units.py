@@ -64,7 +64,7 @@ class GupParameter:
 
     def __post_init__(self):
         if self.a < 0.0:
-            raise DomainError("deformation parameter a must be nonnegative")
+            raise DomainError("a must be nonnegative")
 
 
 def gup_from_a0(a0: float, units: UnitSystem) -> GupParameter:

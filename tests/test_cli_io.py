@@ -1,12 +1,18 @@
+import contextlib
+import io
 import json
 import math
+import os
 import subprocess
 import sys
+import tempfile
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gupab import cli_io
 from gupab.cli_io import (
@@ -383,3 +389,112 @@ def test_loop_built_once_per_command(tmp_path, capsys, monkeypatch, sweep, build
     assert len(calls) == builds
     if sweep and sweep["parameter"] == "loop.radius":
         assert [kwargs["radius"] for kwargs in calls[1:]] == sweep["values"]
+
+
+@pytest.mark.parametrize("section, values", [("particle", {"v": 1e-320}), ("gup", {"a": 1e308})])
+def test_non_finite_phase_exits_1(tmp_path, capsys, section, values):
+    # E / v or a q overflows: no -Infinity or NaN may reach the strict-JSON or CSV output
+    payload = json.loads(json.dumps(BASE_CONFIG))
+    payload[section].update(values)
+    payload["sweep"] = {"parameter": "gup.a", "values": [payload["gup"]["a"]]}
+    path = write_config(tmp_path, payload)
+    for command in ("phase", "sweep"):
+        assert main([command, "-c", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+
+
+# --- config fuzzer: every single mutation of BASE_CONFIG is a one-line config error ---
+
+DROP = object()
+SCHEMA_KEYS = {
+    "particle", "solenoid", "loop", "gup", "quadrature", "projection", "spinor", "sweep",
+    "q", "m", "v", "flux", "radius", "kind", "center", "windings", "corners", "vertices",
+    "a", "a0", "units", "nodes_per_segment", "tolerance", "refinement", "momentum", "branch",
+    "parameter", "values",
+}
+REQUIRED_KEYS = [
+    ("particle",), ("solenoid",), ("loop",), ("gup",),
+    ("particle", "q"), ("particle", "m"), ("particle", "v"), ("solenoid", "flux"), ("solenoid", "radius"),
+    ("loop", "kind"), ("loop", "radius"), ("gup", "a"),
+]
+SECTIONS = [(), ("particle",), ("solenoid",), ("loop",), ("gup",), ("quadrature",)]
+TYPED_PATHS = [
+    ("particle",), ("solenoid",), ("loop",), ("gup",),
+    ("particle", "q"), ("particle", "m"), ("particle", "v"), ("solenoid", "flux"), ("solenoid", "radius"),
+    ("loop", "center"), ("loop", "radius"), ("loop", "windings"), ("gup", "a"),
+    ("quadrature", "nodes_per_segment"), ("quadrature", "tolerance"),
+]
+
+
+def _floats(lo, hi):
+    return st.floats(min_value=lo, max_value=hi)
+
+
+def _set(path, values):
+    return values.map(lambda value: ((path, value),))
+
+
+_point = st.lists(_floats(-10.0, 10.0), min_size=3, max_size=3)
+_wrong_type = st.one_of(st.text(max_size=5), st.booleans(), st.none(), st.lists(_floats(-10.0, 10.0), max_size=2))
+_unknown_key = st.text(min_size=1, max_size=8).filter(lambda k: k not in SCHEMA_KEYS)
+_bad_branch = st.one_of(st.text(max_size=10).filter(lambda b: b not in ("particle1", "particle2")), st.integers())
+_negative = _floats(-1e6, -1e-300)
+_units = st.sampled_from(["natural", "si"])
+
+MUTATIONS = st.one_of(
+    st.sampled_from(REQUIRED_KEYS).map(lambda path: ((path, DROP),)),
+    st.tuples(st.sampled_from(SECTIONS), _unknown_key).map(lambda t: ((t[0] + (t[1],), 1.0),)),
+    st.tuples(st.sampled_from(TYPED_PATHS), _wrong_type).map(lambda t: (t,)),
+    _set(("loop", "windings"), st.sampled_from([1.0, 1.5])),
+    _set(("particle", "m"), _floats(-1e6, 0.0)),
+    _set(("particle", "v"), st.one_of(st.sampled_from([0, 1, 1.5]), _floats(-1e6, 0.0), _floats(1.0, 1e6))),
+    _set(("solenoid", "radius"), _floats(-1e6, 0.0)),
+    _set(("loop", "radius"), _floats(-1e6, 0.0)),
+    _set(("loop", "windings"), st.just(0)),
+    _set(("quadrature", "tolerance"), _floats(-1e6, 0.0)),
+    _set(("quadrature", "nodes_per_segment"), st.integers(-1000, 3)),
+    _set(("gup",), _negative.map(lambda a: {"a": a})),
+    _set(("gup",), st.builds(lambda a0, units: {"a0": a0, "units": units}, _negative, _units)),
+    _set(("loop",), st.lists(_point, max_size=3).map(lambda c: {"kind": "rectangle", "corners": c})),
+    _set(("loop",), st.lists(_point, max_size=2).map(lambda v: {"kind": "polyline", "vertices": v})),
+    _bad_branch.map(
+        lambda branch: (
+            (("projection",), "fixed_spinor"),
+            (("spinor",), {"momentum": [0.0, 0.0, 0.75], "branch": branch}),
+        )
+    ),
+    _set(("sweep",), st.sampled_from([0, 1, 1.5]).map(lambda v: {"parameter": "particle.v", "values": [0.5, v]})),
+    _set(("sweep",), _negative.map(lambda a: {"parameter": "gup.a", "values": [0.01, a]})),
+)
+
+
+def _mutate(ops):
+    config = json.loads(json.dumps(BASE_CONFIG))
+    for path, value in ops:
+        *parents, key = path
+        target = config
+        for name in parents:
+            target = target.setdefault(name, {})
+        if value is DROP:
+            del target[key]
+        else:
+            target[key] = value
+    return config
+
+
+@settings(max_examples=300, deadline=None)
+@given(ops=MUTATIONS)
+def test_config_fuzzer_mutation_exits_2(ops):
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "config.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(_mutate(ops), handle)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["phase", "-c", path])
+    assert code == 2
+    assert out.getvalue() == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: ")

@@ -236,7 +236,7 @@ def test_concatenated_loops_add():
     field = lambda p: np.array([-p[1], p[0], 0.0])
     big = circle_loop(radius=2.0, phase=0.0)  # starts at (2, 0, 0)
     small = circle_loop(center=(1.5, 0.0, 0.0), radius=0.5, phase=0.0)  # also starts at (2, 0, 0)
-    combined = big.concat(small)
+    combined = LoopPath(big.segments + small.segments)
     quad = QuadratureSpec(nodes_per_segment=64)
     total = line_integral(field, combined, quad).value
     parts = line_integral(field, big, quad).value + line_integral(field, small, quad).value
