@@ -16,6 +16,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -330,14 +331,12 @@ def dispersion_csv(config: RunConfig, p_max: float, steps: int) -> str:
         raise ConfigError("dispersion needs at least 2 steps")
     if not p_max > 0.0:
         raise ConfigError("dispersion p range must be positive")
-    m, a = config.particle.mass, config.a
-    lines = [DISPERSION_CSV_HEADER]
-    for p in np.linspace(0.0, p_max, steps):
-        base = dispersion((p, 0.0, 0.0), m, 0.0)
-        shifted = dispersion((p, 0.0, 0.0), m, a)
-        shift = shifted.e_plus - base.e_plus
-        lines.append(",".join(repr(float(x)) for x in (p, base.e_plus, shifted.e_plus, shift)))
-    return "\n".join(lines) + "\n"
+    p = np.linspace(0.0, p_max, steps)
+    momenta = np.stack([p, np.zeros_like(p), np.zeros_like(p)], axis=-1)
+    base = dispersion(momenta, config.particle.mass, 0.0).e_plus
+    shifted = dispersion(momenta, config.particle.mass, config.a).e_plus
+    rows = (",".join(repr(float(x)) for x in row) for row in zip(p, base, shifted, shifted - base))
+    return "\n".join([DISPERSION_CSV_HEADER, *rows]) + "\n"
 
 
 # --- verification suite -----------------------------------------------------
@@ -348,23 +347,18 @@ def _check(name, residual, bound):
 
 
 def _gamma_algebra_residual(perturbation: float) -> float:
-    gammas = [clifford.gamma(mu) for mu in range(4)]
-    if perturbation:
-        gammas[1] = gammas[1] + perturbation  # test hook: detector must flag this
-    eye = np.eye(4)
-    worst = 0.0
-    for mu in range(4):
-        for nu in range(4):
-            anti = gammas[mu] @ gammas[nu] + gammas[nu] @ gammas[mu]
-            worst = max(worst, float(np.max(np.abs(anti - 2.0 * clifford.MINKOWSKI_METRIC[mu, nu] * eye))))
-    alphas = [clifford.alpha(i) for i in (1, 2, 3)]
+    """Largest deviation of the gamma, alpha and beta anticommutators from the Clifford algebra."""
+    gammas = np.stack([clifford.gamma(mu) for mu in range(4)])
+    gammas[1] += perturbation  # test hook: detector must flag this
+    alphas = np.stack([clifford.alpha(i) for i in (1, 2, 3)])
     b = clifford.beta()
-    for i in range(3):
-        for j in range(3):
-            anti = alphas[i] @ alphas[j] + alphas[j] @ alphas[i]
-            worst = max(worst, float(np.max(np.abs(anti - 2.0 * (1.0 if i == j else 0.0) * eye))))
-        worst = max(worst, float(np.max(np.abs(alphas[i] @ b + b @ alphas[i]))))
-    return worst
+    anti_g = gammas[:, None] @ gammas[None, :] + gammas[None, :] @ gammas[:, None]
+    anti_a = alphas[:, None] @ alphas[None, :] + alphas[None, :] @ alphas[:, None]
+    return max(
+        float(np.max(np.abs(anti_g - 2.0 * clifford.MINKOWSKI_METRIC[:, :, None, None] * np.eye(4)))),
+        float(np.max(np.abs(anti_a - 2.0 * np.eye(3)[:, :, None, None] * np.eye(4)))),
+        float(np.max(np.abs(alphas @ b + b @ alphas))),
+    )
 
 
 def run_verification(level: str = "fast", gamma_perturbation: float = 0.0) -> dict:
@@ -498,7 +492,9 @@ def _open_output(path):
     return open(path, "w", encoding="utf-8", newline=""), True
 
 
-def main(argv=None) -> int:
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="gupab",
         description="Flux phases for charged spin-half particles with a minimal-length deformed algebra.",
@@ -527,8 +523,11 @@ def main(argv=None) -> int:
     p_disp.add_argument("--pmax", type=float, default=2.0)
     p_disp.add_argument("--steps", type=int, default=100)
     p_disp.add_argument("-o", "--output", default=None)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         stream, owned = _open_output(getattr(args, "output", None))
         try:

@@ -232,10 +232,18 @@ def circle_loop(center=(0.0, 0.0, 0.0), radius=1.0, windings=1, phase=0.0) -> Lo
     return LoopPath((arc_segment(center, radius, phase, phase + 2.0 * math.pi * w),))
 
 
+def _check_distinct(points: np.ndarray, name: str):
+    """Reject a closed point list in which some point equals the next one, cyclically."""
+    repeats = np.flatnonzero(np.all(points == np.roll(points, -1, axis=0), axis=1))
+    if repeats.size:
+        raise GeometryError(f"{name} repeat consecutively at index {repeats[0]}")
+
+
 def rectangle_loop(corners) -> LoopPath:
     corners = np.asarray(corners, dtype=float)
     if corners.shape != (4, 3):
         raise GeometryError("corners must list exactly four 3D points")
+    _check_distinct(corners, "corners")
     edges = [corners[(k + 1) % 4] - corners[k] for k in range(4)]
     normal = np.cross(edges[0], edges[1])
     if np.linalg.norm(normal) == 0.0:
@@ -250,10 +258,8 @@ def polyline_loop(vertices) -> LoopPath:
     vertices = np.asarray(vertices, dtype=float)
     if vertices.ndim != 2 or vertices.shape[0] < 3 or vertices.shape[1] != 3:
         raise GeometryError("vertices must list at least three 3D points")
+    _check_distinct(vertices, "vertices")
     n = vertices.shape[0]
-    for k in range(n):
-        if np.array_equal(vertices[k], vertices[(k + 1) % n]):
-            raise GeometryError(f"vertices repeat consecutively at index {k}")
     segs = tuple(line_segment(vertices[k], vertices[(k + 1) % n]) for k in range(n))
     return LoopPath(segs)
 
@@ -403,17 +409,22 @@ def _arc_about_axis(arc, spec: SolenoidSpec):
     clearance = min(math.hypot(radius * math.cos(t) - ax, radius * math.sin(t) - ay) for t in ends)
     if abs(sweep) >= 2.0 * math.pi or offset == 0.0 or bearing <= abs(sweep):
         clearance = abs(offset - radius)
-    # Sub-arcs of sweep <= pi/2 each turn by their chord's angle about the axis, plus a full turn
+    # Whole turns are closed circles: each sweeps 2 pi, signed by facing, about an axis inside the
+    # circle and 0 about one outside, so only the rest, within half a turn of theta0, is cut into
+    # sub-arcs. A sub-arc of sweep <= pi/2 turns by its chord's angle about the axis, plus a full turn
     # when the axis lies between sub-arc and chord: inside the circle, on the arc's side of the chord.
     # One cross-product scalar feeds both the atan2 and the side test, so an axis on a chord line
     # gives the same total from either sign of zero.
-    t = np.linspace(theta0, theta0 + sweep, math.ceil(abs(sweep) / (0.5 * math.pi)) + 1)
+    turns = round(sweep / (2.0 * math.pi))
+    rest = sweep - 2.0 * math.pi * turns
+    t = np.linspace(theta0, theta0 + rest, math.ceil(abs(rest) / (0.5 * math.pi)) + 1)
     u, v = radius * np.cos(t) - ax, radius * np.sin(t) - ay
     cross = facing * (u[:-1] * v[1:] - v[:-1] * u[1:])
-    angles = np.arctan2(cross, u[:-1] * u[1:] + v[:-1] * v[1:])
-    turning = facing * sweep
-    between = np.count_nonzero(np.signbit(cross) != (turning < 0.0)) if offset < radius else 0
-    return clearance, float(np.sum(angles)) + math.copysign(2.0 * math.pi, turning) * between
+    angles = float(np.sum(np.arctan2(cross, u[:-1] * u[1:] + v[:-1] * v[1:])))
+    if offset >= radius:
+        return clearance, angles
+    between = np.count_nonzero(np.signbit(cross) != (facing * rest < 0.0))
+    return clearance, angles + 2.0 * math.pi * (facing * turns + math.copysign(between, facing * rest))
 
 
 def loop_geometry(loop: LoopPath, spec: SolenoidSpec | None = None) -> LoopGeometry:

@@ -12,13 +12,17 @@ which realizes, to second order in a, the deformed bracket
 written in the deformed variables themselves. Two independent evaluations are
 provided: ``commutator_target`` evaluates that right-hand side directly, and
 ``jacobian_commutator`` evaluates i hbar dp_j/dp0_i from the map, which is the
-exact bracket. They agree to O(a^3); ``commutator_consistency_exponent`` and
-the grid operator lab measure that scaling numerically.
+exact bracket. Each builds the whole 3x3 bracket matrix at once and returns
+the requested entry: a complex number for a 3-vector p0, an (...) array for
+an (..., 3) array of momenta. They agree to O(a^3);
+``commutator_consistency_exponent`` and the grid operator lab measure that
+scaling numerically.
 
 The grid lab and the uncertainty check work on a uniform 1D momentum grid on
 a positive half-line, where |p| = p is smooth. The position operator in the
-momentum representation is x = i hbar d/dp, discretized with the truncated
-antisymmetric central-difference stencil (exactly Hermitian, second order).
+momentum representation is x = i hbar d/dp, applied as the truncated
+antisymmetric central-difference stencil (exactly Hermitian, second order);
+the deformed momentum is multiplication by the sampled map.
 """
 
 from __future__ import annotations
@@ -37,11 +41,13 @@ from .errors import DomainError, SingularInputError
 _PROBE_CENTER_FRACTION = 0.5
 _PROBE_WIDTH_FRACTION = 0.15
 
+_DELTA = np.eye(3)
 
-def _vec3(p):
+
+def _momenta(p):
     p = np.asarray(p, dtype=float)
-    if p.shape != (3,):
-        raise DomainError("momentum must be a 3-vector")
+    if p.ndim == 0 or p.shape[-1] != 3:
+        raise DomainError("momentum must be a 3-vector or an (..., 3) array of them")
     return p
 
 
@@ -50,76 +56,69 @@ def _check_axis(i):
         raise DomainError(f"axis index must be 1, 2 or 3, got {i}")
 
 
+def _check_coupling(a):
+    if a < 0.0:
+        raise DomainError("deformation parameter a must be nonnegative")
+
+
 def deformation_factor(p0_mag, a):
     """Radial rescaling 1 - a p0 + 2 a^2 p0^2 (positive for all real p0)."""
     return 1.0 - a * p0_mag + 2.0 * a * a * p0_mag * p0_mag
 
 
 def deform_momentum(p0, a: float) -> np.ndarray:
-    """Apply the deformation map componentwise; the zero vector is fixed."""
-    p0 = _vec3(p0)
-    if a < 0.0:
-        raise DomainError("deformation parameter a must be nonnegative")
-    mag = float(np.linalg.norm(p0))
-    return p0 * deformation_factor(mag, a)
+    """Apply the deformation map to a 3-vector or an (..., 3) array; the zero vector is fixed."""
+    p0 = _momenta(p0)
+    _check_coupling(a)
+    return p0 * deformation_factor(np.linalg.norm(p0, axis=-1, keepdims=True), a)
 
 
-def commutator_target(p0, i: int, j: int, a: float, hbar: float = 1.0) -> complex:
-    """Deformed-bracket right-hand side, evaluated in the deformed variables."""
-    p0 = _vec3(p0)
-    _check_axis(i)
-    _check_axis(j)
-    if a < 0.0:
-        raise DomainError("deformation parameter a must be nonnegative")
-    delta = 1.0 if i == j else 0.0
+def _brackets(p0, a, hbar, kind):
+    """(..., 3, 3) brackets over all (i, j): the deformed-bracket 'target' or the exact 'jacobian'."""
+    p0 = _momenta(p0)
+    _check_coupling(a)
+    mag = np.linalg.norm(p0, axis=-1)[..., None, None]
     if a == 0.0:
-        return 1j * hbar * delta
-    if np.linalg.norm(p0) == 0.0:
-        raise SingularInputError("target bracket needs |p0| > 0 when a > 0")
+        return 1j * hbar * np.broadcast_to(_DELTA, mag.shape[:-2] + (3, 3))
+    if np.any(mag == 0.0):
+        raise SingularInputError(f"{kind} bracket needs |p0| > 0 when a > 0")
+    if kind == "jacobian":
+        p_i, p_j = p0[..., :, None], p0[..., None, :]
+        return 1j * hbar * (_DELTA * deformation_factor(mag, a) + p_j * (-a * p_i / mag + 4.0 * a * a * p_i))
     pd = deform_momentum(p0, a)
-    mag = float(np.linalg.norm(pd))
-    pipj = float(pd[i - 1] * pd[j - 1])
-    value = delta - a * (mag * delta + pipj / mag) + a * a * (mag * mag * delta + 3.0 * pipj)
-    return 1j * hbar * value
+    mag = np.linalg.norm(pd, axis=-1)[..., None, None]
+    pipj = pd[..., :, None] * pd[..., None, :]
+    return 1j * hbar * (_DELTA - a * (mag * _DELTA + pipj / mag) + a * a * (mag * mag * _DELTA + 3.0 * pipj))
 
 
-def jacobian_commutator(p0, i: int, j: int, a: float, hbar: float = 1.0) -> complex:
-    """Exact bracket i hbar dp_j/dp0_i of the deformation map."""
-    p0 = _vec3(p0)
+def _bracket(p0, i, j, a, hbar, kind):
     _check_axis(i)
     _check_axis(j)
-    if a < 0.0:
-        raise DomainError("deformation parameter a must be nonnegative")
-    delta = 1.0 if i == j else 0.0
-    if a == 0.0:
-        return 1j * hbar * delta
-    mag = float(np.linalg.norm(p0))
-    if mag == 0.0:
-        raise SingularInputError("jacobian bracket needs |p0| > 0 when a > 0")
-    value = delta * deformation_factor(mag, a) + float(p0[j - 1]) * (
-        -a * float(p0[i - 1]) / mag + 4.0 * a * a * float(p0[i - 1])
-    )
-    return 1j * hbar * value
+    value = _brackets(p0, a, hbar, kind)[..., i - 1, j - 1]
+    return complex(value) if value.ndim == 0 else value
+
+
+def commutator_target(p0, i: int, j: int, a: float, hbar: float = 1.0):
+    """Deformed-bracket right-hand side, evaluated in the deformed variables."""
+    return _bracket(p0, i, j, a, hbar, "target")
+
+
+def jacobian_commutator(p0, i: int, j: int, a: float, hbar: float = 1.0):
+    """Exact bracket i hbar dp_j/dp0_i of the deformation map."""
+    return _bracket(p0, i, j, a, hbar, "jacobian")
 
 
 def commutator_consistency_exponent(p0, a_values=(1e-1, 1e-2, 1e-3), hbar: float = 1.0) -> float:
-    """Fitted log-log slope of max_ij |jacobian - target| over the given a values.
+    """Fitted log-log slope, over the given a values, of the largest |jacobian - target| entry.
 
-    The two bracket evaluations agree to O(a^3), so the slope should sit
-    near 3 for perturbative a.
+    p0 is a 3-vector or an (..., 3) array; the maximum runs over every
+    (i, j) of every momentum. The two bracket evaluations agree to O(a^3),
+    so the slope should sit near 3 for perturbative a.
     """
-    p0 = _vec3(p0)
     a_values = [float(a) for a in a_values]
     if len(a_values) < 2 or any(a <= 0.0 for a in a_values):
         raise DomainError("need at least two positive a values")
-    devs = []
-    for a in a_values:
-        dev = max(
-            abs(jacobian_commutator(p0, i, j, a, hbar) - commutator_target(p0, i, j, a, hbar))
-            for i in (1, 2, 3)
-            for j in (1, 2, 3)
-        )
-        devs.append(dev)
+    devs = [np.max(np.abs(_brackets(p0, a, hbar, "jacobian") - _brackets(p0, a, hbar, "target"))) for a in a_values]
     return float(np.polyfit(np.log(a_values), np.log(devs), 1)[0])
 
 
@@ -191,13 +190,18 @@ class CommutatorReport:
         return json.dumps(self.to_dict())
 
 
-def _difference_matrix(n: int, h: float) -> np.ndarray:
-    """Truncated antisymmetric central-difference matrix (exactly D^T = -D)."""
-    d = np.zeros((n, n))
-    idx = np.arange(n - 1)
-    d[idx, idx + 1] = 1.0 / (2.0 * h)
-    d[idx + 1, idx] = -1.0 / (2.0 * h)
-    return d
+def _position(psi, h: float, hbar: float) -> np.ndarray:
+    """x psi for x = i hbar d/dp: the truncated antisymmetric central-difference stencil."""
+    xpsi = np.zeros(psi.shape, dtype=complex)
+    xpsi[:-1] += psi[1:] / (2.0 * h)
+    xpsi[1:] -= psi[:-1] / (2.0 * h)
+    xpsi *= 1j * hbar
+    return xpsi
+
+
+def _on_x_axis(p: np.ndarray) -> np.ndarray:
+    """The momenta (p, 0, 0) of a 1D grid, as an (n, 3) array."""
+    return np.stack([p, np.zeros_like(p), np.zeros_like(p)], axis=-1)
 
 
 def _probe_state(points: np.ndarray) -> np.ndarray:
@@ -209,50 +213,29 @@ def _probe_state(points: np.ndarray) -> np.ndarray:
 
 def _lab_max_residual(points: np.ndarray, margin: int, a: float, hbar: float) -> float:
     """Max interior deviation of [x, p] applied to the probe from the exact bracket."""
-    n = points.size
     h = float(points[1] - points[0])
-    x_op = 1j * hbar * _difference_matrix(n, h)
-    p_op = np.diag((points * deformation_factor(points, a)).astype(complex))
-    comm = x_op @ p_op - p_op @ x_op
+    g = points * deformation_factor(points, a)
     psi = _probe_state(points)
-    bracket = np.array([jacobian_commutator((p, 0.0, 0.0), 1, 1, a, hbar) for p in points])
-    residual = comm @ psi - bracket * psi
-    return float(np.max(np.abs(residual[margin : n - margin])))
-
-
-def _scaling_exponent_on_grid(points: np.ndarray, margin: int, a: float, hbar: float) -> float:
-    """Slope of the jacobian-vs-target deviation over the decade below a."""
-    sweep = [a, a / math.sqrt(10.0), a / 10.0]
-    sample = points[margin : points.size - margin]
-    devs = []
-    for av in sweep:
-        dev = max(
-            abs(
-                jacobian_commutator((p, 0.0, 0.0), 1, 1, av, hbar)
-                - commutator_target((p, 0.0, 0.0), 1, 1, av, hbar)
-            )
-            for p in sample
-        )
-        devs.append(dev)
-    return float(np.polyfit(np.log(sweep), np.log(devs), 1)[0])
+    commutator = _position(g * psi, h, hbar) - g * _position(psi, h, hbar)
+    residual = commutator - jacobian_commutator(_on_x_axis(points), 1, 1, a, hbar) * psi
+    return float(np.max(np.abs(residual[margin : points.size - margin])))
 
 
 def grid_operator_lab(grid: MomentumGrid, a: float, hbar: float = 1.0) -> CommutatorReport:
     """Finite-dimensional commutator test of the deformation map.
 
-    Builds the diagonal sampling operator for the undeformed momentum, the
-    central-difference position operator x = i hbar d/dp, and the deformed
-    diagonal momentum; forms the dense commutator [x, p]; and measures, on
-    interior rows, how far its action on the probe state falls from the
-    exact analytic bracket. The residual is reported together with its
-    convergence order under grid refinement (expected 2, from the stencil)
-    and, for a > 0, the log-log slope of the jacobian-vs-target deviation
-    over a decade of deformation strengths anchored at a (expected 3).
+    Applies [x, p] psi = x (g psi) - g (x psi) to the probe state, where g is
+    the deformed momentum sampled on the grid and x = i hbar d/dp is the
+    central-difference stencil, and measures, on interior points, how far it
+    falls from the exact analytic bracket times psi. The residual is reported
+    together with its convergence order under grid refinement (expected 2,
+    from the stencil) and, for a > 0, the log-log slope of the
+    jacobian-vs-target deviation at the interior momenta (p, 0, 0) over a
+    decade of deformation strengths anchored at a (expected 3).
     """
     if grid.n < 64:
         raise DomainError("operator lab needs at least 64 grid points")
-    if a < 0.0:
-        raise DomainError("deformation parameter a must be nonnegative")
+    _check_coupling(a)
     p_max = float(grid.points[-1])
     if a > 0.0 and a * p_max >= 0.5:
         raise DomainError("perturbative regime requires a * p_max < 0.5")
@@ -265,7 +248,9 @@ def grid_operator_lab(grid: MomentumGrid, a: float, hbar: float = 1.0) -> Commut
     h_coarse = float(coarse[1] - coarse[0])
     h_fine = float(fine[1] - fine[0])
     order = math.log(res_coarse / res_fine) / math.log(h_coarse / h_fine)
-    exponent = _scaling_exponent_on_grid(coarse, margin, a, hbar) if a > 0.0 else math.nan
+    decade = (a, a / math.sqrt(10.0), a / 10.0)
+    interior = _on_x_axis(coarse[margin : coarse.size - margin])
+    exponent = commutator_consistency_exponent(interior, decade, hbar) if a > 0.0 else math.nan
 
     return CommutatorReport(
         a=a,
@@ -334,8 +319,7 @@ def uncertainty_check(
     psi = np.asarray(state, dtype=complex)
     if psi.shape != (grid.n,):
         raise DomainError("state must match the grid size")
-    if a < 0.0:
-        raise DomainError("deformation parameter a must be nonnegative")
+    _check_coupling(a)
     h = grid.h
     trap_norm = float(np.sum(_trapezoid_weights(grid.n, h) * np.abs(psi) ** 2))
     if abs(trap_norm - 1.0) > 1e-8:
@@ -345,11 +329,7 @@ def uncertainty_check(
 
     norm_sq = h * float(np.sum(np.abs(psi) ** 2))
 
-    # x = i hbar d/dp applied with the same antisymmetric stencil as the lab.
-    xpsi = np.zeros_like(psi)
-    xpsi[:-1] += psi[1:] / (2.0 * h)
-    xpsi[1:] -= psi[:-1] / (2.0 * h)
-    xpsi *= 1j * hbar
+    xpsi = _position(psi, h, hbar)
     mean_x = h * float(np.real(np.vdot(psi, xpsi))) / norm_sq
     mean_x_sq = h * float(np.vdot(xpsi, xpsi).real) / norm_sq
     delta_x = math.sqrt(max(mean_x_sq - mean_x * mean_x, 0.0))

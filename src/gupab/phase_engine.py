@@ -43,6 +43,7 @@ from .field_geometry import (
 
 _G0 = gamma(0)
 _G_SPATIAL = np.stack([gamma(1), gamma(2), gamma(3)])
+_ALPHA_ROWS = np.stack([alpha(1), alpha(2), alpha(3)]).reshape(3, 16)  # p3 @ rows = alpha.p, flattened
 
 
 @dataclass(frozen=True)
@@ -248,10 +249,10 @@ def total_phase(
 
 @dataclass(frozen=True)
 class DispersionResult:
-    """Analytic branches and the numerically diagonalized spectrum."""
+    """Analytic branches and the diagonalized spectrum; arrays over (..., 3) momenta."""
 
-    e_plus: float
-    e_minus: float
+    e_plus: float | np.ndarray
+    e_minus: float | np.ndarray
     eigenvalues: np.ndarray  # ascending, doubly degenerate pairs
 
 
@@ -260,19 +261,23 @@ def dispersion(p3, m: float, a: float) -> DispersionResult:
 
     Since (alpha.p)^2 = |p|^2, the branches are +-sqrt(|p|^2 + m^2) + a |p|^2,
     each doubly degenerate; the explicit 4x4 spectrum is returned alongside
-    as a cross-check.
+    as a cross-check. ``p3`` is a 3-vector or an (..., 3) array of them.
+    Raises ``GupabError`` if the Hamiltonian or a branch is not finite, as
+    when a |p|^2 overflows double precision.
     """
     if not (m > 0.0):
         raise DomainError("mass must be positive")
     if a < 0.0:
         raise DomainError("deformation parameter a must be nonnegative")
     p3 = np.asarray(p3, dtype=float)
-    if p3.shape != (3,):
-        raise DomainError("p3 must be a 3-vector")
-    ap = p3[0] * alpha(1) + p3[1] * alpha(2) + p3[2] * alpha(3)
-    hamiltonian = ap + a * (ap @ ap) + m * beta()
-    eigenvalues = np.linalg.eigvalsh(hamiltonian)
-    p_sq = float(p3 @ p3)
-    root = math.sqrt(p_sq + m * m)
-    return DispersionResult(e_plus=root + a * p_sq, e_minus=-root + a * p_sq, eigenvalues=eigenvalues)
-
+    if p3.ndim == 0 or p3.shape[-1] != 3:
+        raise DomainError("p3 must be a 3-vector or an (..., 3) array of them")
+    with np.errstate(over="ignore", invalid="ignore"):  # reported once, below
+        ap = (p3 @ _ALPHA_ROWS).reshape(p3.shape[:-1] + (4, 4))
+        hamiltonian = ap + a * (ap @ ap) + m * beta()
+        p_sq = (p3 * p3).sum(axis=-1)
+        root = np.sqrt(p_sq + m * m)
+        e_plus, e_minus = root + a * p_sq, -root + a * p_sq
+    if not all(np.isfinite(x).all() for x in (hamiltonian, e_plus, e_minus)):
+        raise GupabError("dispersion is not finite: the inputs overflow double precision")
+    return DispersionResult(e_plus=e_plus, e_minus=e_minus, eigenvalues=np.linalg.eigvalsh(hamiltonian))

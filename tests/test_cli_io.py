@@ -314,6 +314,36 @@ def test_cmd_dispersion_argument_validation(tmp_path, capsys):
     assert "range" in capsys.readouterr().err
 
 
+def test_cmd_dispersion_overflow_exits_1(tmp_path, capsys):
+    # a |p|^2 = 4e308 at p = 2 overflows: one error line, no CSV and no traceback
+    payload = json.loads(json.dumps(BASE_CONFIG))
+    payload["gup"] = {"a": 1e308}
+    assert main(["dispersion", "-c", write_config(tmp_path, payload), "--pmax", "2", "--steps", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("index", [0, 1, 2, 3])
+def test_rectangle_repeated_corner_names_corners(tmp_path, capsys, index):
+    corners = [[1.0, 1.0, 0.0], [-1.0, 1.0, 0.0], [-1.0, -1.0, 0.0], [1.0, -1.0, 0.0]]
+    corners[(index + 1) % 4] = list(corners[index])
+    payload = dict(BASE_CONFIG, loop={"kind": "rectangle", "corners": corners})
+    assert main(["phase", "-c", write_config(tmp_path, payload)]) == 2
+    assert capsys.readouterr().err == f"config error: loop.corners repeat consecutively at index {index}\n"
+
+
+def test_parser_is_built_once(tmp_path, capsys):
+    path = write_config(tmp_path, BASE_CONFIG)
+    cli_io._parser.cache_clear()
+    for _ in range(3):
+        assert main(["phase", "-c", path]) == 0
+    assert cli_io._parser.cache_info().misses == 1
+    first = capsys.readouterr().out
+    assert main(["phase", "-c", path]) == 0
+    assert capsys.readouterr().out == first[: len(first) // 3]
+
+
 def test_sweep_csv_floats_round_trip(tmp_path):
     payload = json.loads(json.dumps(BASE_CONFIG))
     payload["sweep"] = {"parameter": "gup.a", "values": [0.01]}

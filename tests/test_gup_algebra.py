@@ -2,6 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from helpers import dense_commutator_residual
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from gupab.errors import DomainError, SingularInputError
 from gupab.gup_algebra import (
@@ -216,3 +220,62 @@ def test_uncertainty_rejects_unnormalized_state():
     grid = MomentumGrid.uniform(0.5, 2.5, 256)
     with pytest.raises(DomainError):
         uncertainty_check(grid, np.ones(grid.n, dtype=complex), 0.0)
+
+
+@pytest.mark.parametrize("n", [256, 512])
+@pytest.mark.parametrize("a", [0.0, 0.05])
+def test_lab_residual_matches_dense_commutator(n, a):
+    # Both sides subtract terms of size |p psi| / 2h ~ n, so their rounding
+    # differs by ~n eps, about 1e-9 of the O(h^2) residual at n = 512.
+    grid = MomentumGrid.uniform(1.0, 2.0, n)
+    oracle = dense_commutator_residual(grid.points, grid.boundary_margin, a)
+    assert grid_operator_lab(grid, a).max_residual_interior == pytest.approx(oracle, rel=1e-8)
+
+
+def test_consistency_exponent_takes_momentum_arrays():
+    # the lab's exponent is the consistency exponent over its interior momenta (p, 0, 0)
+    p = np.linspace(1.0, 2.0, 40)
+    momenta = np.stack([p, np.zeros_like(p), np.zeros_like(p)], axis=-1)
+    a_values = (0.05, 0.05 / np.sqrt(10.0), 0.005)
+    devs = [
+        max(abs(jacobian_commutator(row, 1, 1, a) - commutator_target(row, 1, 1, a)) for row in momenta)
+        for a in a_values
+    ]
+    slope = np.polyfit(np.log(a_values), np.log(devs), 1)[0]
+    assert commutator_consistency_exponent(momenta, a_values) == pytest.approx(slope, rel=1e-12)
+
+
+_MOMENTA = arrays(
+    float,
+    array_shapes(min_dims=1, max_dims=2, max_side=4).map(lambda shape: shape + (3,)),
+    elements=st.floats(-3.0, 3.0),
+).filter(lambda p: np.all(np.linalg.norm(p, axis=-1) > 0.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    momenta=_MOMENTA,
+    a=st.one_of(st.just(0.0), st.floats(1e-6, 0.3)),
+    i=st.sampled_from([1, 2, 3]),
+    j=st.sampled_from([1, 2, 3]),
+)
+def test_array_brackets_match_scalar_calls(momenta, a, i, j):
+    for bracket in (commutator_target, jacobian_commutator):
+        values = bracket(momenta, i, j, a)
+        assert values.shape == momenta.shape[:-1]
+        for index in np.ndindex(values.shape):
+            assert bracket(momenta[index], i, j, a) == values[index]
+
+
+def test_array_brackets_keep_their_errors():
+    momenta = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    for bracket in (commutator_target, jacobian_commutator):
+        with pytest.raises(SingularInputError):
+            bracket(momenta, 1, 1, 0.1)
+        assert np.array_equal(bracket(momenta, 2, 2, 0.0), [1j, 1j])
+        with pytest.raises(DomainError):
+            bracket(momenta, 1, 4, 0.1)
+        with pytest.raises(DomainError):
+            bracket(np.ones((2, 2)), 1, 1, 0.1)
+        with pytest.raises(DomainError):
+            bracket(momenta[:1], 1, 1, -0.1)

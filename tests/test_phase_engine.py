@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from helpers import (
     ORACLE_GAMMA,
@@ -14,7 +16,7 @@ from helpers import (
 )
 from gupab import phase_engine
 from gupab.clifford import gamma, on_shell_spinor
-from gupab.errors import DomainError, GeometryError
+from gupab.errors import DomainError, GeometryError, GupabError
 from gupab.field_geometry import (
     LoopPath,
     QuadratureSpec,
@@ -301,6 +303,31 @@ def test_dispersion_domain():
         dispersion((0.1, 0.0, 0.0), -1.0, 0.0)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    momenta=arrays(
+        float, array_shapes(min_dims=1, max_dims=2, max_side=5).map(lambda s: s + (3,)), elements=st.floats(-3.0, 3.0)
+    ),
+    m=st.floats(0.1, 5.0),
+    a=st.one_of(st.just(0.0), st.floats(0.0, 0.3)),
+)
+def test_array_dispersion_matches_scalar_calls(momenta, m, a):
+    batch = dispersion(momenta, m, a)
+    assert batch.e_plus.shape == batch.e_minus.shape == momenta.shape[:-1]
+    assert batch.eigenvalues.shape == momenta.shape[:-1] + (4,)
+    for index in np.ndindex(momenta.shape[:-1]):
+        row = dispersion(momenta[index], m, a)
+        assert row.e_plus == batch.e_plus[index] and row.e_minus == batch.e_minus[index]
+        assert np.array_equal(row.eigenvalues, batch.eigenvalues[index])
+
+
+@pytest.mark.parametrize("p3", [(2.0, 0.0, 0.0), [[0.0, 0.0, 0.0], [0.0, 2.0, 0.0]]])
+def test_dispersion_overflow_raises(p3):
+    # a |p|^2 = 4e308 overflows: the Hamiltonian and the branches are not finite
+    with pytest.raises(GupabError, match="not finite"):
+        dispersion(p3, 1.0, 1e308)
+
+
 # Straight edges that reach the coil between the 256 samples of a sampled
 # check: a long edge grazing a thin coil, and an edge through the axis.
 LONG_EDGE_GRAZING_COIL = (
@@ -385,6 +412,24 @@ def test_near_coil_square_is_exact():
     perimeter = 2.0 * 2.0 + 2.0 * 1.0015
     assert result.projected_correction == pytest.approx(closed_form(PARTICLE, 0.01, perimeter), rel=1e-14)
     assert result.quadrature_error == 0.0
+
+
+@pytest.mark.parametrize("center", [(1.5, 0.0, 0.0), (7.0, 0.0, 0.0)])
+@pytest.mark.parametrize("windings", [10**5, -(10**5)])
+def test_whole_turns_are_counted_in_closed_form(center, windings):
+    # each whole turn adds 2 pi about an axis inside the circle and 0 about one outside,
+    # with no per-turn sub-arcs: the memory peak does not grow with the windings
+    particle, solenoid = ParticleSpec(charge=-1.5, mass=1.0, speed=0.6), SolenoidSpec(flux=0.7, radius=0.1)
+    loop = circle_loop(center=center, radius=2.0, windings=windings)
+    tracemalloc.start()
+    try:
+        result = total_phase(particle, solenoid, loop, 0.01)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    inside = center[0] < 2.0
+    assert result.standard_phase == (particle.charge * solenoid.flux * windings if inside else 0.0)
+    assert peak < 64_000
 
 
 @pytest.mark.parametrize("windings", [2, -2, 3, -3, 63, -126])
