@@ -30,7 +30,6 @@ from .field_geometry import (
     rectangle_loop,
     solenoid_field,
     solenoid_vector_potential,
-    winding_number,
 )
 from .gup_algebra import (
     CommutatorReport,

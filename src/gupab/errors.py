@@ -14,7 +14,7 @@ class SingularInputError(GupabError, ValueError):
 
 
 class GeometryError(GupabError, ValueError):
-    """Degenerate or ambiguous geometry: bad loops, near-axis points, unresolvable winding."""
+    """Degenerate geometry: bad loops and paths into the coil."""
 
 
 class FieldEvaluationError(GupabError, RuntimeError):

@@ -2,21 +2,24 @@
 
 Loops are piecewise-smooth parametric curves; each piece maps s in [0, 1] to
 points with an analytic tangent. Straight pieces and circular arcs also
-record their shape, and ``loop_geometry`` turns it into closed forms: the
-exact length, the azimuth swept about a solenoid axis, and the least
-distance from that axis. Generic curves, which record no shape, go through
-composite Gauss-Legendre quadrature per piece, with the error estimated by
-node doubling. The built-in field source is the ideal infinite solenoid:
-purely azimuthal potential, flux Phi / (2 pi rho) outside the coil and
-Phi rho / (2 pi R^2) inside. Its potential takes a whole (n, 3) array of
-points, so ``solenoid_circulation`` samples each segment's nodes in one
-call; generic fields handed to ``line_integral`` are called once per point.
+record their shape, from which ``LoopPath`` validates them and takes their
+ends and exact lengths once, at construction, without calling the pieces;
+only generic curves, which record no shape, are checked on a 64-point
+sample. ``loop_geometry`` adds the closed forms that depend on a solenoid:
+the azimuth swept about its axis and the least distance from it. Generic
+curves go through composite Gauss-Legendre quadrature per piece, with the
+error estimated by node doubling. The built-in field source is the ideal
+infinite solenoid: purely azimuthal potential, flux Phi / (2 pi rho)
+outside the coil and Phi rho / (2 pi R^2) inside. Its potential takes a
+whole (n, 3) array of points, so ``solenoid_circulation`` samples each
+segment's nodes in one call; generic fields handed to ``line_integral`` are
+called once per point.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
@@ -130,9 +133,11 @@ class Segment:
 def line_segment(start, end) -> Segment:
     start = np.asarray(start, dtype=float)
     end = np.asarray(end, dtype=float)
-    delta = end - start
-    if np.linalg.norm(delta) == 0.0:
+    endpoints = (tuple(start.tolist()), tuple(end.tolist()))
+    if endpoints[0] == endpoints[1]:  # exact: a step too short to square is still a step
         raise GeometryError("degenerate segment: start equals end")
+    with np.errstate(over="ignore"):  # an infinite step is reported by LoopPath
+        delta = end - start
 
     def point(s):
         s = np.atleast_1d(np.asarray(s, dtype=float))
@@ -142,7 +147,7 @@ def line_segment(start, end) -> Segment:
         s = np.atleast_1d(np.asarray(s, dtype=float))
         return np.tile(delta, (s.size, 1))
 
-    return Segment(point, tangent, endpoints=(tuple(start), tuple(end)))
+    return Segment(point, tangent, endpoints=endpoints)
 
 
 def arc_segment(center, radius, theta0, theta1, z=None) -> Segment:
@@ -173,20 +178,75 @@ def arc_segment(center, radius, theta0, theta1, z=None) -> Segment:
     return Segment(point, tangent, arc=arc)
 
 
+_NON_FINITE = "segment has non-finite points or tangents"
+_VANISHING = "segment tangent vanishes somewhere on [0, 1]"
+
+
+def _measure(seg: Segment, s: np.ndarray):
+    """(start and end points, length scale) of one segment; raise GeometryError if it is not valid.
+
+    A line is valid if its ends are finite and distinct, with a finite step;
+    an arc if |center| + radius, radius |sweep| and its end angles are finite
+    and radius |sweep| is positive, which bounds every point and tangent.
+    Neither calls the segment's callables. A generic curve is checked on the
+    sample ``s``, and its scale is the mean sampled speed; lines and arcs
+    report None, their exact length being taken by ``LoopPath``.
+    """
+    if seg.endpoints is not None:
+        start, end = seg.endpoints
+        if not all(map(math.isfinite, (*start, *end, *(b - a for a, b in zip(start, end))))):
+            raise GeometryError(_NON_FINITE)
+        if tuple(start) == tuple(end):
+            raise GeometryError(_VANISHING)
+        return seg.endpoints, None
+    if seg.arc is not None:
+        (cx, cy, cz), radius, theta0, sweep = seg.arc
+        speed = radius * abs(sweep)
+        angles = (theta0, theta0 + sweep)
+        if not all(map(math.isfinite, (math.hypot(cx, cy, cz) + radius, speed, *angles))):
+            raise GeometryError(_NON_FINITE)
+        if not speed > 0.0:
+            raise GeometryError(_VANISHING)
+        return tuple((cx + radius * math.cos(t), cy + radius * math.sin(t), cz) for t in angles), None
+    pts = np.asarray(seg.point(s), dtype=float)
+    tans = np.asarray(seg.tangent(s), dtype=float)
+    if pts.shape != (s.size, 3) or tans.shape != (s.size, 3):
+        raise GeometryError("segment callables must map (n,) parameters to (n, 3) arrays")
+    if not (np.isfinite(pts).all() and np.isfinite(tans).all()):
+        raise GeometryError(_NON_FINITE)
+    speed = np.linalg.norm(tans, axis=1)
+    if np.min(speed) <= 0.0:
+        raise GeometryError(_VANISHING)
+    return (pts[0], pts[-1]), float(np.mean(speed))
+
+
+def _gaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distances between rows of two (k, 3) point arrays, without squaring (so no overflow)."""
+    d = b - a
+    return np.hypot(np.hypot(d[:, 0], d[:, 1]), d[:, 2])
+
+
 @dataclass(frozen=True)
 class LoopPath:
     """Ordered smooth pieces forming a (usually closed) contour.
 
-    Construction validates finiteness and nonvanishing of every tangent on a
-    64-point sample, junction continuity, and, for closed paths, overall
-    closure. Gaps are measured against the path's length scale, the sum of
-    each segment's mean tangent norm: unlike the spread of the sampled
-    points, it cannot collapse when a many-turn arc returns to the same
-    point at every sample.
+    Construction validates each piece (see ``_measure``: lines and arcs from
+    their recorded shape, generic curves on a 64-point sample), junction
+    continuity, and, for closed paths, overall closure. Gaps are measured
+    against the path's length scale: the exact length of each line and arc
+    plus the mean sampled speed of each generic curve. Unlike the spread of
+    the points, it cannot collapse when a many-turn arc returns to the same
+    point.
+
+    The construction also records ``ends``, the (k, 2, 3) read-only array of
+    each segment's start and end points, and ``length``, the exact length,
+    or None when some segment is a generic curve.
     """
 
     segments: tuple
     closed: bool = True
+    ends: np.ndarray = field(init=False, repr=False, compare=False)
+    length: float | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         segments = tuple(self.segments)
@@ -194,29 +254,24 @@ class LoopPath:
         if not segments:
             raise GeometryError("path needs at least one segment")
         s = np.linspace(0.0, 1.0, _VALIDATION_SAMPLES)
-        scale = 0.0
-        for seg in segments:
-            pts = np.asarray(seg.point(s), dtype=float)
-            tans = np.asarray(seg.tangent(s), dtype=float)
-            if pts.shape != (s.size, 3) or tans.shape != (s.size, 3):
-                raise GeometryError("segment callables must map (n,) parameters to (n, 3) arrays")
-            if not (np.isfinite(pts).all() and np.isfinite(tans).all()):
-                raise GeometryError("segment has non-finite points or tangents")
-            speed = np.linalg.norm(tans, axis=1)
-            if np.min(speed) <= 0.0:
-                raise GeometryError("segment tangent vanishes somewhere on [0, 1]")
-            scale += float(np.mean(speed))
-        tol = 1e-12 * scale
-        for prev, nxt in zip(segments[:-1], segments[1:]):
-            gap = np.linalg.norm(prev.point(np.array([1.0]))[0] - nxt.point(np.array([0.0]))[0])
-            if gap >= tol:
-                raise GeometryError(f"segments do not join continuously (gap {gap:.3e})")
-        if self.closed:
-            gap = np.linalg.norm(
-                segments[0].point(np.array([0.0]))[0] - segments[-1].point(np.array([1.0]))[0]
-            )
-            if gap >= tol:
-                raise GeometryError(f"path marked closed but endpoints differ by {gap:.3e}")
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported as non-finite or as a gap
+            measured = [_measure(seg, s) for seg in segments]
+            ends = np.array([seg_ends for seg_ends, _ in measured], dtype=float)
+            lines = ends[[seg.endpoints is not None for seg in segments]]
+            chords = float(np.sum(np.linalg.norm(lines[:, 1] - lines[:, 0], axis=1)))
+            exact = chords + sum(seg.arc[1] * abs(seg.arc[3]) for seg in segments if seg.arc is not None)
+            sampled = [scale for _, scale in measured if scale is not None]
+            tol = 1e-12 * (exact + sum(sampled))
+            junctions = _gaps(ends[:-1, 1], ends[1:, 0])
+            closure = _gaps(ends[-1:, 1], ends[:1, 0])[0]
+        broken = np.flatnonzero(junctions >= tol)
+        if broken.size:
+            raise GeometryError(f"segments do not join continuously (gap {junctions[broken[0]]:.3e})")
+        if self.closed and closure >= tol:
+            raise GeometryError(f"path marked closed but endpoints differ by {closure:.3e}")
+        ends.flags.writeable = False
+        object.__setattr__(self, "ends", ends)
+        object.__setattr__(self, "length", None if sampled else exact)
 
     def reverse(self) -> "LoopPath":
         return LoopPath(tuple(seg.reversed() for seg in reversed(self.segments)), closed=self.closed)
@@ -244,13 +299,14 @@ def rectangle_loop(corners) -> LoopPath:
     if corners.shape != (4, 3):
         raise GeometryError("corners must list exactly four 3D points")
     _check_distinct(corners, "corners")
-    edges = [corners[(k + 1) % 4] - corners[k] for k in range(4)]
-    normal = np.cross(edges[0], edges[1])
-    if np.linalg.norm(normal) == 0.0:
-        raise GeometryError("corners are collinear")
-    scale = float(np.max(np.abs(corners - corners[0]))) or 1.0
-    if abs((corners[3] - corners[0]) @ normal) > 1e-9 * scale * np.linalg.norm(normal):
-        raise GeometryError("corners are not planar")
+    with np.errstate(over="ignore", invalid="ignore"):  # overflowing corners fail LoopPath's finiteness check
+        edges = [corners[(k + 1) % 4] - corners[k] for k in range(4)]
+        normal = np.cross(edges[0], edges[1])
+        if np.linalg.norm(normal) == 0.0:
+            raise GeometryError("corners are collinear")
+        scale = float(np.max(np.abs(corners - corners[0]))) or 1.0
+        if abs((corners[3] - corners[0]) @ normal) > 1e-9 * scale * np.linalg.norm(normal):
+            raise GeometryError("corners are not planar")
     return polyline_loop(corners)
 
 
@@ -428,31 +484,26 @@ def _arc_about_axis(arc, spec: SolenoidSpec):
 
 
 def loop_geometry(loop: LoopPath, spec: SolenoidSpec | None = None) -> LoopGeometry:
-    """Closed-form length of a path and, given a solenoid, its swept azimuth and clearance.
+    """The path's exact length and, given a solenoid, its swept azimuth and clearance.
 
-    Lines and arcs have exact lengths, |end - start| and r |sweep|; the
-    length is None if some segment is a generic curve. About the solenoid
-    axis, a line sweeps the atan2 angle between its endpoints' radial
-    vectors, and an arc whose plane is normal to the axis sweeps the sum
-    from ``_arc_about_axis``; the swept angle is None if some segment is
+    The length is the one ``LoopPath`` records: |end - start| per line and
+    r |sweep| per arc, or None if some segment is a generic curve. About the
+    solenoid axis, a line sweeps the atan2 angle between its endpoints'
+    radial vectors, and an arc whose plane is normal to the axis sweeps the
+    sum from ``_arc_about_axis``; the swept angle is None if some segment is
     neither. The clearance, the least distance from the axis, is always
     given: exact for lines and normal arcs, the least of 256 samples per
     segment otherwise.
     """
-    lines = [seg.endpoints for seg in loop.segments if seg.endpoints is not None]
+    if spec is None:
+        return LoopGeometry(loop.length)
+    lines = loop.ends[[seg.endpoints is not None for seg in loop.segments]]
     arcs = [seg for seg in loop.segments if seg.arc is not None]
     curves = [seg for seg in loop.segments if seg.endpoints is None and seg.arc is None]
-    ends = np.asarray(lines, dtype=float).reshape(-1, 2, 3)
-    length = None
-    if not curves:
-        chords = float(np.sum(np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1)))
-        length = chords + sum(seg.arc[1] * abs(seg.arc[3]) for seg in arcs)
-    if spec is None:
-        return LoopGeometry(length)
     swept, rho = 0.0, []
-    if lines:
+    if lines.size:
         d = np.asarray(spec.axis_direction)
-        radial, _ = spec.axial_decomposition(ends)
+        radial, _ = spec.axial_decomposition(lines)
         rho.append(_closest_radius_of_lines(radial))
         turns = np.cross(radial[:, 0], radial[:, 1]) @ d
         swept += float(np.sum(np.arctan2(turns, np.sum(radial[:, 0] * radial[:, 1], axis=1))))
@@ -467,51 +518,4 @@ def loop_geometry(loop: LoopPath, spec: SolenoidSpec | None = None) -> LoopGeome
         s = np.linspace(0.0, 1.0, _CLEARANCE_SAMPLES)
         _, sampled = spec.axial_decomposition(np.vstack([seg.point(s) for seg in curves]))
         rho.append(float(np.min(sampled)))
-    return LoopGeometry(length, None if curves else swept, min(rho))
-
-
-class WindingResult(NamedTuple):
-    number: int
-    residual: float
-
-
-def winding_number(loop: LoopPath, axis_point=(0.0, 0.0, 0.0), axis_direction=(0.0, 0.0, 1.0)) -> WindingResult:
-    """Signed turns of the path about an axis, by accumulated azimuthal angle.
-
-    Samples each segment densely, unwraps the azimuth in the plane normal to
-    the axis, and rounds total angle / 2 pi. The pre-rounding residual is
-    returned; a residual above 1e-3 (or a path point within 1e-9 of the
-    axis) raises, since the winding is then geometrically ambiguous.
-    """
-    origin = np.asarray(axis_point, dtype=float)
-    d = _unit(axis_direction, "axis direction")
-    candidate = np.array([1.0, 0.0, 0.0]) if abs(d[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    e1 = candidate - (candidate @ d) * d
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(d, e1)
-
-    samples = 256
-    while True:
-        thetas = []
-        for seg in loop.segments:
-            s = np.linspace(0.0, 1.0, samples + 1)
-            rel = seg.point(s) - origin
-            u = rel @ e1
-            v = rel @ e2
-            if np.min(np.hypot(u, v)) < 1e-9:
-                raise GeometryError("path passes within 1e-9 of the winding axis")
-            thetas.append(np.arctan2(v, u))
-        theta = np.unwrap(np.concatenate(thetas))
-        steps = np.abs(np.diff(theta))
-        if steps.size == 0 or np.max(steps) < math.pi / 2.0:
-            break
-        samples *= 2
-        if samples > 2**14:
-            raise GeometryError("winding angle varies too fast to resolve")
-
-    turns = float((theta[-1] - theta[0]) / (2.0 * math.pi))
-    nearest = round(turns)
-    residual = abs(turns - nearest)
-    if residual > 1e-3:
-        raise GeometryError(f"winding number ambiguous: fractional part {residual:.3e}")
-    return WindingResult(number=int(nearest), residual=residual)
+    return LoopGeometry(loop.length, None if curves else swept, min(rho))

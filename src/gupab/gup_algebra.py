@@ -27,7 +27,6 @@ the deformed momentum is multiplication by the sampled map.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -157,10 +156,6 @@ class MomentumGrid:
     def n(self) -> int:
         return int(self.points.size)
 
-    def interior(self) -> slice:
-        m = self.boundary_margin
-        return slice(m, self.points.size - m)
-
 
 @dataclass(frozen=True)
 class CommutatorReport:
@@ -172,22 +167,6 @@ class CommutatorReport:
     max_residual_interior: float
     discretization_order: float
     gup_scaling_exponent: float
-
-    def to_dict(self) -> dict:
-        def _num(x):
-            return float(x) if math.isfinite(x) else None
-
-        return {
-            "a": float(self.a),
-            "grid_points": int(self.grid_points),
-            "h": float(self.h),
-            "max_residual_interior": float(self.max_residual_interior),
-            "discretization_order": _num(self.discretization_order),
-            "gup_scaling_exponent": _num(self.gup_scaling_exponent),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def _position(psi, h: float, hbar: float) -> np.ndarray:

@@ -135,17 +135,18 @@ def _matrix_base(particle: ParticleSpec, loop: LoopPath, quad: QuadratureSpec):
     """Contour integral of slash(p0) (p0 . dx), without the -a q factor.
 
     Equals (E/v - p)(E L gamma^0 - p dx . gamma), since |dr| t-hat = dr; dx
-    is the end-to-end displacement, zero on closed loops. L is exact for lines
-    and arcs, and integrated, with its error, when some segment is a generic curve.
+    is the end-to-end displacement, zero on closed loops. L is the exact length
+    the loop records for lines and arcs, and integrated, with its error, when
+    some segment is a generic curve.
     """
-    length, err = loop_geometry(loop).length, 0.0
+    length, err = loop.length, 0.0
     if length is None:
         result = loop_length(loop, quad)
         length, err = result.value, result.error_estimate
     contraction = particle.energy / particle.speed - particle.momentum
     matrix = particle.energy * length * _G0
     if not loop.closed:
-        displacement = loop.segments[-1].point(np.array([1.0]))[0] - loop.segments[0].point(np.array([0.0]))[0]
+        displacement = loop.ends[-1, 1] - loop.ends[0, 0]
         matrix = matrix - particle.momentum * np.tensordot(displacement, _G_SPATIAL, axes=1)
     return contraction * matrix, contraction * particle.energy * err
 

@@ -73,6 +73,11 @@ def fourier_loop(rng, base_radius=1.5, wobble=0.4, harmonics=3, z_amplitude=0.0)
     return LoopPath((Segment(point, tangent),))
 
 
+def strip_shape(segment):
+    """The same piece with no recorded line or arc: the path then validates and measures it by sampling."""
+    return Segment(segment.point, segment.tangent)
+
+
 def random_polynomial_gauge(rng, max_degree=2, terms=4):
     """Random trivariate polynomial chi; returns (chi, grad chi) callables."""
     monomials = []
@@ -123,10 +128,9 @@ def riemann_phase_matrix(loop, particle, a, nodes=1_000_000):
             s = (np.arange(done, done + count) + 0.5) / nodes
             tans = seg.tangent(s)
             speed = np.linalg.norm(tans, axis=1)
-            that = tans / speed[:, None]
             weight = (energy / v - p) * speed / nodes  # (p0 . x') ds
             total += np.sum(weight) * energy * ORACLE_GAMMA[0]
-            coeffs = -p * (weight @ that)
+            coeffs = -p * (energy / v - p) * np.sum(tans, axis=0) / nodes  # weight @ t-hat, as speed t-hat = x'
             total += coeffs[0] * ORACLE_GAMMA[1] + coeffs[1] * ORACLE_GAMMA[2] + coeffs[2] * ORACLE_GAMMA[3]
             done += count
     return -a * q * total

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 from dataclasses import replace
 
@@ -433,6 +434,36 @@ def test_non_finite_phase_exits_1(tmp_path, capsys, section, values):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "loop, code",
+    [
+        ({"kind": "polyline", "vertices": [[1e308, 1e308, 0.0], [-1e308, 1e308, 0.0], [-1e308, -1e308, 0.0]]}, 2),
+        ({"kind": "circle", "radius": 1e308}, 2),
+        ({"kind": "rectangle", "corners": [[1e308, 1e308, 0.0], [-1e308, 1e308, 0.0], [-1e308, -1e308, 0.0], [1e308, -1e308, 0.0]]}, 2),
+        ({"kind": "circle", "radius": 1e300, "windings": 3}, 0),
+    ],
+)
+def test_overflowing_loop_inputs(tmp_path, capsys, loop, code):
+    # loops whose steps or tangents overflow are one config error, with no numpy warnings on stderr;
+    # a huge circle is measured without squaring its closure gap, so it is accepted and finite
+    payload = json.loads(json.dumps(BASE_CONFIG))
+    payload["loop"] = loop
+    with warnings.catch_warnings(record=True) as caught:  # what would reach stderr outside pytest
+        warnings.simplefilter("always")
+        assert main(["phase", "-c", write_config(tmp_path, payload)]) == code
+    assert caught == []
+    captured = capsys.readouterr()
+    if code == 2:
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0] == "config error: loop.segment has non-finite points or tangents"
+    else:
+        assert captured.err == ""
+        result = json.loads(captured.out)
+        assert result["standard_phase"] == 3.0
+        assert math.isfinite(result["total_phase"]) and result["projected_correction"] < 0.0
 
 
 # --- config fuzzer: every single mutation of BASE_CONFIG is a one-line config error ---

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import fourier_loop, random_polynomial_gauge, riemann_circulation
+from helpers import fourier_loop, random_polynomial_gauge, riemann_circulation, strip_shape
 from gupab import field_geometry
 from gupab.errors import DomainError, FieldEvaluationError, GeometryError, SingularInputError
 from gupab.field_geometry import (
@@ -26,7 +26,6 @@ from gupab.field_geometry import (
     solenoid_circulation,
     solenoid_field,
     solenoid_vector_potential,
-    winding_number,
 )
 
 DOUBLING = QuadratureSpec(refinement="doubling", tolerance=1e-12)
@@ -293,34 +292,6 @@ def test_quadrature_spec_validation():
         QuadratureSpec(tolerance=0.0)
 
 
-def test_winding_single_turn():
-    result = winding_number(circle_loop(radius=1.0))
-    assert result.number == 1
-    assert result.residual < 1e-12
-
-
-def test_winding_multiple_and_reversed():
-    assert winding_number(circle_loop(radius=1.0, windings=2)).number == 2
-    assert winding_number(circle_loop(radius=1.0, windings=-1)).number == -1
-
-
-def test_winding_non_enclosing_square():
-    loop = rectangle_loop([(9, 9, 0), (11, 9, 0), (11, 11, 0), (9, 11, 0)])
-    assert winding_number(loop).number == 0
-
-
-def test_winding_axis_options():
-    loop = circle_loop(radius=1.0)
-    assert winding_number(loop, axis_point=(10.0, 10.0, 0.0)).number == 0
-    # winding about an axis orthogonal to the loop plane normal is zero
-    assert winding_number(loop, axis_point=(0.0, 0.0, 5.0), axis_direction=(1.0, 0.0, 0.0)).number == 0
-
-
-def test_winding_near_axis_rejected():
-    with pytest.raises(GeometryError):
-        winding_number(circle_loop(radius=1e-10))
-
-
 def test_arc_segment_quarter_circle():
     seg = arc_segment((0.0, 0.0, 0.0), 2.0, 0.0, math.pi / 2.0)
     path = LoopPath((seg,), closed=False)
@@ -544,3 +515,62 @@ def test_arc_circulation_property(radius, theta0, sweep, placement, facing):
     tolerance = 1e-11 + 10.0 * reference.error_estimate
     assert geometry.swept_angle / (2.0 * math.pi) == pytest.approx(reference.value, abs=tolerance)
     assert loop_geometry(path.reverse(), spec).swept_angle == pytest.approx(-geometry.swept_angle, abs=1e-14)
+
+
+_piece = st.one_of(
+    st.tuples(st.just("line"), st.tuples(*[st.floats(-2.0, 2.0)] * 3).filter(lambda step: math.hypot(*step) > 1e-3)),
+    st.tuples(
+        st.just("arc"),
+        st.tuples(st.floats(0.2, 2.0), st.floats(-math.pi, math.pi), st.floats(0.1, 4.0 * math.pi), st.booleans()),
+    ),
+)
+
+
+def _outcome(segments, closed):
+    try:
+        return LoopPath(segments, closed=closed), None
+    except GeometryError as exc:
+        return None, str(exc).rsplit(" ", 1)[0]  # the message without its gap value
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.tuples(_piece, st.one_of(st.just(0.0), st.floats(1e-9, 1e-2))), min_size=1, max_size=6),
+    st.one_of(st.just(0.0), st.floats(1e-9, 1e-2)),
+    st.booleans(),
+    st.tuples(*[st.floats(-2.0, 2.0)] * 3),
+)
+def test_shape_validation_matches_sampled_validation(pieces, closing_gap, closed, origin):
+    # chains of lines and arcs with exact junctions or gaps of 1e-9 to 1e-2 of the chain's
+    # length: the recorded shape and the 64-point sample accept and reject the same chains
+    length = sum(
+        math.sqrt(sum(c * c for c in params)) if kind == "line" else params[0] * params[2]
+        for (kind, params), _ in pieces
+    )
+    assume(length > 0.1)
+    here, segments = np.asarray(origin, dtype=float), []
+    for k, ((kind, params), gap) in enumerate(pieces):
+        if k:
+            here = here + gap * length * np.array([0.6, 0.0, 0.8])
+        if kind == "line":
+            seg = line_segment(here, here + np.asarray(params))
+        else:
+            radius, theta0, sweep, forward = params
+            center = here - radius * np.array([math.cos(theta0), math.sin(theta0), 0.0])
+            seg = arc_segment(center, radius, theta0, theta0 + (sweep if forward else -sweep))
+        segments.append(seg)
+        here = seg.point(np.array([1.0]))[0]
+    if closed:
+        target = np.asarray(origin) + closing_gap * length * np.array([0.0, 0.6, -0.8])
+        if not np.array_equal(here, target):
+            segments.append(line_segment(here, target))
+    built, error = _outcome(tuple(segments), closed)
+    stripped, stripped_error = _outcome(tuple(strip_shape(seg) for seg in segments), closed)
+    assert error == stripped_error
+    gaps = [gap for _, gap in pieces[1:]] + ([closing_gap] if closed else [])
+    assert (error is None) == (not any(gaps))
+    if built is not None:
+        assert stripped.length is None
+        reference = loop_length(stripped, DOUBLING)
+        assert abs(built.length - reference.value) <= reference.error_estimate + 1e-13 * built.length
+        np.testing.assert_allclose(built.ends, stripped.ends, rtol=0.0, atol=1e-12 * built.length)

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -20,13 +20,14 @@ from gupab.errors import DomainError, GeometryError, GupabError
 from gupab.field_geometry import (
     LoopPath,
     QuadratureSpec,
+    Segment,
     SolenoidSpec,
     arc_segment,
     circle_loop,
     line_segment,
+    loop_geometry,
     polyline_loop,
     rectangle_loop,
-    winding_number,
 )
 from gupab.phase_engine import (
     ParticleSpec,
@@ -95,17 +96,57 @@ def test_ab_phase_rejects_penetrating_loop():
 
 
 def test_flux_quantization_across_shapes():
+    # each winding is the one the loop was built with; fourier_loop winds once
     rng = np.random.default_rng(73)
     loops = [
-        circle_loop(radius=0.5),
-        circle_loop(radius=2.0, windings=-2),
-        rectangle_loop([(1, 1, 0), (-1, 1, 0), (-1, -1, 0), (1, -1, 0)]),
-        fourier_loop(rng),
+        (circle_loop(radius=0.5), 1),
+        (circle_loop(radius=2.0, windings=-2), -2),
+        (rectangle_loop([(1, 1, 0), (-1, 1, 0), (-1, -1, 0), (1, -1, 0)]), 1),
+        (fourier_loop(rng), 1),
     ]
-    for loop in loops:
-        w = winding_number(loop).number
+    for loop, w in loops:
         value = ab_phase(PARTICLE, SOLENOID, loop, DOUBLING)
         assert abs(value / (PARTICLE.charge * SOLENOID.flux) - w) <= 1e-9
+
+
+def _unsampled(seg):
+    """The piece with its recorded shape and callables that must not be called."""
+
+    def refuse(s):
+        raise AssertionError("a line or arc was sampled")
+
+    return Segment(refuse, refuse, endpoints=seg.endpoints, arc=seg.arc)
+
+
+def test_lines_and_arcs_build_and_phase_without_sampling():
+    half_disk = (arc_segment((0.0, -0.5, 0.0), 2.0, 0.0, math.pi), line_segment((-2.0, -0.5, 0.0), (2.0, -0.5, 0.0)))
+    loops = [
+        circle_loop(radius=2.0, windings=3),
+        polyline_loop([(2, 0, 0), (0, 2, 0.5), (-2, -1, 0), (1, -1.5, -0.3)]),
+        LoopPath(half_disk),
+        LoopPath(half_disk[:1], closed=False),
+    ]
+    for loop in loops:
+        for path in (loop, loop.reverse()):
+            unsampled = LoopPath(tuple(_unsampled(seg) for seg in path.segments), closed=path.closed)
+            assert unsampled.length == path.length
+            expected = total_phase(PARTICLE, SOLENOID, path, 0.01, DOUBLING)
+            result = total_phase(PARTICLE, SOLENOID, unsampled, 0.01, DOUBLING)
+            assert result.to_json_dict() == expected.to_json_dict()
+
+
+def test_total_phase_computes_geometry_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return loop_geometry(*args)
+
+    monkeypatch.setattr(phase_engine, "loop_geometry", counted)
+    for loop in (circle_loop(radius=2.0), polyline_loop([(2, 0, 0), (0, 2, 0.5), (-2, -1, 0)])):
+        calls.clear()
+        total_phase(PARTICLE, SOLENOID, loop, 0.01, DOUBLING, projection="fixed_spinor", spinor=np.ones(4))
+        assert len(calls) == 1
 
 
 def test_gup_matrix_vanishes_at_zero_coupling():
@@ -471,6 +512,7 @@ def test_reverse_negates_phase_of_arcs_and_polylines():
         ),
     )
 )
+@example(("polyline", [(0.0, 0.0, 0.0), (0.0, 0.0, 1.5073996106649576e-256)]))  # |step|^2 underflows to 0
 def test_open_path_matrix_property(shape):
     # open paths keep the -p dx . gamma part of the closed form; the Riemann oracle sums the integrand
     kind, params = shape
