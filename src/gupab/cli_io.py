@@ -5,8 +5,11 @@ types, and the string choices that pick a code path (loop kind, gup units,
 projection, sweep parameter). Every value is validated once, by the engine
 constructor that uses it, before any computation starts; ``_build`` turns
 that constructor's error into a ``ConfigError`` naming ``section.key``.
-Structured results go out as JSON, sweep tables as CSV with a frozen header.
-Exit codes: 0 success, 1 verification or computation failure, 2 config error.
+Structured results go out as JSON, sweep tables as CSV with a frozen header,
+written to stdout or the ``-o`` file only once the command has finished, so
+a failed run leaves an existing file as it was. Exit codes: 0 success, 1
+verification or computation failure, 2 config error or an output file that
+cannot be written.
 """
 
 from __future__ import annotations
@@ -93,22 +96,23 @@ def _build(section: str, factory, *args, **kwargs):
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """The swept parameter and its values; a loop.radius sweep also holds each row's loop."""
+
     parameter: str
     values: tuple
+    loops: tuple = ()
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Fully validated inputs for one engine run (plus an optional sweep).
 
-    ``loop`` is built from ``loop_kind`` and ``loop_params`` once, when the
-    config is parsed; a sweep over ``loop.radius`` rebuilds it per row.
+    ``loop`` is built once, when the config is parsed, and so is the loop of
+    each row of a ``loop.radius`` sweep.
     """
 
     particle: ParticleSpec
     solenoid: SolenoidSpec
-    loop_kind: str
-    loop_params: dict
     loop: LoopPath
     a: float
     quadrature: QuadratureSpec
@@ -157,7 +161,7 @@ def _parse_gup(raw) -> float:
         if "a0" in raw or "units" in raw:
             raise ConfigError("gup accepts either 'a' or 'a0'+'units', not both")
         a = _number(raw["a"], "gup.a")
-        return _build("gup", GupParameter, a=a, a0=a).a
+        return _build("gup", GupParameter, a=a).a
     a0 = _number(_require(raw, "a0", "gup"), "gup.a0")
     mode = raw.get("units", "natural")
     if mode not in ("natural", "si"):
@@ -186,7 +190,25 @@ def _parse_spinor(raw, particle: ParticleSpec):
     return _build("spinor", clifford.on_shell_spinor, np.asarray(momentum), particle.mass, branch)
 
 
-def _parse_sweep(raw) -> SweepSpec:
+def _swept(config: RunConfig, parameter: str, value: float) -> dict:
+    """The RunConfig field that a gup.a, particle.v or solenoid.flux row replaces.
+
+    It is built by the engine constructor of the swept value, which rejects a bad one.
+    """
+    if parameter == "gup.a":
+        return {"a": GupParameter(a=value).a}
+    if parameter == "particle.v":
+        return {"particle": replace(config.particle, speed=value)}
+    return {"solenoid": replace(config.solenoid, flux=value)}
+
+
+def _parse_sweep(raw, config: RunConfig, loop_kind: str, loop_params: dict) -> SweepSpec:
+    """Check the sweep section and build every row's swept value, so a bad one is a config error.
+
+    A loop.radius row's loop depends on nothing else in the config, so it is
+    built here once and kept; the other rows are built again, from the
+    config at hand, when the sweep runs.
+    """
     _section(raw, "sweep", {"parameter", "values"})
     parameter = _require(raw, "parameter", "sweep")
     if parameter not in SWEEP_PARAMETERS:
@@ -195,23 +217,14 @@ def _parse_sweep(raw) -> SweepSpec:
     if not (isinstance(values, list) and values):
         raise ConfigError("sweep.values must be a non-empty list")
     values = tuple(_number(v, "sweep.values") for v in values)
-    return SweepSpec(parameter=parameter, values=values)
-
-
-def _check_sweep_values(config: RunConfig):
-    """Build every row's swept value now, as the row will, so a bad one is a config error.
-
-    A loop.radius row would build a whole loop, so those values get only the
-    checks its builder needs: a circle loop and a positive radius.
-    """
-    parameter = config.sweep.parameter
-    for value in config.sweep.values:
-        if parameter != "loop.radius":
-            _build(f"sweep.values for {parameter.split('.')[0]}", _swept, config, value)
-        elif config.loop_kind != "circle":
-            raise ConfigError("sweeping loop.radius requires a circle loop")
-        elif not value > 0.0:
-            raise ConfigError("sweep.values for loop.radius must be positive")
+    if parameter != "loop.radius":
+        for value in values:
+            _build(f"sweep.values for {parameter.split('.')[0]}", _swept, config, parameter, value)
+        return SweepSpec(parameter=parameter, values=values)
+    if loop_kind != "circle":
+        raise ConfigError("sweeping loop.radius requires a circle loop")
+    loops = tuple(_build("sweep.values for loop", make_loop, loop_kind, **dict(loop_params, radius=v)) for v in values)
+    return SweepSpec(parameter=parameter, values=values, loops=loops)
 
 
 def parse_config(raw: dict) -> RunConfig:
@@ -235,17 +248,15 @@ def parse_config(raw: dict) -> RunConfig:
     config = RunConfig(
         particle=particle,
         solenoid=solenoid,
-        loop_kind=loop_kind,
-        loop_params=loop_params,
         loop=_build("loop", make_loop, loop_kind, **loop_params),
         a=a,
         quadrature=quadrature,
         projection=projection,
         spinor=spinor,
-        sweep=_parse_sweep(raw["sweep"]) if "sweep" in raw else None,
+        sweep=None,
     )
-    if config.sweep is not None:
-        _check_sweep_values(config)
+    if "sweep" in raw:
+        config = replace(config, sweep=_parse_sweep(raw["sweep"], config, loop_kind, loop_params))
     return config
 
 
@@ -274,37 +285,16 @@ def run_phase(config: RunConfig) -> PhaseResult:
     )
 
 
-def _swept(config: RunConfig, value: float) -> dict:
-    """The RunConfig field that a gup.a, particle.v or solenoid.flux row replaces.
-
-    It is built by the engine constructor of the swept value, which rejects a bad one.
-    """
-    parameter = config.sweep.parameter
-    if parameter == "gup.a":
-        return {"a": GupParameter(a=value, a0=value).a}
-    if parameter == "particle.v":
-        return {"particle": replace(config.particle, speed=value)}
-    if parameter == "solenoid.flux":
-        return {"solenoid": replace(config.solenoid, flux=value)}
-    raise ConfigError(f"unsupported sweep parameter {parameter!r}")
-
-
-def _with_sweep_value(config: RunConfig, value: float) -> RunConfig:
-    if config.sweep.parameter == "loop.radius":
-        params = dict(config.loop_params, radius=value)
-        return replace(config, loop_params=params, loop=make_loop(config.loop_kind, **params))
-    return replace(config, **_swept(config, value))
-
-
 def run_sweep(config: RunConfig):
-    """Evaluate the engine once per sweep value, preserving input order."""
+    """Evaluate the engine once per sweep value, preserving input order; every row is built before any runs."""
     if config.sweep is None:
         raise ConfigError("config has no sweep section")
-    rows = []
-    for value in config.sweep.values:
-        result = run_phase(_with_sweep_value(config, value))
-        rows.append((value, result))
-    return rows
+    sweep = config.sweep
+    if sweep.loops:
+        rows = [replace(config, loop=loop) for loop in sweep.loops]
+    else:
+        rows = [replace(config, **_swept(config, sweep.parameter, value)) for value in sweep.values]
+    return [(value, run_phase(row)) for value, row in zip(sweep.values, rows)]
 
 
 def sweep_csv(rows) -> str:
@@ -459,39 +449,6 @@ def run_verification(level: str = "fast", gamma_perturbation: float = 0.0) -> di
 # --- command-line interface ---------------------------------------------------
 
 
-def _write(stream, text: str):
-    stream.write(text)
-    stream.flush()
-
-
-def cmd_phase(config: RunConfig, stream) -> int:
-    result = run_phase(config)
-    _write(stream, json.dumps(result.to_json_dict(), indent=2) + "\n")
-    return 0
-
-
-def cmd_sweep(config: RunConfig, stream) -> int:
-    _write(stream, sweep_csv(run_sweep(config)))
-    return 0
-
-
-def cmd_verify(level: str, stream, gamma_perturbation: float = 0.0) -> int:
-    report = run_verification(level, gamma_perturbation)
-    _write(stream, json.dumps(report, indent=2) + "\n")
-    return 0 if report["all_passed"] else 1
-
-
-def cmd_dispersion(config: RunConfig, p_max: float, steps: int, stream) -> int:
-    _write(stream, dispersion_csv(config, p_max, steps))
-    return 0
-
-
-def _open_output(path):
-    if path is None:
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
-
-
 @lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use and shared by later calls."""
@@ -527,31 +484,39 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; its output goes to stdout or ``-o FILE`` only once it has finished."""
     args = _parser().parse_args(argv)
+    code = 0
     try:
-        stream, owned = _open_output(getattr(args, "output", None))
-        try:
+        if args.command == "verify":
+            report = run_verification(args.level, 1e-6 if args.inject_fault else 0.0)
+            text, code = json.dumps(report, indent=2) + "\n", 0 if report["all_passed"] else 1
+        else:
+            config = load_config(args.config)
             if args.command == "phase":
-                return cmd_phase(load_config(args.config), stream)
-            if args.command == "sweep":
-                config = load_config(args.config)
-                if config.sweep is None:
-                    raise ConfigError("sweep command needs a 'sweep' section in the config")
-                return cmd_sweep(config, stream)
-            if args.command == "verify":
-                return cmd_verify(args.level, stream, 1e-6 if args.inject_fault else 0.0)
-            if args.command == "dispersion":
-                return cmd_dispersion(load_config(args.config), args.pmax, args.steps, stream)
-            raise ConfigError(f"unknown command {args.command!r}")
-        finally:
-            if owned:
-                stream.close()
+                text = json.dumps(run_phase(config).to_json_dict(), indent=2) + "\n"
+            elif args.command == "dispersion":
+                text = dispersion_csv(config, args.pmax, args.steps)
+            elif config.sweep is None:
+                raise ConfigError("sweep command needs a 'sweep' section in the config")
+            else:
+                text = sweep_csv(run_sweep(config))
+        if args.output is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            try:
+                with open(args.output, "w", encoding="utf-8", newline="") as stream:
+                    stream.write(text)
+            except OSError as exc:
+                raise ConfigError(f"cannot write output file: {exc}") from exc
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except GupabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return code
 
 
 if __name__ == "__main__":

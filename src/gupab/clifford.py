@@ -71,12 +71,6 @@ class FourVector:
     def square(self) -> float:
         return self.dot(self)
 
-    def spatial(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
-    def __add__(self, other: "FourVector") -> "FourVector":
-        return FourVector(self.t + other.t, self.x + other.x, self.y + other.y, self.z + other.z)
-
     @classmethod
     def from_spatial(cls, t: float, p3) -> "FourVector":
         p3 = np.asarray(p3, dtype=float)

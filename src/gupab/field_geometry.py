@@ -150,21 +150,20 @@ def line_segment(start, end) -> Segment:
     return Segment(point, tangent, endpoints=endpoints)
 
 
-def arc_segment(center, radius, theta0, theta1, z=None) -> Segment:
-    """Circular arc in a z = const plane, angles in radians about the center."""
+def arc_segment(center, radius, theta0, theta1) -> Segment:
+    """Circular arc in the plane z = center_z, angles in radians about the center."""
     center = np.asarray(center, dtype=float)
     if not (radius > 0.0):
         raise GeometryError("arc radius must be positive")
     if theta1 == theta0:
         raise GeometryError("degenerate arc: zero angular sweep")
-    height = center[2] if z is None else float(z)
     sweep = theta1 - theta0
 
     def point(s):
         s = np.atleast_1d(np.asarray(s, dtype=float))
         th = theta0 + s * sweep
         return np.column_stack(
-            [center[0] + radius * np.cos(th), center[1] + radius * np.sin(th), np.full(s.size, height)]
+            [center[0] + radius * np.cos(th), center[1] + radius * np.sin(th), np.full(s.size, center[2])]
         )
 
     def tangent(s):
@@ -174,7 +173,7 @@ def arc_segment(center, radius, theta0, theta1, z=None) -> Segment:
             [-radius * sweep * np.sin(th), radius * sweep * np.cos(th), np.zeros(s.size)]
         )
 
-    arc = ((float(center[0]), float(center[1]), height), float(radius), float(theta0), float(sweep))
+    arc = ((float(center[0]), float(center[1]), float(center[2])), float(radius), float(theta0), float(sweep))
     return Segment(point, tangent, arc=arc)
 
 
@@ -258,7 +257,7 @@ class LoopPath:
             measured = [_measure(seg, s) for seg in segments]
             ends = np.array([seg_ends for seg_ends, _ in measured], dtype=float)
             lines = ends[[seg.endpoints is not None for seg in segments]]
-            chords = float(np.sum(np.linalg.norm(lines[:, 1] - lines[:, 0], axis=1)))
+            chords = float(np.sum(_gaps(lines[:, 0], lines[:, 1])))
             exact = chords + sum(seg.arc[1] * abs(seg.arc[3]) for seg in segments if seg.arc is not None)
             sampled = [scale for _, scale in measured if scale is not None]
             tol = 1e-12 * (exact + sum(sampled))
@@ -277,14 +276,14 @@ class LoopPath:
         return LoopPath(tuple(seg.reversed() for seg in reversed(self.segments)), closed=self.closed)
 
 
-def circle_loop(center=(0.0, 0.0, 0.0), radius=1.0, windings=1, phase=0.0) -> LoopPath:
-    """Circle in the z = center_z plane, traversed ``windings`` times (sign = orientation)."""
+def circle_loop(center=(0.0, 0.0, 0.0), radius=1.0, windings=1) -> LoopPath:
+    """Circle in the z = center_z plane from angle 0, traversed ``windings`` times (sign = orientation)."""
     if not (radius > 0.0):
         raise GeometryError("radius must be positive")
     w = int(windings)
     if w != windings or w == 0:
         raise GeometryError("windings must be a nonzero integer")
-    return LoopPath((arc_segment(center, radius, phase, phase + 2.0 * math.pi * w),))
+    return LoopPath((arc_segment(center, radius, 0.0, 2.0 * math.pi * w),))
 
 
 def _check_distinct(points: np.ndarray, name: str):
@@ -433,24 +432,36 @@ def loop_length(loop: LoopPath, quad: QuadratureSpec | None = None) -> IntegralR
 
 
 class LoopGeometry(NamedTuple):
-    """Closed forms of a path: None where some segment has none (see ``loop_geometry``)."""
+    """A path's azimuth swept about a solenoid axis (None if some segment has no closed form) and its clearance."""
 
-    length: float | None
-    swept_angle: float | None = None
-    clearance: float | None = None
+    swept_angle: float | None
+    clearance: float
 
 
-def _closest_radius_of_lines(radial: np.ndarray) -> float:
-    """Exact least distance from the axis over straight segments, from (k, 2, 3) endpoint radial vectors.
+def _unit_scale(radial: np.ndarray):
+    """(radial / scale, scale) of (k, 2, 3) radial vectors; each segment's scale is a power of 2 near its largest entry.
+
+    Dividing by a power of 2 is exact, so products of the scaled vectors,
+    whose largest entry lies in [1, 2), neither overflow nor underflow, and
+    ratios and angles formed from them equal those of the raw vectors bit for
+    bit whenever the raw products are representable.
+    """
+    _, exponent = np.frexp(np.max(np.abs(radial), axis=(1, 2)))
+    scale = np.ldexp(1.0, exponent - 1)
+    return radial / scale[:, None, None], scale
+
+
+def _closest_radius_of_lines(unit: np.ndarray, scale: np.ndarray) -> float:
+    """Exact least distance from the axis over straight segments, from ``_unit_scale``'d endpoint radial vectors.
 
     The radial offset r_a + t r_delta is linear in t, so its norm is least at
     t* = -r_a . r_delta / |r_delta|^2, clamped to [0, 1].
     """
-    r_a, r_delta = radial[:, 0], radial[:, 1] - radial[:, 0]
+    r_a, r_delta = unit[:, 0], unit[:, 1] - unit[:, 0]
     length_sq = np.sum(r_delta * r_delta, axis=1)
     t = np.divide(-np.sum(r_a * r_delta, axis=1), length_sq, out=np.zeros_like(length_sq), where=length_sq > 0.0)
     closest = r_a + np.clip(t, 0.0, 1.0)[:, None] * r_delta
-    return float(np.min(np.linalg.norm(closest, axis=1)))
+    return float(np.min(np.linalg.norm(closest, axis=1) * scale))
 
 
 def _arc_about_axis(arc, spec: SolenoidSpec):
@@ -471,10 +482,12 @@ def _arc_about_axis(arc, spec: SolenoidSpec):
     # when the axis lies between sub-arc and chord: inside the circle, on the arc's side of the chord.
     # One cross-product scalar feeds both the atan2 and the side test, so an axis on a chord line
     # gives the same total from either sign of zero.
+    # The chord ends are taken in units of a power of 2 near the arc's size, as in ``_unit_scale``.
     turns = round(sweep / (2.0 * math.pi))
     rest = sweep - 2.0 * math.pi * turns
     t = np.linspace(theta0, theta0 + rest, math.ceil(abs(rest) / (0.5 * math.pi)) + 1)
-    u, v = radius * np.cos(t) - ax, radius * np.sin(t) - ay
+    unit = math.ldexp(1.0, math.frexp(max(radius, abs(ax), abs(ay)))[1] - 1)
+    u, v = (radius / unit) * np.cos(t) - ax / unit, (radius / unit) * np.sin(t) - ay / unit
     cross = facing * (u[:-1] * v[1:] - v[:-1] * u[1:])
     angles = float(np.sum(np.arctan2(cross, u[:-1] * u[1:] + v[:-1] * v[1:])))
     if offset >= radius:
@@ -483,30 +496,26 @@ def _arc_about_axis(arc, spec: SolenoidSpec):
     return clearance, angles + 2.0 * math.pi * (facing * turns + math.copysign(between, facing * rest))
 
 
-def loop_geometry(loop: LoopPath, spec: SolenoidSpec | None = None) -> LoopGeometry:
-    """The path's exact length and, given a solenoid, its swept azimuth and clearance.
+def loop_geometry(loop: LoopPath, spec: SolenoidSpec) -> LoopGeometry:
+    """The path's swept azimuth about the solenoid axis and its clearance from it.
 
-    The length is the one ``LoopPath`` records: |end - start| per line and
-    r |sweep| per arc, or None if some segment is a generic curve. About the
-    solenoid axis, a line sweeps the atan2 angle between its endpoints'
-    radial vectors, and an arc whose plane is normal to the axis sweeps the
-    sum from ``_arc_about_axis``; the swept angle is None if some segment is
-    neither. The clearance, the least distance from the axis, is always
-    given: exact for lines and normal arcs, the least of 256 samples per
-    segment otherwise.
+    A line sweeps the atan2 angle between its endpoints' radial vectors,
+    taken in units of their ``_unit_scale``, and an arc whose plane is
+    normal to the axis sweeps the sum from ``_arc_about_axis``; the swept
+    angle is None if some segment is neither. The clearance, the least
+    distance from the axis, is always given: exact for lines and normal
+    arcs, the least of 256 samples per segment otherwise.
     """
-    if spec is None:
-        return LoopGeometry(loop.length)
     lines = loop.ends[[seg.endpoints is not None for seg in loop.segments]]
     arcs = [seg for seg in loop.segments if seg.arc is not None]
     curves = [seg for seg in loop.segments if seg.endpoints is None and seg.arc is None]
     swept, rho = 0.0, []
     if lines.size:
         d = np.asarray(spec.axis_direction)
-        radial, _ = spec.axial_decomposition(lines)
-        rho.append(_closest_radius_of_lines(radial))
-        turns = np.cross(radial[:, 0], radial[:, 1]) @ d
-        swept += float(np.sum(np.arctan2(turns, np.sum(radial[:, 0] * radial[:, 1], axis=1))))
+        unit, scale = _unit_scale(spec.axial_decomposition(lines)[0])
+        rho.append(_closest_radius_of_lines(unit, scale))
+        turns = np.cross(unit[:, 0], unit[:, 1]) @ d
+        swept += float(np.sum(np.arctan2(turns, np.sum(unit[:, 0] * unit[:, 1], axis=1))))
     if spec.axis_direction[0] == 0.0 and spec.axis_direction[1] == 0.0:
         for seg in arcs:
             clearance, angle = _arc_about_axis(seg.arc, spec)
@@ -518,4 +527,4 @@ def loop_geometry(loop: LoopPath, spec: SolenoidSpec | None = None) -> LoopGeome
         s = np.linspace(0.0, 1.0, _CLEARANCE_SAMPLES)
         _, sampled = spec.axial_decomposition(np.vstack([seg.point(s) for seg in curves]))
         rho.append(float(np.min(sampled)))
-    return LoopGeometry(loop.length, None if curves else swept, min(rho))
+    return LoopGeometry(None if curves else swept, min(rho))

@@ -6,12 +6,13 @@ The deformation rescales momenta radially,
 
 which realizes, to second order in a, the deformed bracket
 
-    [x_i, p_j] = i hbar [ d_ij - a (p d_ij + p_i p_j / p)
-                          + a^2 (p^2 d_ij + 3 p_i p_j) ],
+    [x_i, p_j] = i [ d_ij - a (p d_ij + p_i p_j / p)
+                     + a^2 (p^2 d_ij + 3 p_i p_j) ],
 
-written in the deformed variables themselves. Two independent evaluations are
-provided: ``commutator_target`` evaluates that right-hand side directly, and
-``jacobian_commutator`` evaluates i hbar dp_j/dp0_i from the map, which is the
+written in the deformed variables themselves. The module works in natural
+units only (hbar = 1). Two independent evaluations are provided:
+``commutator_target`` evaluates that right-hand side directly, and
+``jacobian_commutator`` evaluates i dp_j/dp0_i from the map, which is the
 exact bracket. Each builds the whole 3x3 bracket matrix at once and returns
 the requested entry: a complex number for a 3-vector p0, an (...) array for
 an (..., 3) array of momenta. They agree to O(a^3);
@@ -20,7 +21,7 @@ scaling numerically.
 
 The grid lab and the uncertainty check work on a uniform 1D momentum grid on
 a positive half-line, where |p| = p is smooth. The position operator in the
-momentum representation is x = i hbar d/dp, applied as the truncated
+momentum representation is x = i d/dp, applied as the truncated
 antisymmetric central-difference stencil (exactly Hermitian, second order);
 the deformed momentum is multiplication by the sampled map.
 """
@@ -39,6 +40,8 @@ from .errors import DomainError, SingularInputError
 # vanish at the boundaries.
 _PROBE_CENTER_FRACTION = 0.5
 _PROBE_WIDTH_FRACTION = 0.15
+# Points the lab leaves out at each end of the grid, where the stencil is truncated.
+_BOUNDARY_MARGIN = 2
 
 _DELTA = np.eye(3)
 
@@ -72,42 +75,42 @@ def deform_momentum(p0, a: float) -> np.ndarray:
     return p0 * deformation_factor(np.linalg.norm(p0, axis=-1, keepdims=True), a)
 
 
-def _brackets(p0, a, hbar, kind):
+def _brackets(p0, a, kind):
     """(..., 3, 3) brackets over all (i, j): the deformed-bracket 'target' or the exact 'jacobian'."""
     p0 = _momenta(p0)
     _check_coupling(a)
     mag = np.linalg.norm(p0, axis=-1)[..., None, None]
     if a == 0.0:
-        return 1j * hbar * np.broadcast_to(_DELTA, mag.shape[:-2] + (3, 3))
+        return 1j * np.broadcast_to(_DELTA, mag.shape[:-2] + (3, 3))
     if np.any(mag == 0.0):
         raise SingularInputError(f"{kind} bracket needs |p0| > 0 when a > 0")
     if kind == "jacobian":
         p_i, p_j = p0[..., :, None], p0[..., None, :]
-        return 1j * hbar * (_DELTA * deformation_factor(mag, a) + p_j * (-a * p_i / mag + 4.0 * a * a * p_i))
+        return 1j * (_DELTA * deformation_factor(mag, a) + p_j * (-a * p_i / mag + 4.0 * a * a * p_i))
     pd = deform_momentum(p0, a)
     mag = np.linalg.norm(pd, axis=-1)[..., None, None]
     pipj = pd[..., :, None] * pd[..., None, :]
-    return 1j * hbar * (_DELTA - a * (mag * _DELTA + pipj / mag) + a * a * (mag * mag * _DELTA + 3.0 * pipj))
+    return 1j * (_DELTA - a * (mag * _DELTA + pipj / mag) + a * a * (mag * mag * _DELTA + 3.0 * pipj))
 
 
-def _bracket(p0, i, j, a, hbar, kind):
+def _bracket(p0, i, j, a, kind):
     _check_axis(i)
     _check_axis(j)
-    value = _brackets(p0, a, hbar, kind)[..., i - 1, j - 1]
+    value = _brackets(p0, a, kind)[..., i - 1, j - 1]
     return complex(value) if value.ndim == 0 else value
 
 
-def commutator_target(p0, i: int, j: int, a: float, hbar: float = 1.0):
+def commutator_target(p0, i: int, j: int, a: float):
     """Deformed-bracket right-hand side, evaluated in the deformed variables."""
-    return _bracket(p0, i, j, a, hbar, "target")
+    return _bracket(p0, i, j, a, "target")
 
 
-def jacobian_commutator(p0, i: int, j: int, a: float, hbar: float = 1.0):
-    """Exact bracket i hbar dp_j/dp0_i of the deformation map."""
-    return _bracket(p0, i, j, a, hbar, "jacobian")
+def jacobian_commutator(p0, i: int, j: int, a: float):
+    """Exact bracket i dp_j/dp0_i of the deformation map."""
+    return _bracket(p0, i, j, a, "jacobian")
 
 
-def commutator_consistency_exponent(p0, a_values=(1e-1, 1e-2, 1e-3), hbar: float = 1.0) -> float:
+def commutator_consistency_exponent(p0, a_values=(1e-1, 1e-2, 1e-3)) -> float:
     """Fitted log-log slope, over the given a values, of the largest |jacobian - target| entry.
 
     p0 is a 3-vector or an (..., 3) array; the maximum runs over every
@@ -117,7 +120,7 @@ def commutator_consistency_exponent(p0, a_values=(1e-1, 1e-2, 1e-3), hbar: float
     a_values = [float(a) for a in a_values]
     if len(a_values) < 2 or any(a <= 0.0 for a in a_values):
         raise DomainError("need at least two positive a values")
-    devs = [np.max(np.abs(_brackets(p0, a, hbar, "jacobian") - _brackets(p0, a, hbar, "target"))) for a in a_values]
+    devs = [np.max(np.abs(_brackets(p0, a, "jacobian") - _brackets(p0, a, "target"))) for a in a_values]
     return float(np.polyfit(np.log(a_values), np.log(devs), 1)[0])
 
 
@@ -126,7 +129,6 @@ class MomentumGrid:
     """Uniform 1D momentum samples on a positive half-line."""
 
     points: np.ndarray
-    boundary_margin: int = 2
 
     def __post_init__(self):
         points = np.asarray(self.points, dtype=float)
@@ -139,14 +141,12 @@ class MomentumGrid:
         h = float(steps[0])
         if h <= 0.0 or np.max(np.abs(steps - h)) >= 1e-12 * h:
             raise DomainError("grid spacing must be uniform and increasing")
-        if self.boundary_margin < 1 or 2 * self.boundary_margin >= points.size:
-            raise DomainError("boundary margin must satisfy 1 <= margin < n/2")
 
     @classmethod
-    def uniform(cls, p_min: float, p_max: float, n: int, boundary_margin: int = 2) -> "MomentumGrid":
+    def uniform(cls, p_min: float, p_max: float, n: int) -> "MomentumGrid":
         if not (0.0 < p_min < p_max):
             raise DomainError("require 0 < p_min < p_max")
-        return cls(np.linspace(p_min, p_max, n), boundary_margin)
+        return cls(np.linspace(p_min, p_max, n))
 
     @property
     def h(self) -> float:
@@ -169,12 +169,12 @@ class CommutatorReport:
     gup_scaling_exponent: float
 
 
-def _position(psi, h: float, hbar: float) -> np.ndarray:
-    """x psi for x = i hbar d/dp: the truncated antisymmetric central-difference stencil."""
+def _position(psi, h: float) -> np.ndarray:
+    """x psi for x = i d/dp: the truncated antisymmetric central-difference stencil."""
     xpsi = np.zeros(psi.shape, dtype=complex)
     xpsi[:-1] += psi[1:] / (2.0 * h)
     xpsi[1:] -= psi[:-1] / (2.0 * h)
-    xpsi *= 1j * hbar
+    xpsi *= 1j
     return xpsi
 
 
@@ -190,23 +190,24 @@ def _probe_state(points: np.ndarray) -> np.ndarray:
     return np.exp(-((points - center) ** 2) / (2.0 * width * width))
 
 
-def _lab_max_residual(points: np.ndarray, margin: int, a: float, hbar: float) -> float:
+def _lab_max_residual(points: np.ndarray, a: float) -> float:
     """Max interior deviation of [x, p] applied to the probe from the exact bracket."""
     h = float(points[1] - points[0])
     g = points * deformation_factor(points, a)
     psi = _probe_state(points)
-    commutator = _position(g * psi, h, hbar) - g * _position(psi, h, hbar)
-    residual = commutator - jacobian_commutator(_on_x_axis(points), 1, 1, a, hbar) * psi
-    return float(np.max(np.abs(residual[margin : points.size - margin])))
+    commutator = _position(g * psi, h) - g * _position(psi, h)
+    residual = commutator - jacobian_commutator(_on_x_axis(points), 1, 1, a) * psi
+    return float(np.max(np.abs(residual[_BOUNDARY_MARGIN : points.size - _BOUNDARY_MARGIN])))
 
 
-def grid_operator_lab(grid: MomentumGrid, a: float, hbar: float = 1.0) -> CommutatorReport:
+def grid_operator_lab(grid: MomentumGrid, a: float) -> CommutatorReport:
     """Finite-dimensional commutator test of the deformation map.
 
     Applies [x, p] psi = x (g psi) - g (x psi) to the probe state, where g is
-    the deformed momentum sampled on the grid and x = i hbar d/dp is the
-    central-difference stencil, and measures, on interior points, how far it
-    falls from the exact analytic bracket times psi. The residual is reported
+    the deformed momentum sampled on the grid and x = i d/dp is the
+    central-difference stencil, and measures, on the points at least
+    ``_BOUNDARY_MARGIN`` from either end, how far it falls from the exact
+    analytic bracket times psi. The residual is reported
     together with its convergence order under grid refinement (expected 2,
     from the stencil) and, for a > 0, the log-log slope of the
     jacobian-vs-target deviation at the interior momenta (p, 0, 0) over a
@@ -219,17 +220,16 @@ def grid_operator_lab(grid: MomentumGrid, a: float, hbar: float = 1.0) -> Commut
     if a > 0.0 and a * p_max >= 0.5:
         raise DomainError("perturbative regime requires a * p_max < 0.5")
 
-    margin = max(grid.boundary_margin, 2)
     coarse = grid.points
     fine = np.linspace(coarse[0], coarse[-1], 2 * grid.n)
-    res_coarse = _lab_max_residual(coarse, margin, a, hbar)
-    res_fine = _lab_max_residual(fine, margin, a, hbar)
+    res_coarse = _lab_max_residual(coarse, a)
+    res_fine = _lab_max_residual(fine, a)
     h_coarse = float(coarse[1] - coarse[0])
     h_fine = float(fine[1] - fine[0])
     order = math.log(res_coarse / res_fine) / math.log(h_coarse / h_fine)
     decade = (a, a / math.sqrt(10.0), a / 10.0)
-    interior = _on_x_axis(coarse[margin : coarse.size - margin])
-    exponent = commutator_consistency_exponent(interior, decade, hbar) if a > 0.0 else math.nan
+    interior = _on_x_axis(coarse[_BOUNDARY_MARGIN : coarse.size - _BOUNDARY_MARGIN])
+    exponent = commutator_consistency_exponent(interior, decade) if a > 0.0 else math.nan
 
     return CommutatorReport(
         a=a,
@@ -247,20 +247,16 @@ def _trapezoid_weights(n: int, h: float) -> np.ndarray:
     return w
 
 
-def gaussian_state(grid: MomentumGrid, center: float | None = None, width: float | None = None) -> np.ndarray:
+def gaussian_state(grid: MomentumGrid) -> np.ndarray:
     """Minimum-uncertainty Gaussian amplitudes, trapezoid-normalized on the grid.
 
-    ``width`` is the momentum spread; the position spread of the continuum
-    state is hbar / (2 width). Defaults put the packet mid-grid with the
-    6-sigma points at the boundaries.
+    The packet sits mid-grid with its 6-sigma points at the boundaries: its
+    momentum spread is width = span / 12, and the position spread of the
+    continuum state is 1 / (2 width).
     """
     p = grid.points
-    if center is None:
-        center = float(0.5 * (p[0] + p[-1]))
-    if width is None:
-        width = float((p[-1] - p[0]) / 12.0)
-    if not width > 0.0:
-        raise DomainError("width must be positive")
+    center = float(0.5 * (p[0] + p[-1]))
+    width = float((p[-1] - p[0]) / 12.0)
     psi = np.exp(-((p - center) ** 2) / (4.0 * width * width)).astype(complex)
     norm = np.sqrt(np.sum(_trapezoid_weights(grid.n, grid.h) * np.abs(psi) ** 2))
     return psi / norm
@@ -283,16 +279,15 @@ def uncertainty_check(
     grid: MomentumGrid,
     state,
     a: float,
-    hbar: float = 1.0,
-    tolerance: float | None = None,
+    tolerance: float = 1e-3 / 2.0,
 ) -> UncertaintyReport:
-    """Test Dx Dp >= (hbar/2)(1 - 2 a <p> + 4 a^2 <p^2>) on a grid state.
+    """Test Dx Dp >= (1/2)(1 - 2 a <p> + 4 a^2 <p^2>) on a grid state.
 
     <p> and <p^2> are moments of the deformed momentum. Expectation values
     use uniform grid weights, under which the difference stencil is exactly
     Hermitian and the product Dx Dp obeys the exact finite-dimensional
     Robertson bound; the normalization precondition is checked with
-    trapezoid weights. The default tolerance (1e-3 * hbar / 2) absorbs the
+    trapezoid weights. The default tolerance (1e-3 / 2) absorbs the
     O(h^2) discretization bias of the stencil for well-resolved states.
     """
     psi = np.asarray(state, dtype=complex)
@@ -303,12 +298,10 @@ def uncertainty_check(
     trap_norm = float(np.sum(_trapezoid_weights(grid.n, h) * np.abs(psi) ** 2))
     if abs(trap_norm - 1.0) > 1e-8:
         raise DomainError("state must be trapezoid-normalized to 1 within 1e-8")
-    if tolerance is None:
-        tolerance = 1e-3 * hbar / 2.0
 
     norm_sq = h * float(np.sum(np.abs(psi) ** 2))
 
-    xpsi = _position(psi, h, hbar)
+    xpsi = _position(psi, h)
     mean_x = h * float(np.real(np.vdot(psi, xpsi))) / norm_sq
     mean_x_sq = h * float(np.vdot(xpsi, xpsi).real) / norm_sq
     delta_x = math.sqrt(max(mean_x_sq - mean_x * mean_x, 0.0))
@@ -320,7 +313,7 @@ def uncertainty_check(
     delta_p = math.sqrt(max(mean_p_sq - mean_p * mean_p, 0.0))
 
     lhs = delta_x * delta_p
-    rhs = (hbar / 2.0) * (1.0 - 2.0 * a * mean_p + 4.0 * a * a * mean_p_sq)
+    rhs = 0.5 * (1.0 - 2.0 * a * mean_p + 4.0 * a * a * mean_p_sq)
     return UncertaintyReport(
         delta_x=delta_x,
         delta_p=delta_p,

@@ -25,7 +25,8 @@ radians without 2 pi reduction. Natural units (hbar = c = 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -188,14 +189,15 @@ def gup_phase_projected(
     'fixed_spinor' evaluates Re <u| M |u> / <u|u> for a caller-supplied
     spinor u.
     """
-    value, _ = _projected_correction(particle, loop, a, quad or QuadratureSpec(), projection, spinor)
+    correction = _matrix_correction(particle, loop, a, quad or QuadratureSpec())
+    value, _ = _projected_correction(particle, correction, projection, spinor)
     return value
 
 
-def _projected_correction(particle, loop, a, quad, projection, spinor, correction=None):
-    """(value, error) of the projection; ``correction`` reuses a (matrix, error) already built."""
+def _projected_correction(particle, correction, projection, spinor):
+    """(value, error) of the projection of the built correction, a (matrix, error) pair."""
+    matrix, err = correction
     if projection == "comoving_on_shell":
-        matrix, err = correction or _matrix_correction(particle, loop, a, quad)
         ratio = particle.mass / particle.energy
         return ratio * float(matrix[0, 0].real), ratio * err
     if projection == "fixed_spinor":
@@ -207,7 +209,6 @@ def _projected_correction(particle, loop, a, quad, projection, spinor, correctio
         norm_sq = float(np.real(np.vdot(u, u)))
         if norm_sq == 0.0:
             raise DomainError("spinor must be nonzero")
-        matrix, err = correction or _matrix_correction(particle, loop, a, quad)
         value = float(np.real(np.vdot(u, matrix @ u))) / norm_sq
         return value, err
     raise DomainError(f"unknown projection {projection!r}")
@@ -231,9 +232,7 @@ def total_phase(
     with np.errstate(over="ignore", invalid="ignore"):  # reported once, below
         standard = _ab_integral(particle, solenoid, loop, quad)
         matrix, matrix_err = _matrix_correction(particle, loop, a, quad)
-        projected, projected_err = _projected_correction(
-            particle, loop, a, quad, projection, spinor, (matrix, matrix_err)
-        )
+        projected, projected_err = _projected_correction(particle, (matrix, matrix_err), projection, spinor)
     total = standard.value + projected
     scalars = (standard.value, projected, total, standard.error_estimate, matrix_err, projected_err)
     if not (all(map(math.isfinite, scalars)) and np.isfinite(matrix).all()):
@@ -250,21 +249,27 @@ def total_phase(
 
 @dataclass(frozen=True)
 class DispersionResult:
-    """Analytic branches and the diagonalized spectrum; arrays over (..., 3) momenta."""
+    """Analytic branches and the explicit 4x4 Hamiltonian; arrays over (..., 3) momenta."""
 
     e_plus: float | np.ndarray
     e_minus: float | np.ndarray
-    eigenvalues: np.ndarray  # ascending, doubly degenerate pairs
+    hamiltonian: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Ascending spectrum of the Hamiltonian, in doubly degenerate pairs, diagonalized on first read."""
+        return np.linalg.eigvalsh(self.hamiltonian)
 
 
 def dispersion(p3, m: float, a: float) -> DispersionResult:
     """Energy branches of H = alpha.p + a (alpha.p)^2 + beta m.
 
     Since (alpha.p)^2 = |p|^2, the branches are +-sqrt(|p|^2 + m^2) + a |p|^2,
-    each doubly degenerate; the explicit 4x4 spectrum is returned alongside
-    as a cross-check. ``p3`` is a 3-vector or an (..., 3) array of them.
-    Raises ``GupabError`` if the Hamiltonian or a branch is not finite, as
-    when a |p|^2 overflows double precision.
+    each doubly degenerate; the explicit 4x4 Hamiltonian is returned
+    alongside, and its spectrum, a cross-check, is computed when
+    ``eigenvalues`` is first read. ``p3`` is a 3-vector or an (..., 3) array
+    of them. Raises ``GupabError`` if the Hamiltonian or a branch is not
+    finite, as when a |p|^2 overflows double precision.
     """
     if not (m > 0.0):
         raise DomainError("mass must be positive")
@@ -281,4 +286,4 @@ def dispersion(p3, m: float, a: float) -> DispersionResult:
         e_plus, e_minus = root + a * p_sq, -root + a * p_sq
     if not all(np.isfinite(x).all() for x in (hamiltonian, e_plus, e_minus)):
         raise GupabError("dispersion is not finite: the inputs overflow double precision")
-    return DispersionResult(e_plus=e_plus, e_minus=e_minus, eigenvalues=np.linalg.eigvalsh(hamiltonian))
+    return DispersionResult(e_plus=e_plus, e_minus=e_minus, hamiltonian=hamiltonian)

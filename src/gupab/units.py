@@ -47,8 +47,8 @@ class UnitSystem:
             raise DomainError("Planck scales must be strictly positive")
 
     @classmethod
-    def natural(cls, planck_length=1.0, planck_mass=1.0) -> "UnitSystem":
-        return cls("natural", 1.0, 1.0, planck_length, planck_mass)
+    def natural(cls) -> "UnitSystem":
+        return cls("natural", 1.0, 1.0, 1.0, 1.0)
 
     @classmethod
     def si(cls) -> "UnitSystem":
@@ -57,10 +57,9 @@ class UnitSystem:
 
 @dataclass(frozen=True)
 class GupParameter:
-    """Deformation strength a (inverse momentum) and its dimensionless origin a0."""
+    """Deformation strength a (inverse momentum)."""
 
     a: float
-    a0: float
 
     def __post_init__(self):
         if self.a < 0.0:
@@ -76,8 +75,8 @@ def gup_from_a0(a0: float, units: UnitSystem) -> GupParameter:
     if a0 < 0.0 or not math.isfinite(a0):
         raise DomainError("a0 must be finite and nonnegative")
     if units.mode == "si":
-        return GupParameter(a=a0 * units.planck_length / units.hbar, a0=a0)
-    return GupParameter(a=a0, a0=a0)
+        return GupParameter(a=a0 * units.planck_length / units.hbar)
+    return GupParameter(a=a0)
 
 
 def min_length(a0: float, units: UnitSystem) -> float:

@@ -154,14 +154,14 @@ def riemann_circulation(field, loop, nodes=20_000):
     return total
 
 
-def dense_commutator_residual(points, margin, a, hbar=1.0):
+def dense_commutator_residual(points, margin, a):
     """Grid-lab residual from the dense n x n commutator [x, p] = x p - p x.
 
-    x = i hbar D, with D the truncated antisymmetric central-difference
+    x = i D, with D the truncated antisymmetric central-difference
     matrix, and p the diagonal deformed momentum. The probe is the lab's
     mid-grid Gaussian of width 0.15 of the span, and the exact bracket on the
     x axis is 1 - 2 a p + 6 a^2 p^2. Returns the largest deviation of [x, p]
-    psi from i hbar times that bracket times psi, over the points at least
+    psi from i times that bracket times psi, over the points at least
     ``margin`` from either end.
     """
     n = points.size
@@ -170,11 +170,11 @@ def dense_commutator_residual(points, margin, a, hbar=1.0):
     idx = np.arange(n - 1)
     d[idx, idx + 1] = 1.0 / (2.0 * h)
     d[idx + 1, idx] = -1.0 / (2.0 * h)
-    x_op = 1j * hbar * d
+    x_op = 1j * d
     p_op = np.diag((points * (1.0 - a * points + 2.0 * a * a * points * points)).astype(complex))
     span = points[-1] - points[0]
     width = 0.15 * span
     psi = np.exp(-((points - (points[0] + 0.5 * span)) ** 2) / (2.0 * width * width))
-    bracket = 1j * hbar * (1.0 - 2.0 * a * points + 6.0 * a * a * points * points)
+    bracket = 1j * (1.0 - 2.0 * a * points + 6.0 * a * a * points * points)
     residual = (x_op @ p_op - p_op @ x_op) @ psi - bracket * psi
     return float(np.max(np.abs(residual[margin : n - margin])))

@@ -28,7 +28,7 @@ from gupab.cli_io import (
 )
 from gupab.errors import ConfigError
 from gupab.field_geometry import SolenoidSpec
-from gupab.phase_engine import PhaseResult
+from gupab.phase_engine import PhaseResult, dispersion
 
 BASE_CONFIG = {
     "particle": {"q": 1.0, "m": 1.0, "v": 0.6},
@@ -464,6 +464,108 @@ def test_overflowing_loop_inputs(tmp_path, capsys, loop, code):
         result = json.loads(captured.out)
         assert result["standard_phase"] == 3.0
         assert math.isfinite(result["total_phase"]) and result["projected_correction"] < 0.0
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ([1e308], "sweep.values for loop.segment has non-finite points or tangents"),
+        # the first row enters the coil, a computation error that must not hide the bad second row
+        ([0.05, 1e308], "sweep.values for loop.segment has non-finite points or tangents"),
+        ([0.05, -1.0], "sweep.values for loop.radius must be positive"),
+    ],
+)
+def test_loop_radius_sweep_rows_are_config_errors(tmp_path, capsys, values, message):
+    payload = json.loads(json.dumps(BASE_CONFIG))
+    payload["sweep"] = {"parameter": "loop.radius", "values": values}
+    assert main(["sweep", "-c", write_config(tmp_path, payload)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"config error: {message}"]
+
+
+@pytest.mark.parametrize("scale, coil", [(1e-160, 1e-200), (1e200, 0.1)])
+def test_square_phase_at_extreme_scales(tmp_path, capsys, scale, coil):
+    # the length and the swept azimuth of each edge are taken without squaring its coordinates
+    payload = json.loads(json.dumps(BASE_CONFIG))
+    payload["solenoid"]["radius"] = coil
+    square = [[scale, scale, 0.0], [-scale, scale, 0.0], [-scale, -scale, 0.0], [scale, -scale, 0.0]]
+    payload["loop"] = {"kind": "polyline", "vertices": square}
+    assert main(["phase", "-c", write_config(tmp_path, payload)]) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert result["standard_phase"] == pytest.approx(1.0, rel=1e-15)
+    # -a q m (E/v - p) L with E = 1.25, p = 0.75, v = 0.6 and L = 8 scale
+    exact = -0.01 * (1.25 / 0.6 - 0.75) * 8.0 * scale
+    assert result["projected_correction"] == pytest.approx(exact, rel=1e-14, abs=0.0)
+
+
+def test_dispersion_csv_skips_the_spectrum(tmp_path, monkeypatch):
+    calls = []
+    original = np.linalg.eigvalsh
+
+    def counted(matrix):
+        calls.append(matrix.shape)
+        return original(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    cli_io.dispersion_csv(load_config(write_config(tmp_path, BASE_CONFIG)), 2.0, 50)
+    assert calls == []
+    result = dispersion(np.array([[0.6, 0.0, 0.0], [0.0, 1.2, 0.0]]), 1.0, 0.1)
+    assert result.eigenvalues is result.eigenvalues  # diagonalized on first read, then kept
+    assert calls == [(2, 4, 4)]
+
+
+# --- one write path: -o is written only after the command has finished ---
+
+_WRITE_ARGV = {
+    "phase": ["phase"],
+    "sweep": ["sweep"],
+    "dispersion": ["dispersion", "--pmax", "2", "--steps", "5"],
+}
+
+
+def _write_case(tmp_path, command, kind):
+    payload = json.loads(json.dumps(BASE_CONFIG))
+    payload["sweep"] = {"parameter": "gup.a", "values": [0.0, 0.01]}
+    if kind == "bad":
+        payload["particle"]["v"] = 1.5
+    elif kind == "overflow":  # a q overflows the phase, a |p|^2 the dispersion
+        payload["gup"]["a"] = 1e308
+        payload["sweep"]["values"] = [1e308]
+    return _WRITE_ARGV[command] + ["-c", write_config(tmp_path, payload)]
+
+
+@pytest.mark.parametrize("command", sorted(_WRITE_ARGV))
+@pytest.mark.parametrize("kind, code", [("bad", 2), ("overflow", 1)])
+def test_failed_command_leaves_output_untouched(tmp_path, capsys, command, kind, code):
+    existing = tmp_path / "existing.out"
+    existing.write_bytes(b"earlier bytes\n")
+    argv = _write_case(tmp_path, command, kind)
+    assert main(argv + ["-o", str(existing)]) == code
+    assert existing.read_bytes() == b"earlier bytes\n"
+    fresh = tmp_path / "fresh.out"
+    assert main(argv + ["-o", str(fresh)]) == code
+    assert not fresh.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 2
+
+
+@pytest.mark.parametrize("command", sorted(_WRITE_ARGV) + ["verify"])
+def test_unwritable_output_is_a_config_error(tmp_path, capsys, command):
+    argv = ["verify"] if command == "verify" else _write_case(tmp_path, command, "good")
+    assert main(argv + ["-o", str(tmp_path / "missing" / "out.txt")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: ")
+
+
+def test_failing_verify_still_writes_its_report(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    assert main(["verify", "--inject-fault", "-o", str(report)]) == 1
+    assert capsys.readouterr().out == ""
+    assert json.loads(report.read_text(encoding="utf-8"))["all_passed"] is False
 
 
 # --- config fuzzer: every single mutation of BASE_CONFIG is a one-line config error ---

@@ -233,8 +233,8 @@ def test_orientation_reversal_negates():
 
 def test_concatenated_loops_add():
     field = lambda p: np.array([-p[1], p[0], 0.0])
-    big = circle_loop(radius=2.0, phase=0.0)  # starts at (2, 0, 0)
-    small = circle_loop(center=(1.5, 0.0, 0.0), radius=0.5, phase=0.0)  # also starts at (2, 0, 0)
+    big = circle_loop(radius=2.0)  # starts at (2, 0, 0)
+    small = circle_loop(center=(1.5, 0.0, 0.0), radius=0.5)  # also starts at (2, 0, 0)
     combined = LoopPath(big.segments + small.segments)
     quad = QuadratureSpec(nodes_per_segment=64)
     total = line_integral(field, combined, quad).value
@@ -424,8 +424,17 @@ def test_line_segment_records_endpoints():
     assert all(s.endpoints is not None for s in polyline_loop([(1, 0, 0), (0, 1, 0), (-1, -1, 0)]).reverse().segments)
 
 
+@pytest.mark.parametrize("step", [1.5e-256, 1e-160, 1.0, 1e200, 1e307])
+def test_line_length_is_scale_safe(step):
+    # chord lengths never square the step, so they neither underflow to 0 nor overflow to inf
+    path = LoopPath((line_segment((0.0, 0.0, 0.0), (0.0, 0.0, step)),), closed=False)
+    assert path.length == step
+    square = polyline_loop([(step, step, 0.0), (-step, step, 0.0), (-step, -step, 0.0), (step, -step, 0.0)])
+    assert square.length == pytest.approx(8.0 * step, rel=1e-15, abs=0.0)
+
+
 def test_arc_segment_records_arc():
-    seg = arc_segment((1.0, 2.0, 0.5), 3.0, 0.25, -2.0, z=1.5)
+    seg = arc_segment((1.0, 2.0, 1.5), 3.0, 0.25, -2.0)
     assert seg.arc == ((1.0, 2.0, 1.5), 3.0, 0.25, -2.25)
     back = seg.reversed()
     assert back.arc == ((1.0, 2.0, 1.5), 3.0, -2.0, 2.25)
@@ -449,10 +458,10 @@ def test_loop_geometry_lengths_are_exact():
         (half_disk, 2.0 * math.pi + 4.0),
     ]
     for loop, length in cases:
-        assert loop_geometry(loop).length == pytest.approx(length, rel=1e-15)
-        assert loop_geometry(loop).length == pytest.approx(loop_length(loop, DOUBLING).value, rel=1e-13)
-        assert loop_geometry(loop.reverse()).length == pytest.approx(length, rel=1e-15)
-    assert loop_geometry(fourier_loop(np.random.default_rng(79))).length is None
+        assert loop.length == pytest.approx(length, rel=1e-15)
+        assert loop.length == pytest.approx(loop_length(loop, DOUBLING).value, rel=1e-13)
+        assert loop.reverse().length == pytest.approx(length, rel=1e-15)
+    assert fourier_loop(np.random.default_rng(79)).length is None
     # a generic curve leaves the flux to quadrature, but still gets a (sampled) clearance
     generic = loop_geometry(fourier_loop(np.random.default_rng(79)), SolenoidSpec(flux=1.0, radius=0.1))
     assert generic.swept_angle is None and generic.clearance > 1.0

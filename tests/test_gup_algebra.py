@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from gupab.errors import DomainError, SingularInputError
 from gupab.gup_algebra import (
+    _BOUNDARY_MARGIN,
     MomentumGrid,
     _trapezoid_weights,
     commutator_consistency_exponent,
@@ -130,8 +131,6 @@ def test_momentum_grid_invariants():
         MomentumGrid.uniform(0.0, 2.0, 64)  # half-line requires p_min > 0
     with pytest.raises(DomainError):
         MomentumGrid(np.array([1.0, 1.1, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8]))  # nonuniform
-    with pytest.raises(DomainError):
-        MomentumGrid.uniform(1.0, 2.0, 64, boundary_margin=40)
 
 
 def test_lab_rejects_bad_inputs():
@@ -181,7 +180,7 @@ def test_uncertainty_gaussian_equality_at_zero_coupling():
 
 def test_uncertainty_deformed_gaussian():
     grid = MomentumGrid.uniform(0.5, 2.5, 2048)
-    state = gaussian_state(grid, center=1.5)
+    state = gaussian_state(grid)  # centred at p = 1.5
     a = 0.01
     report = uncertainty_check(grid, state, a)
     assert report.holds
@@ -219,7 +218,7 @@ def test_lab_residual_matches_dense_commutator(n, a):
     # Both sides subtract terms of size |p psi| / 2h ~ n, so their rounding
     # differs by ~n eps, about 1e-9 of the O(h^2) residual at n = 512.
     grid = MomentumGrid.uniform(1.0, 2.0, n)
-    oracle = dense_commutator_residual(grid.points, grid.boundary_margin, a)
+    oracle = dense_commutator_residual(grid.points, _BOUNDARY_MARGIN, a)
     assert grid_operator_lab(grid, a).max_residual_interior == pytest.approx(oracle, rel=1e-8)
 
 

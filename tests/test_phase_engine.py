@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -501,6 +501,46 @@ def test_reverse_negates_phase_of_arcs_and_polylines():
         if expected is not None:
             assert forward == pytest.approx(expected, abs=1e-12)
         assert abs(forward + ab_phase(PARTICLE, SOLENOID, path.reverse(), QuadratureSpec())) <= 1e-14
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e160, 1e300])
+def test_arc_phase_scales_with_the_loop(scale):
+    # an arc's sub-chords are measured in units of its size, so their products neither underflow nor overflow
+    def half_disk(s):
+        arc = arc_segment((0.0, -0.5 * s, 0.0), 2.0 * s, 0.0, math.pi)
+        return LoopPath((arc, line_segment((-2.0 * s, -0.5 * s, 0.0), (2.0 * s, -0.5 * s, 0.0))))
+
+    base = total_phase(PARTICLE, SOLENOID, half_disk(1.0), 0.01)
+    scaled = total_phase(PARTICLE, SolenoidSpec(flux=1.0, radius=0.1 * scale), half_disk(scale), 0.01)
+    assert scaled.standard_phase == pytest.approx(base.standard_phase, rel=1e-13)
+    assert scaled.projected_correction == pytest.approx(base.projected_correction * scale, rel=1e-13, abs=0.0)
+
+
+_STAR = [(1.0, 0.0), (1.5, 0.1), (2.0, -0.2), (1.2, 0.0)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(-200, 200),
+    center=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(-1.0, 1.0)),
+    star=st.lists(st.tuples(st.floats(1.0, 2.0), st.floats(-0.2, 0.2)), min_size=3, max_size=8),
+)
+@example(k=200, center=(0.5, -0.3, 0.0), star=_STAR)
+@example(k=-200, center=(0.5, -0.3, 0.0), star=_STAR)
+@example(k=-200, center=(2.5, 0.0, 0.0), star=_STAR)  # axis outside the loop
+def test_polyline_phase_scales_with_the_loop(k, center, star):
+    # scaling a polyline and its coil by 10^k keeps the flux phase and scales the correction by 10^k
+    n = len(star)
+    angles = [2.0 * math.pi * (i + jitter) / n for i, (_, jitter) in enumerate(star)]
+    points = np.array([(r * math.cos(t), r * math.sin(t), 0.0) for (r, _), t in zip(star, angles)]) + center
+    coil = SolenoidSpec(flux=1.0, radius=0.05)
+    loop = polyline_loop(points)
+    assume(loop_geometry(loop, coil).clearance > 0.06)
+    scale = 10.0**k
+    base = total_phase(PARTICLE, coil, loop, 0.01)
+    scaled = total_phase(PARTICLE, SolenoidSpec(flux=1.0, radius=0.05 * scale), polyline_loop(points * scale), 0.01)
+    assert scaled.standard_phase == pytest.approx(base.standard_phase, rel=1e-13, abs=1e-13)
+    assert scaled.projected_correction == pytest.approx(base.projected_correction * scale, rel=1e-13, abs=0.0)
 
 
 @settings(max_examples=20, deadline=None)
