@@ -37,6 +37,7 @@ from .gup_algebra import (
     UncertaintyReport,
     commutator_consistency_exponent,
     commutator_target,
+    consistency_exponents,
     deform_momentum,
     gaussian_state,
     grid_operator_lab,

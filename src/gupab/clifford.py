@@ -58,42 +58,49 @@ def gamma(mu: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FourVector:
-    """Contravariant components (t, x, y, z) with the (+, -, -, -) metric."""
+    """Contravariant components (t, x, y, z) with the (+, -, -, -) metric.
 
-    t: float
-    x: float
-    y: float
-    z: float
+    The components are floats, or (...) arrays for a batch of four-vectors.
+    """
 
-    def dot(self, other: "FourVector") -> float:
+    t: float | np.ndarray
+    x: float | np.ndarray
+    y: float | np.ndarray
+    z: float | np.ndarray
+
+    def dot(self, other: "FourVector"):
         return self.t * other.t - self.x * other.x - self.y * other.y - self.z * other.z
 
-    def square(self) -> float:
+    def square(self):
         return self.dot(self)
 
     @classmethod
-    def from_spatial(cls, t: float, p3) -> "FourVector":
-        p3 = np.asarray(p3, dtype=float)
-        return cls(float(t), float(p3[0]), float(p3[1]), float(p3[2]))
+    def from_spatial(cls, t, p3) -> "FourVector":
+        """Time part t with the spatial part of a 3-vector, or of an (..., 3) array of them."""
+        return cls(t, *np.moveaxis(np.asarray(p3, dtype=float), -1, 0))
 
 
 def slash(p: FourVector) -> np.ndarray:
     """Metric-contracted gamma^mu p_mu = p_t g0 - p_x g1 - p_y g2 - p_z g3.
 
-    Satisfies slash(p) @ slash(p) = (p . p) * I.
+    Satisfies slash(p) @ slash(p) = (p . p) * I. Components that are (...)
+    arrays give an (..., 4, 4) stack.
     """
-    return p.t * _GAMMA[0] - p.x * _GAMMA[1] - p.y * _GAMMA[2] - p.z * _GAMMA[3]
+    t, x, y, z = (np.asarray(c)[..., None, None] for c in (p.t, p.x, p.y, p.z))
+    return t * _GAMMA[0] - x * _GAMMA[1] - y * _GAMMA[2] - z * _GAMMA[3]
 
 
-def on_shell_spinor(p3, m: float, branch: str = "particle1") -> np.ndarray:
+def on_shell_spinor(p3, m, branch: str = "particle1") -> np.ndarray:
     """Positive-energy free spinor u with slash(p) u = m u and <u|u> = 1.
 
     E = +sqrt(|p3|^2 + m^2) is computed internally. The two branches are
     built from the two-spinors (1,0) and (0,1); they are exactly orthogonal
     because (sigma.p)^dagger (sigma.p) = |p|^2 I. A 3-vector gives one
-    4-spinor; an (..., 3) array of momenta gives an (..., 4) array of them.
+    4-spinor; an (..., 3) array of momenta gives an (..., 4) array of them,
+    with ``m`` a float or an array that broadcasts against the momenta.
     """
-    if not (m > 0.0):
+    m = np.asarray(m, dtype=float)
+    if not np.all(m > 0.0):
         raise DomainError("m must be positive")
     if branch not in ("particle1", "particle2"):
         raise DomainError("branch must be 'particle1' or 'particle2'")

@@ -61,15 +61,19 @@ class SolenoidSpec:
         object.__setattr__(self, "axis_point", tuple(float(c) for c in origin))
         object.__setattr__(self, "axis_direction", tuple(float(c) for c in direction))
 
+    def radial(self, point) -> np.ndarray:
+        """The part of point - axis_point normal to the axis, for a 3-vector or an (..., 3) array."""
+        rel = np.asarray(point, dtype=float) - np.asarray(self.axis_point)
+        d = np.asarray(self.axis_direction)
+        return rel - np.sum(rel * d, axis=-1)[..., None] * d
+
     def axial_decomposition(self, point):
         """Split point - axis_point into (radial vector, radial distance).
 
         ``point`` is a 3-vector, giving a float distance, or an (..., 3)
         array, giving an (...) array of distances.
         """
-        rel = np.asarray(point, dtype=float) - np.asarray(self.axis_point)
-        d = np.asarray(self.axis_direction)
-        radial = rel - np.sum(rel * d, axis=-1)[..., None] * d
+        radial = self.radial(point)
         rho = np.linalg.norm(radial, axis=-1)
         return radial, (float(rho) if rho.ndim == 0 else rho)
 
@@ -299,12 +303,14 @@ def rectangle_loop(corners) -> LoopPath:
         raise GeometryError("corners must list exactly four 3D points")
     _check_distinct(corners, "corners")
     with np.errstate(over="ignore", invalid="ignore"):  # overflowing corners fail LoopPath's finiteness check
-        edges = [corners[(k + 1) % 4] - corners[k] for k in range(4)]
+        # edges in units of a power of 2 near the largest, as in ``_unit_scale``: the normal and the
+        # planarity test neither underflow nor overflow, and each decision equals that of the raw edges
+        (edges,), (power,) = _unit_scale((np.roll(corners, -1, axis=0) - corners)[None])
         normal = np.cross(edges[0], edges[1])
         if np.linalg.norm(normal) == 0.0:
             raise GeometryError("corners are collinear")
         scale = float(np.max(np.abs(corners - corners[0]))) or 1.0
-        if abs((corners[3] - corners[0]) @ normal) > 1e-9 * scale * np.linalg.norm(normal):
+        if abs(-edges[3] @ normal) > 1e-9 * (scale / power) * np.linalg.norm(normal):
             raise GeometryError("corners are not planar")
     return polyline_loop(corners)
 
@@ -439,7 +445,7 @@ class LoopGeometry(NamedTuple):
 
 
 def _unit_scale(radial: np.ndarray):
-    """(radial / scale, scale) of (k, 2, 3) radial vectors; each segment's scale is a power of 2 near its largest entry.
+    """(radial / scale, scale) of (k, m, 3) vectors; each of the k groups' scale is a power of 2 near its largest entry.
 
     Dividing by a power of 2 is exact, so products of the scaled vectors,
     whose largest entry lies in [1, 2), neither overflow nor underflow, and
@@ -512,7 +518,7 @@ def loop_geometry(loop: LoopPath, spec: SolenoidSpec) -> LoopGeometry:
     swept, rho = 0.0, []
     if lines.size:
         d = np.asarray(spec.axis_direction)
-        unit, scale = _unit_scale(spec.axial_decomposition(lines)[0])
+        unit, scale = _unit_scale(spec.radial(lines))
         rho.append(_closest_radius_of_lines(unit, scale))
         turns = np.cross(unit[:, 0], unit[:, 1]) @ d
         swept += float(np.sum(np.arctan2(turns, np.sum(unit[:, 0] * unit[:, 1], axis=1))))

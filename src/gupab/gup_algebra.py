@@ -16,8 +16,9 @@ units only (hbar = 1). Two independent evaluations are provided:
 exact bracket. Each builds the whole 3x3 bracket matrix at once and returns
 the requested entry: a complex number for a 3-vector p0, an (...) array for
 an (..., 3) array of momenta. They agree to O(a^3);
-``commutator_consistency_exponent`` and the grid operator lab measure that
-scaling numerically.
+``commutator_consistency_exponent`` (over all momenta at once),
+``consistency_exponents`` (per momentum) and the grid operator lab measure
+that scaling numerically.
 
 The grid lab and the uncertainty check work on a uniform 1D momentum grid on
 a positive half-line, where |p| = p is smooth. The position operator in the
@@ -59,7 +60,7 @@ def _check_axis(i):
 
 
 def _check_coupling(a):
-    if a < 0.0:
+    if np.any(np.asarray(a) < 0.0):
         raise DomainError("deformation parameter a must be nonnegative")
 
 
@@ -110,6 +111,21 @@ def jacobian_commutator(p0, i: int, j: int, a: float):
     return _bracket(p0, i, j, a, "jacobian")
 
 
+def _bracket_deviations(p0, a_values):
+    """The (k,) log a values and the (..., k) logs of each momentum's largest |jacobian - target| entry."""
+    a_values = [float(a) for a in a_values]
+    if len(a_values) < 2 or any(a <= 0.0 for a in a_values):
+        raise DomainError("need at least two positive a values")
+    devs = [np.max(np.abs(_brackets(p0, a, "jacobian") - _brackets(p0, a, "target")), axis=(-2, -1)) for a in a_values]
+    return np.log(a_values), np.log(np.stack(devs, axis=-1))
+
+
+def _slopes(x, y):
+    """Least-squares slopes of y against x along the last axis: the closed form of a degree-1 fit."""
+    dx = x - np.mean(x)
+    return np.sum(dx * (y - np.mean(y, axis=-1, keepdims=True)), axis=-1) / np.sum(dx * dx)
+
+
 def commutator_consistency_exponent(p0, a_values=(1e-1, 1e-2, 1e-3)) -> float:
     """Fitted log-log slope, over the given a values, of the largest |jacobian - target| entry.
 
@@ -117,11 +133,13 @@ def commutator_consistency_exponent(p0, a_values=(1e-1, 1e-2, 1e-3)) -> float:
     (i, j) of every momentum. The two bracket evaluations agree to O(a^3),
     so the slope should sit near 3 for perturbative a.
     """
-    a_values = [float(a) for a in a_values]
-    if len(a_values) < 2 or any(a <= 0.0 for a in a_values):
-        raise DomainError("need at least two positive a values")
-    devs = [np.max(np.abs(_brackets(p0, a, "jacobian") - _brackets(p0, a, "target"))) for a in a_values]
-    return float(np.polyfit(np.log(a_values), np.log(devs), 1)[0])
+    log_a, log_devs = _bracket_deviations(p0, a_values)
+    return float(_slopes(log_a, np.max(log_devs.reshape(-1, log_a.size), axis=0)))
+
+
+def consistency_exponents(p0, a_values=(1e-1, 1e-2, 1e-3)) -> np.ndarray:
+    """The slope of ``commutator_consistency_exponent`` for each momentum of an (..., 3) array, as an (...) array."""
+    return _slopes(*_bracket_deviations(p0, a_values))
 
 
 @dataclass(frozen=True)
@@ -170,10 +188,10 @@ class CommutatorReport:
 
 
 def _position(psi, h: float) -> np.ndarray:
-    """x psi for x = i d/dp: the truncated antisymmetric central-difference stencil."""
+    """x psi for x = i d/dp: the truncated antisymmetric central-difference stencil, along the last axis."""
     xpsi = np.zeros(psi.shape, dtype=complex)
-    xpsi[:-1] += psi[1:] / (2.0 * h)
-    xpsi[1:] -= psi[:-1] / (2.0 * h)
+    xpsi[..., :-1] += psi[..., 1:] / (2.0 * h)
+    xpsi[..., 1:] -= psi[..., :-1] / (2.0 * h)
     xpsi *= 1j
     return xpsi
 
@@ -264,62 +282,59 @@ def gaussian_state(grid: MomentumGrid) -> np.ndarray:
 
 @dataclass(frozen=True)
 class UncertaintyReport:
-    """Measured spreads and the deformed lower bound for one state."""
+    """Measured spreads and the deformed lower bound: floats for one state, (...) arrays for a stack."""
 
-    delta_x: float
-    delta_p: float
-    mean_p: float
-    mean_p_sq: float
-    lhs: float
-    rhs: float
-    holds: bool
+    delta_x: float | np.ndarray
+    delta_p: float | np.ndarray
+    mean_p: float | np.ndarray
+    mean_p_sq: float | np.ndarray
+    lhs: float | np.ndarray
+    rhs: float | np.ndarray
+    holds: bool | np.ndarray
 
 
 def uncertainty_check(
     grid: MomentumGrid,
     state,
-    a: float,
+    a,
     tolerance: float = 1e-3 / 2.0,
 ) -> UncertaintyReport:
-    """Test Dx Dp >= (1/2)(1 - 2 a <p> + 4 a^2 <p^2>) on a grid state.
+    """Test Dx Dp >= (1/2)(1 - 2 a <p> + 4 a^2 <p^2>) on a grid state or an (..., n) stack of them.
 
-    <p> and <p^2> are moments of the deformed momentum. Expectation values
-    use uniform grid weights, under which the difference stencil is exactly
-    Hermitian and the product Dx Dp obeys the exact finite-dimensional
-    Robertson bound; the normalization precondition is checked with
-    trapezoid weights. The default tolerance (1e-3 / 2) absorbs the
-    O(h^2) discretization bias of the stencil for well-resolved states.
+    ``a`` broadcasts against the stack's leading axes. <p> and <p^2> are
+    moments of the deformed momentum. Expectation values use uniform grid
+    weights, under which the difference stencil is exactly Hermitian and the
+    product Dx Dp obeys the exact finite-dimensional Robertson bound; the
+    normalization precondition is checked with trapezoid weights. The
+    default tolerance (1e-3 / 2) absorbs the O(h^2) discretization bias of
+    the stencil for well-resolved states.
     """
     psi = np.asarray(state, dtype=complex)
-    if psi.shape != (grid.n,):
+    if psi.ndim == 0 or psi.shape[-1] != grid.n:
         raise DomainError("state must match the grid size")
     _check_coupling(a)
+    a = np.asarray(a, dtype=float)
     h = grid.h
-    trap_norm = float(np.sum(_trapezoid_weights(grid.n, h) * np.abs(psi) ** 2))
-    if abs(trap_norm - 1.0) > 1e-8:
+    density = np.abs(psi) ** 2
+    trap_norm = np.sum(_trapezoid_weights(grid.n, h) * density, axis=-1)
+    if np.any(np.abs(trap_norm - 1.0) > 1e-8):
         raise DomainError("state must be trapezoid-normalized to 1 within 1e-8")
 
-    norm_sq = h * float(np.sum(np.abs(psi) ** 2))
+    norm_sq = h * np.sum(density, axis=-1)
 
     xpsi = _position(psi, h)
-    mean_x = h * float(np.real(np.vdot(psi, xpsi))) / norm_sq
-    mean_x_sq = h * float(np.vdot(xpsi, xpsi).real) / norm_sq
-    delta_x = math.sqrt(max(mean_x_sq - mean_x * mean_x, 0.0))
+    mean_x = h * np.sum(np.conj(psi) * xpsi, axis=-1).real / norm_sq
+    mean_x_sq = h * np.sum(np.conj(xpsi) * xpsi, axis=-1).real / norm_sq
+    delta_x = np.sqrt(np.maximum(mean_x_sq - mean_x * mean_x, 0.0))
 
-    g = grid.points * deformation_factor(grid.points, a)
-    density = np.abs(psi) ** 2
-    mean_p = h * float(np.sum(density * g)) / norm_sq
-    mean_p_sq = h * float(np.sum(density * g * g)) / norm_sq
-    delta_p = math.sqrt(max(mean_p_sq - mean_p * mean_p, 0.0))
+    g = grid.points * deformation_factor(grid.points, a[..., None])
+    mean_p = h * np.sum(density * g, axis=-1) / norm_sq
+    mean_p_sq = h * np.sum(density * g * g, axis=-1) / norm_sq
+    delta_p = np.sqrt(np.maximum(mean_p_sq - mean_p * mean_p, 0.0))
 
     lhs = delta_x * delta_p
     rhs = 0.5 * (1.0 - 2.0 * a * mean_p + 4.0 * a * a * mean_p_sq)
-    return UncertaintyReport(
-        delta_x=delta_x,
-        delta_p=delta_p,
-        mean_p=mean_p,
-        mean_p_sq=mean_p_sq,
-        lhs=lhs,
-        rhs=rhs,
-        holds=bool(lhs >= rhs - tolerance),
-    )
+    fields = np.broadcast_arrays(delta_x, delta_p, mean_p, mean_p_sq, lhs, rhs, lhs >= rhs - tolerance)
+    if fields[0].ndim == 0:
+        fields = [float(x) for x in fields[:-1]] + [bool(fields[-1])]
+    return UncertaintyReport(*fields)

@@ -261,26 +261,28 @@ class DispersionResult:
         return np.linalg.eigvalsh(self.hamiltonian)
 
 
-def dispersion(p3, m: float, a: float) -> DispersionResult:
+def dispersion(p3, m, a) -> DispersionResult:
     """Energy branches of H = alpha.p + a (alpha.p)^2 + beta m.
 
     Since (alpha.p)^2 = |p|^2, the branches are +-sqrt(|p|^2 + m^2) + a |p|^2,
     each doubly degenerate; the explicit 4x4 Hamiltonian is returned
     alongside, and its spectrum, a cross-check, is computed when
     ``eigenvalues`` is first read. ``p3`` is a 3-vector or an (..., 3) array
-    of them. Raises ``GupabError`` if the Hamiltonian or a branch is not
+    of them; ``m`` and ``a`` are floats or arrays that broadcast against the
+    momenta. Raises ``GupabError`` if the Hamiltonian or a branch is not
     finite, as when a |p|^2 overflows double precision.
     """
-    if not (m > 0.0):
+    m, a = np.asarray(m, dtype=float), np.asarray(a, dtype=float)
+    if not np.all(m > 0.0):
         raise DomainError("mass must be positive")
-    if a < 0.0:
+    if np.any(a < 0.0):
         raise DomainError("deformation parameter a must be nonnegative")
     p3 = np.asarray(p3, dtype=float)
     if p3.ndim == 0 or p3.shape[-1] != 3:
         raise DomainError("p3 must be a 3-vector or an (..., 3) array of them")
     with np.errstate(over="ignore", invalid="ignore"):  # reported once, below
         ap = (p3 @ _ALPHA_ROWS).reshape(p3.shape[:-1] + (4, 4))
-        hamiltonian = ap + a * (ap @ ap) + m * beta()
+        hamiltonian = ap + a[..., None, None] * (ap @ ap) + m[..., None, None] * beta()
         p_sq = (p3 * p3).sum(axis=-1)
         root = np.sqrt(p_sq + m * m)
         e_plus, e_minus = root + a * p_sq, -root + a * p_sq

@@ -1,13 +1,20 @@
 """Shared oracles and geometry generators for the test suite.
 
-Everything here is deliberately independent of the package's quadrature and
-matrix plumbing: Dirac matrices are rebuilt inline from Pauli blocks, and
-contour integrals are brute-force midpoint Riemann sums.
+Everything here except ``reference_verification`` is deliberately
+independent of the package's quadrature and matrix plumbing: Dirac matrices
+are rebuilt inline from Pauli blocks, and contour integrals are brute-force
+midpoint Riemann sums. ``reference_verification`` is the verification suite
+run through the library one input row at a time.
 """
+
+import math
 
 import numpy as np
 
-from gupab.field_geometry import LoopPath, Segment
+from gupab import clifford, gup_algebra
+from gupab.cli_io import _check, _gamma_algebra_residual
+from gupab.field_geometry import LoopPath, QuadratureSpec, Segment, SolenoidSpec, circle_loop
+from gupab.phase_engine import ParticleSpec, ab_phase, dispersion, gup_phase_projected
 
 # Dirac representation rebuilt from scratch (oracle side).
 _S = [
@@ -178,3 +185,98 @@ def dense_commutator_residual(points, margin, a):
     bracket = 1j * (1.0 - 2.0 * a * points + 6.0 * a * a * points * points)
     residual = (x_op @ p_op - p_op @ x_op) @ psi - bracket * psi
     return float(np.max(np.abs(residual[margin : n - margin])))
+
+
+def reference_verification(level, perturbation):
+    """The verification suite evaluated row by row, one library call per drawn input.
+
+    Same generator, draw order, checks and bounds as ``run_verification``,
+    which batches each check; this is the oracle its batched paths are
+    compared against.
+    """
+    rng = np.random.default_rng(20250810)
+    checks = []
+
+    checks.append(_check("gamma_algebra_exact", _gamma_algebra_residual(perturbation), 0.0))
+
+    worst = 0.0
+    for _ in range(100):
+        p = clifford.FourVector(*rng.uniform(-2.0, 2.0, size=4))
+        sq = clifford.slash(p) @ clifford.slash(p)
+        scale = max(abs(p.square()), 1e-3)
+        worst = max(worst, float(np.max(np.abs(sq - p.square() * np.eye(4)))) / scale)
+    checks.append(_check("slash_square_relative", worst, 1e-12))
+
+    worst = 0.0
+    for _ in range(20):
+        p3 = rng.uniform(-1.5, 1.5, size=3)
+        m = rng.uniform(0.2, 2.0)
+        energy = math.sqrt(p3 @ p3 + m * m)
+        sl = clifford.slash(clifford.FourVector.from_spatial(energy, p3))
+        u1 = clifford.on_shell_spinor(p3, m, "particle1")
+        u2 = clifford.on_shell_spinor(p3, m, "particle2")
+        worst = max(worst, float(np.max(np.abs(sl @ u1 - m * u1))) / m)
+        worst = max(worst, float(np.max(np.abs(sl @ u2 - m * u2))) / m)
+        worst = max(worst, abs(complex(np.vdot(u1, u2))))
+    checks.append(_check("on_shell_spinor", worst, 1e-12))
+
+    worst = 0.0
+    for _ in range(50):
+        direction = rng.normal(size=3)
+        direction /= np.linalg.norm(direction)
+        p0 = direction * rng.uniform(0.1, 2.0)
+        exponent = gup_algebra.commutator_consistency_exponent(p0)
+        worst = max(worst, abs(exponent - 3.0))
+    checks.append(_check("deformation_consistency_a_cubed", worst, 0.3))
+
+    grid = gup_algebra.MomentumGrid.uniform(0.5, 2.5, 1024)
+    gaussian = gup_algebra.gaussian_state(grid)
+    report = gup_algebra.uncertainty_check(grid, gaussian, 0.0)
+    worst = abs(report.lhs - report.rhs) / abs(report.rhs)
+    checks.append(_check("uncertainty_gaussian_equality", worst, 1e-3))
+
+    count = 100 if level == "full" else 20
+    failures = 0.0
+    for _ in range(count):
+        state = rng.normal(size=grid.n) + 1j * rng.normal(size=grid.n)
+        norm = math.sqrt(float(np.sum(gup_algebra._trapezoid_weights(grid.n, grid.h) * np.abs(state) ** 2)))
+        report = gup_algebra.uncertainty_check(grid, state / norm, rng.uniform(0.0, 0.19), tolerance=1e-6)
+        failures += 0.0 if report.holds else 1.0
+    checks.append(_check("uncertainty_random_states", failures, 0.0))
+
+    particle = ParticleSpec(charge=1.0, mass=1.0, speed=0.6)
+    solenoid = SolenoidSpec(flux=1.0, radius=0.1)
+    quad = QuadratureSpec(refinement="doubling", tolerance=1e-12)
+    worst = 0.0
+    for windings in (1, -1, 2):
+        loop = circle_loop(radius=2.0, windings=windings)
+        worst = max(worst, abs(ab_phase(particle, solenoid, loop, quad) - windings))
+    checks.append(_check("flux_phase_quantization", worst, 1e-9))
+
+    loop = circle_loop(radius=1.0)
+    a = 0.01
+    projected = gup_phase_projected(particle, loop, a, quad)
+    closed_form = -a * particle.charge * particle.mass * (particle.energy / particle.speed - particle.momentum) * (
+        2.0 * math.pi
+    )
+    checks.append(_check("comoving_closed_form", abs(projected - closed_form) / abs(closed_form), 1e-10))
+
+    worst = 0.0
+    for _ in range(100):
+        p3 = rng.uniform(-2.0, 2.0, size=3)
+        m = rng.uniform(0.2, 2.0)
+        a_val = rng.uniform(0.0, 0.2)
+        result = dispersion(p3, m, a_val)
+        expected = np.array([result.e_minus, result.e_minus, result.e_plus, result.e_plus])
+        worst = max(worst, float(np.max(np.abs(result.eigenvalues - expected))))
+    checks.append(_check("dispersion_eigenvalues", worst, 1e-12))
+
+    if level == "full":
+        lab0 = gup_algebra.grid_operator_lab(gup_algebra.MomentumGrid.uniform(1.0, 2.0, 256), 0.0)
+        checks.append(_check("grid_lab_discretization_order", abs(lab0.discretization_order - 2.0), 0.3))
+        lab = gup_algebra.grid_operator_lab(gup_algebra.MomentumGrid.uniform(1.0, 2.0, 256), 0.05)
+        checks.append(_check("grid_lab_residual", lab.max_residual_interior, 1e-3))
+        lab512 = gup_algebra.grid_operator_lab(gup_algebra.MomentumGrid.uniform(1.0, 2.0, 512), 0.05)
+        checks.append(_check("grid_lab_scaling_exponent", abs(lab512.gup_scaling_exponent - 3.0), 0.3))
+
+    return {"level": level, "checks": checks, "all_passed": all(c["passed"] for c in checks)}

@@ -12,6 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from helpers import reference_verification
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -276,6 +277,46 @@ def test_verification_detects_injected_fault():
     assert failing and failing[0]["name"] == "gamma_algebra_exact"
 
 
+_default_rng = np.random.default_rng
+
+
+class _RecordedGenerator:
+    """A seeded generator that records each draw's method, shape and values, in order."""
+
+    def __init__(self, seed):
+        self._rng, self.draws = _default_rng(seed), []
+
+    def __getattr__(self, name):
+        def draw(*args, **kwargs):
+            value = np.asarray(getattr(self._rng, name)(*args, **kwargs))
+            self.draws.append((name, value.shape, value.tolist()))
+            return value if value.ndim else float(value)
+
+        return draw
+
+
+@pytest.mark.parametrize("level", ["fast", "full"])
+@pytest.mark.parametrize("perturbation", [0.0, 1e-6])
+def test_batched_verification_matches_row_by_row(level, perturbation, monkeypatch):
+    generators = []
+
+    def recorded(seed):
+        generators.append(_RecordedGenerator(seed))
+        return generators[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", recorded)
+    batched = run_verification(level, perturbation)
+    oracle = reference_verification(level, perturbation)
+    assert len(generators) == 2  # each run draws afresh: nothing is cached across calls
+    assert generators[0].draws == generators[1].draws  # the same inputs, drawn in the same order
+    assert batched["all_passed"] == oracle["all_passed"] == (perturbation == 0.0)
+    assert [(c["name"], c["bound"], c["passed"]) for c in batched["checks"]] == [
+        (c["name"], c["bound"], c["passed"]) for c in oracle["checks"]
+    ]
+    for mine, theirs in zip(batched["checks"], oracle["checks"]):
+        assert mine["residual"] == pytest.approx(theirs["residual"], rel=0.0, abs=1e-12), mine["name"]
+
+
 def test_cmd_verify_exit_codes(capsys):
     assert main(["verify", "--level", "fast"]) == 0
     capsys.readouterr()
@@ -497,6 +538,23 @@ def test_square_phase_at_extreme_scales(tmp_path, capsys, scale, coil):
     # -a q m (E/v - p) L with E = 1.25, p = 0.75, v = 0.6 and L = 8 scale
     exact = -0.01 * (1.25 / 0.6 - 0.75) * 8.0 * scale
     assert result["projected_correction"] == pytest.approx(exact, rel=1e-14, abs=0.0)
+
+
+def test_small_rectangle_matches_polyline(tmp_path, capsys):
+    # the collinearity test takes the edges in units of a power of 2, so their cross product does not underflow
+    payload = {
+        **BASE_CONFIG,
+        "quadrature": {"nodes_per_segment": 16, "tolerance": 1e-10, "refinement": "doubling"},
+        "projection": "comoving_on_shell",
+    }
+    payload["solenoid"] = {"flux": 1.0, "radius": 1e-200}
+    corners = [[1e-160, 1e-160, 0.0], [-1e-160, 1e-160, 0.0], [-1e-160, -1e-160, 0.0], [1e-160, -1e-160, 0.0]]
+    outputs = []
+    for loop in ({"kind": "rectangle", "corners": corners}, {"kind": "polyline", "vertices": corners}):
+        assert main(["phase", "-c", write_config(tmp_path, {**payload, "loop": loop})]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["standard_phase"] == pytest.approx(1.0, rel=1e-15)
 
 
 def test_dispersion_csv_skips_the_spectrum(tmp_path, monkeypatch):

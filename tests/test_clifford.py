@@ -121,6 +121,21 @@ def test_slash_square_random():
         assert np.max(np.abs(sq - p.square() * I4)) / scale < 1e-12
 
 
+def test_batched_slash_matches_per_row():
+    rng = np.random.default_rng(17)
+    components = rng.uniform(-2.0, 2.0, size=(5, 6, 4))
+    batch = FourVector(*np.moveaxis(components, -1, 0))
+    stack = slash(batch)
+    assert stack.shape == (5, 6, 4, 4)
+    for index in np.ndindex(5, 6):
+        row = FourVector(*components[index])
+        assert np.array_equal(stack[index], slash(row))
+        assert batch.square()[index] == row.square()
+    spatial = FourVector.from_spatial(components[..., 0], components[..., 1:])
+    assert np.array_equal(slash(spatial), stack)
+    assert FourVector.from_spatial(1.5, components[0, 0, 1:]) == FourVector(1.5, *components[0, 0, 1:])
+
+
 def test_alpha_dot_unit_vector_squares_to_identity():
     rng = np.random.default_rng(17)
     for _ in range(100):
@@ -194,6 +209,11 @@ def test_batched_spinors_match_per_row(branch):
     np.testing.assert_allclose(batch, rows, rtol=0.0, atol=1e-15)
     stacked = on_shell_spinor(momenta.reshape(8, 8, 3), 0.7, branch)
     np.testing.assert_allclose(stacked.reshape(64, 4), rows, rtol=0.0, atol=1e-15)
+    masses = rng.uniform(0.2, 2.0, size=64)  # one mass per momentum
+    rows = np.array([on_shell_spinor(p3, m, branch) for p3, m in zip(momenta, masses)])
+    np.testing.assert_allclose(on_shell_spinor(momenta, masses, branch), rows, rtol=0.0, atol=1e-15)
+    with pytest.raises(DomainError):
+        on_shell_spinor(momenta, np.where(np.arange(64) == 5, 0.0, masses), branch)
 
 
 def test_spinor_shape_errors():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -431,6 +432,30 @@ def test_line_length_is_scale_safe(step):
     assert path.length == step
     square = polyline_loop([(step, step, 0.0), (-step, step, 0.0), (-step, -step, 0.0), (step, -step, 0.0)])
     assert square.length == pytest.approx(8.0 * step, rel=1e-15, abs=0.0)
+
+
+def test_loop_geometry_of_huge_lines_takes_no_squares():
+    # only the radial vectors are formed, in units of a power of 2: nothing squares 1e308
+    near, far = (1e308, 0.0, 0.0), (1.5e308, 0.0, 0.0)
+    path = LoopPath((line_segment(near, far), line_segment(far, near)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        geometry = loop_geometry(path, SolenoidSpec(flux=1.0, radius=0.1))
+    assert geometry.clearance == 1e308
+    assert geometry.swept_angle == 0.0
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1.0, 1e200])
+def test_rectangle_rejects_collinear_and_skew_corners(scale):
+    # the decisions are taken on the edges in units of a power of 2, so they hold at any scale
+    square = scale * np.array([[1.0, 1.0, 0.0], [-1.0, 1.0, 0.0], [-1.0, -1.0, 0.0], [1.0, -1.0, 0.0]])
+    assert rectangle_loop(square).length == pytest.approx(8.0 * scale, rel=1e-15, abs=0.0)
+    with pytest.raises(GeometryError, match="collinear"):
+        rectangle_loop(scale * np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [3.0, 0.0, 0.0]]))
+    skew = square.copy()
+    skew[3, 2] = 0.5 * scale
+    with pytest.raises(GeometryError, match="not planar"):
+        rectangle_loop(skew)
 
 
 def test_arc_segment_records_arc():

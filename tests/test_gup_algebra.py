@@ -14,6 +14,7 @@ from gupab.gup_algebra import (
     _trapezoid_weights,
     commutator_consistency_exponent,
     commutator_target,
+    consistency_exponents,
     deform_momentum,
     gaussian_state,
     grid_operator_lab,
@@ -233,6 +234,59 @@ def test_consistency_exponent_takes_momentum_arrays():
     ]
     slope = np.polyfit(np.log(a_values), np.log(devs), 1)[0]
     assert commutator_consistency_exponent(momenta, a_values) == pytest.approx(slope, rel=1e-12)
+
+
+_LOG_A = st.lists(st.floats(-9.0, -3.0), min_size=2, max_size=4).filter(
+    lambda xs: np.min(np.diff(np.sort(xs))) >= 0.1  # distinct enough for a well-posed fit
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    momenta=arrays(float, st.integers(1, 6).map(lambda k: (k, 3)), elements=st.floats(-3.0, 3.0)).filter(
+        lambda p: np.all(np.linalg.norm(p, axis=-1) > 0.1)
+    ),
+    log_a=_LOG_A,
+)
+def test_consistency_exponents_match_polyfit_per_row(momenta, log_a):
+    a_values = np.exp(log_a)
+    slopes = consistency_exponents(momenta, a_values)
+    assert slopes.shape == momenta.shape[:-1]
+    for row, slope in zip(momenta, slopes):
+        devs = []
+        for a in a_values:
+            pairs = [(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]
+            devs.append(max(abs(jacobian_commutator(row, i, j, a) - commutator_target(row, i, j, a)) for i, j in pairs))
+        assert slope == pytest.approx(np.polyfit(np.log(a_values), np.log(devs), 1)[0], rel=1e-12)
+        assert commutator_consistency_exponent(row, a_values) == pytest.approx(slope, rel=1e-15)
+
+
+def test_uncertainty_stack_matches_single_states():
+    grid = MomentumGrid.uniform(0.5, 2.5, 256)
+    weights = _trapezoid_weights(grid.n, grid.h)
+    rng = np.random.default_rng(43)
+    states = rng.normal(size=(3, 4, grid.n)) + 1j * rng.normal(size=(3, 4, grid.n))
+    states /= np.sqrt(np.sum(weights * np.abs(states) ** 2, axis=-1))[..., None]
+    states[0, 0] = gaussian_state(grid)
+    a = rng.uniform(0.0, 0.19, size=(3, 4))
+    # the default tolerance, and one that fails half of the stack
+    margin = uncertainty_check(grid, states, a)
+    for tolerance, holding in ((1e-3 / 2.0, 12), (-float(np.median(margin.lhs - margin.rhs)), 6)):
+        stack = uncertainty_check(grid, states, a, tolerance=tolerance)
+        assert stack.holds.shape == stack.lhs.shape == (3, 4)
+        assert np.count_nonzero(stack.holds) == holding
+        for index in np.ndindex(3, 4):
+            single = uncertainty_check(grid, states[index], a[index], tolerance=tolerance)
+            assert isinstance(single.lhs, float) and isinstance(single.holds, bool)
+            assert single.holds == stack.holds[index]
+            for name in ("delta_x", "delta_p", "mean_p", "mean_p_sq", "lhs", "rhs"):
+                assert getattr(stack, name)[index] == pytest.approx(getattr(single, name), rel=1e-13), name
+    shared = uncertainty_check(grid, states, 0.05)
+    assert shared.rhs.shape == (3, 4)
+    with pytest.raises(DomainError):
+        uncertainty_check(grid, states, -a)
+    with pytest.raises(DomainError):
+        uncertainty_check(grid, 2.0 * states, a)
 
 
 _MOMENTA = arrays(

@@ -351,13 +351,24 @@ def test_dispersion_domain():
     ),
     m=st.floats(0.1, 5.0),
     a=st.one_of(st.just(0.0), st.floats(0.0, 0.3)),
+    per_row=st.sampled_from(["", "m", "a", "ma"]),
+    data=st.data(),
 )
-def test_array_dispersion_matches_scalar_calls(momenta, m, a):
+def test_array_dispersion_matches_scalar_calls(momenta, m, a, per_row, data):
+    # m and a are floats, or arrays over the batch that each row reads its own entry of
+    batch_shape = momenta.shape[:-1]
+    if "m" in per_row:
+        m = data.draw(arrays(float, batch_shape, elements=st.floats(0.1, 5.0)))
+    if "a" in per_row:
+        a = data.draw(arrays(float, batch_shape, elements=st.one_of(st.just(0.0), st.floats(0.0, 0.3))))
     batch = dispersion(momenta, m, a)
-    assert batch.e_plus.shape == batch.e_minus.shape == momenta.shape[:-1]
-    assert batch.eigenvalues.shape == momenta.shape[:-1] + (4,)
-    for index in np.ndindex(momenta.shape[:-1]):
-        row = dispersion(momenta[index], m, a)
+    assert batch.e_plus.shape == batch.e_minus.shape == batch_shape
+    assert batch.eigenvalues.shape == batch_shape + (4,)
+    for index in np.ndindex(batch_shape):
+        row_m = m[index] if "m" in per_row else m
+        row_a = a[index] if "a" in per_row else a
+        row = dispersion(momenta[index], row_m, row_a)
+        assert np.array_equal(row.hamiltonian, batch.hamiltonian[index])
         assert row.e_plus == batch.e_plus[index] and row.e_minus == batch.e_minus[index]
         assert np.array_equal(row.eigenvalues, batch.eigenvalues[index])
 
