@@ -6,10 +6,11 @@ projection, sweep parameter). Every value is validated once, by the engine
 constructor that uses it, before any computation starts; ``_build`` turns
 that constructor's error into a ``ConfigError`` naming ``section.key``.
 Structured results go out as JSON, sweep tables as CSV with a frozen header,
-written to stdout or the ``-o`` file only once the command has finished, so
-a failed run leaves an existing file as it was. Exit codes: 0 success, 1
-verification or computation failure, 2 config error or an output file that
-cannot be written.
+each sweep computed as one batch over a per-loop geometry record, its rows
+in input order. Output is written to stdout or the ``-o`` file only once
+the command has finished, so a failed run leaves an existing file as it
+was. Exit codes: 0 success, 1 verification or computation failure, 2
+config error or an output file that cannot be written.
 """
 
 from __future__ import annotations
@@ -27,12 +28,22 @@ import numpy as np
 from . import clifford, gup_algebra
 from .errors import ConfigError, DomainError, GeometryError, GupabError
 from .field_geometry import LoopPath, QuadratureSpec, SolenoidSpec, make_loop
-from .phase_engine import ParticleSpec, PhaseResult, dispersion, gup_phase_projected, total_phase
+from .phase_engine import (
+    ParticleSpec,
+    PhaseResult,
+    dispersion,
+    gup_phase_projected,
+    phase_geometry,
+    phase_rows,
+    stack_geometry,
+    total_phase,
+)
 from .units import GupParameter, UnitSystem, gup_from_a0
 
 SWEEP_CSV_HEADER = "sweep_value,a,standard_phase,projected_correction,total_phase,quadrature_error"
 DISPERSION_CSV_HEADER = "p,E_plus_a0,E_plus,shift"
 SWEEP_PARAMETERS = ("gup.a", "loop.radius", "particle.v", "solenoid.flux")
+_SWEPT_INPUT = {"gup.a": "a", "particle.v": "speed", "solenoid.flux": "flux"}  # the ``phase_rows`` input each sets
 PROJECTIONS = ("comoving_on_shell", "fixed_spinor")
 
 
@@ -190,24 +201,22 @@ def _parse_spinor(raw, particle: ParticleSpec):
     return _build("spinor", clifford.on_shell_spinor, np.asarray(momentum), particle.mass, branch)
 
 
-def _swept(config: RunConfig, parameter: str, value: float) -> dict:
-    """The RunConfig field that a gup.a, particle.v or solenoid.flux row replaces.
-
-    It is built by the engine constructor of the swept value, which rejects a bad one.
-    """
+def _check_swept(config: RunConfig, parameter: str, value: float):
+    """Build what a gup.a, particle.v or solenoid.flux row would change, so its engine constructor rejects a bad value."""
     if parameter == "gup.a":
-        return {"a": GupParameter(a=value).a}
-    if parameter == "particle.v":
-        return {"particle": replace(config.particle, speed=value)}
-    return {"solenoid": replace(config.solenoid, flux=value)}
+        GupParameter(a=value)
+    elif parameter == "particle.v":
+        replace(config.particle, speed=value)
+    else:
+        replace(config.solenoid, flux=value)
 
 
 def _parse_sweep(raw, config: RunConfig, loop_kind: str, loop_params: dict) -> SweepSpec:
     """Check the sweep section and build every row's swept value, so a bad one is a config error.
 
     A loop.radius row's loop depends on nothing else in the config, so it is
-    built here once and kept; the other rows are built again, from the
-    config at hand, when the sweep runs.
+    built here once and kept; the other rows' values are only checked here,
+    and ``run_sweep`` hands them to the engine as one array.
     """
     _section(raw, "sweep", {"parameter", "values"})
     parameter = _require(raw, "parameter", "sweep")
@@ -219,7 +228,7 @@ def _parse_sweep(raw, config: RunConfig, loop_kind: str, loop_params: dict) -> S
     values = tuple(_number(v, "sweep.values") for v in values)
     if parameter != "loop.radius":
         for value in values:
-            _build(f"sweep.values for {parameter.split('.')[0]}", _swept, config, parameter, value)
+            _build(f"sweep.values for {parameter.split('.')[0]}", _check_swept, config, parameter, value)
         return SweepSpec(parameter=parameter, values=values)
     if loop_kind != "circle":
         raise ConfigError("sweeping loop.radius requires a circle loop")
@@ -286,34 +295,43 @@ def run_phase(config: RunConfig) -> PhaseResult:
 
 
 def run_sweep(config: RunConfig):
-    """Evaluate the engine once per sweep value, preserving input order; every row is built before any runs."""
+    """Evaluate every sweep row as one batch over a per-loop geometry record; rows come back in input order.
+
+    A gup.a, particle.v or solenoid.flux sweep computes one ``phase_geometry``
+    record and a loop.radius sweep one per row's loop; ``phase_rows`` then
+    takes every row at once, each row with the operations ``run_phase`` would
+    give it. A failing sweep raises the error of its first failing row.
+    """
     if config.sweep is None:
         raise ConfigError("config has no sweep section")
-    sweep = config.sweep
+    sweep, particle, solenoid, quad = config.sweep, config.particle, config.solenoid, config.quadrature
+    values = np.array(sweep.values)
+    inputs = dict(charge=particle.charge, mass=particle.mass, speed=particle.speed, flux=solenoid.flux, a=config.a)
     if sweep.loops:
-        rows = [replace(config, loop=loop) for loop in sweep.loops]
+        geometry = stack_geometry([phase_geometry(loop, solenoid, quad) for loop in sweep.loops])
     else:
-        rows = [replace(config, **_swept(config, sweep.parameter, value)) for value in sweep.values]
-    return [(value, run_phase(row)) for value, row in zip(sweep.values, rows)]
+        geometry = phase_geometry(config.loop, solenoid, quad)
+        if geometry.turns is None and sweep.parameter == "solenoid.flux":  # an integrated circulation holds the flux
+            geometry = stack_geometry([phase_geometry(config.loop, replace(solenoid, flux=v), quad) for v in sweep.values])
+        inputs[_SWEPT_INPUT[sweep.parameter]] = values
+    rows = phase_rows(geometry, **inputs, projection=config.projection, spinor=config.spinor)
+    columns = np.broadcast_arrays(
+        values, rows.standard_phase, rows.projected_correction, rows.total_phase, rows.quadrature_error, inputs["a"]
+    )
+    table = zip(*(column.tolist() for column in columns))
+    matrices = np.broadcast_to(rows.correction_matrix, values.shape + (4, 4))
+    return [
+        (value, PhaseResult(standard, matrix, projected, total, error, a))
+        for (value, standard, projected, total, error, a), matrix in zip(table, matrices)
+    ]
 
 
 def sweep_csv(rows) -> str:
-    lines = [SWEEP_CSV_HEADER]
-    for value, result in rows:
-        lines.append(
-            ",".join(
-                repr(float(x))
-                for x in (
-                    value,
-                    result.a,
-                    result.standard_phase,
-                    result.projected_correction,
-                    result.total_phase,
-                    result.quadrature_error,
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    fields = [
+        (value, r.a, r.standard_phase, r.projected_correction, r.total_phase, r.quadrature_error) for value, r in rows
+    ]
+    table = np.array(fields, dtype=float).tolist()
+    return "\n".join([SWEEP_CSV_HEADER, *(",".join(map(repr, row)) for row in table)]) + "\n"
 
 
 def dispersion_csv(config: RunConfig, p_max: float, steps: int) -> str:

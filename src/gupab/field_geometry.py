@@ -256,7 +256,8 @@ class LoopPath:
         object.__setattr__(self, "segments", segments)
         if not segments:
             raise GeometryError("path needs at least one segment")
-        s = np.linspace(0.0, 1.0, _VALIDATION_SAMPLES)
+        generic = any(seg.endpoints is None and seg.arc is None for seg in segments)
+        s = np.linspace(0.0, 1.0, _VALIDATION_SAMPLES) if generic else None  # only generic curves are sampled
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported as non-finite or as a gap
             measured = [_measure(seg, s) for seg in segments]
             ends = np.array([seg_ends for seg_ends, _ in measured], dtype=float)
@@ -478,10 +479,10 @@ def _arc_about_axis(arc, spec: SolenoidSpec):
     offset = math.hypot(ax, ay)
     # |P - c| - r is attained where P's azimuth about c falls inside the sweep; otherwise at an end
     bearing = ((math.atan2(ay, ax) - theta0) * math.copysign(1.0, sweep)) % (2.0 * math.pi)
-    ends = (theta0, theta0 + sweep)
-    clearance = min(math.hypot(radius * math.cos(t) - ax, radius * math.sin(t) - ay) for t in ends)
     if abs(sweep) >= 2.0 * math.pi or offset == 0.0 or bearing <= abs(sweep):
         clearance = abs(offset - radius)
+    else:
+        clearance = min(math.hypot(radius * math.cos(t) - ax, radius * math.sin(t) - ay) for t in (theta0, theta0 + sweep))
     # Whole turns are closed circles: each sweeps 2 pi, signed by facing, about an axis inside the
     # circle and 0 about one outside, so only the rest, within half a turn of theta0, is cut into
     # sub-arcs. A sub-arc of sweep <= pi/2 turns by its chord's angle about the axis, plus a full turn
@@ -491,14 +492,16 @@ def _arc_about_axis(arc, spec: SolenoidSpec):
     # The chord ends are taken in units of a power of 2 near the arc's size, as in ``_unit_scale``.
     turns = round(sweep / (2.0 * math.pi))
     rest = sweep - 2.0 * math.pi * turns
-    t = np.linspace(theta0, theta0 + rest, math.ceil(abs(rest) / (0.5 * math.pi)) + 1)
-    unit = math.ldexp(1.0, math.frexp(max(radius, abs(ax), abs(ay)))[1] - 1)
-    u, v = (radius / unit) * np.cos(t) - ax / unit, (radius / unit) * np.sin(t) - ay / unit
-    cross = facing * (u[:-1] * v[1:] - v[:-1] * u[1:])
-    angles = float(np.sum(np.arctan2(cross, u[:-1] * u[1:] + v[:-1] * v[1:])))
+    angles, between = 0.0, 0
+    if rest:  # whole turns alone, as every circle has, cut no sub-arcs
+        t = np.linspace(theta0, theta0 + rest, math.ceil(abs(rest) / (0.5 * math.pi)) + 1)
+        unit = math.ldexp(1.0, math.frexp(max(radius, abs(ax), abs(ay)))[1] - 1)
+        u, v = (radius / unit) * np.cos(t) - ax / unit, (radius / unit) * np.sin(t) - ay / unit
+        cross = facing * (u[:-1] * v[1:] - v[:-1] * u[1:])
+        angles = float(np.sum(np.arctan2(cross, u[:-1] * u[1:] + v[:-1] * v[1:])))
+        between = np.count_nonzero(np.signbit(cross) != (facing * rest < 0.0))
     if offset >= radius:
         return clearance, angles
-    between = np.count_nonzero(np.signbit(cross) != (facing * rest < 0.0))
     return clearance, angles + 2.0 * math.pi * (facing * turns + math.copysign(between, facing * rest))
 
 
@@ -520,8 +523,13 @@ def loop_geometry(loop: LoopPath, spec: SolenoidSpec) -> LoopGeometry:
         d = np.asarray(spec.axis_direction)
         unit, scale = _unit_scale(spec.radial(lines))
         rho.append(_closest_radius_of_lines(unit, scale))
-        turns = np.cross(unit[:, 0], unit[:, 1]) @ d
-        swept += float(np.sum(np.arctan2(turns, np.sum(unit[:, 0] * unit[:, 1], axis=1))))
+        a, b = unit[:, 0], unit[:, 1]
+        # a x b written out: np.cross forms the same products and differences, at several times the cost
+        normal = np.stack(
+            [a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1], a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2], a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]],
+            axis=-1,
+        )
+        swept += float(np.sum(np.arctan2(normal @ d, np.sum(a * b, axis=1))))
     if spec.axis_direction[0] == 0.0 and spec.axis_direction[1] == 0.0:
         for seg in arcs:
             clearance, angle = _arc_about_axis(seg.arc, spec)

@@ -307,13 +307,16 @@ def uncertainty_check(
     product Dx Dp obeys the exact finite-dimensional Robertson bound; the
     normalization precondition is checked with trapezoid weights. The
     default tolerance (1e-3 / 2) absorbs the O(h^2) discretization bias of
-    the stencil for well-resolved states.
+    the stencil for well-resolved states. A state with a NaN or infinite
+    amplitude is rejected.
     """
     psi = np.asarray(state, dtype=complex)
     if psi.ndim == 0 or psi.shape[-1] != grid.n:
         raise DomainError("state must match the grid size")
     _check_coupling(a)
     a = np.asarray(a, dtype=float)
+    if not np.isfinite(psi).all():  # a NaN norm would pass the normalization test below
+        raise DomainError("state must be finite")
     h = grid.h
     density = np.abs(psi) ** 2
     trap_norm = np.sum(_trapezoid_weights(grid.n, h) * density, axis=-1)

@@ -20,20 +20,30 @@ exposed as alternatives. Lines and circular arcs give dtheta and L in closed
 form (``field_geometry.loop_geometry``); a path with a generic curve falls
 back to quadrature for the flux and the length. All phases are reported in
 radians without 2 pi reduction. Natural units (hbar = c = 1).
+
+The phase is assembled in two steps. ``phase_geometry`` computes, once per
+loop, the record that no particle, flux or coupling changes: the swept
+turns, the clearance from the axis and the length, with its error.
+``phase_rows`` then takes charge, mass, speed, flux and a as floats or
+broadcast arrays and gives every row its phases, each row with the same
+IEEE operations in the same order as a lone row. ``total_phase`` is its
+one-row case, and a sweep is one batch.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .clifford import alpha, beta, gamma
 from .errors import DomainError, GeometryError, GupabError
 from .field_geometry import (
-    IntegralResult,
     LoopPath,
     QuadratureSpec,
     SolenoidSpec,
@@ -45,6 +55,11 @@ from .field_geometry import (
 _G0 = gamma(0)
 _G_SPATIAL = np.stack([gamma(1), gamma(2), gamma(3)])
 _ALPHA_ROWS = np.stack([alpha(1), alpha(2), alpha(3)]).reshape(3, 16)  # p3 @ rows = alpha.p, flattened
+
+
+def _lorentz(speed):
+    """1 / sqrt(1 - v^2) for a speed or an array of them."""
+    return 1.0 / np.sqrt(1.0 - speed * speed)
 
 
 @dataclass(frozen=True)
@@ -63,7 +78,7 @@ class ParticleSpec:
 
     @property
     def lorentz_gamma(self) -> float:
-        return 1.0 / math.sqrt(1.0 - self.speed * self.speed)
+        return float(_lorentz(self.speed))
 
     @property
     def energy(self) -> float:
@@ -112,44 +127,132 @@ class PhaseResult:
         )
 
 
-def _ab_integral(particle, solenoid, loop, quad) -> IntegralResult:
-    geometry = loop_geometry(loop, solenoid)
-    if geometry.clearance <= solenoid.radius:
-        raise GeometryError("loop enters the solenoid interior; the flux phase requires field-free paths")
-    if geometry.swept_angle is not None:
-        turns = geometry.swept_angle / (2.0 * math.pi)
-        return IntegralResult(value=particle.charge * solenoid.flux * turns, error_estimate=0.0)
-    result = solenoid_circulation(solenoid, loop, quad)
-    return IntegralResult(
-        value=particle.charge * result.value,
-        error_estimate=abs(particle.charge) * result.error_estimate,
-        nodes_per_segment=result.nodes_per_segment,
-    )
+class PhaseGeometry(NamedTuple):
+    """What a phase needs of one loop about one coil, whatever the particle, flux and coupling.
+
+    ``turns`` is the azimuth the loop sweeps about the axis over 2 pi, or
+    None when some segment is a generic curve; ``circulation`` and
+    ``circulation_error`` then hold the coil's circulation along the loop at
+    the coil's flux, by quadrature (NaN for a loop through the coil, which
+    ``phase_rows`` reports instead). ``length`` is exact for lines and arcs,
+    with ``length_error`` 0.0, and integrated otherwise; ``displacement`` is
+    the end-to-end step, None on closed paths. A record built with no coil
+    holds None in the five coil fields, and one from ``stack_geometry`` an
+    array per field, with an entry per loop.
+    """
+
+    turns: float | np.ndarray | None
+    circulation: float | np.ndarray | None
+    circulation_error: float | np.ndarray | None
+    clearance: float | np.ndarray | None
+    coil_radius: float | np.ndarray | None
+    length: float | np.ndarray
+    length_error: float | np.ndarray
+    displacement: np.ndarray | None
+
+
+def phase_geometry(loop: LoopPath, solenoid: SolenoidSpec | None, quad: QuadratureSpec | None = None) -> PhaseGeometry:
+    """The loop's record about the coil, from one ``loop_geometry`` call; quadrature only for generic curves."""
+    quad = quad or QuadratureSpec()
+    turns = circulation = circulation_error = clearance = coil_radius = None
+    if solenoid is not None:
+        geometry = loop_geometry(loop, solenoid)
+        clearance, coil_radius = geometry.clearance, solenoid.radius
+        if geometry.swept_angle is not None:
+            turns = geometry.swept_angle / (2.0 * math.pi)
+        elif clearance <= coil_radius:  # not integrated: every row reports the loop as entering the coil
+            circulation = circulation_error = math.nan
+        else:
+            result = solenoid_circulation(solenoid, loop, quad)
+            circulation, circulation_error = result.value, result.error_estimate
+    length, length_error = loop.length, 0.0
+    if length is None:
+        result = loop_length(loop, quad)
+        length, length_error = result.value, result.error_estimate
+    displacement = None if loop.closed else loop.ends[-1, 1] - loop.ends[0, 0]
+    return PhaseGeometry(turns, circulation, circulation_error, clearance, coil_radius, length, length_error, displacement)
+
+
+def stack_geometry(records) -> PhaseGeometry:
+    """One record over loops of one kind (all closed or all open, all closed-form or all generic), an entry per loop."""
+    return PhaseGeometry(*(None if column[0] is None else np.array(column) for column in zip(*records)))
+
+
+class PhaseRows(NamedTuple):
+    """Phase results over rows; the fields broadcast against each other, the matrices with two trailing axes."""
+
+    standard_phase: np.ndarray
+    correction_matrix: np.ndarray
+    projected_correction: np.ndarray
+    total_phase: np.ndarray
+    quadrature_error: np.ndarray
+
+
+_ENTERS_COIL = "loop enters the solenoid interior; the flux phase requires field-free paths"
+_NEGATIVE_A = "deformation parameter a must be nonnegative"
+_NOT_FINITE = "phase is not finite: the inputs overflow double precision"
+
+
+def _raise_first(*checks):
+    """Raise for the first row that fails a check, the error of the first check it fails.
+
+    Each check is (mask, error type, message); the masks are bools or
+    arrays of them that broadcast over the rows.
+    """
+    failed = functools.reduce(operator.or_, (mask for mask, _, _ in checks))
+    if np.count_nonzero(failed):
+        row = np.argmax(np.ravel(failed))
+        for mask, error, message in checks:
+            if np.ravel(np.broadcast_to(mask, np.shape(failed)))[row]:
+                raise error(message)
+
+
+def _rows(x):
+    """A float or an array of them, with two trailing axes to scale 4x4 matrices row by row."""
+    return np.asarray(x)[..., None, None]
+
+
+def _ab_integral(geometry: PhaseGeometry, charge, flux):
+    """(value, error) of the flux phase q Phi turns; on generic curves q times the integrated circulation."""
+    if geometry.turns is None:
+        return charge * geometry.circulation, abs(charge) * geometry.circulation_error
+    return charge * flux * geometry.turns, 0.0
 
 
 def ab_phase(particle: ParticleSpec, solenoid: SolenoidSpec, loop: LoopPath, quad: QuadratureSpec | None = None) -> float:
     """Flux phase q * circulation of A; equals q Phi w for winding number w."""
-    return _ab_integral(particle, solenoid, loop, quad or QuadratureSpec()).value
+    geometry = phase_geometry(loop, solenoid, quad)
+    _raise_first((geometry.clearance <= geometry.coil_radius, GeometryError, _ENTERS_COIL))
+    value, _ = _ab_integral(geometry, particle.charge, solenoid.flux)
+    return float(value)
 
 
-def _matrix_base(particle: ParticleSpec, loop: LoopPath, quad: QuadratureSpec):
-    """Contour integral of slash(p0) (p0 . dx), without the -a q factor.
+def _matrix_base(geometry: PhaseGeometry, energy, momentum, contraction):
+    """Contour integral of slash(p0) (p0 . dx), without the -a q factor, and its error.
 
     Equals (E/v - p)(E L gamma^0 - p dx . gamma), since |dr| t-hat = dr; dx
-    is the end-to-end displacement, zero on closed loops. L is the exact length
-    the loop records for lines and arcs, and integrated, with its error, when
+    is the end-to-end displacement, zero on closed loops. L is the length the
+    record holds: exact for lines and arcs, integrated, with its error, when
     some segment is a generic curve.
     """
-    length, err = loop.length, 0.0
-    if length is None:
-        result = loop_length(loop, quad)
-        length, err = result.value, result.error_estimate
-    contraction = particle.energy / particle.speed - particle.momentum
-    matrix = particle.energy * length * _G0
-    if not loop.closed:
-        displacement = loop.ends[-1, 1] - loop.ends[0, 0]
-        matrix = matrix - particle.momentum * np.tensordot(displacement, _G_SPATIAL, axes=1)
-    return contraction * matrix, contraction * particle.energy * err
+    matrix = _rows(energy * geometry.length) * _G0
+    if geometry.displacement is not None:
+        matrix = matrix - _rows(momentum) * np.tensordot(geometry.displacement, _G_SPATIAL, axes=1)
+    return _rows(contraction) * matrix, contraction * energy * geometry.length_error
+
+
+def _matrix_correction(geometry: PhaseGeometry, charge, energy, momentum, speed, a):
+    base, err = _matrix_base(geometry, energy, momentum, energy / speed - momentum)
+    factor = -a * charge
+    # + 0.0 folds the signed zero at a = 0 without touching nonzero entries
+    return _rows(factor) * base + 0.0, abs(factor) * err
+
+
+def _correction(particle: ParticleSpec, loop: LoopPath, a: float, quad):
+    """(matrix, error) of the correction alone, with no coil: a is checked, finiteness is not."""
+    _raise_first((a < 0.0, DomainError, _NEGATIVE_A))
+    geometry = phase_geometry(loop, None, quad)
+    return _matrix_correction(geometry, particle.charge, particle.energy, particle.momentum, particle.speed, a)
 
 
 def gup_phase_matrix(particle: ParticleSpec, loop: LoopPath, a: float, quad: QuadratureSpec | None = None) -> np.ndarray:
@@ -159,17 +262,8 @@ def gup_phase_matrix(particle: ParticleSpec, loop: LoopPath, a: float, quad: Qua
     base integral), and exactly zero at a = 0. For closed loops the spatial
     gamma parts cancel with the tangent, leaving the gamma^0 block.
     """
-    matrix, _ = _matrix_correction(particle, loop, a, quad or QuadratureSpec())
+    matrix, _ = _correction(particle, loop, a, quad)
     return matrix
-
-
-def _matrix_correction(particle, loop, a, quad):
-    if a < 0.0:
-        raise DomainError("deformation parameter a must be nonnegative")
-    base, err = _matrix_base(particle, loop, quad)
-    factor = -a * particle.charge
-    # + 0.0 folds the signed zero at a = 0 without touching nonzero entries
-    return factor * base + 0.0, abs(factor) * err
 
 
 def gup_phase_projected(
@@ -189,29 +283,79 @@ def gup_phase_projected(
     'fixed_spinor' evaluates Re <u| M |u> / <u|u> for a caller-supplied
     spinor u.
     """
-    correction = _matrix_correction(particle, loop, a, quad or QuadratureSpec())
-    value, _ = _projected_correction(particle, correction, projection, spinor)
-    return value
+    matrix, err = _correction(particle, loop, a, quad)
+    spinor = _projection_spinor(projection, spinor)
+    value, _ = _projected_correction(matrix, err, particle.mass, particle.energy, spinor)
+    return float(value)
 
 
-def _projected_correction(particle, correction, projection, spinor):
-    """(value, error) of the projection of the built correction, a (matrix, error) pair."""
-    matrix, err = correction
+def _projection_spinor(projection, spinor):
+    """(u, <u|u>) for the fixed-spinor projection, None for the comoving one; DomainError for anything else."""
     if projection == "comoving_on_shell":
-        ratio = particle.mass / particle.energy
-        return ratio * float(matrix[0, 0].real), ratio * err
-    if projection == "fixed_spinor":
-        if spinor is None:
-            raise DomainError("fixed_spinor projection needs a spinor")
-        u = np.asarray(spinor, dtype=complex)
-        if u.shape != (4,):
-            raise DomainError("spinor must have four components")
-        norm_sq = float(np.real(np.vdot(u, u)))
-        if norm_sq == 0.0:
-            raise DomainError("spinor must be nonzero")
-        value = float(np.real(np.vdot(u, matrix @ u))) / norm_sq
-        return value, err
-    raise DomainError(f"unknown projection {projection!r}")
+        return None
+    if projection != "fixed_spinor":
+        raise DomainError(f"unknown projection {projection!r}")
+    if spinor is None:
+        raise DomainError("fixed_spinor projection needs a spinor")
+    u = np.asarray(spinor, dtype=complex)
+    if u.shape != (4,):
+        raise DomainError("spinor must have four components")
+    norm_sq = float(np.real(np.vdot(u, u)))
+    if norm_sq == 0.0:
+        raise DomainError("spinor must be nonzero")
+    return u, norm_sq
+
+
+def _projected_correction(matrix, err, mass, energy, spinor):
+    """(value, error) of the projection of the correction rows, for a spinor from ``_projection_spinor``."""
+    if spinor is None:
+        ratio = mass / energy
+        return ratio * matrix[..., 0, 0].real, ratio * err
+    u, norm_sq = spinor
+    # row by row the same BLAS dot as np.vdot(u, M u), which conjugates u
+    return np.matmul(np.conj(u), (matrix @ u)[..., None])[..., 0].real / norm_sq, err
+
+
+def phase_rows(
+    geometry: PhaseGeometry,
+    charge,
+    mass,
+    speed,
+    flux,
+    a,
+    projection: str = "comoving_on_shell",
+    spinor=None,
+) -> PhaseRows:
+    """Standard phase, correction matrix, projection, total and error for rows of particle, flux and coupling values.
+
+    ``charge``, ``mass``, ``speed``, ``flux`` and ``a`` are floats or arrays
+    that broadcast against each other and against a stacked ``geometry``;
+    each entry of the broadcast is a row, and takes the same IEEE operations
+    in the same order as a row given as floats. On a generic curve the flux
+    is the coil's, already in the record's circulation. The projection and
+    spinor are checked first, for every row alike. Then the first row that
+    fails raises, with, in this order: ``GeometryError`` if its loop enters
+    the coil, ``DomainError`` if its a is negative, and ``GupabError`` if
+    any of its results is not finite, as when E / v or a q overflows double
+    precision.
+    """
+    spinor = _projection_spinor(projection, spinor)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported row by row, below
+        standard, standard_err = _ab_integral(geometry, charge, flux)
+        energy = _lorentz(speed) * mass
+        momentum = energy * speed
+        matrix, matrix_err = _matrix_correction(geometry, charge, energy, momentum, speed, a)
+        projected, projected_err = _projected_correction(matrix, matrix_err, mass, energy, spinor)
+        total = standard + projected
+        error = np.maximum(np.maximum(standard_err, matrix_err), projected_err)
+        # a sum is finite only with both terms, and a maximum only with all three (NaN propagates)
+        finite = np.isfinite(matrix).all(axis=(-2, -1)) & np.isfinite(total) & np.isfinite(error)
+    _raise_first(
+        (geometry.clearance <= geometry.coil_radius, GeometryError, _ENTERS_COIL),
+        (a < 0.0, DomainError, _NEGATIVE_A),
+        (~finite, GupabError, _NOT_FINITE),
+    )
+    return PhaseRows(standard, matrix, projected, total, error)
 
 
 def total_phase(
@@ -223,26 +367,19 @@ def total_phase(
     projection: str = "comoving_on_shell",
     spinor=None,
 ) -> PhaseResult:
-    """Assemble standard phase, correction matrix, projection, and their sum.
+    """Assemble standard phase, correction matrix, projection, and their sum: the one-row case of ``phase_rows``.
 
     Raises ``GupabError`` if any of them is not finite, as when E / v or
     a q overflows double precision.
     """
-    quad = quad or QuadratureSpec()
-    with np.errstate(over="ignore", invalid="ignore"):  # reported once, below
-        standard = _ab_integral(particle, solenoid, loop, quad)
-        matrix, matrix_err = _matrix_correction(particle, loop, a, quad)
-        projected, projected_err = _projected_correction(particle, (matrix, matrix_err), projection, spinor)
-    total = standard.value + projected
-    scalars = (standard.value, projected, total, standard.error_estimate, matrix_err, projected_err)
-    if not (all(map(math.isfinite, scalars)) and np.isfinite(matrix).all()):
-        raise GupabError("phase is not finite: the inputs overflow double precision")
+    geometry = phase_geometry(loop, solenoid, quad)
+    rows = phase_rows(geometry, particle.charge, particle.mass, particle.speed, solenoid.flux, a, projection, spinor)
     return PhaseResult(
-        standard_phase=standard.value,
-        correction_matrix=matrix,
-        projected_correction=projected,
-        total_phase=total,
-        quadrature_error=max(standard.error_estimate, matrix_err, projected_err),
+        standard_phase=float(rows.standard_phase),
+        correction_matrix=rows.correction_matrix,
+        projected_correction=float(rows.projected_correction),
+        total_phase=float(rows.total_phase),
+        quadrature_error=float(rows.quadrature_error),
         a=a,
     )
 

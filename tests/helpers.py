@@ -1,20 +1,23 @@
 """Shared oracles and geometry generators for the test suite.
 
-Everything here except ``reference_verification`` is deliberately
-independent of the package's quadrature and matrix plumbing: Dirac matrices
-are rebuilt inline from Pauli blocks, and contour integrals are brute-force
-midpoint Riemann sums. ``reference_verification`` is the verification suite
-run through the library one input row at a time.
+Everything here except ``reference_verification`` and ``reference_sweep``
+is deliberately independent of the package's quadrature and matrix plumbing:
+Dirac matrices are rebuilt inline from Pauli blocks, and contour integrals
+are brute-force midpoint Riemann sums. ``reference_verification`` is the
+verification suite run through the library one input row at a time, and
+``reference_sweep`` a sweep run one ``run_phase`` per row.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from gupab import clifford, gup_algebra
-from gupab.cli_io import _check, _gamma_algebra_residual
+from gupab.cli_io import _check, _gamma_algebra_residual, run_phase
 from gupab.field_geometry import LoopPath, QuadratureSpec, Segment, SolenoidSpec, circle_loop
 from gupab.phase_engine import ParticleSpec, ab_phase, dispersion, gup_phase_projected
+from gupab.units import GupParameter
 
 # Dirac representation rebuilt from scratch (oracle side).
 _S = [
@@ -280,3 +283,25 @@ def reference_verification(level, perturbation):
         checks.append(_check("grid_lab_scaling_exponent", abs(lab512.gup_scaling_exponent - 3.0), 0.3))
 
     return {"level": level, "checks": checks, "all_passed": all(c["passed"] for c in checks)}
+
+
+def reference_sweep(config):
+    """A sweep evaluated row by row: one config per value, each through ``run_phase``, in input order.
+
+    Every row is built before any runs, as ``run_sweep`` did before it
+    batched the rows; this is the oracle its batch is compared against.
+    """
+    sweep = config.sweep
+
+    def swept(value):
+        if sweep.parameter == "gup.a":
+            return {"a": GupParameter(a=value).a}
+        if sweep.parameter == "particle.v":
+            return {"particle": replace(config.particle, speed=value)}
+        return {"solenoid": replace(config.solenoid, flux=value)}
+
+    if sweep.loops:
+        rows = [replace(config, loop=loop) for loop in sweep.loops]
+    else:
+        rows = [replace(config, **swept(value)) for value in sweep.values]
+    return [(value, run_phase(row)) for value, row in zip(sweep.values, rows)]

@@ -12,14 +12,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from helpers import reference_verification
+from helpers import fourier_loop, reference_sweep, reference_verification
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gupab import cli_io
+from gupab import cli_io, phase_engine
 from gupab.cli_io import (
     DISPERSION_CSV_HEADER,
+    PROJECTIONS,
     SWEEP_CSV_HEADER,
+    SweepSpec,
     load_config,
     main,
     run_phase,
@@ -27,8 +29,8 @@ from gupab.cli_io import (
     run_verification,
     sweep_csv,
 )
-from gupab.errors import ConfigError
-from gupab.field_geometry import SolenoidSpec
+from gupab.errors import ConfigError, GupabError
+from gupab.field_geometry import SolenoidSpec, loop_geometry
 from gupab.phase_engine import PhaseResult, dispersion
 
 BASE_CONFIG = {
@@ -719,3 +721,146 @@ def test_config_fuzzer_mutation_exits_2(ops):
     assert out.getvalue() == ""
     lines = err.getvalue().splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error: ")
+
+
+# --- batched sweeps ---------------------------------------------------------------
+
+
+def _sweep_outcome(run, config):
+    """The rows a sweep gives, or the type and message of the error it raises."""
+    try:
+        return run(config)
+    except GupabError as exc:
+        return type(exc), str(exc)
+
+
+def _polygon(data, count):
+    """Vertices around an off-centre point, at increasing angles, each with its own radius and height."""
+    cx, cy = data.draw(_floats(-0.5, 0.5)), data.draw(_floats(-0.5, 0.5))
+    angles = np.cumsum(data.draw(st.lists(_floats(0.5, 1.5), min_size=count, max_size=count)))
+    angles = 2.0 * math.pi * angles / angles[-1]
+    radii = data.draw(st.lists(_floats(0.3, 2.0), min_size=count, max_size=count))
+    heights = data.draw(st.lists(_floats(-0.5, 0.5), min_size=count, max_size=count))
+    return [[cx + r * math.cos(t), cy + r * math.sin(t), z] for t, r, z in zip(angles, radii, heights)]
+
+
+def _rectangle(data):
+    cx, cy, z = (data.draw(_floats(-0.5, 0.5)) for _ in range(3))
+    w, h, turn = data.draw(_floats(0.3, 2.0)), data.draw(_floats(0.3, 2.0)), data.draw(_floats(0.0, math.pi))
+    corners = [(w, h), (-w, h), (-w, -h), (w, -h)]
+    c, s = math.cos(turn), math.sin(turn)
+    return [[cx + c * x - s * y, cy + s * x + c * y, z] for x, y in corners]
+
+
+_HUGE = _floats(1e307, 1.7e308)  # a q or q Phi overflows
+_SWEEP_ROWS = {
+    "gup.a": st.one_of(_floats(0.0, 0.2), _HUGE),
+    "particle.v": st.one_of(_floats(0.01, 0.99), st.sampled_from([1e-320, 3e-321])),  # E / v overflows
+    "solenoid.flux": st.one_of(_floats(-3.0, 3.0), _HUGE),
+}
+_SWEEP_CASES = [
+    (parameter, kind, projection)
+    for parameter in _SWEEP_ROWS
+    for kind in ("circle", "rectangle", "polyline")
+    for projection in PROJECTIONS
+] + [("loop.radius", "circle", projection) for projection in PROJECTIONS]
+
+
+@pytest.mark.parametrize("parameter, kind, projection", _SWEEP_CASES)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_batched_sweep_matches_row_by_row(parameter, kind, projection, data):
+    # bit for bit: equal CSV text (repr round-trips every float) and equal matrix bytes, or the same error
+    coil = data.draw(st.sampled_from([1e-3, 1e-2, 0.1]))
+    payload = {
+        "particle": {"q": data.draw(_floats(-2.0, 2.0)), "m": data.draw(_floats(0.2, 5.0)), "v": data.draw(_floats(0.05, 0.95))},
+        "solenoid": {"flux": data.draw(_floats(-3.0, 3.0)), "radius": coil},
+        "gup": {"a": data.draw(st.one_of(_floats(0.0, 0.1), _floats(1e5, 1e10)))},
+        "projection": projection,
+    }
+    if projection == "fixed_spinor":
+        payload["spinor"] = {"momentum": data.draw(st.lists(_floats(-1.0, 1.0), min_size=3, max_size=3))}
+    if kind == "circle":
+        center = [data.draw(_floats(-1.0, 1.0)) for _ in range(3)]
+        windings = data.draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+        payload["loop"] = {"kind": "circle", "center": center, "radius": data.draw(_floats(0.3, 3.0)), "windings": windings}
+    elif kind == "rectangle":
+        payload["loop"] = {"kind": "rectangle", "corners": _rectangle(data)}
+    else:
+        payload["loop"] = {"kind": "polyline", "vertices": _polygon(data, data.draw(st.integers(3, 7)))}
+    if parameter == "loop.radius":
+        offset = math.hypot(center[0], center[1])
+        # rows that pass within a coil radius of the axis, and rows whose length overflows with a large a
+        near = _floats(-0.9, 0.9).map(lambda u: offset + coil * u).filter(lambda r: r > 0.0)
+        rows = st.one_of(_floats(0.2, 3.0), near, st.sampled_from([1e300, 1e303]))
+    else:
+        rows = _SWEEP_ROWS[parameter]
+    payload["sweep"] = {"parameter": parameter, "values": data.draw(st.lists(rows, min_size=1, max_size=6))}
+    config = cli_io.parse_config(payload)
+    expected = _sweep_outcome(reference_sweep, config)
+    got = _sweep_outcome(run_sweep, config)
+    if isinstance(expected, tuple):
+        assert got == expected
+    else:
+        assert sweep_csv(got) == sweep_csv(expected)
+        for (_, row), (_, reference) in zip(got, expected):
+            assert row.correction_matrix.tobytes() == reference.correction_matrix.tobytes()
+
+
+@pytest.mark.parametrize(
+    "parameter, values",
+    [
+        ("gup.a", [0.0, 0.01, 0.02]),
+        ("solenoid.flux", [1.0, -2.0, 0.5, 3.0]),
+        ("particle.v", [0.2, 0.4, 0.6, 0.8, 0.9]),
+        ("loop.radius", [1.0, 1.5, 2.0, 2.5]),
+    ],
+)
+def test_sweep_computes_loop_geometry_once_per_loop(tmp_path, capsys, monkeypatch, parameter, values):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return loop_geometry(*args)
+
+    monkeypatch.setattr(phase_engine, "loop_geometry", counted)
+    payload = json.loads(json.dumps(BASE_CONFIG))
+    payload["sweep"] = {"parameter": parameter, "values": values}
+    assert main(["sweep", "-c", write_config(tmp_path, payload)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == len(values) + 1
+    assert len(calls) == (len(values) if parameter == "loop.radius" else 1)
+
+
+_OVERFLOW = "phase is not finite: the inputs overflow double precision"
+_INSIDE = "loop enters the solenoid interior; the flux phase requires field-free paths"
+
+
+@pytest.mark.parametrize(
+    "section, update, values, message",
+    [
+        ("gup", {"a": 1e7}, [1.0, 2.0, 1e303, 3.0, 0.05], _OVERFLOW),  # row 3 overflows before row 5 enters the coil
+        ("gup", {"a": 1e7}, [1.0, 0.05, 1e303], _INSIDE),
+        ("particle", {"v": 1e-320}, [0.05, 1.0], _INSIDE),  # every row overflows; row 1 also enters the coil
+        ("particle", {"v": 1e-320}, [1.0, 0.05], _OVERFLOW),
+    ],
+)
+def test_failing_sweep_reports_its_first_failing_row(tmp_path, capsys, section, update, values, message):
+    payload = json.loads(json.dumps(BASE_CONFIG))
+    payload[section].update(update)
+    payload["sweep"] = {"parameter": "loop.radius", "values": values}
+    assert main(["sweep", "-c", write_config(tmp_path, payload)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
+
+
+def test_flux_sweep_over_a_generic_curve_integrates_every_row(tmp_path):
+    # a library config may hold a curve with no recorded shape, whose circulation is integrated at each flux
+    config = replace(
+        load_config(write_config(tmp_path, BASE_CONFIG)),
+        loop=fourier_loop(np.random.default_rng(5)),
+        sweep=SweepSpec(parameter="solenoid.flux", values=(1.0, -2.0, 0.5)),
+    )
+    rows = run_sweep(config)
+    assert sweep_csv(rows) == sweep_csv(reference_sweep(config))
+    assert [row.standard_phase for _, row in rows] == pytest.approx([1.0, -2.0, 0.5], abs=1e-9)

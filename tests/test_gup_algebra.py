@@ -213,6 +213,19 @@ def test_uncertainty_rejects_unnormalized_state():
         uncertainty_check(grid, np.ones(grid.n, dtype=complex), 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+def test_uncertainty_rejects_non_finite_state(bad):
+    # a NaN amplitude gives a NaN norm, which no normalization tolerance test rejects
+    grid = MomentumGrid.uniform(0.5, 2.5, 64)
+    state = gaussian_state(grid).astype(complex)
+    state[3] = bad
+    with pytest.raises(DomainError, match="state must be finite"):
+        uncertainty_check(grid, state, 0.0)
+    stack = np.stack([gaussian_state(grid), state])
+    with pytest.raises(DomainError, match="state must be finite"):
+        uncertainty_check(grid, stack, 0.05)
+
+
 @pytest.mark.parametrize("n", [256, 512])
 @pytest.mark.parametrize("a", [0.0, 0.05])
 def test_lab_residual_matches_dense_commutator(n, a):

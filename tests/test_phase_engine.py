@@ -36,6 +36,8 @@ from gupab.phase_engine import (
     dispersion,
     gup_phase_matrix,
     gup_phase_projected,
+    phase_geometry,
+    phase_rows,
     total_phase,
 )
 
@@ -581,3 +583,60 @@ def test_open_path_matrix_property(shape):
         assert np.max(np.abs(matrix - oracle)) < 1e-9
         projected = gup_phase_projected(PARTICLE, oriented, 0.02, DOUBLING)
         assert projected == pytest.approx(riemann_projected_phase(oriented, PARTICLE, 0.02, nodes=100_000), rel=1e-9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    q=st.floats(-2.0, 2.0),
+    m=st.floats(0.2, 5.0),
+    v=st.floats(0.05, 0.95),
+    flux=st.floats(-3.0, 3.0),
+    a=st.one_of(st.floats(0.0, 0.2), st.floats(1e5, 1e10)),
+    vertices=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(-0.5, 0.5)), min_size=3, max_size=6),
+    closed=st.booleans(),
+    spinor=st.one_of(st.none(), st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)),
+)
+def test_one_row_keeps_the_scalar_operation_order(q, m, v, flux, a, vertices, closed, spinor):
+    # the same bits as the scalar assembly, written out here with Python floats, math.sqrt and np.vdot
+    points = vertices + vertices[:1] if closed else vertices
+    assume(all(math.dist(p0, p1) > 1e-6 for p0, p1 in zip(points[:-1], points[1:])))
+    assume(spinor is None or sum(c * c for c in spinor) > 1e-6)
+    path = LoopPath(tuple(line_segment(p0, p1) for p0, p1 in zip(points[:-1], points[1:])), closed=closed)
+    coil = SolenoidSpec(flux=flux, radius=1e-3)
+    geometry = loop_geometry(path, coil)
+    assume(geometry.clearance > coil.radius)
+    particle = ParticleSpec(charge=q, mass=m, speed=v)
+    projection = "comoving_on_shell" if spinor is None else "fixed_spinor"
+    result = total_phase(particle, coil, path, a, projection=projection, spinor=spinor)
+
+    energy = 1.0 / math.sqrt(1.0 - v * v) * m
+    momentum = energy * v
+    base = energy * path.length * gamma(0)
+    if not closed:
+        spatial = np.stack([gamma(1), gamma(2), gamma(3)])
+        base = base - momentum * np.tensordot(path.ends[-1, 1] - path.ends[0, 0], spatial, axes=1)
+    matrix = -a * q * ((energy / v - momentum) * base) + 0.0
+    if spinor is None:
+        projected = m / energy * float(matrix[0, 0].real)
+    else:
+        u = np.asarray(spinor, dtype=complex)
+        projected = float(np.real(np.vdot(u, matrix @ u))) / float(np.real(np.vdot(u, u)))
+    standard = q * flux * (geometry.swept_angle / (2.0 * math.pi))
+    assert result.correction_matrix.tobytes() == matrix.tobytes()
+    assert (result.standard_phase, result.projected_correction, result.total_phase) == (
+        standard,
+        projected,
+        standard + projected,
+    )
+
+
+def test_phase_rows_raise_for_the_first_failing_row():
+    geometry = phase_geometry(circle_loop(radius=2.0), SOLENOID)
+    with pytest.raises(DomainError, match="a must be nonnegative"):
+        phase_rows(geometry, 1.0, 1.0, 0.6, 1.0, np.array([0.01, -0.01, 1e308]))
+    with pytest.raises(GupabError, match="not finite"):
+        phase_rows(geometry, 1.0, 1.0, 0.6, 1.0, np.array([0.01, 1e308, -0.01]))
+    with pytest.raises(DomainError, match="a must be nonnegative"):  # the second row also overflows
+        phase_rows(geometry, 1.0, 1.0, 0.6, 1.0, np.array([0.01, -1e308]))
+    rows = phase_rows(geometry, 1.0, 1.0, np.array([0.3, 0.6]), 1.0, 0.01)
+    assert rows.correction_matrix.shape == (2, 4, 4) and rows.total_phase.shape == (2,)
