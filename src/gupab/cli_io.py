@@ -6,11 +6,14 @@ projection, sweep parameter). Every value is validated once, by the engine
 constructor that uses it, before any computation starts; ``_build`` turns
 that constructor's error into a ``ConfigError`` naming ``section.key``.
 Structured results go out as JSON, sweep tables as CSV with a frozen header,
-each sweep computed as one batch over a per-loop geometry record, its rows
-in input order. Output is written to stdout or the ``-o`` file only once
-the command has finished, so a failed run leaves an existing file as it
-was. Exit codes: 0 success, 1 verification or computation failure, 2
-config error or an output file that cannot be written.
+each sweep computed as one batch over one geometry record, its rows in
+input order. A ``loop.radius`` sweep is one array of circles: its radius
+column is checked at parse time in one array call and measured in one
+closed form, with no loop built per row. Output is written to stdout or
+the ``-o`` file only once the command has finished, so a failed run leaves
+an existing file as it was. Exit codes: 0 success, 1 verification or
+computation failure, 2 config error or an output file that cannot be
+written.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 
 from . import clifford, gup_algebra
 from .errors import ConfigError, DomainError, GeometryError, GupabError
-from .field_geometry import LoopPath, QuadratureSpec, SolenoidSpec, make_loop
+from .field_geometry import LoopPath, QuadratureSpec, SolenoidSpec, check_radius, make_loop
 from .phase_engine import (
     ParticleSpec,
     PhaseResult,
@@ -107,19 +110,19 @@ def _build(section: str, factory, *args, **kwargs):
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """The swept parameter and its values; a loop.radius sweep also holds each row's loop."""
+    """The swept parameter and its values, each checked when the config is parsed."""
 
     parameter: str
     values: tuple
-    loops: tuple = ()
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Fully validated inputs for one engine run (plus an optional sweep).
 
-    ``loop`` is built once, when the config is parsed, and so is the loop of
-    each row of a ``loop.radius`` sweep.
+    ``loop`` is built once, when the config is parsed. A ``loop.radius``
+    sweep builds no loop of its own: its values are checked there as one
+    column of radii for that circle.
     """
 
     particle: ParticleSpec
@@ -211,12 +214,13 @@ def _check_swept(config: RunConfig, parameter: str, value: float):
         replace(config.solenoid, flux=value)
 
 
-def _parse_sweep(raw, config: RunConfig, loop_kind: str, loop_params: dict) -> SweepSpec:
-    """Check the sweep section and build every row's swept value, so a bad one is a config error.
+def _parse_sweep(raw, config: RunConfig, loop_kind: str) -> SweepSpec:
+    """Check the sweep section and every row's swept value, so a bad one is a config error.
 
-    A loop.radius row's loop depends on nothing else in the config, so it is
-    built here once and kept; the other rows' values are only checked here,
-    and ``run_sweep`` hands them to the engine as one array.
+    A gup.a, particle.v or solenoid.flux value is checked by building what
+    its row changes; loop.radius values by ``check_radius``, in one array
+    call over the column. ``run_sweep`` hands the values to the engine as
+    one array.
     """
     _section(raw, "sweep", {"parameter", "values"})
     parameter = _require(raw, "parameter", "sweep")
@@ -232,8 +236,8 @@ def _parse_sweep(raw, config: RunConfig, loop_kind: str, loop_params: dict) -> S
         return SweepSpec(parameter=parameter, values=values)
     if loop_kind != "circle":
         raise ConfigError("sweeping loop.radius requires a circle loop")
-    loops = tuple(_build("sweep.values for loop", make_loop, loop_kind, **dict(loop_params, radius=v)) for v in values)
-    return SweepSpec(parameter=parameter, values=values, loops=loops)
+    _build("sweep.values for loop", check_radius, config.loop, np.array(values))
+    return SweepSpec(parameter=parameter, values=values)
 
 
 def parse_config(raw: dict) -> RunConfig:
@@ -265,7 +269,7 @@ def parse_config(raw: dict) -> RunConfig:
         sweep=None,
     )
     if "sweep" in raw:
-        config = replace(config, sweep=_parse_sweep(raw["sweep"], config, loop_kind, loop_params))
+        config = replace(config, sweep=_parse_sweep(raw["sweep"], config, loop_kind))
     return config
 
 
@@ -295,20 +299,21 @@ def run_phase(config: RunConfig) -> PhaseResult:
 
 
 def run_sweep(config: RunConfig):
-    """Evaluate every sweep row as one batch over a per-loop geometry record; rows come back in input order.
+    """Evaluate every sweep row as one batch over one geometry record; rows come back in input order.
 
-    A gup.a, particle.v or solenoid.flux sweep computes one ``phase_geometry``
-    record and a loop.radius sweep one per row's loop; ``phase_rows`` then
-    takes every row at once, each row with the operations ``run_phase`` would
-    give it. A failing sweep raises the error of its first failing row.
+    A gup.a, particle.v or solenoid.flux sweep computes the loop's
+    ``phase_geometry`` record, and a loop.radius sweep that of the loop's
+    circle with the radius column swapped in; ``phase_rows`` then takes
+    every row at once, each row with the operations ``run_phase`` would give
+    it. A failing sweep raises the error of its first failing row.
     """
     if config.sweep is None:
         raise ConfigError("config has no sweep section")
     sweep, particle, solenoid, quad = config.sweep, config.particle, config.solenoid, config.quadrature
     values = np.array(sweep.values)
     inputs = dict(charge=particle.charge, mass=particle.mass, speed=particle.speed, flux=solenoid.flux, a=config.a)
-    if sweep.loops:
-        geometry = stack_geometry([phase_geometry(loop, solenoid, quad) for loop in sweep.loops])
+    if sweep.parameter == "loop.radius":
+        geometry = phase_geometry(config.loop, solenoid, quad, values)
     else:
         geometry = phase_geometry(config.loop, solenoid, quad)
         if geometry.turns is None and sweep.parameter == "solenoid.flux":  # an integrated circulation holds the flux

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the row-by-row raise that batched checks share."""
+
+import functools
+import operator
+
+import numpy as np
 
 
 class GupabError(Exception):
@@ -30,3 +35,17 @@ class FieldEvaluationError(GupabError, RuntimeError):
 
 class ConfigError(GupabError, ValueError):
     """A run configuration failed to parse or validate."""
+
+
+def raise_first(*checks):
+    """Raise for the first row that fails a check, the error of the first check it fails.
+
+    Each check is (mask, error type, message); the masks are bools or
+    arrays of them that broadcast over the rows.
+    """
+    failed = functools.reduce(operator.or_, (mask for mask, _, _ in checks))
+    if np.count_nonzero(failed):
+        row = np.argmax(np.ravel(failed))
+        for mask, error, message in checks:
+            if np.ravel(np.broadcast_to(mask, np.shape(failed)))[row]:
+                raise error(message)

@@ -25,19 +25,20 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, FieldEvaluationError, GeometryError, SingularInputError
+from .errors import DomainError, FieldEvaluationError, GeometryError, SingularInputError, raise_first
 
 _MAX_NODES_PER_SEGMENT = 1024  # 2**10 cap for the doubling refinement
 _VALIDATION_SAMPLES = 64
 _CLEARANCE_SAMPLES = 256  # per segment, for curves with no closed-form closest approach
 
 
-def _unit(v, name):
+def _unit(v, name) -> tuple:
+    """The 3-vector v over its norm, as a tuple of floats; DomainError unless v is a nonzero 3-vector."""
     v = np.asarray(v, dtype=float)
-    norm = float(np.linalg.norm(v))
-    if v.shape != (3,) or norm == 0.0:
+    # sqrt(v . v) is np.linalg.norm's own formula for a vector, bit for bit, without its dispatch
+    if v.shape != (3,) or (norm := math.sqrt(v @ v)) == 0.0:
         raise DomainError(f"{name} must be a nonzero 3-vector")
-    return v / norm
+    return tuple(c / norm for c in v.tolist())
 
 
 @dataclass(frozen=True)
@@ -58,8 +59,8 @@ class SolenoidSpec:
         if origin.shape != (3,):
             raise DomainError("axis point must be a 3-vector")
         direction = _unit(self.axis_direction, "axis direction")
-        object.__setattr__(self, "axis_point", tuple(float(c) for c in origin))
-        object.__setattr__(self, "axis_direction", tuple(float(c) for c in direction))
+        object.__setattr__(self, "axis_point", tuple(origin.tolist()))
+        object.__setattr__(self, "axis_direction", direction)
 
     def radial(self, point) -> np.ndarray:
         """The part of point - axis_point normal to the axis, for a 3-vector or an (..., 3) array."""
@@ -183,6 +184,34 @@ def arc_segment(center, radius, theta0, theta1) -> Segment:
 
 _NON_FINITE = "segment has non-finite points or tangents"
 _VANISHING = "segment tangent vanishes somewhere on [0, 1]"
+_NONPOSITIVE_RADIUS = "radius must be positive"
+_OPEN = "path marked closed but endpoints differ by {:.3e}"
+
+
+def _arc_checks(arc):
+    """(finite, moving) of an arc (center, radius, theta0, sweep), the radius a float or an array of them.
+
+    ``finite`` holds where |center| + radius, radius |sweep| and both end
+    angles are finite, which bounds every point and tangent, and ``moving``
+    where radius |sweep| is positive: bools, or arrays of them, one per radius.
+    """
+    (cx, cy, cz), radius, theta0, sweep = arc
+    speed = radius * abs(sweep)
+    size = math.hypot(cx, cy, cz) + radius
+    angles = math.isfinite(theta0) and math.isfinite(theta0 + sweep)
+    finite = (abs(size) < math.inf) & (abs(speed) < math.inf) & angles
+    return finite, speed > 0.0
+
+
+def _arc_ends(arc):
+    """The start and end points of an arc with finite end angles, each coordinate a float or an array over the radii."""
+    (cx, cy, cz), radius, theta0, sweep = arc
+    return tuple((cx + radius * math.cos(t), cy + radius * math.sin(t), cz) for t in (theta0, theta0 + sweep))
+
+
+def _broken(gap, tol):
+    """Where a gap breaks a path: not below tol and not exactly 0, which joins even when tol underflows to 0."""
+    return (gap >= tol) & (gap > 0.0)
 
 
 def _measure(seg: Segment, s: np.ndarray):
@@ -203,14 +232,12 @@ def _measure(seg: Segment, s: np.ndarray):
             raise GeometryError(_VANISHING)
         return seg.endpoints, None
     if seg.arc is not None:
-        (cx, cy, cz), radius, theta0, sweep = seg.arc
-        speed = radius * abs(sweep)
-        angles = (theta0, theta0 + sweep)
-        if not all(map(math.isfinite, (math.hypot(cx, cy, cz) + radius, speed, *angles))):
+        finite, moving = _arc_checks(seg.arc)
+        if not finite:
             raise GeometryError(_NON_FINITE)
-        if not speed > 0.0:
+        if not moving:
             raise GeometryError(_VANISHING)
-        return tuple((cx + radius * math.cos(t), cy + radius * math.sin(t), cz) for t in angles), None
+        return _arc_ends(seg.arc), None
     pts = np.asarray(seg.point(s), dtype=float)
     tans = np.asarray(seg.tangent(s), dtype=float)
     if pts.shape != (s.size, 3) or tans.shape != (s.size, 3):
@@ -268,11 +295,11 @@ class LoopPath:
             tol = 1e-12 * (exact + sum(sampled))
             junctions = _gaps(ends[:-1, 1], ends[1:, 0])
             closure = _gaps(ends[-1:, 1], ends[:1, 0])[0]
-        broken = np.flatnonzero(junctions >= tol)
+        broken = np.flatnonzero(_broken(junctions, tol))
         if broken.size:
             raise GeometryError(f"segments do not join continuously (gap {junctions[broken[0]]:.3e})")
-        if self.closed and closure >= tol:
-            raise GeometryError(f"path marked closed but endpoints differ by {closure:.3e}")
+        if self.closed and _broken(closure, tol):
+            raise GeometryError(_OPEN.format(closure))
         ends.flags.writeable = False
         object.__setattr__(self, "ends", ends)
         object.__setattr__(self, "length", None if sampled else exact)
@@ -284,11 +311,37 @@ class LoopPath:
 def circle_loop(center=(0.0, 0.0, 0.0), radius=1.0, windings=1) -> LoopPath:
     """Circle in the z = center_z plane from angle 0, traversed ``windings`` times (sign = orientation)."""
     if not (radius > 0.0):
-        raise GeometryError("radius must be positive")
+        raise GeometryError(_NONPOSITIVE_RADIUS)
     w = int(windings)
     if w != windings or w == 0:
         raise GeometryError("windings must be a nonzero integer")
     return LoopPath((arc_segment(center, radius, 0.0, 2.0 * math.pi * w),))
+
+
+def check_radius(loop: LoopPath, radius: np.ndarray):
+    """Check each entry of ``radius`` as the radius of ``loop``, a circle: one array call for a column of circles.
+
+    Each row gets the checks that ``circle_loop`` and ``LoopPath`` give the
+    circle of that radius, in the same order and with the same messages: a
+    positive radius, a finite and moving arc (``_arc_checks``), then closure.
+    The first row that fails raises the ``GeometryError`` of its first
+    failing check. The center, start angle and sweep are the loop's, so
+    they are already checked.
+    """
+    ((center, _, theta0, sweep),) = [seg.arc for seg in loop.segments]
+    arc = (center, radius, theta0, sweep)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflowing rows are reported as non-finite
+        finite, moving = _arc_checks(arc)
+        start, end = (np.stack(np.broadcast_arrays(*point), axis=-1) for point in _arc_ends(arc))
+        closure = _gaps(end, start)
+        # the tolerance of LoopPath, from the one arc's exact length
+        broken = _broken(closure, 1e-12 * (radius * abs(sweep)))
+    raise_first(
+        (~(radius > 0.0), GeometryError, _NONPOSITIVE_RADIUS),
+        (~finite, GeometryError, _NON_FINITE),
+        (~moving, GeometryError, _VANISHING),
+        (broken, GeometryError, _OPEN.format(closure[np.argmax(broken)])),
+    )
 
 
 def _check_distinct(points: np.ndarray, name: str):
@@ -472,7 +525,11 @@ def _closest_radius_of_lines(unit: np.ndarray, scale: np.ndarray) -> float:
 
 
 def _arc_about_axis(arc, spec: SolenoidSpec):
-    """(closest approach, swept azimuth) of an arc whose plane is normal to the solenoid axis."""
+    """(closest approach, swept azimuth) of an arc whose plane is normal to the solenoid axis.
+
+    The radius is a float or an array of them, and so is each result, with
+    an entry per radius: one closed form for one circle and for a column.
+    """
     (cx, cy, _), radius, theta0, sweep = arc
     facing = spec.axis_direction[2]  # +1 or -1: the arc's plane normal, seen along the axis
     ax, ay = spec.axis_point[0] - cx, spec.axis_point[1] - cy  # axis foot P relative to the center c
@@ -482,7 +539,8 @@ def _arc_about_axis(arc, spec: SolenoidSpec):
     if abs(sweep) >= 2.0 * math.pi or offset == 0.0 or bearing <= abs(sweep):
         clearance = abs(offset - radius)
     else:
-        clearance = min(math.hypot(radius * math.cos(t) - ax, radius * math.sin(t) - ay) for t in (theta0, theta0 + sweep))
+        ends = (np.hypot(radius * math.cos(t) - ax, radius * math.sin(t) - ay) for t in (theta0, theta0 + sweep))
+        clearance = np.minimum(*ends)
     # Whole turns are closed circles: each sweeps 2 pi, signed by facing, about an axis inside the
     # circle and 0 about one outside, so only the rest, within half a turn of theta0, is cut into
     # sub-arcs. A sub-arc of sweep <= pi/2 turns by its chord's angle about the axis, plus a full turn
@@ -495,17 +553,19 @@ def _arc_about_axis(arc, spec: SolenoidSpec):
     angles, between = 0.0, 0
     if rest:  # whole turns alone, as every circle has, cut no sub-arcs
         t = np.linspace(theta0, theta0 + rest, math.ceil(abs(rest) / (0.5 * math.pi)) + 1)
-        unit = math.ldexp(1.0, math.frexp(max(radius, abs(ax), abs(ay)))[1] - 1)
-        u, v = (radius / unit) * np.cos(t) - ax / unit, (radius / unit) * np.sin(t) - ay / unit
-        cross = facing * (u[:-1] * v[1:] - v[:-1] * u[1:])
-        angles = float(np.sum(np.arctan2(cross, u[:-1] * u[1:] + v[:-1] * v[1:])))
-        between = np.count_nonzero(np.signbit(cross) != (facing * rest < 0.0))
-    if offset >= radius:
-        return clearance, angles
-    return clearance, angles + 2.0 * math.pi * (facing * turns + math.copysign(between, facing * rest))
+        unit = np.ldexp(1.0, np.frexp(np.maximum(radius, max(abs(ax), abs(ay))))[1] - 1)
+        # the sub-arc ends run along the last axis, after one per radius
+        r, x, y = (np.asarray(q / unit)[..., None] for q in (radius, ax, ay))
+        u, v = r * np.cos(t) - x, r * np.sin(t) - y
+        cross = facing * (u[..., :-1] * v[..., 1:] - v[..., :-1] * u[..., 1:])
+        angles = np.sum(np.arctan2(cross, u[..., :-1] * u[..., 1:] + v[..., :-1] * v[..., 1:]), axis=-1)
+        between = np.count_nonzero(np.signbit(cross) != (facing * rest < 0.0), axis=-1)
+    # the whole turns and the sub-arcs' full turns count only about an axis inside the circle
+    inside = offset < radius
+    return clearance, angles + 2.0 * math.pi * (facing * turns + math.copysign(1.0, facing * rest) * between) * inside
 
 
-def loop_geometry(loop: LoopPath, spec: SolenoidSpec) -> LoopGeometry:
+def loop_geometry(loop: LoopPath, spec: SolenoidSpec, radius=None) -> LoopGeometry:
     """The path's swept azimuth about the solenoid axis and its clearance from it.
 
     A line sweeps the atan2 angle between its endpoints' radial vectors,
@@ -514,14 +574,24 @@ def loop_geometry(loop: LoopPath, spec: SolenoidSpec) -> LoopGeometry:
     angle is None if some segment is neither. The clearance, the least
     distance from the axis, is always given: exact for lines and normal
     arcs, the least of 256 samples per segment otherwise.
+
+    An array ``radius`` makes a column of circles: the loop must be one arc
+    in a plane normal to the axis, each entry is taken as its radius (see
+    ``check_radius``), and both results hold an entry per radius.
     """
-    lines = loop.ends[[seg.endpoints is not None for seg in loop.segments]]
-    arcs = [seg for seg in loop.segments if seg.arc is not None]
+    along_z = spec.axis_direction[0] == 0.0 and spec.axis_direction[1] == 0.0  # arcs lie in planes z = const
+    is_line = [seg.endpoints is not None for seg in loop.segments]
+    arcs = [seg.arc for seg in loop.segments if seg.arc is not None]
     curves = [seg for seg in loop.segments if seg.endpoints is None and seg.arc is None]
+    if radius is not None:
+        if not (along_z and len(loop.segments) == len(arcs) == 1):
+            raise GeometryError("a column of radii needs a loop of one arc normal to the solenoid axis")
+        ((center, _, theta0, sweep),) = arcs
+        arcs = [(center, radius, theta0, sweep)]
     swept, rho = 0.0, []
-    if lines.size:
+    if any(is_line):  # no index into the ends for a loop of arcs
         d = np.asarray(spec.axis_direction)
-        unit, scale = _unit_scale(spec.radial(lines))
+        unit, scale = _unit_scale(spec.radial(loop.ends[is_line]))
         rho.append(_closest_radius_of_lines(unit, scale))
         a, b = unit[:, 0], unit[:, 1]
         # a x b written out: np.cross forms the same products and differences, at several times the cost
@@ -530,13 +600,14 @@ def loop_geometry(loop: LoopPath, spec: SolenoidSpec) -> LoopGeometry:
             axis=-1,
         )
         swept += float(np.sum(np.arctan2(normal @ d, np.sum(a * b, axis=1))))
-    if spec.axis_direction[0] == 0.0 and spec.axis_direction[1] == 0.0:
-        for seg in arcs:
-            clearance, angle = _arc_about_axis(seg.arc, spec)
+    if along_z:
+        for arc in arcs:
+            clearance, angle = _arc_about_axis(arc, spec)
             rho.append(clearance)
             swept += angle
     else:
-        curves += arcs  # tilted to the axis: sampled clearance, quadrature flux
+        # tilted to the axis: sampled clearance, quadrature flux
+        curves += [seg for seg in loop.segments if seg.arc is not None]
     if curves:
         s = np.linspace(0.0, 1.0, _CLEARANCE_SAMPLES)
         _, sampled = spec.axial_decomposition(np.vstack([seg.point(s) for seg in curves]))

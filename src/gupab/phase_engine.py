@@ -32,9 +32,7 @@ one-row case, and a sweep is one batch.
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -42,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .clifford import alpha, beta, gamma
-from .errors import DomainError, GeometryError, GupabError
+from .errors import DomainError, GeometryError, GupabError, raise_first
 from .field_geometry import (
     LoopPath,
     QuadratureSpec,
@@ -138,7 +136,8 @@ class PhaseGeometry(NamedTuple):
     with ``length_error`` 0.0, and integrated otherwise; ``displacement`` is
     the end-to-end step, None on closed paths. A record built with no coil
     holds None in the five coil fields, and one from ``stack_geometry`` an
-    array per field, with an entry per loop.
+    array per field, with an entry per loop; one built over a column of
+    radii holds an array in each field that the radius changes.
     """
 
     turns: float | np.ndarray | None
@@ -151,12 +150,18 @@ class PhaseGeometry(NamedTuple):
     displacement: np.ndarray | None
 
 
-def phase_geometry(loop: LoopPath, solenoid: SolenoidSpec | None, quad: QuadratureSpec | None = None) -> PhaseGeometry:
-    """The loop's record about the coil, from one ``loop_geometry`` call; quadrature only for generic curves."""
+def phase_geometry(
+    loop: LoopPath, solenoid: SolenoidSpec | None, quad: QuadratureSpec | None = None, radius=None
+) -> PhaseGeometry:
+    """The loop's record about the coil, from one ``loop_geometry`` call; quadrature only for generic curves.
+
+    An array ``radius`` takes each entry as the radius of ``loop``, a circle
+    (see ``loop_geometry``): the record then holds an entry per radius.
+    """
     quad = quad or QuadratureSpec()
     turns = circulation = circulation_error = clearance = coil_radius = None
     if solenoid is not None:
-        geometry = loop_geometry(loop, solenoid)
+        geometry = loop_geometry(loop, solenoid, radius)
         clearance, coil_radius = geometry.clearance, solenoid.radius
         if geometry.swept_angle is not None:
             turns = geometry.swept_angle / (2.0 * math.pi)
@@ -166,6 +171,9 @@ def phase_geometry(loop: LoopPath, solenoid: SolenoidSpec | None, quad: Quadratu
             result = solenoid_circulation(solenoid, loop, quad)
             circulation, circulation_error = result.value, result.error_estimate
     length, length_error = loop.length, 0.0
+    if radius is not None:  # the exact length LoopPath takes for one arc
+        (seg,) = loop.segments
+        length = radius * abs(seg.arc[3])
     if length is None:
         result = loop_length(loop, quad)
         length, length_error = result.value, result.error_estimate
@@ -193,20 +201,6 @@ _NEGATIVE_A = "deformation parameter a must be nonnegative"
 _NOT_FINITE = "phase is not finite: the inputs overflow double precision"
 
 
-def _raise_first(*checks):
-    """Raise for the first row that fails a check, the error of the first check it fails.
-
-    Each check is (mask, error type, message); the masks are bools or
-    arrays of them that broadcast over the rows.
-    """
-    failed = functools.reduce(operator.or_, (mask for mask, _, _ in checks))
-    if np.count_nonzero(failed):
-        row = np.argmax(np.ravel(failed))
-        for mask, error, message in checks:
-            if np.ravel(np.broadcast_to(mask, np.shape(failed)))[row]:
-                raise error(message)
-
-
 def _rows(x):
     """A float or an array of them, with two trailing axes to scale 4x4 matrices row by row."""
     return np.asarray(x)[..., None, None]
@@ -222,7 +216,7 @@ def _ab_integral(geometry: PhaseGeometry, charge, flux):
 def ab_phase(particle: ParticleSpec, solenoid: SolenoidSpec, loop: LoopPath, quad: QuadratureSpec | None = None) -> float:
     """Flux phase q * circulation of A; equals q Phi w for winding number w."""
     geometry = phase_geometry(loop, solenoid, quad)
-    _raise_first((geometry.clearance <= geometry.coil_radius, GeometryError, _ENTERS_COIL))
+    raise_first((geometry.clearance <= geometry.coil_radius, GeometryError, _ENTERS_COIL))
     value, _ = _ab_integral(geometry, particle.charge, solenoid.flux)
     return float(value)
 
@@ -250,7 +244,7 @@ def _matrix_correction(geometry: PhaseGeometry, charge, energy, momentum, speed,
 
 def _correction(particle: ParticleSpec, loop: LoopPath, a: float, quad):
     """(matrix, error) of the correction alone, with no coil: a is checked, finiteness is not."""
-    _raise_first((a < 0.0, DomainError, _NEGATIVE_A))
+    raise_first((a < 0.0, DomainError, _NEGATIVE_A))
     geometry = phase_geometry(loop, None, quad)
     return _matrix_correction(geometry, particle.charge, particle.energy, particle.momentum, particle.speed, a)
 
@@ -350,7 +344,7 @@ def phase_rows(
         error = np.maximum(np.maximum(standard_err, matrix_err), projected_err)
         # a sum is finite only with both terms, and a maximum only with all three (NaN propagates)
         finite = np.isfinite(matrix).all(axis=(-2, -1)) & np.isfinite(total) & np.isfinite(error)
-    _raise_first(
+    raise_first(
         (geometry.clearance <= geometry.coil_radius, GeometryError, _ENTERS_COIL),
         (a < 0.0, DomainError, _NEGATIVE_A),
         (~finite, GupabError, _NOT_FINITE),

@@ -289,7 +289,9 @@ def reference_sweep(config):
     """A sweep evaluated row by row: one config per value, each through ``run_phase``, in input order.
 
     Every row is built before any runs, as ``run_sweep`` did before it
-    batched the rows; this is the oracle its batch is compared against.
+    batched the rows; a loop.radius row is a whole ``circle_loop`` from the
+    center and windings of the config's circle. This is the oracle the
+    batch is compared against.
     """
     sweep = config.sweep
 
@@ -298,10 +300,10 @@ def reference_sweep(config):
             return {"a": GupParameter(a=value).a}
         if sweep.parameter == "particle.v":
             return {"particle": replace(config.particle, speed=value)}
+        if sweep.parameter == "loop.radius":
+            ((center, _, _, turn),) = [seg.arc for seg in config.loop.segments]
+            return {"loop": circle_loop(center=center, radius=value, windings=round(turn / (2.0 * math.pi)))}
         return {"solenoid": replace(config.solenoid, flux=value)}
 
-    if sweep.loops:
-        rows = [replace(config, loop=loop) for loop in sweep.loops]
-    else:
-        rows = [replace(config, **swept(value)) for value in sweep.values]
+    rows = [replace(config, **swept(value)) for value in sweep.values]
     return [(value, run_phase(row)) for value, row in zip(sweep.values, rows)]

@@ -29,8 +29,8 @@ from gupab.cli_io import (
     run_verification,
     sweep_csv,
 )
-from gupab.errors import ConfigError, GupabError
-from gupab.field_geometry import SolenoidSpec, loop_geometry
+from gupab.errors import ConfigError, GeometryError, GupabError
+from gupab.field_geometry import SolenoidSpec, circle_loop, loop_geometry
 from gupab.phase_engine import PhaseResult, dispersion
 
 BASE_CONFIG = {
@@ -444,7 +444,7 @@ def test_cmd_phase_circle_into_coil_exits_1(tmp_path, capsys):
     [
         (None, 1),
         ({"parameter": "gup.a", "values": [0.0, 0.01, 0.02]}, 1),
-        ({"parameter": "loop.radius", "values": [1.0, 1.5, 2.0]}, 4),
+        ({"parameter": "loop.radius", "values": [1.0, 1.5, 2.0]}, 1),
     ],
 )
 def test_loop_built_once_per_command(tmp_path, capsys, monkeypatch, sweep, builds):
@@ -461,8 +461,6 @@ def test_loop_built_once_per_command(tmp_path, capsys, monkeypatch, sweep, build
         payload["sweep"] = sweep
     assert main(["sweep" if sweep else "phase", "-c", write_config(tmp_path, payload)]) == 0
     assert len(calls) == builds
-    if sweep and sweep["parameter"] == "loop.radius":
-        assert [kwargs["radius"] for kwargs in calls[1:]] == sweep["values"]
 
 
 @pytest.mark.parametrize("section, values", [("particle", {"v": 1e-320}), ("gup", {"a": 1e308})])
@@ -828,7 +826,57 @@ def test_sweep_computes_loop_geometry_once_per_loop(tmp_path, capsys, monkeypatc
     payload["sweep"] = {"parameter": parameter, "values": values}
     assert main(["sweep", "-c", write_config(tmp_path, payload)]) == 0
     assert len(capsys.readouterr().out.splitlines()) == len(values) + 1
-    assert len(calls) == (len(values) if parameter == "loop.radius" else 1)
+    assert len(calls) == 1
+
+
+_EXTREME_RADII = [0.0, -0.0, -1.0, -1e308, 1e308, 1.7e308, 1e-320, 5e-324, 1e-310, 3.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    center=st.one_of(
+        st.lists(_floats(-2.0, 2.0), min_size=3, max_size=3),
+        st.sampled_from([[1e308, 0.0, 0.0], [0.0, -1.7e308, 0.0], [1e308, 1e308, 1.0], [-1e308, 0.0, 1e308]]),
+    ),
+    windings=st.sampled_from([-3, -2, -1, 1, 2, 3]),
+    values=st.lists(st.one_of(_floats(-5.0, 5.0), st.sampled_from(_EXTREME_RADII)), min_size=1, max_size=8),
+)
+def test_radius_column_checks_match_one_circle_per_row(center, windings, values):
+    # one array call over the column rejects the first row that circle_loop rejects, with its message
+    expected = None
+    for value in values:
+        try:
+            circle_loop(center=center, radius=value, windings=windings)
+        except GeometryError as exc:
+            expected = f"sweep.values for loop.{exc}"
+            break
+    payload = json.loads(json.dumps(BASE_CONFIG))
+    payload["loop"] = {"kind": "circle", "center": center, "radius": 1.0, "windings": windings}
+    payload["sweep"] = {"parameter": "loop.radius", "values": values}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflowing row is a config error, not a numpy warning
+        try:
+            config = cli_io.parse_config(payload)
+        except ConfigError as exc:
+            assert str(exc) == expected
+            return
+    assert expected is None
+    got = _sweep_outcome(run_sweep, config)
+    reference = _sweep_outcome(reference_sweep, config)
+    assert got == reference if isinstance(reference, tuple) else sweep_csv(got) == sweep_csv(reference)
+
+
+def test_tiny_circle_phase_and_radius_sweep(tmp_path, capsys):
+    # a circle too small for its closure tolerance to be represented closes exactly, alone or as a sweep row
+    payload = json.loads(json.dumps(BASE_CONFIG))
+    payload["solenoid"]["radius"] = 1e-323
+    payload["loop"]["radius"] = 1e-320
+    payload["sweep"] = {"parameter": "loop.radius", "values": [1e-320, 1.0]}
+    path = write_config(tmp_path, payload)
+    assert main(["phase", "-c", path]) == 0
+    assert json.loads(capsys.readouterr().out)["standard_phase"] == 1.0
+    assert main(["sweep", "-c", path]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3
 
 
 _OVERFLOW = "phase is not finite: the inputs overflow double precision"

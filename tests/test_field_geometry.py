@@ -434,6 +434,21 @@ def test_line_length_is_scale_safe(step):
     assert square.length == pytest.approx(8.0 * step, rel=1e-15, abs=0.0)
 
 
+
+def test_exact_joins_hold_when_the_gap_tolerance_underflows():
+    # so small a path has a tolerance of 0.0, and a gap of exactly 0 still joins
+    circle = circle_loop(radius=1e-320)
+    assert circle.length == 1e-320 * 2.0 * math.pi
+    assert polyline_loop([(0.0, 0.0, 0.0), (1e-313, 0.0, 0.0), (0.0, 1e-313, 0.0)]).length > 0.0
+    step = 2.2e-313
+    path = LoopPath((line_segment((0.0, 0.0, 0.0), (step, 0.0, 0.0)), line_segment((step, 0.0, 0.0), (step, step, 0.0))), closed=False)
+    assert path.length == 2.0 * step
+    # a gap of one subnormal is not a join at any scale
+    with pytest.raises(GeometryError, match="do not join continuously"):
+        LoopPath((line_segment((0.0, 0.0, 0.0), (step, 0.0, 0.0)), line_segment((step, 5e-324, 0.0), (0.0, 0.0, 0.0))))
+    with pytest.raises(GeometryError, match="marked closed"):
+        LoopPath((line_segment((0.0, 0.0, 0.0), (step, 0.0, 0.0)), line_segment((step, 0.0, 0.0), (0.0, 5e-324, 0.0))))
+
 def test_loop_geometry_of_huge_lines_takes_no_squares():
     # only the radial vectors are formed, in units of a power of 2: nothing squares 1e308
     near, far = (1e308, 0.0, 0.0), (1.5e308, 0.0, 0.0)
@@ -608,3 +623,29 @@ def test_shape_validation_matches_sampled_validation(pieces, closing_gap, closed
         reference = loop_length(stripped, DOUBLING)
         assert abs(built.length - reference.value) <= reference.error_estimate + 1e-13 * built.length
         np.testing.assert_allclose(built.ends, stripped.ends, rtol=0.0, atol=1e-12 * built.length)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    center=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    theta0=st.floats(-math.pi, math.pi),
+    sweep=st.one_of(st.floats(-20.0, 20.0), st.sampled_from([2.0 * math.pi, -4.0 * math.pi])).filter(lambda x: abs(x) > 1e-3),
+    radii=st.lists(st.one_of(st.floats(0.05, 3.0), st.sampled_from([1e-300, 1e300])), min_size=1, max_size=6),
+)
+def test_arc_closed_form_over_a_radius_column_matches_each_arc(center, theta0, sweep, radii):
+    # one closed form for a column: row k holds, bit for bit, the geometry of the arc of radius radii[k]
+    spec = SolenoidSpec(flux=1.0, radius=0.01)
+    path = LoopPath((arc_segment(center, 1.0, theta0, theta0 + sweep),), closed=False)
+    column = loop_geometry(path, spec, np.array(radii))
+    for k, radius in enumerate(radii):
+        one = loop_geometry(LoopPath((arc_segment(center, radius, theta0, theta0 + sweep),), closed=False), spec)
+        assert (column.swept_angle[k], column.clearance[k]) == (one.swept_angle, one.clearance)
+
+
+def test_radius_column_needs_one_arc_normal_to_the_axis():
+    radius = np.array([1.0, 2.0])
+    square = polyline_loop([(1, 1, 0), (-1, 1, 0), (-1, -1, 0), (1, -1, 0)])
+    tilted = SolenoidSpec(flux=1.0, radius=0.1, axis_direction=(0.0, 1.0, 1.0))
+    for loop, spec in ((square, SolenoidSpec(flux=1.0, radius=0.1)), (circle_loop(radius=3.0), tilted)):
+        with pytest.raises(GeometryError, match="one arc normal to the solenoid axis"):
+            loop_geometry(loop, spec, radius)
