@@ -2,14 +2,13 @@
 
 Configs are strict JSON. This module checks their shape: unknown keys, JSON
 types, and the string choices that pick a code path (loop kind, gup units,
-projection, sweep parameter). Every value is validated once, by the engine
-constructor that uses it, before any computation starts; ``_build`` turns
-that constructor's error into a ``ConfigError`` naming ``section.key``.
-Structured results go out as JSON, sweep tables as CSV with a frozen header,
-each sweep computed as one batch over one geometry record, its rows in
-input order. A ``loop.radius`` sweep is one array of circles: its radius
-column is checked at parse time in one array call and measured in one
-closed form, with no loop built per row. Output is written to stdout or
+projection, sweep parameter). Every value is validated once, by the check
+its engine constructor makes, before any computation starts: a sweep column
+in one call of that check, which names the first bad row. ``_build`` turns
+the error into a ``ConfigError`` naming ``section.key``. Structured results
+go out as JSON, sweep tables as CSV with a frozen header, each sweep one
+batch over one geometry record (for ``loop.radius`` one array of circles),
+its rows in input order. Output is written to stdout or
 the ``-o`` file only once the command has finished, so a failed run leaves
 an existing file as it was. Exit codes: 0 success, 1 verification or
 computation failure, 2 config error or an output file that cannot be
@@ -29,8 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from . import clifford, gup_algebra
-from .errors import ConfigError, DomainError, GeometryError, GupabError
-from .field_geometry import LoopPath, QuadratureSpec, SolenoidSpec, check_radius, make_loop
+from .errors import ConfigError, DomainError, GeometryError, GupabError, raise_first
+from .field_geometry import LoopPath, QuadratureSpec, SolenoidSpec, check_radius, finite_flux, make_loop
 from .phase_engine import (
     ParticleSpec,
     PhaseResult,
@@ -39,13 +38,20 @@ from .phase_engine import (
     phase_geometry,
     phase_rows,
     stack_geometry,
+    subluminal_speed,
     total_phase,
 )
-from .units import GupParameter, UnitSystem, gup_from_a0
+from .units import GupParameter, UnitSystem, gup_from_a0, nonnegative_a
 
 SWEEP_CSV_HEADER = "sweep_value,a,standard_phase,projected_correction,total_phase,quadrature_error"
 DISPERSION_CSV_HEADER = "p,E_plus_a0,E_plus,shift"
-SWEEP_PARAMETERS = ("gup.a", "loop.radius", "particle.v", "solenoid.flux")
+_COLUMN_CHECKS = {  # (loop, column) -> raise for the first bad row: the check the column's constructor makes
+    "gup.a": lambda loop, column: raise_first(nonnegative_a(column)),
+    "loop.radius": check_radius,
+    "particle.v": lambda loop, column: raise_first(subluminal_speed(column)),
+    "solenoid.flux": lambda loop, column: raise_first(finite_flux(column)),
+}
+_MAX_DISPERSION_STEPS = 10**6  # rows of one dispersion table, which bounds the memory it takes
 _SWEPT_INPUT = {"gup.a": "a", "particle.v": "speed", "solenoid.flux": "flux"}  # the ``phase_rows`` input each sets
 PROJECTIONS = ("comoving_on_shell", "fixed_spinor")
 
@@ -72,7 +78,10 @@ def _require(mapping: dict, key: str, context: str):
 def _number(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name} must be a number")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
     if not math.isfinite(value):
         raise ConfigError(f"{name} must be finite")
     return value
@@ -120,9 +129,8 @@ class SweepSpec:
 class RunConfig:
     """Fully validated inputs for one engine run (plus an optional sweep).
 
-    ``loop`` is built once, when the config is parsed. A ``loop.radius``
-    sweep builds no loop of its own: its values are checked there as one
-    column of radii for that circle.
+    ``loop`` is built once, when the config is parsed; a ``loop.radius``
+    sweep builds none of its own.
     """
 
     particle: ParticleSpec
@@ -204,39 +212,19 @@ def _parse_spinor(raw, particle: ParticleSpec):
     return _build("spinor", clifford.on_shell_spinor, np.asarray(momentum), particle.mass, branch)
 
 
-def _check_swept(config: RunConfig, parameter: str, value: float):
-    """Build what a gup.a, particle.v or solenoid.flux row would change, so its engine constructor rejects a bad value."""
-    if parameter == "gup.a":
-        GupParameter(a=value)
-    elif parameter == "particle.v":
-        replace(config.particle, speed=value)
-    else:
-        replace(config.solenoid, flux=value)
-
-
 def _parse_sweep(raw, config: RunConfig, loop_kind: str) -> SweepSpec:
-    """Check the sweep section and every row's swept value, so a bad one is a config error.
-
-    A gup.a, particle.v or solenoid.flux value is checked by building what
-    its row changes; loop.radius values by ``check_radius``, in one array
-    call over the column. ``run_sweep`` hands the values to the engine as
-    one array.
-    """
+    """Check the sweep section and, in one ``_COLUMN_CHECKS`` call, its values: a bad one is a config error."""
     _section(raw, "sweep", {"parameter", "values"})
     parameter = _require(raw, "parameter", "sweep")
-    if parameter not in SWEEP_PARAMETERS:
-        raise ConfigError(f"sweep.parameter must be one of {', '.join(SWEEP_PARAMETERS)}")
+    if not isinstance(parameter, str) or parameter not in _COLUMN_CHECKS:
+        raise ConfigError(f"sweep.parameter must be one of {', '.join(_COLUMN_CHECKS)}")
     values = _require(raw, "values", "sweep")
     if not (isinstance(values, list) and values):
         raise ConfigError("sweep.values must be a non-empty list")
     values = tuple(_number(v, "sweep.values") for v in values)
-    if parameter != "loop.radius":
-        for value in values:
-            _build(f"sweep.values for {parameter.split('.')[0]}", _check_swept, config, parameter, value)
-        return SweepSpec(parameter=parameter, values=values)
-    if loop_kind != "circle":
+    if parameter == "loop.radius" and loop_kind != "circle":
         raise ConfigError("sweeping loop.radius requires a circle loop")
-    _build("sweep.values for loop", check_radius, config.loop, np.array(values))
+    _build(f"sweep.values for {parameter.split('.')[0]}", _COLUMN_CHECKS[parameter], config.loop, np.array(values))
     return SweepSpec(parameter=parameter, values=values)
 
 
@@ -342,8 +330,12 @@ def sweep_csv(rows) -> str:
 def dispersion_csv(config: RunConfig, p_max: float, steps: int) -> str:
     if steps < 2:
         raise ConfigError("dispersion needs at least 2 steps")
+    if steps > _MAX_DISPERSION_STEPS:
+        raise ConfigError(f"dispersion needs at most {_MAX_DISPERSION_STEPS} steps")
     if not p_max > 0.0:
         raise ConfigError("dispersion p range must be positive")
+    if p_max == math.inf:
+        raise ConfigError("dispersion p range must be finite")
     p = np.linspace(0.0, p_max, steps)
     momenta = np.stack([p, np.zeros_like(p), np.zeros_like(p)], axis=-1)
     base = dispersion(momenta, config.particle.mass, 0.0).e_plus

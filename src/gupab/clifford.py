@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, fails, raise_first
 
 PAULI = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -90,6 +90,19 @@ def slash(p: FourVector) -> np.ndarray:
     return t * _GAMMA[0] - x * _GAMMA[1] - y * _GAMMA[2] - z * _GAMMA[3]
 
 
+def positive_mass(m):
+    """The check, for ``raise_first``, that a mass m, a float or an array, is positive (so not NaN)."""
+    return fails(m > 0.0), DomainError, "m must be positive"
+
+
+def momenta(p3) -> np.ndarray:
+    """p3 as a float array of 3-vectors; DomainError unless it is a 3-vector or an (..., 3) array of them."""
+    p3 = np.asarray(p3, dtype=float)
+    if p3.ndim == 0 or p3.shape[-1] != 3:
+        raise DomainError("momentum must be a 3-vector or an (..., 3) array of them")
+    return p3
+
+
 def on_shell_spinor(p3, m, branch: str = "particle1") -> np.ndarray:
     """Positive-energy free spinor u with slash(p) u = m u and <u|u> = 1.
 
@@ -100,13 +113,14 @@ def on_shell_spinor(p3, m, branch: str = "particle1") -> np.ndarray:
     with ``m`` a float or an array that broadcasts against the momenta.
     """
     m = np.asarray(m, dtype=float)
-    if not np.all(m > 0.0):
-        raise DomainError("m must be positive")
+    raise_first(positive_mass(m))
     if branch not in ("particle1", "particle2"):
         raise DomainError("branch must be 'particle1' or 'particle2'")
-    p3 = np.asarray(p3, dtype=float)
-    if p3.ndim == 0 or p3.shape[-1] != 3:
-        raise DomainError("p3 must be a 3-vector or an (..., 3) array of them")
+    p3 = momenta(p3)
+    # in units of a power of 2 near max(|p_i|, m), |p|^2 + m^2 cannot overflow, and u keeps its bits
+    _, exponent = np.frexp(np.maximum(np.max(np.abs(p3), axis=-1), m))
+    unit = np.ldexp(1.0, exponent - 1)
+    p3, m = p3 / unit[..., None], m / unit
     energy = np.sqrt(np.sum(p3 * p3, axis=-1) + m * m)
     chi = np.array([1.0, 0.0], dtype=complex) if branch == "particle1" else np.array([0.0, 1.0], dtype=complex)
     sigma_p = np.tensordot(p3, _PAULI_STACK, axes=(-1, 0))

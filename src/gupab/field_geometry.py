@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, FieldEvaluationError, GeometryError, SingularInputError, raise_first
+from .errors import DomainError, FieldEvaluationError, GeometryError, SingularInputError, fails, raise_first
 
 _MAX_NODES_PER_SEGMENT = 1024  # 2**10 cap for the doubling refinement
 _VALIDATION_SAMPLES = 64
@@ -41,6 +41,11 @@ def _unit(v, name) -> tuple:
     return tuple(c / norm for c in v.tolist())
 
 
+def finite_flux(flux):
+    """The check, for ``raise_first``, that a flux, a float or an array, is finite."""
+    return fails(abs(flux) < math.inf), DomainError, "flux must be finite"
+
+
 @dataclass(frozen=True)
 class SolenoidSpec:
     """Ideal infinite solenoid: total flux, coil radius, and axis placement."""
@@ -51,10 +56,7 @@ class SolenoidSpec:
     axis_direction: tuple = (0.0, 0.0, 1.0)
 
     def __post_init__(self):
-        if not (self.radius > 0.0):
-            raise DomainError("radius must be positive")
-        if not math.isfinite(self.flux):
-            raise DomainError("flux must be finite")
+        raise_first((fails(self.radius > 0.0), DomainError, "radius must be positive"), finite_flux(self.flux))
         origin = np.asarray(self.axis_point, dtype=float)
         if origin.shape != (3,):
             raise DomainError("axis point must be a 3-vector")
@@ -111,9 +113,9 @@ class Segment:
 
     Both callables must accept a 1D array of parameters and return an
     (n, 3) array. Straight pieces also record their (start, end) points, and
-    circular arcs their (center, radius, theta0, sweep): the piece runs over
-    the angles theta0 + s sweep about the center, in the plane z = center_z.
-    ``loop_geometry`` uses these for closed forms.
+    circular arcs their (center, radius, theta0, theta1): the piece runs from
+    angle theta0 to theta1 about the center, in the plane z = center_z.
+    ``loop_geometry`` uses these for closed forms; reversal swaps the ends.
     """
 
     point: Callable[[np.ndarray], np.ndarray]
@@ -125,8 +127,8 @@ class Segment:
         fwd_point, fwd_tangent = self.point, self.tangent
         arc = None
         if self.arc is not None:
-            center, radius, theta0, sweep = self.arc
-            arc = (center, radius, theta0 + sweep, -sweep)
+            center, radius, theta0, theta1 = self.arc
+            arc = (center, radius, theta1, theta0)
         return Segment(
             point=lambda s: fwd_point(1.0 - np.asarray(s, dtype=float)),
             tangent=lambda s: -fwd_tangent(1.0 - np.asarray(s, dtype=float)),
@@ -178,7 +180,7 @@ def arc_segment(center, radius, theta0, theta1) -> Segment:
             [-radius * sweep * np.sin(th), radius * sweep * np.cos(th), np.zeros(s.size)]
         )
 
-    arc = ((float(center[0]), float(center[1]), float(center[2])), float(radius), float(theta0), float(sweep))
+    arc = ((float(center[0]), float(center[1]), float(center[2])), float(radius), float(theta0), float(theta1))
     return Segment(point, tangent, arc=arc)
 
 
@@ -189,24 +191,22 @@ _OPEN = "path marked closed but endpoints differ by {:.3e}"
 
 
 def _arc_checks(arc):
-    """(finite, moving) of an arc (center, radius, theta0, sweep), the radius a float or an array of them.
+    """(finite, length) of an arc (center, radius, theta0, theta1), the radius a float or an array of them.
 
-    ``finite`` holds where |center| + radius, radius |sweep| and both end
-    angles are finite, which bounds every point and tangent, and ``moving``
-    where radius |sweep| is positive: bools, or arrays of them, one per radius.
+    ``finite`` holds where |center| + radius, the length radius |theta1 - theta0|
+    (LoopPath's exact length) and both end angles are finite, which bounds every point and tangent.
     """
-    (cx, cy, cz), radius, theta0, sweep = arc
-    speed = radius * abs(sweep)
+    (cx, cy, cz), radius, theta0, theta1 = arc
+    length = radius * abs(theta1 - theta0)
     size = math.hypot(cx, cy, cz) + radius
-    angles = math.isfinite(theta0) and math.isfinite(theta0 + sweep)
-    finite = (abs(size) < math.inf) & (abs(speed) < math.inf) & angles
-    return finite, speed > 0.0
+    angles = math.isfinite(theta0) and math.isfinite(theta1)
+    return (abs(size) < math.inf) & (abs(length) < math.inf) & angles, length
 
 
 def _arc_ends(arc):
     """The start and end points of an arc with finite end angles, each coordinate a float or an array over the radii."""
-    (cx, cy, cz), radius, theta0, sweep = arc
-    return tuple((cx + radius * math.cos(t), cy + radius * math.sin(t), cz) for t in (theta0, theta0 + sweep))
+    (cx, cy, cz), radius, theta0, theta1 = arc
+    return tuple((cx + radius * math.cos(t), cy + radius * math.sin(t), cz) for t in (theta0, theta1))
 
 
 def _broken(gap, tol):
@@ -218,8 +218,8 @@ def _measure(seg: Segment, s: np.ndarray):
     """(start and end points, length scale) of one segment; raise GeometryError if it is not valid.
 
     A line is valid if its ends are finite and distinct, with a finite step;
-    an arc if |center| + radius, radius |sweep| and its end angles are finite
-    and radius |sweep| is positive, which bounds every point and tangent.
+    an arc if |center| + radius, its length and its end angles are finite
+    and its length is positive, which bounds every point and tangent.
     Neither calls the segment's callables. A generic curve is checked on the
     sample ``s``, and its scale is the mean sampled speed; lines and arcs
     report None, their exact length being taken by ``LoopPath``.
@@ -232,10 +232,10 @@ def _measure(seg: Segment, s: np.ndarray):
             raise GeometryError(_VANISHING)
         return seg.endpoints, None
     if seg.arc is not None:
-        finite, moving = _arc_checks(seg.arc)
+        finite, length = _arc_checks(seg.arc)
         if not finite:
             raise GeometryError(_NON_FINITE)
-        if not moving:
+        if not length > 0.0:
             raise GeometryError(_VANISHING)
         return _arc_ends(seg.arc), None
     pts = np.asarray(seg.point(s), dtype=float)
@@ -290,7 +290,7 @@ class LoopPath:
             ends = np.array([seg_ends for seg_ends, _ in measured], dtype=float)
             lines = ends[[seg.endpoints is not None for seg in segments]]
             chords = float(np.sum(_gaps(lines[:, 0], lines[:, 1])))
-            exact = chords + sum(seg.arc[1] * abs(seg.arc[3]) for seg in segments if seg.arc is not None)
+            exact = chords + sum(_arc_checks(seg.arc)[1] for seg in segments if seg.arc is not None)
             sampled = [scale for _, scale in measured if scale is not None]
             tol = 1e-12 * (exact + sum(sampled))
             junctions = _gaps(ends[:-1, 1], ends[1:, 0])
@@ -315,31 +315,28 @@ def circle_loop(center=(0.0, 0.0, 0.0), radius=1.0, windings=1) -> LoopPath:
     w = int(windings)
     if w != windings or w == 0:
         raise GeometryError("windings must be a nonzero integer")
-    return LoopPath((arc_segment(center, radius, 0.0, 2.0 * math.pi * w),))
+    # beyond 2**1023 turns the sweep overflows to inf, which LoopPath rejects; a larger int would not convert
+    return LoopPath((arc_segment(center, radius, 0.0, 2.0 * math.pi * min(max(w, -(2**1023)), 2**1023)),))
 
 
 def check_radius(loop: LoopPath, radius: np.ndarray):
     """Check each entry of ``radius`` as the radius of ``loop``, a circle: one array call for a column of circles.
 
-    Each row gets the checks that ``circle_loop`` and ``LoopPath`` give the
-    circle of that radius, in the same order and with the same messages: a
-    positive radius, a finite and moving arc (``_arc_checks``), then closure.
-    The first row that fails raises the ``GeometryError`` of its first
-    failing check. The center, start angle and sweep are the loop's, so
-    they are already checked.
+    Each row gets the checks, in order and with the messages, that ``circle_loop`` and
+    ``LoopPath`` give the circle of that radius: a positive radius, a finite arc of positive
+    length (``_arc_checks``), then closure. The first row that fails raises the
+    ``GeometryError`` of its first failing check; the center and end angles are the loop's.
     """
-    ((center, _, theta0, sweep),) = [seg.arc for seg in loop.segments]
-    arc = (center, radius, theta0, sweep)
+    (arc,) = [(center, radius, *angles) for center, _, *angles in (seg.arc for seg in loop.segments)]
     with np.errstate(over="ignore", invalid="ignore"):  # overflowing rows are reported as non-finite
-        finite, moving = _arc_checks(arc)
+        finite, length = _arc_checks(arc)
         start, end = (np.stack(np.broadcast_arrays(*point), axis=-1) for point in _arc_ends(arc))
         closure = _gaps(end, start)
-        # the tolerance of LoopPath, from the one arc's exact length
-        broken = _broken(closure, 1e-12 * (radius * abs(sweep)))
+        broken = _broken(closure, 1e-12 * length)  # the tolerance of LoopPath, from the one arc's length
     raise_first(
         (~(radius > 0.0), GeometryError, _NONPOSITIVE_RADIUS),
         (~finite, GeometryError, _NON_FINITE),
-        (~moving, GeometryError, _VANISHING),
+        (~(length > 0.0), GeometryError, _VANISHING),
         (broken, GeometryError, _OPEN.format(closure[np.argmax(broken)])),
     )
 
@@ -530,21 +527,23 @@ def _arc_about_axis(arc, spec: SolenoidSpec):
     The radius is a float or an array of them, and so is each result, with
     an entry per radius: one closed form for one circle and for a column.
     """
-    (cx, cy, _), radius, theta0, sweep = arc
+    (cx, cy, _), radius, theta0, theta1 = arc
+    sweep, low, sign = theta1 - theta0, min(theta0, theta1), math.copysign(1.0, theta1 - theta0)
     facing = spec.axis_direction[2]  # +1 or -1: the arc's plane normal, seen along the axis
     ax, ay = spec.axis_point[0] - cx, spec.axis_point[1] - cy  # axis foot P relative to the center c
     offset = math.hypot(ax, ay)
     # |P - c| - r is attained where P's azimuth about c falls inside the sweep; otherwise at an end
-    bearing = ((math.atan2(ay, ax) - theta0) * math.copysign(1.0, sweep)) % (2.0 * math.pi)
+    bearing = (math.atan2(ay, ax) - low) % (2.0 * math.pi)
     if abs(sweep) >= 2.0 * math.pi or offset == 0.0 or bearing <= abs(sweep):
         clearance = abs(offset - radius)
     else:
-        ends = (np.hypot(radius * math.cos(t) - ax, radius * math.sin(t) - ay) for t in (theta0, theta0 + sweep))
+        ends = (np.hypot(radius * math.cos(t) - ax, radius * math.sin(t) - ay) for t in (theta0, theta1))
         clearance = np.minimum(*ends)
     # Whole turns are closed circles: each sweeps 2 pi, signed by facing, about an axis inside the
-    # circle and 0 about one outside, so only the rest, within half a turn of theta0, is cut into
-    # sub-arcs. A sub-arc of sweep <= pi/2 turns by its chord's angle about the axis, plus a full turn
-    # when the axis lies between sub-arc and chord: inside the circle, on the arc's side of the chord.
+    # circle and 0 about one outside, so only the rest is cut into sub-arcs, always up from the lower
+    # end and their sum signed by the sweep, so that the reversed arc gives the exact negative.
+    # A sub-arc of sweep <= pi/2 turns by its chord's angle about the axis, plus a full turn when
+    # the axis lies between sub-arc and chord: inside the circle, on the arc's side of the chord.
     # One cross-product scalar feeds both the atan2 and the side test, so an axis on a chord line
     # gives the same total from either sign of zero.
     # The chord ends are taken in units of a power of 2 near the arc's size, as in ``_unit_scale``.
@@ -552,14 +551,14 @@ def _arc_about_axis(arc, spec: SolenoidSpec):
     rest = sweep - 2.0 * math.pi * turns
     angles, between = 0.0, 0
     if rest:  # whole turns alone, as every circle has, cut no sub-arcs
-        t = np.linspace(theta0, theta0 + rest, math.ceil(abs(rest) / (0.5 * math.pi)) + 1)
+        t = np.linspace(low, low + sign * rest, math.ceil(abs(rest) / (0.5 * math.pi)) + 1)
         unit = np.ldexp(1.0, np.frexp(np.maximum(radius, max(abs(ax), abs(ay))))[1] - 1)
         # the sub-arc ends run along the last axis, after one per radius
         r, x, y = (np.asarray(q / unit)[..., None] for q in (radius, ax, ay))
         u, v = r * np.cos(t) - x, r * np.sin(t) - y
         cross = facing * (u[..., :-1] * v[..., 1:] - v[..., :-1] * u[..., 1:])
-        angles = np.sum(np.arctan2(cross, u[..., :-1] * u[..., 1:] + v[..., :-1] * v[..., 1:]), axis=-1)
-        between = np.count_nonzero(np.signbit(cross) != (facing * rest < 0.0), axis=-1)
+        angles = sign * np.sum(np.arctan2(cross, u[..., :-1] * u[..., 1:] + v[..., :-1] * v[..., 1:]), axis=-1)
+        between = np.count_nonzero(np.signbit(cross) != (facing * sign * rest < 0.0), axis=-1)
     # the whole turns and the sub-arcs' full turns count only about an axis inside the circle
     inside = offset < radius
     return clearance, angles + 2.0 * math.pi * (facing * turns + math.copysign(1.0, facing * rest) * between) * inside
@@ -586,8 +585,7 @@ def loop_geometry(loop: LoopPath, spec: SolenoidSpec, radius=None) -> LoopGeomet
     if radius is not None:
         if not (along_z and len(loop.segments) == len(arcs) == 1):
             raise GeometryError("a column of radii needs a loop of one arc normal to the solenoid axis")
-        ((center, _, theta0, sweep),) = arcs
-        arcs = [(center, radius, theta0, sweep)]
+        arcs = [(center, radius, *angles) for center, _, *angles in arcs]
     swept, rho = 0.0, []
     if any(is_line):  # no index into the ends for a loop of arcs
         d = np.asarray(spec.axis_direction)

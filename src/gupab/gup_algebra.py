@@ -34,7 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SingularInputError
+from .clifford import momenta
+from .errors import DomainError, SingularInputError, raise_first
+from .units import nonnegative_a
 
 # Probe state used by the operator lab: a sup-normalized Gaussian sitting at
 # the middle of the grid, wide enough to be resolved and narrow enough to
@@ -47,21 +49,9 @@ _BOUNDARY_MARGIN = 2
 _DELTA = np.eye(3)
 
 
-def _momenta(p):
-    p = np.asarray(p, dtype=float)
-    if p.ndim == 0 or p.shape[-1] != 3:
-        raise DomainError("momentum must be a 3-vector or an (..., 3) array of them")
-    return p
-
-
 def _check_axis(i):
     if i not in (1, 2, 3):
         raise DomainError(f"axis index must be 1, 2 or 3, got {i}")
-
-
-def _check_coupling(a):
-    if np.any(np.asarray(a) < 0.0):
-        raise DomainError("deformation parameter a must be nonnegative")
 
 
 def deformation_factor(p0_mag, a):
@@ -71,15 +61,15 @@ def deformation_factor(p0_mag, a):
 
 def deform_momentum(p0, a: float) -> np.ndarray:
     """Apply the deformation map to a 3-vector or an (..., 3) array; the zero vector is fixed."""
-    p0 = _momenta(p0)
-    _check_coupling(a)
+    p0 = momenta(p0)
+    raise_first(nonnegative_a(a))
     return p0 * deformation_factor(np.linalg.norm(p0, axis=-1, keepdims=True), a)
 
 
 def _brackets(p0, a, kind):
     """(..., 3, 3) brackets over all (i, j): the deformed-bracket 'target' or the exact 'jacobian'."""
-    p0 = _momenta(p0)
-    _check_coupling(a)
+    p0 = momenta(p0)
+    raise_first(nonnegative_a(a))
     mag = np.linalg.norm(p0, axis=-1)[..., None, None]
     if a == 0.0:
         return 1j * np.broadcast_to(_DELTA, mag.shape[:-2] + (3, 3))
@@ -233,7 +223,7 @@ def grid_operator_lab(grid: MomentumGrid, a: float) -> CommutatorReport:
     """
     if grid.n < 64:
         raise DomainError("operator lab needs at least 64 grid points")
-    _check_coupling(a)
+    raise_first(nonnegative_a(a))
     p_max = float(grid.points[-1])
     if a > 0.0 and a * p_max >= 0.5:
         raise DomainError("perturbative regime requires a * p_max < 0.5")
@@ -313,8 +303,8 @@ def uncertainty_check(
     psi = np.asarray(state, dtype=complex)
     if psi.ndim == 0 or psi.shape[-1] != grid.n:
         raise DomainError("state must match the grid size")
-    _check_coupling(a)
     a = np.asarray(a, dtype=float)
+    raise_first(nonnegative_a(a))
     if not np.isfinite(psi).all():  # a NaN norm would pass the normalization test below
         raise DomainError("state must be finite")
     h = grid.h

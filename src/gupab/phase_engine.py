@@ -39,8 +39,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .clifford import alpha, beta, gamma
-from .errors import DomainError, GeometryError, GupabError, raise_first
+from .clifford import alpha, beta, gamma, momenta, positive_mass
+from .errors import DomainError, GeometryError, GupabError, fails, raise_first
 from .field_geometry import (
     LoopPath,
     QuadratureSpec,
@@ -49,6 +49,7 @@ from .field_geometry import (
     loop_length,
     solenoid_circulation,
 )
+from .units import nonnegative_a
 
 _G0 = gamma(0)
 _G_SPATIAL = np.stack([gamma(1), gamma(2), gamma(3)])
@@ -60,6 +61,11 @@ def _lorentz(speed):
     return 1.0 / np.sqrt(1.0 - speed * speed)
 
 
+def subluminal_speed(v):
+    """The check, for ``raise_first``, that a speed v, a float or an array, lies in (0, 1)."""
+    return fails((0.0 < v) & (v < 1.0)), DomainError, "v must be in (0,1)"
+
+
 @dataclass(frozen=True)
 class ParticleSpec:
     """Charge, mass, and constant traversal speed (natural units, v < 1)."""
@@ -69,10 +75,7 @@ class ParticleSpec:
     speed: float
 
     def __post_init__(self):
-        if not (self.mass > 0.0):
-            raise DomainError("m must be positive")
-        if not (0.0 < self.speed < 1.0):
-            raise DomainError("v must be in (0,1)")
+        raise_first(positive_mass(self.mass), subluminal_speed(self.speed))
 
     @property
     def lorentz_gamma(self) -> float:
@@ -172,8 +175,8 @@ def phase_geometry(
             circulation, circulation_error = result.value, result.error_estimate
     length, length_error = loop.length, 0.0
     if radius is not None:  # the exact length LoopPath takes for one arc
-        (seg,) = loop.segments
-        length = radius * abs(seg.arc[3])
+        ((_, _, theta0, theta1),) = [seg.arc for seg in loop.segments]
+        length = radius * abs(theta1 - theta0)
     if length is None:
         result = loop_length(loop, quad)
         length, length_error = result.value, result.error_estimate
@@ -197,7 +200,6 @@ class PhaseRows(NamedTuple):
 
 
 _ENTERS_COIL = "loop enters the solenoid interior; the flux phase requires field-free paths"
-_NEGATIVE_A = "deformation parameter a must be nonnegative"
 _NOT_FINITE = "phase is not finite: the inputs overflow double precision"
 
 
@@ -244,7 +246,7 @@ def _matrix_correction(geometry: PhaseGeometry, charge, energy, momentum, speed,
 
 def _correction(particle: ParticleSpec, loop: LoopPath, a: float, quad):
     """(matrix, error) of the correction alone, with no coil: a is checked, finiteness is not."""
-    raise_first((a < 0.0, DomainError, _NEGATIVE_A))
+    raise_first(nonnegative_a(a))
     geometry = phase_geometry(loop, None, quad)
     return _matrix_correction(geometry, particle.charge, particle.energy, particle.momentum, particle.speed, a)
 
@@ -346,7 +348,7 @@ def phase_rows(
         finite = np.isfinite(matrix).all(axis=(-2, -1)) & np.isfinite(total) & np.isfinite(error)
     raise_first(
         (geometry.clearance <= geometry.coil_radius, GeometryError, _ENTERS_COIL),
-        (a < 0.0, DomainError, _NEGATIVE_A),
+        nonnegative_a(a),
         (~finite, GupabError, _NOT_FINITE),
     )
     return PhaseRows(standard, matrix, projected, total, error)
@@ -404,13 +406,8 @@ def dispersion(p3, m, a) -> DispersionResult:
     finite, as when a |p|^2 overflows double precision.
     """
     m, a = np.asarray(m, dtype=float), np.asarray(a, dtype=float)
-    if not np.all(m > 0.0):
-        raise DomainError("mass must be positive")
-    if np.any(a < 0.0):
-        raise DomainError("deformation parameter a must be nonnegative")
-    p3 = np.asarray(p3, dtype=float)
-    if p3.ndim == 0 or p3.shape[-1] != 3:
-        raise DomainError("p3 must be a 3-vector or an (..., 3) array of them")
+    raise_first(positive_mass(m), nonnegative_a(a))
+    p3 = momenta(p3)
     with np.errstate(over="ignore", invalid="ignore"):  # reported once, below
         ap = (p3 @ _ALPHA_ROWS).reshape(p3.shape[:-1] + (4, 4))
         hamiltonian = ap + a[..., None, None] * (ap @ ap) + m[..., None, None] * beta()

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, raise_first
 
 # CODATA 2018 literals (c is exact by definition of the metre).
 PLANCK_LENGTH_SI = 1.616255e-35  # m
@@ -55,6 +55,11 @@ class UnitSystem:
         return cls("si", HBAR_SI, C_SI, PLANCK_LENGTH_SI, PLANCK_MASS_SI)
 
 
+def nonnegative_a(a):
+    """The check, for ``raise_first``, that a deformation strength a, a float or an array, is not negative."""
+    return a < 0.0, DomainError, "a must be nonnegative"
+
+
 @dataclass(frozen=True)
 class GupParameter:
     """Deformation strength a (inverse momentum)."""
@@ -62,8 +67,7 @@ class GupParameter:
     a: float
 
     def __post_init__(self):
-        if self.a < 0.0:
-            raise DomainError("a must be nonnegative")
+        raise_first(nonnegative_a(self.a))
 
 
 def gup_from_a0(a0: float, units: UnitSystem) -> GupParameter:

@@ -1,11 +1,13 @@
 """Shared oracles and geometry generators for the test suite.
 
-Everything here except ``reference_verification`` and ``reference_sweep``
-is deliberately independent of the package's quadrature and matrix plumbing:
-Dirac matrices are rebuilt inline from Pauli blocks, and contour integrals
-are brute-force midpoint Riemann sums. ``reference_verification`` is the
-verification suite run through the library one input row at a time, and
-``reference_sweep`` a sweep run one ``run_phase`` per row.
+Everything here except ``reference_verification``, ``reference_sweep`` and
+``reference_column_check`` is deliberately independent of the package's
+quadrature and matrix plumbing: Dirac matrices are rebuilt inline from Pauli
+blocks, and contour integrals are brute-force midpoint Riemann sums.
+``reference_verification`` is the verification suite run through the
+library one input row at a time, ``reference_sweep`` a sweep run one
+``run_phase`` per row, and ``reference_column_check`` a sweep's values
+checked one constructor per row.
 """
 
 import math
@@ -15,6 +17,7 @@ import numpy as np
 
 from gupab import clifford, gup_algebra
 from gupab.cli_io import _check, _gamma_algebra_residual, run_phase
+from gupab.errors import DomainError, GeometryError
 from gupab.field_geometry import LoopPath, QuadratureSpec, Segment, SolenoidSpec, circle_loop
 from gupab.phase_engine import ParticleSpec, ab_phase, dispersion, gup_phase_projected
 from gupab.units import GupParameter
@@ -285,6 +288,18 @@ def reference_verification(level, perturbation):
     return {"level": level, "checks": checks, "all_passed": all(c["passed"] for c in checks)}
 
 
+def _swept_row(config, parameter, value):
+    """What one sweep row changes of ``config``, built by its own constructor: the ``replace`` keywords."""
+    if parameter == "gup.a":
+        return {"a": GupParameter(a=value).a}
+    if parameter == "particle.v":
+        return {"particle": replace(config.particle, speed=value)}
+    if parameter == "loop.radius":
+        ((center, _, theta0, theta1),) = [seg.arc for seg in config.loop.segments]
+        return {"loop": circle_loop(center=center, radius=value, windings=round((theta1 - theta0) / (2.0 * math.pi)))}
+    return {"solenoid": replace(config.solenoid, flux=value)}
+
+
 def reference_sweep(config):
     """A sweep evaluated row by row: one config per value, each through ``run_phase``, in input order.
 
@@ -294,16 +309,21 @@ def reference_sweep(config):
     batch is compared against.
     """
     sweep = config.sweep
-
-    def swept(value):
-        if sweep.parameter == "gup.a":
-            return {"a": GupParameter(a=value).a}
-        if sweep.parameter == "particle.v":
-            return {"particle": replace(config.particle, speed=value)}
-        if sweep.parameter == "loop.radius":
-            ((center, _, _, turn),) = [seg.arc for seg in config.loop.segments]
-            return {"loop": circle_loop(center=center, radius=value, windings=round(turn / (2.0 * math.pi)))}
-        return {"solenoid": replace(config.solenoid, flux=value)}
-
-    rows = [replace(config, **swept(value)) for value in sweep.values]
+    rows = [replace(config, **_swept_row(config, sweep.parameter, value)) for value in sweep.values]
     return [(value, run_phase(row)) for value, row in zip(sweep.values, rows)]
+
+
+def reference_column_check(config, parameter, values):
+    """The config error of the first sweep value its row's own constructor rejects, or None.
+
+    Each value is checked alone, in input order, by building what its row
+    changes (``GupParameter``, the particle or the solenoid with that value,
+    or a whole ``circle_loop`` of that radius), as the CLI did before it
+    checked each column in one call; the text is the CLI's.
+    """
+    for value in values:
+        try:
+            _swept_row(config, parameter, value)
+        except (DomainError, GeometryError) as exc:
+            return f"sweep.values for {parameter.split('.')[0]}.{exc}"
+    return None

@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from helpers import fourier_loop, reference_sweep, reference_verification
+from helpers import fourier_loop, reference_column_check, reference_sweep, reference_verification
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -108,6 +108,20 @@ def test_fixed_spinor_config(tmp_path):
     assert config.spinor is not None and config.spinor.shape == (4,)
     result = run_phase(config)
     assert math.isfinite(result.projected_correction)
+
+
+def test_fixed_spinor_at_a_momentum_whose_square_overflows(tmp_path, capsys):
+    # not the rest spinor: the ultrarelativistic limit (1, 0, 0, (1 + i) / sqrt(2)) / sqrt(2), with no warning
+    payload = json.loads(json.dumps(BASE_CONFIG))
+    payload["projection"] = "fixed_spinor"
+    payload["spinor"] = {"momentum": [1e308, 1e308, 0.0]}
+    path = write_config(tmp_path, payload)
+    expected = np.array([1.0, 0.0, 0.0, (1.0 + 1.0j) / math.sqrt(2.0)]) / math.sqrt(2.0)
+    np.testing.assert_allclose(load_config(path).spinor, expected, rtol=0.0, atol=1e-15)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["phase", "-c", path]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_spinor_without_fixed_projection_rejected(tmp_path):
@@ -356,6 +370,20 @@ def test_cmd_dispersion_argument_validation(tmp_path, capsys):
     assert "steps" in capsys.readouterr().err
     assert main(["dispersion", "-c", path, "--pmax", "-1.0", "--steps", "10"]) == 2
     assert "range" in capsys.readouterr().err
+    # an infinite range and a table too large to allocate are one config error line each, with no warning
+    assert cli_io._MAX_DISPERSION_STEPS == 10**6
+    for argv, message in [
+        (["--pmax", "inf", "--steps", "10"], "dispersion p range must be finite"),
+        (["--pmax", "1e400", "--steps", "10"], "dispersion p range must be finite"),
+        (["--steps", str(10**6 + 1)], "dispersion needs at most 1000000 steps"),
+        (["--steps", str(10**30)], "dispersion needs at most 1000000 steps"),
+    ]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["dispersion", "-c", path, *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"config error: {message}"]
 
 
 def test_cmd_dispersion_overflow_exits_1(tmp_path, capsys):
@@ -484,6 +512,8 @@ def test_non_finite_phase_exits_1(tmp_path, capsys, section, values):
         ({"kind": "circle", "radius": 1e308}, 2),
         ({"kind": "rectangle", "corners": [[1e308, 1e308, 0.0], [-1e308, 1e308, 0.0], [-1e308, -1e308, 0.0], [1e308, -1e308, 0.0]]}, 2),
         ({"kind": "circle", "radius": 1e300, "windings": 3}, 0),
+        ({"kind": "circle", "radius": 1.0, "windings": 10**400}, 2),  # beyond the float range, like 10**308
+        ({"kind": "circle", "radius": 1.0, "windings": -(10**400)}, 2),
     ],
 )
 def test_overflowing_loop_inputs(tmp_path, capsys, loop, code):
@@ -505,6 +535,27 @@ def test_overflowing_loop_inputs(tmp_path, capsys, loop, code):
         result = json.loads(captured.out)
         assert result["standard_phase"] == 3.0
         assert math.isfinite(result["total_phase"]) and result["projected_correction"] < 0.0
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize(
+    "command, path, message",
+    [
+        ("phase", ("particle", "q"), "particle.q must be finite"),
+        ("phase", ("solenoid", "flux"), "solenoid.flux must be finite"),
+        ("sweep", ("sweep", "values"), "sweep.values must be finite"),
+    ],
+)
+def test_integers_beyond_the_float_range_are_not_finite(tmp_path, capsys, sign, command, path, message):
+    # strict JSON allows any integer; one beyond the float range is rejected like 1e400, not an OverflowError
+    payload = json.loads(json.dumps(BASE_CONFIG))
+    payload["sweep"] = {"parameter": "gup.a", "values": [0.01]}
+    section, key = path
+    payload[section][key] = [0.01, sign * 10**400] if key == "values" else sign * 10**400
+    assert main([command, "-c", write_config(tmp_path, payload)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"config error: {message}"]
 
 
 @pytest.mark.parametrize(
@@ -830,29 +881,33 @@ def test_sweep_computes_loop_geometry_once_per_loop(tmp_path, capsys, monkeypatc
 
 
 _EXTREME_RADII = [0.0, -0.0, -1.0, -1e308, 1e308, 1.7e308, 1e-320, 5e-324, 1e-310, 3.0]
+# valid values mixed with each constructor's edge cases
+_COLUMN_VALUES = {
+    "gup.a": st.one_of(_floats(-1.0, 1.0), st.sampled_from([0.0, -0.0, -5e-324, 5e-324, 1e308, -1e308])),
+    "loop.radius": st.one_of(_floats(-5.0, 5.0), st.sampled_from(_EXTREME_RADII)),
+    "particle.v": st.one_of(_floats(-0.5, 1.5), st.sampled_from([0.0, -0.0, 1.0, 5e-324, 1e308, -1e308])),
+    "solenoid.flux": st.one_of(_floats(-5.0, 5.0), st.sampled_from([0.0, -0.0, 1e308, -1e308, 1.7e308])),
+}
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    center=st.one_of(
-        st.lists(_floats(-2.0, 2.0), min_size=3, max_size=3),
-        st.sampled_from([[1e308, 0.0, 0.0], [0.0, -1.7e308, 0.0], [1e308, 1e308, 1.0], [-1e308, 0.0, 1e308]]),
-    ),
-    windings=st.sampled_from([-3, -2, -1, 1, 2, 3]),
-    values=st.lists(st.one_of(_floats(-5.0, 5.0), st.sampled_from(_EXTREME_RADII)), min_size=1, max_size=8),
-)
-def test_radius_column_checks_match_one_circle_per_row(center, windings, values):
-    # one array call over the column rejects the first row that circle_loop rejects, with its message
-    expected = None
-    for value in values:
-        try:
-            circle_loop(center=center, radius=value, windings=windings)
-        except GeometryError as exc:
-            expected = f"sweep.values for loop.{exc}"
-            break
+@pytest.mark.parametrize("parameter", sorted(_COLUMN_VALUES))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_sweep_column_checks_match_one_constructor_per_row(parameter, data):
+    # one call over the column rejects the first row that its own constructor rejects, with its message
     payload = json.loads(json.dumps(BASE_CONFIG))
-    payload["loop"] = {"kind": "circle", "center": center, "radius": 1.0, "windings": windings}
-    payload["sweep"] = {"parameter": "loop.radius", "values": values}
+    if parameter == "loop.radius":
+        center = data.draw(
+            st.one_of(
+                st.lists(_floats(-2.0, 2.0), min_size=3, max_size=3),
+                st.sampled_from([[1e308, 0.0, 0.0], [0.0, -1.7e308, 0.0], [1e308, 1e308, 1.0], [-1e308, 0.0, 1e308]]),
+            )
+        )
+        windings = data.draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+        payload["loop"] = {"kind": "circle", "center": center, "radius": 1.0, "windings": windings}
+    values = data.draw(st.lists(_COLUMN_VALUES[parameter], min_size=1, max_size=8))
+    expected = reference_column_check(cli_io.parse_config(payload), parameter, values)
+    payload["sweep"] = {"parameter": parameter, "values": values}
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # an overflowing row is a config error, not a numpy warning
         try:

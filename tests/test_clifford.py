@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gupab.clifford import (
     MINKOWSKI_METRIC,
@@ -220,3 +224,37 @@ def test_spinor_shape_errors():
     for bad in (1.0, (1.0, 2.0), np.zeros((4, 2))):
         with pytest.raises(DomainError):
             on_shell_spinor(bad, 1.0)
+
+
+_PAULI = np.stack([alpha(i)[:2, 2:] for i in (1, 2, 3)])  # the off-diagonal blocks of alpha_i
+_ORDINARY = st.one_of(st.just(0.0), st.floats(1e-100, 1e3), st.floats(-1e3, -1e-100))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p3=st.lists(_ORDINARY, min_size=3, max_size=3),
+    m=st.floats(1e-3, 1e3),
+    branch=st.sampled_from(["particle1", "particle2"]),
+)
+def test_spinor_keeps_the_bits_of_the_unscaled_formula(p3, m, branch):
+    # the spinor is formed in units of a power of 2, which leaves ordinary momenta bit for bit as before
+    p3 = np.array(p3)
+    chi = np.array([1.0, 0.0] if branch == "particle1" else [0.0, 1.0], dtype=complex)
+    sigma_p = np.tensordot(p3, _PAULI, axes=(-1, 0))
+    energy = np.sqrt(np.sum(p3 * p3, axis=-1) + m * m)
+    u = np.concatenate([chi, (sigma_p @ chi) / (energy + m)[..., None]])
+    assert on_shell_spinor(p3, m, branch).tobytes() == (u / np.linalg.norm(u, axis=-1, keepdims=True)).tobytes()
+
+
+@pytest.mark.parametrize("p3", [(1e308, 1e308, 0.0), (1.7e308, 0.0, 0.0), (1e150, 1e150, 0.0), (0.0, -1e300, 1e300)])
+@pytest.mark.parametrize("branch", ["particle1", "particle2"])
+def test_spinor_at_huge_momenta_is_the_ultrarelativistic_limit(p3, branch):
+    # |p|^2 overflows at the first two: the spinor is still (chi, sigma.p_hat chi) / sqrt(2), with no warning
+    chi = np.array([1.0, 0.0] if branch == "particle1" else [0.0, 1.0], dtype=complex)
+    direction = np.array(p3) / 1e300 / np.linalg.norm(np.array(p3) / 1e300)
+    sigma = np.tensordot(direction, _PAULI, axes=(0, 0))
+    expected = np.concatenate([chi, sigma @ chi]) / np.sqrt(2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = on_shell_spinor(p3, 1.0, branch)
+    np.testing.assert_allclose(u, expected, rtol=0.0, atol=1e-15)

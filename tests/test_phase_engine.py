@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,9 +15,9 @@ from helpers import (
     riemann_projected_phase,
     riemann_tangent_sums,
 )
-from gupab import phase_engine
-from gupab.clifford import gamma, on_shell_spinor
-from gupab.errors import DomainError, GeometryError, GupabError
+from gupab import gup_algebra, phase_engine
+from gupab.clifford import gamma, momenta, on_shell_spinor, positive_mass
+from gupab.errors import DomainError, GeometryError, GupabError, raise_first
 from gupab.field_geometry import (
     LoopPath,
     QuadratureSpec,
@@ -24,6 +25,7 @@ from gupab.field_geometry import (
     SolenoidSpec,
     arc_segment,
     circle_loop,
+    finite_flux,
     line_segment,
     loop_geometry,
     polyline_loop,
@@ -38,8 +40,10 @@ from gupab.phase_engine import (
     gup_phase_projected,
     phase_geometry,
     phase_rows,
+    subluminal_speed,
     total_phase,
 )
+from gupab.units import GupParameter, nonnegative_a
 
 DOUBLING = QuadratureSpec(refinement="doubling", tolerance=1e-12)
 PARTICLE = ParticleSpec(charge=1.0, mass=1.0, speed=0.6)
@@ -640,3 +644,82 @@ def test_phase_rows_raise_for_the_first_failing_row():
         phase_rows(geometry, 1.0, 1.0, 0.6, 1.0, np.array([0.01, -1e308]))
     rows = phase_rows(geometry, 1.0, 1.0, np.array([0.3, 0.6]), 1.0, 0.01)
     assert rows.correction_matrix.shape == (2, 4, 4) and rows.total_phase.shape == (2,)
+    # within a row the coil comes first, then a, then finiteness; across rows the first failing row wins
+    column = phase_geometry(circle_loop(radius=2.0), SOLENOID, radius=np.array([2.0, 0.05, 2.0]))
+    with pytest.raises(GeometryError, match="enters the solenoid"):
+        phase_rows(column, 1.0, 1.0, 0.6, 1.0, np.array([0.01, -1e308, -0.01]))
+    with pytest.raises(DomainError, match="a must be nonnegative"):
+        phase_rows(column, 1.0, 1.0, 0.6, 1.0, np.array([-0.01, 0.01, 0.01]))
+    with pytest.raises(GupabError, match="not finite"):
+        phase_rows(column, 1.0, 1.0, np.array([1e-320, 0.6, 0.6]), 1.0, 0.01)
+
+
+# each shared check: (check, values it accepts, values it rejects, message)
+_SHARED_CHECKS = {
+    "a": (nonnegative_a, [0.0, -0.0, 5e-324, 0.5, 1e308], [-5e-324, -1.0, -1e308, -math.inf], "a must be nonnegative"),
+    "m": (positive_mass, [5e-324, 1.0, 1e308], [0.0, -0.0, -1.0, -1e308, math.nan], "m must be positive"),
+    "v": (
+        subluminal_speed,
+        [5e-324, 0.5, 0.9999999999999999],
+        [0.0, -0.0, 1.0, -1.0, 1e308, -1e308, math.nan],
+        "v must be in (0,1)",
+    ),
+    "flux": (finite_flux, [0.0, -0.0, 1e308, -1e308], [math.inf, -math.inf, math.nan], "flux must be finite"),
+}
+
+
+@pytest.mark.parametrize("quantity", sorted(_SHARED_CHECKS))
+def test_shared_check_on_a_float_and_a_column(quantity):
+    check, good, bad, message = _SHARED_CHECKS[quantity]
+    for value in good:
+        mask, _, _ = check(value)
+        assert mask is False  # a Python bool, which raise_first passes without calling numpy
+        raise_first(check(value))
+    for value in bad:
+        with pytest.raises(DomainError) as caught:
+            raise_first(check(value))
+        assert str(caught.value) == message
+    rng = np.random.default_rng(len(quantity))
+    for _ in range(20):
+        column = rng.permutation(good + rng.choice(bad, size=rng.integers(0, 3)).tolist())
+        mask, error, text = check(column)
+        assert (error, text) == (DomainError, message)
+        assert np.array_equal(mask, [value not in good for value in column.tolist()])
+        if mask.any():
+            with pytest.raises(DomainError, match=re.escape(message)):
+                raise_first(check(column))
+        else:
+            raise_first(check(column))
+
+
+_LOOP = circle_loop(radius=2.0)
+_GRID = gup_algebra.MomentumGrid.uniform(0.5, 2.5, 64)
+_SHAPE = "momentum must be a 3-vector or an (..., 3) array of them"
+_STATE = gup_algebra.gaussian_state(_GRID)
+_CALLERS = [
+    ("a must be nonnegative", lambda: GupParameter(a=-1.0)),
+    ("a must be nonnegative", lambda: gup_phase_matrix(PARTICLE, _LOOP, -1.0)),
+    ("a must be nonnegative", lambda: total_phase(PARTICLE, SOLENOID, _LOOP, -1.0)),
+    ("a must be nonnegative", lambda: dispersion([1.0, 0.0, 0.0], 1.0, np.array([0.1, -1.0]))),
+    ("a must be nonnegative", lambda: gup_algebra.deform_momentum([1.0, 0.0, 0.0], -1.0)),
+    ("a must be nonnegative", lambda: gup_algebra.commutator_target([1.0, 0.0, 0.0], 1, 1, -1.0)),
+    ("a must be nonnegative", lambda: gup_algebra.grid_operator_lab(_GRID, -1.0)),
+    ("a must be nonnegative", lambda: gup_algebra.uncertainty_check(_GRID, _STATE, [0.1, -1.0])),
+    ("m must be positive", lambda: ParticleSpec(charge=1.0, mass=0.0, speed=0.6)),
+    ("m must be positive", lambda: on_shell_spinor([1.0, 0.0, 0.0], np.array([1.0, -1.0]))),
+    ("m must be positive", lambda: dispersion([1.0, 0.0, 0.0], 0.0, 0.1)),
+    ("v must be in (0,1)", lambda: ParticleSpec(charge=1.0, mass=1.0, speed=1.0)),
+    ("flux must be finite", lambda: SolenoidSpec(flux=math.inf, radius=0.1)),
+    (_SHAPE, lambda: momenta([1.0, 2.0])),
+    (_SHAPE, lambda: dispersion(1.0, 1.0, 0.1)),
+    (_SHAPE, lambda: on_shell_spinor(np.zeros((4, 2)), 1.0)),
+    (_SHAPE, lambda: gup_algebra.deform_momentum([1.0, 2.0], 0.1)),
+    (_SHAPE, lambda: gup_algebra.jacobian_commutator(2.0, 1, 1, 0.1)),
+]
+
+
+@pytest.mark.parametrize("message, call", _CALLERS)
+def test_every_caller_reports_the_shared_message(message, call):
+    with pytest.raises(DomainError) as caught:
+        call()
+    assert str(caught.value) == message
