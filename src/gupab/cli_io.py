@@ -1,18 +1,17 @@
 """Config loading, command dispatch, parameter sweeps, and machine output.
 
-Configs are strict JSON. This module checks their shape: unknown keys, JSON
-types, and the string choices that pick a code path (loop kind, gup units,
-projection, sweep parameter). Every value is validated once, by the check
-its engine constructor makes, before any computation starts: a sweep column
-in one call of that check, which names the first bad row. ``_build`` turns
-the error into a ``ConfigError`` naming ``section.key``. Structured results
-go out as JSON, sweep tables as CSV with a frozen header, each sweep one
-batch over one geometry record (for ``loop.radius`` one array of circles),
-its rows in input order. Output is written to stdout or
-the ``-o`` file only once the command has finished, so a failed run leaves
-an existing file as it was. Exit codes: 0 success, 1 verification or
-computation failure, 2 config error or an output file that cannot be
-written.
+Configs are strict JSON. This module checks their shape: unknown keys, JSON types, and the
+string choices that pick a code path (loop kind, gup units, projection, sweep parameter). A
+number must be finite, so an integer beyond the float range is rejected. Every value is then
+validated once, by the check its engine constructor makes, before any computation starts: a
+sweep column in one call of that check, which names the first bad row. ``_build`` turns the
+error into a ``ConfigError`` naming ``section.key``; so do a dispersion range that is not
+positive and finite and a step count outside [2, 10**6]. Structured results go out as JSON,
+sweep tables as CSV with a frozen header, each sweep one batch over one geometry record (for
+``loop.radius`` one array of circles), its rows in input order. Output is written to stdout or
+the ``-o`` file only once the command has finished, so a failed run leaves an existing file as
+it was. Exit codes: 0 success, 1 verification or computation failure, 2 config error or an
+output file that cannot be written.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, fails, raise_first
+from .errors import DomainError, raise_first
 
 PAULI = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -92,7 +92,7 @@ def slash(p: FourVector) -> np.ndarray:
 
 def positive_mass(m):
     """The check, for ``raise_first``, that a mass m, a float or an array, is positive (so not NaN)."""
-    return fails(m > 0.0), DomainError, "m must be positive"
+    return np.logical_not(m > 0.0), DomainError, "m must be positive"
 
 
 def momenta(p3) -> np.ndarray:

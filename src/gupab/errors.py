@@ -37,11 +37,6 @@ class ConfigError(GupabError, ValueError):
     """A run configuration failed to parse or validate."""
 
 
-def fails(holds):
-    """Where a condition does not hold: ``not`` of a bool, ``~`` of a bool array."""
-    return holds ^ True
-
-
 def raise_first(*checks):
     """Raise for the first row that fails a check, the error of the first check it fails.
 
@@ -49,7 +44,7 @@ def raise_first(*checks):
     arrays of them that broadcast over the rows.
     """
     failed = functools.reduce(operator.or_, (mask for mask, _, _ in checks))
-    if failed is not False and np.count_nonzero(failed):  # Python bools, from float inputs, skip numpy
+    if np.count_nonzero(failed):
         row = np.argmax(np.ravel(failed))
         for mask, error, message in checks:
             if np.ravel(np.broadcast_to(mask, np.shape(failed)))[row]:

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, FieldEvaluationError, GeometryError, SingularInputError, fails, raise_first
+from .errors import DomainError, FieldEvaluationError, GeometryError, SingularInputError, raise_first
 
 _MAX_NODES_PER_SEGMENT = 1024  # 2**10 cap for the doubling refinement
 _VALIDATION_SAMPLES = 64
@@ -43,7 +43,7 @@ def _unit(v, name) -> tuple:
 
 def finite_flux(flux):
     """The check, for ``raise_first``, that a flux, a float or an array, is finite."""
-    return fails(abs(flux) < math.inf), DomainError, "flux must be finite"
+    return np.logical_not(abs(flux) < math.inf), DomainError, "flux must be finite"
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ class SolenoidSpec:
     axis_direction: tuple = (0.0, 0.0, 1.0)
 
     def __post_init__(self):
-        raise_first((fails(self.radius > 0.0), DomainError, "radius must be positive"), finite_flux(self.flux))
+        raise_first((np.logical_not(self.radius > 0.0), DomainError, "radius must be positive"), finite_flux(self.flux))
         origin = np.asarray(self.axis_point, dtype=float)
         if origin.shape != (3,):
             raise DomainError("axis point must be a 3-vector")
@@ -190,14 +190,31 @@ _NONPOSITIVE_RADIUS = "radius must be positive"
 _OPEN = "path marked closed but endpoints differ by {:.3e}"
 
 
+def _arc_length(arc):
+    """The exact length radius |theta1 - theta0| of an arc (center, radius, theta0, theta1), the radius a float or an array."""
+    _, radius, theta0, theta1 = arc
+    return radius * abs(theta1 - theta0)
+
+
+def _circle_arc(loop, radius):
+    """The arc of ``loop``, a circle of one arc, with ``radius`` (a float or an array) in place of its own."""
+    ((center, _, theta0, theta1),) = [seg.arc for seg in loop.segments]
+    return center, radius, theta0, theta1
+
+
+def circle_length(loop, radius):
+    """The exact length ``LoopPath`` takes for ``loop``, a circle of one arc, at each entry of ``radius``."""
+    return _arc_length(_circle_arc(loop, radius))
+
+
 def _arc_checks(arc):
     """(finite, length) of an arc (center, radius, theta0, theta1), the radius a float or an array of them.
 
-    ``finite`` holds where |center| + radius, the length radius |theta1 - theta0|
-    (LoopPath's exact length) and both end angles are finite, which bounds every point and tangent.
+    ``finite`` holds where |center| + radius, the length (``_arc_length``) and both
+    end angles are finite, which bounds every point and tangent.
     """
     (cx, cy, cz), radius, theta0, theta1 = arc
-    length = radius * abs(theta1 - theta0)
+    length = _arc_length(arc)
     size = math.hypot(cx, cy, cz) + radius
     angles = math.isfinite(theta0) and math.isfinite(theta1)
     return (abs(size) < math.inf) & (abs(length) < math.inf) & angles, length
@@ -290,7 +307,7 @@ class LoopPath:
             ends = np.array([seg_ends for seg_ends, _ in measured], dtype=float)
             lines = ends[[seg.endpoints is not None for seg in segments]]
             chords = float(np.sum(_gaps(lines[:, 0], lines[:, 1])))
-            exact = chords + sum(_arc_checks(seg.arc)[1] for seg in segments if seg.arc is not None)
+            exact = chords + sum(_arc_length(seg.arc) for seg in segments if seg.arc is not None)
             sampled = [scale for _, scale in measured if scale is not None]
             tol = 1e-12 * (exact + sum(sampled))
             junctions = _gaps(ends[:-1, 1], ends[1:, 0])
@@ -327,16 +344,16 @@ def check_radius(loop: LoopPath, radius: np.ndarray):
     length (``_arc_checks``), then closure. The first row that fails raises the
     ``GeometryError`` of its first failing check; the center and end angles are the loop's.
     """
-    (arc,) = [(center, radius, *angles) for center, _, *angles in (seg.arc for seg in loop.segments)]
+    arc = _circle_arc(loop, radius)
     with np.errstate(over="ignore", invalid="ignore"):  # overflowing rows are reported as non-finite
         finite, length = _arc_checks(arc)
         start, end = (np.stack(np.broadcast_arrays(*point), axis=-1) for point in _arc_ends(arc))
         closure = _gaps(end, start)
         broken = _broken(closure, 1e-12 * length)  # the tolerance of LoopPath, from the one arc's length
     raise_first(
-        (~(radius > 0.0), GeometryError, _NONPOSITIVE_RADIUS),
-        (~finite, GeometryError, _NON_FINITE),
-        (~(length > 0.0), GeometryError, _VANISHING),
+        (np.logical_not(radius > 0.0), GeometryError, _NONPOSITIVE_RADIUS),
+        (np.logical_not(finite), GeometryError, _NON_FINITE),
+        (np.logical_not(length > 0.0), GeometryError, _VANISHING),
         (broken, GeometryError, _OPEN.format(closure[np.argmax(broken)])),
     )
 
@@ -585,7 +602,7 @@ def loop_geometry(loop: LoopPath, spec: SolenoidSpec, radius=None) -> LoopGeomet
     if radius is not None:
         if not (along_z and len(loop.segments) == len(arcs) == 1):
             raise GeometryError("a column of radii needs a loop of one arc normal to the solenoid axis")
-        arcs = [(center, radius, *angles) for center, _, *angles in arcs]
+        arcs = [_circle_arc(loop, radius)]
     swept, rho = 0.0, []
     if any(is_line):  # no index into the ends for a loop of arcs
         d = np.asarray(spec.axis_direction)

@@ -40,15 +40,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .clifford import alpha, beta, gamma, momenta, positive_mass
-from .errors import DomainError, GeometryError, GupabError, fails, raise_first
-from .field_geometry import (
-    LoopPath,
-    QuadratureSpec,
-    SolenoidSpec,
-    loop_geometry,
-    loop_length,
-    solenoid_circulation,
-)
+from .errors import DomainError, GeometryError, GupabError, raise_first
+from .field_geometry import LoopPath, QuadratureSpec, SolenoidSpec, circle_length, loop_geometry, loop_length, solenoid_circulation
 from .units import nonnegative_a
 
 _G0 = gamma(0)
@@ -63,7 +56,7 @@ def _lorentz(speed):
 
 def subluminal_speed(v):
     """The check, for ``raise_first``, that a speed v, a float or an array, lies in (0, 1)."""
-    return fails((0.0 < v) & (v < 1.0)), DomainError, "v must be in (0,1)"
+    return np.logical_not((0.0 < v) & (v < 1.0)), DomainError, "v must be in (0,1)"
 
 
 @dataclass(frozen=True)
@@ -102,9 +95,7 @@ class PhaseResult:
     a: float
 
     def to_json_dict(self) -> dict:
-        flat = []
-        for entry in np.asarray(self.correction_matrix, dtype=complex).reshape(-1):
-            flat.append([float(entry.real), float(entry.imag)])
+        flat = [[float(z.real), float(z.imag)] for z in np.asarray(self.correction_matrix, dtype=complex).reshape(-1)]
         return {
             "standard_phase": float(self.standard_phase),
             "projected_correction": float(self.projected_correction),
@@ -173,10 +164,7 @@ def phase_geometry(
         else:
             result = solenoid_circulation(solenoid, loop, quad)
             circulation, circulation_error = result.value, result.error_estimate
-    length, length_error = loop.length, 0.0
-    if radius is not None:  # the exact length LoopPath takes for one arc
-        ((_, _, theta0, theta1),) = [seg.arc for seg in loop.segments]
-        length = radius * abs(theta1 - theta0)
+    length, length_error = (loop.length if radius is None else circle_length(loop, radius)), 0.0
     if length is None:
         result = loop_length(loop, quad)
         length, length_error = result.value, result.error_estimate
@@ -349,7 +337,7 @@ def phase_rows(
     raise_first(
         (geometry.clearance <= geometry.coil_radius, GeometryError, _ENTERS_COIL),
         nonnegative_a(a),
-        (~finite, GupabError, _NOT_FINITE),
+        (np.logical_not(finite), GupabError, _NOT_FINITE),
     )
     return PhaseRows(standard, matrix, projected, total, error)
 

@@ -891,7 +891,7 @@ _COLUMN_VALUES = {
 
 
 @pytest.mark.parametrize("parameter", sorted(_COLUMN_VALUES))
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_sweep_column_checks_match_one_constructor_per_row(parameter, data):
     # one call over the column rejects the first row that its own constructor rejects, with its message
