@@ -14,7 +14,9 @@ from .errors import (
     SingularInputError,
 )
 from .field_geometry import (
+    Arc,
     IntegralResult,
+    Line,
     LoopPath,
     QuadratureSpec,
     Segment,

@@ -117,6 +117,7 @@ def on_shell_spinor(p3, m, branch: str = "particle1") -> np.ndarray:
     if branch not in ("particle1", "particle2"):
         raise DomainError("branch must be 'particle1' or 'particle2'")
     p3 = momenta(p3)
+    raise_first((np.logical_not(np.isfinite(p3).all(axis=-1)), DomainError, "momentum must be finite"))
     # in units of a power of 2 near max(|p_i|, m), |p|^2 + m^2 cannot overflow, and u keeps its bits
     _, exponent = np.frexp(np.maximum(np.max(np.abs(p3), axis=-1), m))
     unit = np.ldexp(1.0, exponent - 1)

@@ -1,11 +1,11 @@
 """Solenoid vector potential, closed-loop geometry, and line-integral quadrature.
 
 Loops are piecewise-smooth parametric curves; each piece maps s in [0, 1] to
-points with an analytic tangent. Straight pieces and circular arcs also
-record their shape, from which ``LoopPath`` validates them and takes their
-ends and exact lengths once, at construction, without calling the pieces;
-only generic curves, which record no shape, are checked on a 64-point
-sample. ``loop_geometry`` adds the closed forms that depend on a solenoid:
+points with an analytic tangent. Straight pieces are ``Line`` records and
+circular arcs ``Arc`` records; ``LoopPath`` validates them (all lines in one
+array call) and takes their ends and exact lengths once, without calling
+them. Only generic curves, ``Segment``s, are checked on a 64-point sample.
+``loop_geometry`` adds the closed forms that depend on a solenoid:
 the azimuth swept about its axis and the least distance from it. Generic
 curves go through composite Gauss-Legendre quadrature per piece, with the
 error estimated by node doubling. The built-in field source is the ideal
@@ -41,6 +41,14 @@ def _unit(v, name) -> tuple:
     return tuple(c / norm for c in v.tolist())
 
 
+def _point(p, name, error=GeometryError) -> tuple:
+    """p as a tuple of three floats; ``error`` naming it unless p is a 3-vector."""
+    p = np.asarray(p, dtype=float)
+    if p.shape != (3,):
+        raise error(f"{name} must be a 3-vector")
+    return tuple(p.tolist())
+
+
 def finite_flux(flux):
     """The check, for ``raise_first``, that a flux, a float or an array, is finite."""
     return np.logical_not(abs(flux) < math.inf), DomainError, "flux must be finite"
@@ -57,12 +65,8 @@ class SolenoidSpec:
 
     def __post_init__(self):
         raise_first((np.logical_not(self.radius > 0.0), DomainError, "radius must be positive"), finite_flux(self.flux))
-        origin = np.asarray(self.axis_point, dtype=float)
-        if origin.shape != (3,):
-            raise DomainError("axis point must be a 3-vector")
-        direction = _unit(self.axis_direction, "axis direction")
-        object.__setattr__(self, "axis_point", tuple(origin.tolist()))
-        object.__setattr__(self, "axis_direction", direction)
+        object.__setattr__(self, "axis_point", _point(self.axis_point, "axis point", DomainError))
+        object.__setattr__(self, "axis_direction", _unit(self.axis_direction, "axis direction"))
 
     def radial(self, point) -> np.ndarray:
         """The part of point - axis_point normal to the axis, for a 3-vector or an (..., 3) array."""
@@ -109,79 +113,108 @@ def gauge_shift(field, chi_gradient):
 
 @dataclass(frozen=True)
 class Segment:
-    """One smooth parametric piece: s in [0, 1] -> R^3, with analytic tangent.
+    """One smooth generic piece: s in [0, 1] -> R^3, with analytic tangent.
 
     Both callables must accept a 1D array of parameters and return an
-    (n, 3) array. Straight pieces also record their (start, end) points, and
-    circular arcs their (center, radius, theta0, theta1): the piece runs from
-    angle theta0 to theta1 about the center, in the plane z = center_z.
-    ``loop_geometry`` uses these for closed forms; reversal swaps the ends.
+    (n, 3) array. Straight pieces and circular arcs are ``Line`` and ``Arc``
+    records instead, which ``loop_geometry`` takes in closed form.
     """
 
     point: Callable[[np.ndarray], np.ndarray]
     tangent: Callable[[np.ndarray], np.ndarray]
-    endpoints: tuple | None = None
-    arc: tuple | None = None
 
     def reversed(self) -> "Segment":
         fwd_point, fwd_tangent = self.point, self.tangent
-        arc = None
-        if self.arc is not None:
-            center, radius, theta0, theta1 = self.arc
-            arc = (center, radius, theta1, theta0)
         return Segment(
             point=lambda s: fwd_point(1.0 - np.asarray(s, dtype=float)),
             tangent=lambda s: -fwd_tangent(1.0 - np.asarray(s, dtype=float)),
-            endpoints=None if self.endpoints is None else self.endpoints[::-1],
-            arc=arc,
         )
 
 
-def line_segment(start, end) -> Segment:
-    start = np.asarray(start, dtype=float)
-    end = np.asarray(end, dtype=float)
-    endpoints = (tuple(start.tolist()), tuple(end.tolist()))
-    if endpoints[0] == endpoints[1]:  # exact: a step too short to square is still a step
+class Line(NamedTuple):
+    """A straight piece from ``start`` to ``end``, each a tuple of three floats; reversal swaps them."""
+
+    start: tuple
+    end: tuple
+
+    def point(self, s):
+        return np.asarray(self.start) + np.outer(s, np.subtract(self.end, self.start))
+
+    def tangent(self, s):
+        return np.tile(np.subtract(self.end, self.start), (np.size(s), 1))
+
+    def reversed(self) -> "Line":
+        return Line(self.end, self.start)
+
+
+class Arc(NamedTuple):
+    """A circular arc in the plane z = center_z, from angle ``theta0`` to ``theta1`` (radians) about ``center``.
+
+    ``check_radius`` and ``loop_geometry`` also read an arc whose radius is
+    an array, a column of circles. Reversal swaps the end angles.
+    """
+
+    center: tuple
+    radius: float
+    theta0: float
+    theta1: float
+
+    def point(self, s):
+        cx, cy, cz = self.center
+        th = self.theta0 + np.asarray(s, dtype=float) * (self.theta1 - self.theta0)
+        return np.column_stack(
+            [cx + self.radius * np.cos(th), cy + self.radius * np.sin(th), np.full(th.size, cz)]
+        )
+
+    def tangent(self, s):
+        sweep = self.theta1 - self.theta0
+        th = self.theta0 + np.asarray(s, dtype=float) * sweep
+        return np.column_stack(
+            [-self.radius * sweep * np.sin(th), self.radius * sweep * np.cos(th), np.zeros(th.size)]
+        )
+
+    def reversed(self) -> "Arc":
+        return self._replace(theta0=self.theta1, theta1=self.theta0)
+
+    def length(self):
+        """The exact length radius |theta1 - theta0|, an array for an array of radii."""
+        return self.radius * abs(self.theta1 - self.theta0)
+
+    def checks(self):
+        """The checks, for ``raise_first``, that the arc is valid, an entry per radius for an array of radii.
+
+        An arc is valid where |center| + radius, the length and both end
+        angles are finite, which bounds every point and tangent, and the
+        length is positive.
+        """
+        (cx, cy, cz), radius, theta0, theta1 = self
+        length = self.length()
+        size = math.hypot(cx, cy, cz) + radius
+        angles = math.isfinite(theta0) and math.isfinite(theta1)
+        finite = (abs(size) < math.inf) & (abs(length) < math.inf) & angles
+        return (np.logical_not(finite), GeometryError, _NON_FINITE), (np.logical_not(length > 0.0), GeometryError, _VANISHING)
+
+    def ends(self):
+        """The start and end points, for finite end angles; each coordinate is an array for an array of radii."""
+        (cx, cy, cz), radius, theta0, theta1 = self
+        return tuple((cx + radius * math.cos(t), cy + radius * math.sin(t), cz) for t in (theta0, theta1))
+
+
+def line_segment(start, end) -> Line:
+    line = Line(_point(start, "segment start"), _point(end, "segment end"))
+    if line.start == line.end:  # exact: a step too short to square is still a step
         raise GeometryError("degenerate segment: start equals end")
-    with np.errstate(over="ignore"):  # an infinite step is reported by LoopPath
-        delta = end - start
-
-    def point(s):
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        return start + np.outer(s, delta)
-
-    def tangent(s):
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        return np.tile(delta, (s.size, 1))
-
-    return Segment(point, tangent, endpoints=endpoints)
+    return line
 
 
-def arc_segment(center, radius, theta0, theta1) -> Segment:
+def arc_segment(center, radius, theta0, theta1) -> Arc:
     """Circular arc in the plane z = center_z, angles in radians about the center."""
-    center = np.asarray(center, dtype=float)
+    center = _point(center, "arc center")
     if not (radius > 0.0):
         raise GeometryError("arc radius must be positive")
     if theta1 == theta0:
         raise GeometryError("degenerate arc: zero angular sweep")
-    sweep = theta1 - theta0
-
-    def point(s):
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        th = theta0 + s * sweep
-        return np.column_stack(
-            [center[0] + radius * np.cos(th), center[1] + radius * np.sin(th), np.full(s.size, center[2])]
-        )
-
-    def tangent(s):
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        th = theta0 + s * sweep
-        return np.column_stack(
-            [-radius * sweep * np.sin(th), radius * sweep * np.cos(th), np.zeros(s.size)]
-        )
-
-    arc = ((float(center[0]), float(center[1]), float(center[2])), float(radius), float(theta0), float(theta1))
-    return Segment(point, tangent, arc=arc)
+    return Arc(center, float(radius), float(theta0), float(theta1))
 
 
 _NON_FINITE = "segment has non-finite points or tangents"
@@ -190,40 +223,10 @@ _NONPOSITIVE_RADIUS = "radius must be positive"
 _OPEN = "path marked closed but endpoints differ by {:.3e}"
 
 
-def _arc_length(arc):
-    """The exact length radius |theta1 - theta0| of an arc (center, radius, theta0, theta1), the radius a float or an array."""
-    _, radius, theta0, theta1 = arc
-    return radius * abs(theta1 - theta0)
-
-
-def _circle_arc(loop, radius):
-    """The arc of ``loop``, a circle of one arc, with ``radius`` (a float or an array) in place of its own."""
-    ((center, _, theta0, theta1),) = [seg.arc for seg in loop.segments]
-    return center, radius, theta0, theta1
-
-
-def circle_length(loop, radius):
-    """The exact length ``LoopPath`` takes for ``loop``, a circle of one arc, at each entry of ``radius``."""
-    return _arc_length(_circle_arc(loop, radius))
-
-
-def _arc_checks(arc):
-    """(finite, length) of an arc (center, radius, theta0, theta1), the radius a float or an array of them.
-
-    ``finite`` holds where |center| + radius, the length (``_arc_length``) and both
-    end angles are finite, which bounds every point and tangent.
-    """
-    (cx, cy, cz), radius, theta0, theta1 = arc
-    length = _arc_length(arc)
-    size = math.hypot(cx, cy, cz) + radius
-    angles = math.isfinite(theta0) and math.isfinite(theta1)
-    return (abs(size) < math.inf) & (abs(length) < math.inf) & angles, length
-
-
-def _arc_ends(arc):
-    """The start and end points of an arc with finite end angles, each coordinate a float or an array over the radii."""
-    (cx, cy, cz), radius, theta0, theta1 = arc
-    return tuple((cx + radius * math.cos(t), cy + radius * math.sin(t), cz) for t in (theta0, theta1))
+def circle_arc(loop, radius):
+    """The ``Arc`` of ``loop``, a circle of one arc, with ``radius`` (a float or an array) in place of its own."""
+    (arc,) = loop.segments
+    return arc._replace(radius=radius)
 
 
 def _broken(gap, tol):
@@ -231,30 +234,33 @@ def _broken(gap, tol):
     return (gap >= tol) & (gap > 0.0)
 
 
-def _measure(seg: Segment, s: np.ndarray):
-    """(start and end points, length scale) of one segment; raise GeometryError if it is not valid.
+def _check_lines(ends: np.ndarray) -> np.ndarray:
+    """The lengths of a (k, 2, 3) array of line ends; raise GeometryError if some line is not valid.
 
-    A line is valid if its ends are finite and distinct, with a finite step;
-    an arc if |center| + radius, its length and its end angles are finite
-    and its length is positive, which bounds every point and tangent.
-    Neither calls the segment's callables. A generic curve is checked on the
-    sample ``s``, and its scale is the mean sampled speed; lines and arcs
-    report None, their exact length being taken by ``LoopPath``.
+    A line is valid if its ends are finite and distinct, with a finite step.
+    The first invalid line raises the error of its first failing check.
     """
-    if seg.endpoints is not None:
-        start, end = seg.endpoints
-        if not all(map(math.isfinite, (*start, *end, *(b - a for a, b in zip(start, end))))):
-            raise GeometryError(_NON_FINITE)
-        if tuple(start) == tuple(end):
-            raise GeometryError(_VANISHING)
-        return seg.endpoints, None
-    if seg.arc is not None:
-        finite, length = _arc_checks(seg.arc)
-        if not finite:
-            raise GeometryError(_NON_FINITE)
-        if not length > 0.0:
-            raise GeometryError(_VANISHING)
-        return _arc_ends(seg.arc), None
+    start, end = ends[:, 0], ends[:, 1]
+    finite = np.isfinite(ends).all(axis=(1, 2)) & np.isfinite(end - start).all(axis=1)
+    raise_first(
+        (np.logical_not(finite), GeometryError, _NON_FINITE),
+        (np.all(start == end, axis=1), GeometryError, _VANISHING),
+    )
+    return _gaps(start, end)
+
+
+def _measure(seg):
+    """(start and end points, length scale) of an arc or a generic curve; raise GeometryError if it is not valid.
+
+    An ``Arc`` is checked from its record (``Arc.checks``) and not called.
+    A generic curve is checked on a 64-point sample, and its scale is the
+    mean sampled speed; arcs report None, their exact length being taken by
+    ``LoopPath``.
+    """
+    if isinstance(seg, Arc):
+        raise_first(*seg.checks())
+        return seg.ends(), None
+    s = np.linspace(0.0, 1.0, _VALIDATION_SAMPLES)
     pts = np.asarray(seg.point(s), dtype=float)
     tans = np.asarray(seg.tangent(s), dtype=float)
     if pts.shape != (s.size, 3) or tans.shape != (s.size, 3):
@@ -277,13 +283,14 @@ def _gaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class LoopPath:
     """Ordered smooth pieces forming a (usually closed) contour.
 
-    Construction validates each piece (see ``_measure``: lines and arcs from
-    their recorded shape, generic curves on a 64-point sample), junction
-    continuity, and, for closed paths, overall closure. Gaps are measured
-    against the path's length scale: the exact length of each line and arc
-    plus the mean sampled speed of each generic curve. Unlike the spread of
-    the points, it cannot collapse when a many-turn arc returns to the same
-    point.
+    Construction validates the pieces, all lines first in one array call
+    (``_check_lines``), then each arc and generic curve in path order (see
+    ``_measure``: arcs from their record, generic curves on a 64-point
+    sample), then junction continuity, and, for closed paths, overall
+    closure. Gaps are measured against the path's length scale: the exact
+    length of each line and arc plus the mean sampled speed of each generic
+    curve. Unlike the spread of the points, it cannot collapse when a
+    many-turn arc returns to the same point.
 
     The construction also records ``ends``, the (k, 2, 3) read-only array of
     each segment's start and end points, and ``length``, the exact length,
@@ -300,14 +307,16 @@ class LoopPath:
         object.__setattr__(self, "segments", segments)
         if not segments:
             raise GeometryError("path needs at least one segment")
-        generic = any(seg.endpoints is None and seg.arc is None for seg in segments)
-        s = np.linspace(0.0, 1.0, _VALIDATION_SAMPLES) if generic else None  # only generic curves are sampled
+        is_line = np.array([isinstance(seg, Line) for seg in segments])
+        others = [seg for seg in segments if not isinstance(seg, Line)]
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported as non-finite or as a gap
-            measured = [_measure(seg, s) for seg in segments]
-            ends = np.array([seg_ends for seg_ends, _ in measured], dtype=float)
-            lines = ends[[seg.endpoints is not None for seg in segments]]
-            chords = float(np.sum(_gaps(lines[:, 0], lines[:, 1])))
-            exact = chords + sum(_arc_length(seg.arc) for seg in segments if seg.arc is not None)
+            ends = np.empty((len(segments), 2, 3))
+            lines = [(*seg.start, *seg.end) for seg in segments if isinstance(seg, Line)]  # flat rows convert faster than nested
+            ends[is_line] = np.reshape(lines, (-1, 2, 3))
+            chords = float(np.sum(_check_lines(ends[is_line]))) if lines else 0.0
+            measured = [_measure(seg) for seg in others]
+            ends[~is_line] = np.reshape([seg_ends for seg_ends, _ in measured], (-1, 2, 3))
+            exact = chords + sum(seg.length() for seg in others if isinstance(seg, Arc))
             sampled = [scale for _, scale in measured if scale is not None]
             tol = 1e-12 * (exact + sum(sampled))
             junctions = _gaps(ends[:-1, 1], ends[1:, 0])
@@ -329,7 +338,7 @@ def circle_loop(center=(0.0, 0.0, 0.0), radius=1.0, windings=1) -> LoopPath:
     """Circle in the z = center_z plane from angle 0, traversed ``windings`` times (sign = orientation)."""
     if not (radius > 0.0):
         raise GeometryError(_NONPOSITIVE_RADIUS)
-    w = int(windings)
+    w = int(windings) if abs(windings) < math.inf else 0  # inf and nan are not integers either
     if w != windings or w == 0:
         raise GeometryError("windings must be a nonzero integer")
     # beyond 2**1023 turns the sweep overflows to inf, which LoopPath rejects; a larger int would not convert
@@ -340,20 +349,19 @@ def check_radius(loop: LoopPath, radius: np.ndarray):
     """Check each entry of ``radius`` as the radius of ``loop``, a circle: one array call for a column of circles.
 
     Each row gets the checks, in order and with the messages, that ``circle_loop`` and
-    ``LoopPath`` give the circle of that radius: a positive radius, a finite arc of positive
-    length (``_arc_checks``), then closure. The first row that fails raises the
+    ``LoopPath`` give the circle of that radius: a positive radius, the arc checks of
+    ``Arc.checks``, then closure. The first row that fails raises the
     ``GeometryError`` of its first failing check; the center and end angles are the loop's.
     """
-    arc = _circle_arc(loop, radius)
+    arc = circle_arc(loop, radius)
     with np.errstate(over="ignore", invalid="ignore"):  # overflowing rows are reported as non-finite
-        finite, length = _arc_checks(arc)
-        start, end = (np.stack(np.broadcast_arrays(*point), axis=-1) for point in _arc_ends(arc))
+        checks = arc.checks()
+        start, end = (np.stack(np.broadcast_arrays(*point), axis=-1) for point in arc.ends())
         closure = _gaps(end, start)
-        broken = _broken(closure, 1e-12 * length)  # the tolerance of LoopPath, from the one arc's length
+        broken = _broken(closure, 1e-12 * arc.length())  # the tolerance of LoopPath, from the one arc's length
     raise_first(
         (np.logical_not(radius > 0.0), GeometryError, _NONPOSITIVE_RADIUS),
-        (np.logical_not(finite), GeometryError, _NON_FINITE),
-        (np.logical_not(length > 0.0), GeometryError, _VANISHING),
+        *checks,
         (broken, GeometryError, _OPEN.format(closure[np.argmax(broken)])),
     )
 
@@ -388,9 +396,8 @@ def polyline_loop(vertices) -> LoopPath:
     if vertices.ndim != 2 or vertices.shape[0] < 3 or vertices.shape[1] != 3:
         raise GeometryError("vertices must list at least three 3D points")
     _check_distinct(vertices, "vertices")
-    n = vertices.shape[0]
-    segs = tuple(line_segment(vertices[k], vertices[(k + 1) % n]) for k in range(n))
-    return LoopPath(segs)
+    points = list(map(tuple, vertices.tolist()))
+    return LoopPath(tuple(map(Line, points, points[1:] + points[:1])))
 
 
 def make_loop(kind: str, **params) -> LoopPath:
@@ -433,25 +440,6 @@ def _unit_interval_rule(n: int):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _field_samples(field, pts):
-    """Evaluate a per-point field at each row of an (n, 3) array of points."""
-    return np.asarray([field(p) for p in pts], dtype=float)
-
-
-def _circulation_at(sample, loop, n):
-    s, w = _unit_interval_rule(n)
-    total = 0.0
-    for seg in loop.segments:
-        vals = np.asarray(sample(seg.point(s)), dtype=float)
-        if not np.isfinite(vals).all():
-            bad = int(np.argwhere(~np.isfinite(vals))[0, 0])
-            raise FieldEvaluationError(
-                f"field sample is not finite at curve parameter s = {s[bad]!r}", parameter=float(s[bad])
-            )
-        total += float(np.sum(w * np.einsum("ij,ij->i", vals, seg.tangent(s))))
-    return total
-
-
 def _refine(evaluate, quad: QuadratureSpec):
     """Shared node-doubling refinement; returns (fine value, max |fine - coarse|, fine nodes).
 
@@ -471,14 +459,33 @@ def _refine(evaluate, quad: QuadratureSpec):
     return fine, err, 2 * n
 
 
-def _circulation(sample, loop, quad) -> IntegralResult:
-    value, err, nodes = _refine(lambda n: _circulation_at(sample, loop, n), quad or QuadratureSpec())
+def _quadrature(integrand, loop, quad) -> IntegralResult:
+    """The sum over segments of integrand(segment, s) on each one's Gauss-Legendre nodes s, refined by ``_refine``."""
+
+    def evaluate(n):
+        s, w = _unit_interval_rule(n)
+        return sum(float(np.sum(w * integrand(seg, s))) for seg in loop.segments)
+
+    value, err, nodes = _refine(evaluate, quad or QuadratureSpec())
     return IntegralResult(value=value, error_estimate=err, nodes_per_segment=nodes)
+
+
+def _circulation(sample, loop, quad) -> IntegralResult:
+    def integrand(seg, s):
+        vals = np.asarray(sample(seg.point(s)), dtype=float)
+        if not np.isfinite(vals).all():
+            bad = int(np.argwhere(~np.isfinite(vals))[0, 0])
+            raise FieldEvaluationError(
+                f"field sample is not finite at curve parameter s = {s[bad]!r}", parameter=float(s[bad])
+            )
+        return np.einsum("ij,ij->i", vals, seg.tangent(s))
+
+    return _quadrature(integrand, loop, quad)
 
 
 def line_integral(field, loop: LoopPath, quad: QuadratureSpec | None = None) -> IntegralResult:
     """Circulation of a per-point vector field along the path, with a doubling error estimate."""
-    return _circulation(lambda pts: _field_samples(field, pts), loop, quad)
+    return _circulation(lambda pts: np.asarray([field(p) for p in pts], dtype=float), loop, quad)
 
 
 def solenoid_circulation(spec: SolenoidSpec, loop: LoopPath, quad: QuadratureSpec | None = None) -> IntegralResult:
@@ -492,17 +499,7 @@ def solenoid_circulation(spec: SolenoidSpec, loop: LoopPath, quad: QuadratureSpe
 
 def loop_length(loop: LoopPath, quad: QuadratureSpec | None = None) -> IntegralResult:
     """Arc length of the path by the same quadrature machinery."""
-    quad = quad or QuadratureSpec()
-
-    def evaluate(n):
-        s, w = _unit_interval_rule(n)
-        total = 0.0
-        for seg in loop.segments:
-            total += float(np.sum(w * np.linalg.norm(seg.tangent(s), axis=1)))
-        return total
-
-    value, err, nodes = _refine(evaluate, quad)
-    return IntegralResult(value=value, error_estimate=err, nodes_per_segment=nodes)
+    return _quadrature(lambda seg, s: np.linalg.norm(seg.tangent(s), axis=1), loop, quad)
 
 
 class LoopGeometry(NamedTuple):
@@ -596,13 +593,13 @@ def loop_geometry(loop: LoopPath, spec: SolenoidSpec, radius=None) -> LoopGeomet
     ``check_radius``), and both results hold an entry per radius.
     """
     along_z = spec.axis_direction[0] == 0.0 and spec.axis_direction[1] == 0.0  # arcs lie in planes z = const
-    is_line = [seg.endpoints is not None for seg in loop.segments]
-    arcs = [seg.arc for seg in loop.segments if seg.arc is not None]
-    curves = [seg for seg in loop.segments if seg.endpoints is None and seg.arc is None]
+    is_line = [isinstance(seg, Line) for seg in loop.segments]
+    arcs = [seg for seg in loop.segments if isinstance(seg, Arc)]
+    curves = [seg for seg in loop.segments if not isinstance(seg, (Line, Arc))]
     if radius is not None:
         if not (along_z and len(loop.segments) == len(arcs) == 1):
             raise GeometryError("a column of radii needs a loop of one arc normal to the solenoid axis")
-        arcs = [_circle_arc(loop, radius)]
+        arcs = [circle_arc(loop, radius)]
     swept, rho = 0.0, []
     if any(is_line):  # no index into the ends for a loop of arcs
         d = np.asarray(spec.axis_direction)
@@ -622,7 +619,7 @@ def loop_geometry(loop: LoopPath, spec: SolenoidSpec, radius=None) -> LoopGeomet
             swept += angle
     else:
         # tilted to the axis: sampled clearance, quadrature flux
-        curves += [seg for seg in loop.segments if seg.arc is not None]
+        curves += arcs
     if curves:
         s = np.linspace(0.0, 1.0, _CLEARANCE_SAMPLES)
         _, sampled = spec.axial_decomposition(np.vstack([seg.point(s) for seg in curves]))

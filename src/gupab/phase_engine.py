@@ -41,7 +41,7 @@ import numpy as np
 
 from .clifford import alpha, beta, gamma, momenta, positive_mass
 from .errors import DomainError, GeometryError, GupabError, raise_first
-from .field_geometry import LoopPath, QuadratureSpec, SolenoidSpec, circle_length, loop_geometry, loop_length, solenoid_circulation
+from .field_geometry import LoopPath, QuadratureSpec, SolenoidSpec, circle_arc, loop_geometry, loop_length, solenoid_circulation
 from .units import nonnegative_a
 
 _G0 = gamma(0)
@@ -164,7 +164,7 @@ def phase_geometry(
         else:
             result = solenoid_circulation(solenoid, loop, quad)
             circulation, circulation_error = result.value, result.error_estimate
-    length, length_error = (loop.length if radius is None else circle_length(loop, radius)), 0.0
+    length, length_error = (loop.length if radius is None else circle_arc(loop, radius).length()), 0.0
     if length is None:
         result = loop_length(loop, quad)
         length, length_error = result.value, result.error_estimate

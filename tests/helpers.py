@@ -87,7 +87,7 @@ def fourier_loop(rng, base_radius=1.5, wobble=0.4, harmonics=3, z_amplitude=0.0)
 
 
 def strip_shape(segment):
-    """The same piece with no recorded line or arc: the path then validates and measures it by sampling."""
+    """The same piece as a generic ``Segment`` of its point and tangent: the path then validates and measures it by sampling."""
     return Segment(segment.point, segment.tangent)
 
 
@@ -295,8 +295,8 @@ def _swept_row(config, parameter, value):
     if parameter == "particle.v":
         return {"particle": replace(config.particle, speed=value)}
     if parameter == "loop.radius":
-        ((center, _, theta0, theta1),) = [seg.arc for seg in config.loop.segments]
-        return {"loop": circle_loop(center=center, radius=value, windings=round((theta1 - theta0) / (2.0 * math.pi)))}
+        (arc,) = config.loop.segments
+        return {"loop": circle_loop(center=arc.center, radius=value, windings=round((arc.theta1 - arc.theta0) / (2.0 * math.pi)))}
     return {"solenoid": replace(config.solenoid, flux=value)}
 
 

@@ -258,3 +258,11 @@ def test_spinor_at_huge_momenta_is_the_ultrarelativistic_limit(p3, branch):
         warnings.simplefilter("error")
         u = on_shell_spinor(p3, 1.0, branch)
     np.testing.assert_allclose(u, expected, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("p3", [(np.inf, 0.0, 0.0), (0.0, -np.inf, 0.0), (0.0, 0.0, np.nan), [(0.3, 0.1, 0.0), (np.inf, 0.0, 0.0)]])
+def test_spinor_of_a_non_finite_momentum_is_a_domain_error(p3):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="^momentum must be finite$"):
+            on_shell_spinor(p3, 1.0)

@@ -10,6 +10,8 @@ from helpers import fourier_loop, random_polynomial_gauge, riemann_circulation, 
 from gupab import field_geometry
 from gupab.errors import DomainError, FieldEvaluationError, GeometryError, SingularInputError
 from gupab.field_geometry import (
+    Arc,
+    Line,
     LoopPath,
     QuadratureSpec,
     Segment,
@@ -419,10 +421,14 @@ def test_refine_error_is_entrywise_max_and_capped(monkeypatch):
 
 def test_line_segment_records_endpoints():
     seg = line_segment((0.0, 1.0, 2.0), (3.0, 4.0, 5.0))
-    assert seg.endpoints == ((0.0, 1.0, 2.0), (3.0, 4.0, 5.0))
-    assert seg.reversed().endpoints == ((3.0, 4.0, 5.0), (0.0, 1.0, 2.0))
-    assert arc_segment((0.0, 0.0, 0.0), 1.0, 0.0, 1.0).endpoints is None
-    assert all(s.endpoints is not None for s in polyline_loop([(1, 0, 0), (0, 1, 0), (-1, -1, 0)]).reverse().segments)
+    assert type(seg) is Line and seg == Line((0.0, 1.0, 2.0), (3.0, 4.0, 5.0))
+    assert seg.reversed() == Line((3.0, 4.0, 5.0), (0.0, 1.0, 2.0))
+    s = np.linspace(0.0, 1.0, 7)
+    start, step = np.array(seg.start), np.array(seg.end) - np.array(seg.start)
+    assert np.array_equal(seg.point(s), start + np.outer(s, step))
+    assert np.array_equal(seg.tangent(s), np.tile(step, (7, 1)))
+    assert not isinstance(arc_segment((0.0, 0.0, 0.0), 1.0, 0.0, 1.0), Line)
+    assert all(type(s) is Line for s in polyline_loop([(1, 0, 0), (0, 1, 0), (-1, -1, 0)]).reverse().segments)
 
 
 @pytest.mark.parametrize("step", [1.5e-256, 1e-160, 1.0, 1e200, 1e307])
@@ -475,17 +481,55 @@ def test_rectangle_rejects_collinear_and_skew_corners(scale):
 
 def test_arc_segment_records_arc():
     seg = arc_segment((1.0, 2.0, 1.5), 3.0, 0.25, -2.0)
-    assert seg.arc == ((1.0, 2.0, 1.5), 3.0, 0.25, -2.0)
+    assert type(seg) is Arc and seg == Arc((1.0, 2.0, 1.5), 3.0, 0.25, -2.0)
     back = seg.reversed()
-    assert back.arc == ((1.0, 2.0, 1.5), 3.0, -2.0, 0.25)
+    assert back == Arc((1.0, 2.0, 1.5), 3.0, -2.0, 0.25)
     s = np.linspace(0.0, 1.0, 7)
     for piece in (seg, back):
-        (cx, cy, cz), radius, theta0, theta1 = piece.arc
+        (cx, cy, cz), radius, theta0, theta1 = piece
         th = theta0 + s * (theta1 - theta0)
         expected = np.column_stack([cx + radius * np.cos(th), cy + radius * np.sin(th), np.full(s.size, cz)])
-        np.testing.assert_allclose(piece.point(s), expected, rtol=0.0, atol=1e-14)
-    assert line_segment((0.0, 0.0, 0.0), (1.0, 0.0, 0.0)).arc is None
-    assert all(piece.arc is not None for piece in circle_loop(radius=1.0, windings=-2).reverse().segments)
+        assert np.array_equal(piece.point(s), expected)
+    assert not isinstance(line_segment((0.0, 0.0, 0.0), (1.0, 0.0, 0.0)), Arc)
+    assert all(type(piece) is Arc for piece in circle_loop(radius=1.0, windings=-2).reverse().segments)
+
+
+def test_a_loop_of_lines_reports_its_first_bad_line_and_a_mixed_loop_its_lines_first():
+    # the lines are checked as one column: the first bad one in path order raises its first failing check
+    bad = [Line((0.0, 0.0, 0.0), (1.0, 0.0, 0.0)), Line((1.0, 0.0, 0.0), (1.0, 0.0, 0.0)), Line((1.0, 0.0, 0.0), (math.inf, 0.0, 0.0))]
+    with pytest.raises(GeometryError, match="tangent vanishes"):
+        LoopPath(tuple(bad), closed=False)
+    with pytest.raises(GeometryError, match="non-finite"):
+        LoopPath((bad[0], bad[2], bad[1]), closed=False)
+    with pytest.raises(GeometryError, match="non-finite"):
+        LoopPath((Line((0.0, 0.0, math.nan), (0.0, 0.0, math.nan)),), closed=False)
+    # a mixed loop checks every line before its arcs and generic curves, whatever their order
+    bad_arc = Arc((0.0, 0.0, 0.0), 1.0, 0.0, math.inf)
+    with pytest.raises(GeometryError, match="non-finite"):
+        LoopPath((bad_arc,), closed=False)
+    with pytest.raises(GeometryError, match="tangent vanishes"):
+        LoopPath((bad_arc, bad[1]), closed=False)
+
+
+@pytest.mark.parametrize("windings", [math.inf, -math.inf, math.nan])
+def test_non_finite_windings_are_not_integers(windings):
+    with pytest.raises(GeometryError, match="^windings must be a nonzero integer$"):
+        circle_loop(windings=windings)
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda: line_segment((0, 0), (1, 0)), "segment start"),
+        (lambda: line_segment((0, 0, 0), (1, 0, 0, 0)), "segment end"),
+        (lambda: line_segment([[0, 0, 0]], (1, 0, 0)), "segment start"),
+        (lambda: arc_segment((0, 0), 1.0, 0.0, 1.0), "arc center"),
+        (lambda: circle_loop(center=(0, 0)), "arc center"),
+    ],
+)
+def test_points_must_be_3_vectors(build, name):
+    with pytest.raises(GeometryError, match=f"^{name} must be a 3-vector$"):
+        build()
 
 
 def test_loop_geometry_lengths_are_exact():

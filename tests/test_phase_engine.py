@@ -19,9 +19,10 @@ from gupab import gup_algebra, phase_engine
 from gupab.clifford import gamma, momenta, on_shell_spinor, positive_mass
 from gupab.errors import DomainError, GeometryError, GupabError, raise_first
 from gupab.field_geometry import (
+    Arc,
+    Line,
     LoopPath,
     QuadratureSpec,
-    Segment,
     SolenoidSpec,
     arc_segment,
     circle_loop,
@@ -115,16 +116,7 @@ def test_flux_quantization_across_shapes():
         assert abs(value / (PARTICLE.charge * SOLENOID.flux) - w) <= 1e-9
 
 
-def _unsampled(seg):
-    """The piece with its recorded shape and callables that must not be called."""
-
-    def refuse(s):
-        raise AssertionError("a line or arc was sampled")
-
-    return Segment(refuse, refuse, endpoints=seg.endpoints, arc=seg.arc)
-
-
-def test_lines_and_arcs_build_and_phase_without_sampling():
+def test_lines_and_arcs_build_and_phase_without_sampling(monkeypatch):
     half_disk = (arc_segment((0.0, -0.5, 0.0), 2.0, 0.0, math.pi), line_segment((-2.0, -0.5, 0.0), (2.0, -0.5, 0.0)))
     loops = [
         circle_loop(radius=2.0, windings=3),
@@ -132,13 +124,20 @@ def test_lines_and_arcs_build_and_phase_without_sampling():
         LoopPath(half_disk),
         LoopPath(half_disk[:1], closed=False),
     ]
-    for loop in loops:
-        for path in (loop, loop.reverse()):
-            unsampled = LoopPath(tuple(_unsampled(seg) for seg in path.segments), closed=path.closed)
-            assert unsampled.length == path.length
-            expected = total_phase(PARTICLE, SOLENOID, path, 0.01, DOUBLING)
-            result = total_phase(PARTICLE, SOLENOID, unsampled, 0.01, DOUBLING)
-            assert result.to_json_dict() == expected.to_json_dict()
+    paths = [path for loop in loops for path in (loop, loop.reverse())]
+    expected = [total_phase(PARTICLE, SOLENOID, path, 0.01, DOUBLING) for path in paths]
+
+    def refuse(self, s):
+        raise AssertionError("a line or arc was sampled")
+
+    for shape in (Line, Arc):
+        monkeypatch.setattr(shape, "point", refuse)
+        monkeypatch.setattr(shape, "tangent", refuse)
+    for path, want in zip(paths, expected):
+        rebuilt = LoopPath(path.segments, closed=path.closed)
+        assert rebuilt.length == path.length
+        result = total_phase(PARTICLE, SOLENOID, rebuilt, 0.01, DOUBLING)
+        assert result.to_json_dict() == want.to_json_dict()
 
 
 def test_total_phase_computes_geometry_once(monkeypatch):
