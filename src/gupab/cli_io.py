@@ -8,10 +8,10 @@ sweep column in one call of that check, which names the first bad row. ``_build`
 error into a ``ConfigError`` naming ``section.key``; so do a dispersion range that is not
 positive and finite and a step count outside [2, 10**6]. Structured results go out as JSON,
 sweep tables as CSV with a frozen header, each sweep one batch over one geometry record (for
-``loop.radius`` one array of circles), its rows in input order. Output is written to stdout or
-the ``-o`` file only once the command has finished, so a failed run leaves an existing file as
-it was. Exit codes: 0 success, 1 verification or computation failure, 2 config error or an
-output file that cannot be written.
+``loop.radius`` one array of circles) into one column result, its rows in input order.
+Output is written to stdout or the ``-o`` file only once the command has finished, so a failed
+run leaves an existing file as it was. Exit codes: 0 success, 1 verification or computation
+failure, 2 config error or an output file that cannot be written.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .phase_engine import (
     gup_phase_projected,
     phase_geometry,
     phase_rows,
-    stack_geometry,
     subluminal_speed,
     total_phase,
 )
@@ -285,44 +284,36 @@ def run_phase(config: RunConfig) -> PhaseResult:
     )
 
 
-def run_sweep(config: RunConfig):
-    """Evaluate every sweep row as one batch over one geometry record; rows come back in input order.
+def run_sweep(config: RunConfig) -> tuple[np.ndarray, PhaseResult]:
+    """The sweep values, as an array, and one ``PhaseResult`` of every row, a batch over one geometry record.
 
     A gup.a, particle.v or solenoid.flux sweep computes the loop's
-    ``phase_geometry`` record, and a loop.radius sweep that of the loop's
-    circle with the radius column swapped in; ``phase_rows`` then takes
-    every row at once, each row with the operations ``run_phase`` would give
-    it. A failing sweep raises the error of its first failing row.
+    ``phase_geometry`` record, whose turns hold for every flux, and a
+    loop.radius sweep that of the loop's circle with the radius column
+    swapped in; ``phase_rows`` then takes every row at once, each row with
+    the operations ``run_phase`` would give it. The result's fields are
+    columns in input order, or one value that every row shares. A config
+    with no sweep section is a ``ConfigError``; a failing sweep raises the
+    error of its first failing row.
     """
     if config.sweep is None:
-        raise ConfigError("config has no sweep section")
-    sweep, particle, solenoid, quad = config.sweep, config.particle, config.solenoid, config.quadrature
+        raise ConfigError("sweep command needs a 'sweep' section in the config")
+    sweep, particle, solenoid = config.sweep, config.particle, config.solenoid
     values = np.array(sweep.values)
     inputs = dict(charge=particle.charge, mass=particle.mass, speed=particle.speed, flux=solenoid.flux, a=config.a)
     if sweep.parameter == "loop.radius":
-        geometry = phase_geometry(config.loop, solenoid, quad, values)
+        geometry = phase_geometry(config.loop, solenoid, config.quadrature, values)
     else:
-        geometry = phase_geometry(config.loop, solenoid, quad)
-        if geometry.turns is None and sweep.parameter == "solenoid.flux":  # an integrated circulation holds the flux
-            geometry = stack_geometry([phase_geometry(config.loop, replace(solenoid, flux=v), quad) for v in sweep.values])
+        geometry = phase_geometry(config.loop, solenoid, config.quadrature)
         inputs[_SWEPT_INPUT[sweep.parameter]] = values
-    rows = phase_rows(geometry, **inputs, projection=config.projection, spinor=config.spinor)
-    columns = np.broadcast_arrays(
-        values, rows.standard_phase, rows.projected_correction, rows.total_phase, rows.quadrature_error, inputs["a"]
-    )
-    table = zip(*(column.tolist() for column in columns))
-    matrices = np.broadcast_to(rows.correction_matrix, values.shape + (4, 4))
-    return [
-        (value, PhaseResult(standard, matrix, projected, total, error, a))
-        for (value, standard, projected, total, error, a), matrix in zip(table, matrices)
-    ]
+    return values, phase_rows(geometry, **inputs, projection=config.projection, spinor=config.spinor)
 
 
-def sweep_csv(rows) -> str:
-    fields = [
-        (value, r.a, r.standard_phase, r.projected_correction, r.total_phase, r.quadrature_error) for value, r in rows
-    ]
-    table = np.array(fields, dtype=float).tolist()
+def sweep_csv(sweep) -> str:
+    """The CSV table of ``run_sweep``'s values and column result: one line per value, under the frozen header."""
+    values, result = sweep
+    columns = (values, result.a, result.standard_phase, result.projected_correction, result.total_phase, result.quadrature_error)
+    table = np.stack(np.broadcast_arrays(*columns), axis=-1).tolist()
     return "\n".join([SWEEP_CSV_HEADER, *(",".join(map(repr, row)) for row in table)]) + "\n"
 
 
@@ -520,8 +511,6 @@ def main(argv=None) -> int:
                 text = json.dumps(run_phase(config).to_json_dict(), indent=2) + "\n"
             elif args.command == "dispersion":
                 text = dispersion_csv(config, args.pmax, args.steps)
-            elif config.sweep is None:
-                raise ConfigError("sweep command needs a 'sweep' section in the config")
             else:
                 text = sweep_csv(run_sweep(config))
         if args.output is None:

@@ -308,11 +308,16 @@ class LoopPath:
         if not segments:
             raise GeometryError("path needs at least one segment")
         is_line = np.array([isinstance(seg, Line) for seg in segments])
+        lines = [seg for seg in segments if isinstance(seg, Line)]
         others = [seg for seg in segments if not isinstance(seg, Line)]
+        bad = next((line for line in lines if len(line.start) != 3 or len(line.end) != 3), None)
+        if bad is not None:  # a Line built directly: its first point that is not a 3-vector raises as in line_segment
+            _point(bad.start, "segment start")
+            _point(bad.end, "segment end")
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported as non-finite or as a gap
             ends = np.empty((len(segments), 2, 3))
-            lines = [(*seg.start, *seg.end) for seg in segments if isinstance(seg, Line)]  # flat rows convert faster than nested
-            ends[is_line] = np.reshape(lines, (-1, 2, 3))
+            rows = [(*line.start, *line.end) for line in lines]  # flat rows convert faster than nested
+            ends[is_line] = np.reshape(rows, (-1, 2, 3))
             chords = float(np.sum(_check_lines(ends[is_line]))) if lines else 0.0
             measured = [_measure(seg) for seg in others]
             ends[~is_line] = np.reshape([seg_ends for seg_ends, _ in measured], (-1, 2, 3))
@@ -388,7 +393,7 @@ def rectangle_loop(corners) -> LoopPath:
         scale = float(np.max(np.abs(corners - corners[0]))) or 1.0
         if abs(-edges[3] @ normal) > 1e-9 * (scale / power) * np.linalg.norm(normal):
             raise GeometryError("corners are not planar")
-    return polyline_loop(corners)
+    return _closed_polyline(corners)
 
 
 def polyline_loop(vertices) -> LoopPath:
@@ -396,6 +401,11 @@ def polyline_loop(vertices) -> LoopPath:
     if vertices.ndim != 2 or vertices.shape[0] < 3 or vertices.shape[1] != 3:
         raise GeometryError("vertices must list at least three 3D points")
     _check_distinct(vertices, "vertices")
+    return _closed_polyline(vertices)
+
+
+def _closed_polyline(vertices: np.ndarray) -> LoopPath:
+    """The closed path of lines through an (n, 3) float array of vertices whose shape and repeats are already checked."""
     points = list(map(tuple, vertices.tolist()))
     return LoopPath(tuple(map(Line, points, points[1:] + points[:1])))
 

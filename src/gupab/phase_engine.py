@@ -18,22 +18,24 @@ comoving positive-energy spinor, for which slash(p0) u = m u collapses it to
 -a q m (E / v - p) L; the raw matrix and a fixed-spinor projection are
 exposed as alternatives. Lines and circular arcs give dtheta and L in closed
 form (``field_geometry.loop_geometry``); a path with a generic curve falls
-back to quadrature for the flux and the length. All phases are reported in
-radians without 2 pi reduction. Natural units (hbar = c = 1).
+back to quadrature for the turns, the coil's circulation at unit flux, and
+for the length. All phases are reported in radians without 2 pi reduction.
+Natural units (hbar = c = 1).
 
 The phase is assembled in two steps. ``phase_geometry`` computes, once per
 loop, the record that no particle, flux or coupling changes: the swept
-turns, the clearance from the axis and the length, with its error.
+turns, the clearance from the axis and the length, each with its error.
 ``phase_rows`` then takes charge, mass, speed, flux and a as floats or
 broadcast arrays and gives every row its phases, each row with the same
-IEEE operations in the same order as a lone row. ``total_phase`` is its
-one-row case, and a sweep is one batch.
+IEEE operations in the same order as a lone row. One result type,
+``PhaseResult``, holds a row or a column: ``total_phase`` is the one-row
+case, and a sweep is one batch.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import NamedTuple
 
@@ -85,14 +87,19 @@ class ParticleSpec:
 
 @dataclass(frozen=True)
 class PhaseResult:
-    """Standard flux phase, matrix correction, its projection, and the total."""
+    """Standard flux phase, matrix correction, its projection, the total, their error and the coupling a.
 
-    standard_phase: float
+    Each field is a float for one row, or an array for a column of rows; the
+    fields then broadcast against each other, the matrices with two trailing
+    axes.
+    """
+
+    standard_phase: float | np.ndarray
     correction_matrix: np.ndarray
-    projected_correction: float
-    total_phase: float
-    quadrature_error: float
-    a: float
+    projected_correction: float | np.ndarray
+    total_phase: float | np.ndarray
+    quadrature_error: float | np.ndarray
+    a: float | np.ndarray
 
     def to_json_dict(self) -> dict:
         flat = [[float(z.real), float(z.imag)] for z in np.asarray(self.correction_matrix, dtype=complex).reshape(-1)]
@@ -122,21 +129,20 @@ class PhaseResult:
 class PhaseGeometry(NamedTuple):
     """What a phase needs of one loop about one coil, whatever the particle, flux and coupling.
 
-    ``turns`` is the azimuth the loop sweeps about the axis over 2 pi, or
-    None when some segment is a generic curve; ``circulation`` and
-    ``circulation_error`` then hold the coil's circulation along the loop at
-    the coil's flux, by quadrature (NaN for a loop through the coil, which
-    ``phase_rows`` reports instead). ``length`` is exact for lines and arcs,
-    with ``length_error`` 0.0, and integrated otherwise; ``displacement`` is
-    the end-to-end step, None on closed paths. A record built with no coil
-    holds None in the five coil fields, and one from ``stack_geometry`` an
-    array per field, with an entry per loop; one built over a column of
-    radii holds an array in each field that the radius changes.
+    ``turns`` is the azimuth the loop sweeps about the axis over 2 pi, the
+    flux phase per unit charge and flux: exact for lines and arcs, with
+    ``turns_error`` 0.0, and, when some segment is a generic curve, the
+    coil's circulation along the loop at unit flux, by quadrature (NaN for
+    a loop through the coil, which ``phase_rows`` reports instead).
+    ``length`` is exact for lines and arcs, with ``length_error`` 0.0, and
+    integrated otherwise; ``displacement`` is the end-to-end step, None on
+    closed paths. A record built with no coil holds None in the four coil
+    fields; one built over a column of radii holds an array in each field
+    that the radius changes.
     """
 
     turns: float | np.ndarray | None
-    circulation: float | np.ndarray | None
-    circulation_error: float | np.ndarray | None
+    turns_error: float | None
     clearance: float | np.ndarray | None
     coil_radius: float | np.ndarray | None
     length: float | np.ndarray
@@ -152,39 +158,23 @@ def phase_geometry(
     An array ``radius`` takes each entry as the radius of ``loop``, a circle
     (see ``loop_geometry``): the record then holds an entry per radius.
     """
-    quad = quad or QuadratureSpec()
-    turns = circulation = circulation_error = clearance = coil_radius = None
+    turns = turns_error = clearance = coil_radius = None
     if solenoid is not None:
         geometry = loop_geometry(loop, solenoid, radius)
         clearance, coil_radius = geometry.clearance, solenoid.radius
         if geometry.swept_angle is not None:
-            turns = geometry.swept_angle / (2.0 * math.pi)
+            turns, turns_error = geometry.swept_angle / (2.0 * math.pi), 0.0
         elif clearance <= coil_radius:  # not integrated: every row reports the loop as entering the coil
-            circulation = circulation_error = math.nan
-        else:
-            result = solenoid_circulation(solenoid, loop, quad)
-            circulation, circulation_error = result.value, result.error_estimate
+            turns = turns_error = math.nan
+        else:  # the circulation is linear in the flux, so one integral at unit flux serves every flux
+            result = solenoid_circulation(replace(solenoid, flux=1.0), loop, quad)
+            turns, turns_error = result.value, result.error_estimate
     length, length_error = (loop.length if radius is None else circle_arc(loop, radius).length()), 0.0
     if length is None:
         result = loop_length(loop, quad)
         length, length_error = result.value, result.error_estimate
     displacement = None if loop.closed else loop.ends[-1, 1] - loop.ends[0, 0]
-    return PhaseGeometry(turns, circulation, circulation_error, clearance, coil_radius, length, length_error, displacement)
-
-
-def stack_geometry(records) -> PhaseGeometry:
-    """One record over loops of one kind (all closed or all open, all closed-form or all generic), an entry per loop."""
-    return PhaseGeometry(*(None if column[0] is None else np.array(column) for column in zip(*records)))
-
-
-class PhaseRows(NamedTuple):
-    """Phase results over rows; the fields broadcast against each other, the matrices with two trailing axes."""
-
-    standard_phase: np.ndarray
-    correction_matrix: np.ndarray
-    projected_correction: np.ndarray
-    total_phase: np.ndarray
-    quadrature_error: np.ndarray
+    return PhaseGeometry(turns, turns_error, clearance, coil_radius, length, length_error, displacement)
 
 
 _ENTERS_COIL = "loop enters the solenoid interior; the flux phase requires field-free paths"
@@ -197,10 +187,9 @@ def _rows(x):
 
 
 def _ab_integral(geometry: PhaseGeometry, charge, flux):
-    """(value, error) of the flux phase q Phi turns; on generic curves q times the integrated circulation."""
-    if geometry.turns is None:
-        return charge * geometry.circulation, abs(charge) * geometry.circulation_error
-    return charge * flux * geometry.turns, 0.0
+    """(value, error) of the flux phase q Phi turns, with the turns' error scaled by |q Phi|."""
+    coupling = charge * flux
+    return coupling * geometry.turns, abs(coupling) * geometry.turns_error
 
 
 def ab_phase(particle: ParticleSpec, solenoid: SolenoidSpec, loop: LoopPath, quad: QuadratureSpec | None = None) -> float:
@@ -309,19 +298,19 @@ def phase_rows(
     a,
     projection: str = "comoving_on_shell",
     spinor=None,
-) -> PhaseRows:
-    """Standard phase, correction matrix, projection, total and error for rows of particle, flux and coupling values.
+) -> PhaseResult:
+    """The ``PhaseResult`` of rows of particle, flux and coupling values: a column of rows, or one row.
 
     ``charge``, ``mass``, ``speed``, ``flux`` and ``a`` are floats or arrays
-    that broadcast against each other and against a stacked ``geometry``;
-    each entry of the broadcast is a row, and takes the same IEEE operations
-    in the same order as a row given as floats. On a generic curve the flux
-    is the coil's, already in the record's circulation. The projection and
-    spinor are checked first, for every row alike. Then the first row that
-    fails raises, with, in this order: ``GeometryError`` if its loop enters
-    the coil, ``DomainError`` if its a is negative, and ``GupabError`` if
-    any of its results is not finite, as when E / v or a q overflows double
-    precision.
+    that broadcast against each other and against a ``geometry`` built over
+    a column of radii; each entry of the broadcast is a row, and takes the
+    same IEEE operations in the same order as a row given as floats. The
+    result's fields are what the broadcast gives, not broadcast further, and
+    its ``a`` is the ``a`` given. The projection and spinor are checked
+    first, for every row alike. Then the first row that fails raises, with,
+    in this order: ``GeometryError`` if its loop enters the coil,
+    ``DomainError`` if its a is negative, and ``GupabError`` if any of its
+    results is not finite, as when E / v or a q overflows double precision.
     """
     spinor = _projection_spinor(projection, spinor)
     with np.errstate(over="ignore", invalid="ignore"):  # reported row by row, below
@@ -339,7 +328,7 @@ def phase_rows(
         nonnegative_a(a),
         (np.logical_not(finite), GupabError, _NOT_FINITE),
     )
-    return PhaseRows(standard, matrix, projected, total, error)
+    return PhaseResult(standard, matrix, projected, total, error, a)
 
 
 def total_phase(
@@ -357,15 +346,7 @@ def total_phase(
     a q overflows double precision.
     """
     geometry = phase_geometry(loop, solenoid, quad)
-    rows = phase_rows(geometry, particle.charge, particle.mass, particle.speed, solenoid.flux, a, projection, spinor)
-    return PhaseResult(
-        standard_phase=float(rows.standard_phase),
-        correction_matrix=rows.correction_matrix,
-        projected_correction=float(rows.projected_correction),
-        total_phase=float(rows.total_phase),
-        quadrature_error=float(rows.quadrature_error),
-        a=a,
-    )
+    return phase_rows(geometry, particle.charge, particle.mass, particle.speed, solenoid.flux, a, projection, spinor)
 
 
 @dataclass(frozen=True)

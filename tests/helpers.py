@@ -11,7 +11,7 @@ checked one constructor per row.
 """
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from gupab import clifford, gup_algebra
 from gupab.cli_io import _check, _gamma_algebra_residual, run_phase
 from gupab.errors import DomainError, GeometryError
 from gupab.field_geometry import LoopPath, QuadratureSpec, Segment, SolenoidSpec, circle_loop
-from gupab.phase_engine import ParticleSpec, ab_phase, dispersion, gup_phase_projected
+from gupab.phase_engine import ParticleSpec, PhaseResult, ab_phase, dispersion, gup_phase_projected
 from gupab.units import GupParameter
 
 # Dirac representation rebuilt from scratch (oracle side).
@@ -305,12 +305,16 @@ def reference_sweep(config):
 
     Every row is built before any runs, as ``run_sweep`` did before it
     batched the rows; a loop.radius row is a whole ``circle_loop`` from the
-    center and windings of the config's circle. This is the oracle the
-    batch is compared against.
+    center and windings of the config's circle. The rows' results are then
+    stacked into ``run_sweep``'s form: the values as an array and one
+    ``PhaseResult`` with a column per field, matrices stacked on a leading
+    axis. This is the oracle the batch is compared against.
     """
     sweep = config.sweep
     rows = [replace(config, **_swept_row(config, sweep.parameter, value)) for value in sweep.values]
-    return [(value, run_phase(row)) for value, row in zip(sweep.values, rows)]
+    results = [run_phase(row) for row in rows]
+    columns = (np.array([getattr(result, f.name) for result in results]) for f in fields(PhaseResult))
+    return np.array(sweep.values), PhaseResult(*columns)
 
 
 def reference_column_check(config, parameter, values):

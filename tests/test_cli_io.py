@@ -30,7 +30,7 @@ from gupab.cli_io import (
     sweep_csv,
 )
 from gupab.errors import ConfigError, GeometryError, GupabError
-from gupab.field_geometry import SolenoidSpec, circle_loop, loop_geometry
+from gupab.field_geometry import SolenoidSpec, circle_loop, loop_geometry, solenoid_circulation
 from gupab.phase_engine import PhaseResult, dispersion
 
 BASE_CONFIG = {
@@ -213,23 +213,23 @@ def test_sweep_linearity_in_coupling(tmp_path, capsys):
 def test_sweep_flux_scales_standard_only(tmp_path):
     payload = json.loads(json.dumps(BASE_CONFIG))
     payload["sweep"] = {"parameter": "solenoid.flux", "values": [1.0, 2.0]}
-    rows = run_sweep(load_config(write_config(tmp_path, payload)))
-    (v1, r1), (v2, r2) = rows
-    assert (v1, v2) == (1.0, 2.0)
-    assert r2.standard_phase == pytest.approx(2.0 * r1.standard_phase, rel=1e-12)
-    assert r2.projected_correction == r1.projected_correction
+    values, result = run_sweep(load_config(write_config(tmp_path, payload)))
+    assert values.tolist() == [1.0, 2.0]
+    assert result.standard_phase[1] == pytest.approx(2.0 * result.standard_phase[0], rel=1e-12)
+    # the flux leaves the correction alone: one value that both rows share
+    assert np.shape(result.projected_correction) == () and np.shape(result.correction_matrix) == (4, 4)
 
 
 def test_sweep_radius_and_speed(tmp_path):
     payload = json.loads(json.dumps(BASE_CONFIG))
     payload["sweep"] = {"parameter": "loop.radius", "values": [1.0, 2.0]}
-    rows = run_sweep(load_config(write_config(tmp_path, payload)))
+    _, result = run_sweep(load_config(write_config(tmp_path, payload)))
     # correction scales with loop length, standard phase does not change
-    assert rows[1][1].projected_correction == pytest.approx(2.0 * rows[0][1].projected_correction, rel=1e-10)
-    assert rows[1][1].standard_phase == pytest.approx(rows[0][1].standard_phase, rel=1e-9)
+    assert result.projected_correction[1] == pytest.approx(2.0 * result.projected_correction[0], rel=1e-10)
+    assert result.standard_phase[1] == pytest.approx(result.standard_phase[0], rel=1e-9)
     payload["sweep"] = {"parameter": "particle.v", "values": [0.3, 0.6]}
-    rows = run_sweep(load_config(write_config(tmp_path, payload)))
-    assert all(math.isfinite(r.total_phase) for _, r in rows)
+    _, result = run_sweep(load_config(write_config(tmp_path, payload)))
+    assert result.total_phase.shape == (2,) and np.isfinite(result.total_phase).all()
 
 
 def test_sweep_requires_section(tmp_path, capsys):
@@ -419,10 +419,10 @@ def test_parser_is_built_once(tmp_path, capsys):
 def test_sweep_csv_floats_round_trip(tmp_path):
     payload = json.loads(json.dumps(BASE_CONFIG))
     payload["sweep"] = {"parameter": "gup.a", "values": [0.01]}
-    rows = run_sweep(load_config(write_config(tmp_path, payload)))
-    text = sweep_csv(rows)
+    sweep = run_sweep(load_config(write_config(tmp_path, payload)))
+    text = sweep_csv(sweep)
     parsed = [float(x) for x in text.strip().split("\n")[1].split(",")]
-    assert parsed[3] == rows[0][1].projected_correction
+    assert parsed[3] == sweep[1].projected_correction[0]
 
 
 def test_sweep_keeps_solenoid_axis(tmp_path):
@@ -431,11 +431,11 @@ def test_sweep_keeps_solenoid_axis(tmp_path):
     config = load_config(write_config(tmp_path, payload))
     # the circle of radius 2 about the origin does not enclose this axis
     offset = SolenoidSpec(flux=1.0, radius=0.1, axis_point=(5.0, 0.0, 0.0), axis_direction=(0.0, 0.2, 1.0))
-    rows = run_sweep(replace(config, solenoid=offset))
-    for value, result in rows:
+    values, result = run_sweep(replace(config, solenoid=offset))
+    for value, standard in zip(values.tolist(), result.standard_phase.tolist(), strict=True):
         expected = run_phase(replace(config, solenoid=replace(offset, flux=value)))
-        assert result.standard_phase == expected.standard_phase
-        assert result.standard_phase == pytest.approx(0.0, abs=1e-9)
+        assert standard == expected.standard_phase
+        assert standard == pytest.approx(0.0, abs=1e-9)
 
 
 @pytest.mark.parametrize(
@@ -776,11 +776,16 @@ def test_config_fuzzer_mutation_exits_2(ops):
 
 
 def _sweep_outcome(run, config):
-    """The rows a sweep gives, or the type and message of the error it raises."""
+    """The values and column result a sweep gives, or the type and message of the error it raises."""
     try:
         return run(config)
     except GupabError as exc:
         return type(exc), str(exc)
+
+
+def _failed(outcome):
+    """Whether a ``_sweep_outcome`` is an error's type and message."""
+    return isinstance(outcome[1], str)
 
 
 def _polygon(data, count):
@@ -848,12 +853,12 @@ def test_batched_sweep_matches_row_by_row(parameter, kind, projection, data):
     config = cli_io.parse_config(payload)
     expected = _sweep_outcome(reference_sweep, config)
     got = _sweep_outcome(run_sweep, config)
-    if isinstance(expected, tuple):
+    if _failed(expected):
         assert got == expected
     else:
         assert sweep_csv(got) == sweep_csv(expected)
-        for (_, row), (_, reference) in zip(got, expected):
-            assert row.correction_matrix.tobytes() == reference.correction_matrix.tobytes()
+        reference = expected[1].correction_matrix  # one (4, 4) matrix per row
+        assert np.broadcast_to(got[1].correction_matrix, reference.shape).tobytes() == reference.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -918,7 +923,7 @@ def test_sweep_column_checks_match_one_constructor_per_row(parameter, data):
     assert expected is None
     got = _sweep_outcome(run_sweep, config)
     reference = _sweep_outcome(reference_sweep, config)
-    assert got == reference if isinstance(reference, tuple) else sweep_csv(got) == sweep_csv(reference)
+    assert got == reference if _failed(reference) else sweep_csv(got) == sweep_csv(reference)
 
 
 def test_tiny_circle_phase_and_radius_sweep(tmp_path, capsys):
@@ -957,13 +962,37 @@ def test_failing_sweep_reports_its_first_failing_row(tmp_path, capsys, section, 
     assert captured.err.splitlines() == [f"error: {message}"]
 
 
-def test_flux_sweep_over_a_generic_curve_integrates_every_row(tmp_path):
-    # a library config may hold a curve with no recorded shape, whose circulation is integrated at each flux
+@pytest.mark.parametrize("command", ["phase", "sweep"])
+@pytest.mark.parametrize("center", [[0.0, 0.0, 0.0], [5.0, 0.0, 0.0]], ids=["enclosing", "outside"])
+def test_overflowing_charge_times_flux_is_not_finite(tmp_path, capsys, command, center):
+    # q Phi overflows to inf: its product with the turns (0 about an axis outside the loop) is inf or NaN
+    payload = json.loads(json.dumps(BASE_CONFIG))
+    payload["particle"]["q"] = payload["solenoid"]["flux"] = 1e200
+    payload["loop"]["center"] = center
+    payload["sweep"] = {"parameter": "solenoid.flux", "values": [1.0, 1e200]}
+    assert main([command, "-c", write_config(tmp_path, payload)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {_OVERFLOW}"]
+
+
+def test_flux_sweep_over_a_generic_curve_integrates_once(tmp_path, monkeypatch):
+    # a library config may hold a curve with no recorded shape: its circulation at unit flux serves every row
     config = replace(
         load_config(write_config(tmp_path, BASE_CONFIG)),
         loop=fourier_loop(np.random.default_rng(5)),
         sweep=SweepSpec(parameter="solenoid.flux", values=(1.0, -2.0, 0.5)),
     )
-    rows = run_sweep(config)
-    assert sweep_csv(rows) == sweep_csv(reference_sweep(config))
-    assert [row.standard_phase for _, row in rows] == pytest.approx([1.0, -2.0, 0.5], abs=1e-9)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return solenoid_circulation(*args)
+
+    monkeypatch.setattr(phase_engine, "solenoid_circulation", counted)
+    values, result = run_sweep(config)
+    assert len(calls) == 1
+    expected = reference_sweep(config)
+    assert sweep_csv((values, result)) == sweep_csv(expected)
+    assert np.broadcast_to(result.correction_matrix, (3, 4, 4)).tobytes() == expected[1].correction_matrix.tobytes()
+    assert result.standard_phase.tolist() == pytest.approx([1.0, -2.0, 0.5], abs=1e-9)

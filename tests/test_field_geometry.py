@@ -511,6 +511,22 @@ def test_a_loop_of_lines_reports_its_first_bad_line_and_a_mixed_loop_its_lines_f
         LoopPath((bad_arc, bad[1]), closed=False)
 
 
+@pytest.mark.parametrize(
+    "segments, message",
+    [
+        ((Line((0, 0), (1, 0)),), "segment start"),
+        ((Line((0.0, 0.0, 0.0), (1.0, 0.0, 0.0)), Line((1.0, 0.0), (0.0, 0.0))), "segment start"),
+        ((Line((0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0)),), "segment start"),
+        ((Line((0.0, 0.0, 0.0), (1.0, 0.0, 0.0)), Line((1.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0))), "segment end"),
+    ],
+    ids=["2d", "mixed-2d-3d", "4d", "4d-end"],
+)
+def test_a_line_whose_points_are_not_3_vectors_is_a_geometry_error(segments, message):
+    # a Line built directly, not by line_segment: LoopPath gives line_segment's error, not a numpy one
+    with pytest.raises(GeometryError, match=f"^{message} must be a 3-vector$"):
+        LoopPath(segments, closed=False)
+
+
 @pytest.mark.parametrize("windings", [math.inf, -math.inf, math.nan])
 def test_non_finite_windings_are_not_integers(windings):
     with pytest.raises(GeometryError, match="^windings must be a nonzero integer$"):

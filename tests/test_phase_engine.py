@@ -14,6 +14,7 @@ from helpers import (
     riemann_phase_matrix,
     riemann_projected_phase,
     riemann_tangent_sums,
+    strip_shape,
 )
 from gupab import gup_algebra, phase_engine
 from gupab.clifford import gamma, momenta, on_shell_spinor, positive_mass
@@ -631,6 +632,30 @@ def test_one_row_keeps_the_scalar_operation_order(q, m, v, flux, a, vertices, cl
         projected,
         standard + projected,
     )
+
+
+_STRIPPED_LOOPS = {
+    "circle": circle_loop(radius=2.0),
+    "offset-circle": circle_loop(center=(0.5, -0.3, 0.2), radius=1.3, windings=-2),
+    "square": rectangle_loop([[1.0, 1.0, 0.0], [-1.0, 1.0, 0.0], [-1.0, -1.0, 0.0], [1.0, -1.0, 0.0]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STRIPPED_LOOPS))
+@settings(max_examples=50, deadline=None)
+@given(flux=st.floats(-300.0, 300.0))
+@example(flux=0.0)
+@example(flux=-2.0)
+@example(flux=300.0)
+def test_generic_curve_phase_within_its_error_at_any_flux(name, flux):
+    # the same pieces as generic curves: the turns come from one integral at unit flux, which q Phi scales
+    loop = _STRIPPED_LOOPS[name]
+    stripped = LoopPath(tuple(strip_shape(seg) for seg in loop.segments))
+    solenoid = SolenoidSpec(flux=flux, radius=0.1)
+    exact = total_phase(PARTICLE, solenoid, loop, 0.01)
+    result = total_phase(PARTICLE, solenoid, stripped, 0.01)
+    assert exact.quadrature_error == 0.0
+    assert abs(result.standard_phase - exact.standard_phase) <= result.quadrature_error
 
 
 def test_phase_rows_raise_for_the_first_failing_row():
