@@ -52,6 +52,11 @@ _COLUMN_CHECKS = {  # (loop, column) -> raise for the first bad row: the check t
 _MAX_DISPERSION_STEPS = 10**6  # rows of one dispersion table, which bounds the memory it takes
 _SWEPT_INPUT = {"gup.a": "a", "particle.v": "speed", "solenoid.flux": "flux"}  # the ``phase_rows`` input each sets
 PROJECTIONS = ("comoving_on_shell", "fixed_spinor")
+# json.dumps(indent=2)'s layout of a PhaseResult.to_json_dict(), a %r per float: json's C encoder does no indenting
+_PHASE_JSON = (
+    '{\n  "standard_phase": %r,\n  "projected_correction": %r,\n  "total_phase": %r,\n  "quadrature_error": %r,\n'
+    '  "a": %r,\n  "correction_matrix": [\n' + ",\n".join(["    [\n      %r,\n      %r\n    ]"] * 16) + "\n  ]\n}\n"
+)
 
 
 def _reject_unknown(mapping: dict, allowed, context: str):
@@ -263,12 +268,14 @@ def load_config(path) -> RunConfig:
     """Read, parse, and fully validate a JSON run configuration."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except (RecursionError, ValueError) as exc:  # nested too deeply, or an integer past the digit limit
+        raise ConfigError(f"config parse error: {exc}") from exc
     return parse_config(raw)
 
 
@@ -307,6 +314,12 @@ def run_sweep(config: RunConfig) -> tuple[np.ndarray, PhaseResult]:
         geometry = phase_geometry(config.loop, solenoid, config.quadrature)
         inputs[_SWEPT_INPUT[sweep.parameter]] = values
     return values, phase_rows(geometry, **inputs, projection=config.projection, spinor=config.spinor)
+
+
+def phase_json(result: PhaseResult) -> str:
+    """``json.dumps(result.to_json_dict(), indent=2) + "\n"`` from a fixed template: each value is a finite float, its repr json's."""
+    *values, matrix = result.to_json_dict().values()
+    return _PHASE_JSON % (*values, *(part for pair in matrix for part in pair))
 
 
 def sweep_csv(sweep) -> str:
@@ -508,7 +521,7 @@ def main(argv=None) -> int:
         else:
             config = load_config(args.config)
             if args.command == "phase":
-                text = json.dumps(run_phase(config).to_json_dict(), indent=2) + "\n"
+                text = phase_json(run_phase(config))
             elif args.command == "dispersion":
                 text = dispersion_csv(config, args.pmax, args.steps)
             else:

@@ -26,7 +26,7 @@ PAULI = (
 
 MINKOWSKI_METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
 
-_PAULI_STACK = np.stack(PAULI)
+_PAULI_ROWS = np.stack(PAULI).reshape(3, 4)  # p3 @ rows = sigma.p, flattened
 
 _I2 = np.eye(2, dtype=complex)
 _ALPHA = tuple(
@@ -124,7 +124,7 @@ def on_shell_spinor(p3, m, branch: str = "particle1") -> np.ndarray:
     p3, m = p3 / unit[..., None], m / unit
     energy = np.sqrt(np.sum(p3 * p3, axis=-1) + m * m)
     chi = np.array([1.0, 0.0], dtype=complex) if branch == "particle1" else np.array([0.0, 1.0], dtype=complex)
-    sigma_p = np.tensordot(p3, _PAULI_STACK, axes=(-1, 0))
+    sigma_p = (p3 @ _PAULI_ROWS).reshape(p3.shape[:-1] + (2, 2))
     lower = (sigma_p @ chi) / (energy + m)[..., None]
     u = np.concatenate([np.broadcast_to(chi, lower.shape), lower], axis=-1)
     return u / np.linalg.norm(u, axis=-1, keepdims=True)

@@ -4,9 +4,11 @@ Loops are piecewise-smooth parametric curves; each piece maps s in [0, 1] to
 points with an analytic tangent. Straight pieces are ``Line`` records and
 circular arcs ``Arc`` records; ``LoopPath`` validates them (all lines in one
 array call) and takes their ends and exact lengths once, without calling
-them. Only generic curves, ``Segment``s, are checked on a 64-point sample.
+them; a loop of lines only takes its ends array from its lines in one call.
+Only generic curves, ``Segment``s, are checked on a 64-point sample.
 ``loop_geometry`` adds the closed forms that depend on a solenoid:
-the azimuth swept about its axis and the least distance from it. Generic
+the azimuth swept about its axis and the least distance from it, for lines
+by ufuncs and ndarray methods over the ends array. Generic
 curves go through composite Gauss-Legendre quadrature per piece, with the
 error estimated by node doubling. The built-in field source is the ideal
 infinite solenoid: purely azimuthal potential, flux Phi / (2 pi rho)
@@ -30,6 +32,7 @@ from .errors import DomainError, FieldEvaluationError, GeometryError, SingularIn
 _MAX_NODES_PER_SEGMENT = 1024  # 2**10 cap for the doubling refinement
 _VALIDATION_SAMPLES = 64
 _CLEARANCE_SAMPLES = 256  # per segment, for curves with no closed-form closest approach
+_NEXT, _NEXT2 = np.array([1, 2, 0]), np.array([2, 0, 1])  # each 3-vector component's index plus one, plus two
 
 
 def _unit(v, name) -> tuple:
@@ -72,7 +75,7 @@ class SolenoidSpec:
         """The part of point - axis_point normal to the axis, for a 3-vector or an (..., 3) array."""
         rel = np.asarray(point, dtype=float) - np.asarray(self.axis_point)
         d = np.asarray(self.axis_direction)
-        return rel - np.sum(rel * d, axis=-1)[..., None] * d
+        return rel - (rel * d).sum(axis=-1)[..., None] * d
 
     def axial_decomposition(self, point):
         """Split point - axis_point into (radial vector, radial distance).
@@ -244,7 +247,7 @@ def _check_lines(ends: np.ndarray) -> np.ndarray:
     finite = np.isfinite(ends).all(axis=(1, 2)) & np.isfinite(end - start).all(axis=1)
     raise_first(
         (np.logical_not(finite), GeometryError, _NON_FINITE),
-        (np.all(start == end, axis=1), GeometryError, _VANISHING),
+        ((start == end).all(axis=1), GeometryError, _VANISHING),
     )
     return _gaps(start, end)
 
@@ -307,7 +310,6 @@ class LoopPath:
         object.__setattr__(self, "segments", segments)
         if not segments:
             raise GeometryError("path needs at least one segment")
-        is_line = np.array([isinstance(seg, Line) for seg in segments])
         lines = [seg for seg in segments if isinstance(seg, Line)]
         others = [seg for seg in segments if not isinstance(seg, Line)]
         bad = next((line for line in lines if len(line.start) != 3 or len(line.end) != 3), None)
@@ -315,17 +317,21 @@ class LoopPath:
             _point(bad.start, "segment start")
             _point(bad.end, "segment end")
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported as non-finite or as a gap
-            ends = np.empty((len(segments), 2, 3))
-            rows = [(*line.start, *line.end) for line in lines]  # flat rows convert faster than nested
-            ends[is_line] = np.reshape(rows, (-1, 2, 3))
-            chords = float(np.sum(_check_lines(ends[is_line]))) if lines else 0.0
+            ends = np.array([(*line.start, *line.end) for line in lines], dtype=float).reshape(-1, 2, 3)  # flat rows convert faster
+            chords = float(_check_lines(ends).sum()) if lines else 0.0
             measured = [_measure(seg) for seg in others]
-            ends[~is_line] = np.reshape([seg_ends for seg_ends, _ in measured], (-1, 2, 3))
+            if others:
+                other_ends = np.reshape([seg_ends for seg_ends, _ in measured], (-1, 2, 3))
+                line_ends, ends = ends, (np.empty((len(segments), 2, 3)) if lines else other_ends)
+                if lines:  # a mixed loop: each kind's ends go back to their places in path order
+                    is_line = np.array([isinstance(seg, Line) for seg in segments])
+                    ends[is_line], ends[~is_line] = line_ends, other_ends
             exact = chords + sum(seg.length() for seg in others if isinstance(seg, Arc))
             sampled = [scale for _, scale in measured if scale is not None]
             tol = 1e-12 * (exact + sum(sampled))
-            junctions = _gaps(ends[:-1, 1], ends[1:, 0])
-            closure = _gaps(ends[-1:, 1], ends[:1, 0])[0]
+            # each segment's end against the next one's start, the last against the first: junctions, then closure
+            gaps = _gaps(ends[:, 1], np.concatenate([ends[1:, 0], ends[:1, 0]]))
+            junctions, closure = gaps[:-1], gaps[-1]
         broken = np.flatnonzero(_broken(junctions, tol))
         if broken.size:
             raise GeometryError(f"segments do not join continuously (gap {junctions[broken[0]]:.3e})")
@@ -373,7 +379,7 @@ def check_radius(loop: LoopPath, radius: np.ndarray):
 
 def _check_distinct(points: np.ndarray, name: str):
     """Reject a closed point list in which some point equals the next one, cyclically."""
-    repeats = np.flatnonzero(np.all(points == np.roll(points, -1, axis=0), axis=1))
+    repeats = np.flatnonzero((points == np.concatenate([points[1:], points[:1]])).all(axis=1))
     if repeats.size:
         raise GeometryError(f"{name} repeat consecutively at index {repeats[0]}")
 
@@ -386,12 +392,15 @@ def rectangle_loop(corners) -> LoopPath:
     with np.errstate(over="ignore", invalid="ignore"):  # overflowing corners fail LoopPath's finiteness check
         # edges in units of a power of 2 near the largest, as in ``_unit_scale``: the normal and the
         # planarity test neither underflow nor overflow, and each decision equals that of the raw edges
-        (edges,), (power,) = _unit_scale((np.roll(corners, -1, axis=0) - corners)[None])
-        normal = np.cross(edges[0], edges[1])
-        if np.linalg.norm(normal) == 0.0:
+        (edges,), (power,) = _unit_scale((np.concatenate([corners[1:], corners[:1]]) - corners)[None])
+        # the first two edges' cross product written out, in np.cross's operations; its norm is np.linalg.norm's
+        (a0, a1, a2), (b0, b1, b2) = edges[:2].tolist()
+        normal = np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+        norm = math.sqrt(normal @ normal)
+        if norm == 0.0:
             raise GeometryError("corners are collinear")
-        scale = float(np.max(np.abs(corners - corners[0]))) or 1.0
-        if abs(-edges[3] @ normal) > 1e-9 * (scale / power) * np.linalg.norm(normal):
+        scale = float(abs(corners - corners[0]).max()) or 1.0
+        if abs(-edges[3] @ normal) > 1e-9 * (scale / power) * norm:
             raise GeometryError("corners are not planar")
     return _closed_polyline(corners)
 
@@ -527,7 +536,7 @@ def _unit_scale(radial: np.ndarray):
     ratios and angles formed from them equal those of the raw vectors bit for
     bit whenever the raw products are representable.
     """
-    _, exponent = np.frexp(np.max(np.abs(radial), axis=(1, 2)))
+    _, exponent = np.frexp(abs(radial).max(axis=(1, 2)))
     scale = np.ldexp(1.0, exponent - 1)
     return radial / scale[:, None, None], scale
 
@@ -539,10 +548,10 @@ def _closest_radius_of_lines(unit: np.ndarray, scale: np.ndarray) -> float:
     t* = -r_a . r_delta / |r_delta|^2, clamped to [0, 1].
     """
     r_a, r_delta = unit[:, 0], unit[:, 1] - unit[:, 0]
-    length_sq = np.sum(r_delta * r_delta, axis=1)
-    t = np.divide(-np.sum(r_a * r_delta, axis=1), length_sq, out=np.zeros_like(length_sq), where=length_sq > 0.0)
-    closest = r_a + np.clip(t, 0.0, 1.0)[:, None] * r_delta
-    return float(np.min(np.linalg.norm(closest, axis=1) * scale))
+    length_sq = (r_delta * r_delta).sum(axis=1)
+    t = np.divide(-(r_a * r_delta).sum(axis=1), length_sq, out=np.zeros_like(length_sq), where=length_sq > 0.0)
+    closest = r_a + np.minimum(np.maximum(t, 0.0), 1.0)[:, None] * r_delta
+    return float((np.sqrt((closest * closest).sum(axis=1)) * scale).min())
 
 
 def _arc_about_axis(arc, spec: SolenoidSpec):
@@ -611,17 +620,14 @@ def loop_geometry(loop: LoopPath, spec: SolenoidSpec, radius=None) -> LoopGeomet
             raise GeometryError("a column of radii needs a loop of one arc normal to the solenoid axis")
         arcs = [circle_arc(loop, radius)]
     swept, rho = 0.0, []
-    if any(is_line):  # no index into the ends for a loop of arcs
+    if any(is_line):  # no index into the ends for a loop of arcs, nor for a loop of lines
         d = np.asarray(spec.axis_direction)
-        unit, scale = _unit_scale(spec.radial(loop.ends[is_line]))
+        unit, scale = _unit_scale(spec.radial(loop.ends if all(is_line) else loop.ends[is_line]))
         rho.append(_closest_radius_of_lines(unit, scale))
-        a, b = unit[:, 0], unit[:, 1]
-        # a x b written out: np.cross forms the same products and differences, at several times the cost
-        normal = np.stack(
-            [a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1], a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2], a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]],
-            axis=-1,
-        )
-        swept += float(np.sum(np.arctan2(normal @ d, np.sum(a * b, axis=1))))
+        # a x b of each line's end vectors a, b as np.cross forms it, from their components shifted by one and by two
+        nxt, nxt2 = unit.take(_NEXT, axis=2), unit.take(_NEXT2, axis=2)
+        normal = nxt[:, 0] * nxt2[:, 1] - nxt2[:, 0] * nxt[:, 1]
+        swept += float(np.arctan2(normal @ d, (unit[:, 0] * unit[:, 1]).sum(axis=1)).sum())
     if along_z:
         for arc in arcs:
             clearance, angle = _arc_about_axis(arc, spec)

@@ -102,7 +102,7 @@ class PhaseResult:
     a: float | np.ndarray
 
     def to_json_dict(self) -> dict:
-        flat = [[float(z.real), float(z.imag)] for z in np.asarray(self.correction_matrix, dtype=complex).reshape(-1)]
+        flat = np.ascontiguousarray(self.correction_matrix, dtype=complex).reshape(-1, 1).view(float).tolist()
         return {
             "standard_phase": float(self.standard_phase),
             "projected_correction": float(self.projected_correction),
@@ -114,8 +114,8 @@ class PhaseResult:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "PhaseResult":
-        flat = np.asarray(payload["correction_matrix"], dtype=float)
-        matrix = (flat[:, 0] + 1j * flat[:, 1]).reshape(4, 4)
+        # the [re, im] pairs read as complex numbers bit for bit, signed zeros included
+        matrix = np.array(payload["correction_matrix"], dtype=float).view(complex).reshape(4, 4)
         return cls(
             standard_phase=float(payload["standard_phase"]),
             correction_matrix=matrix,

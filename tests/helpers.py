@@ -7,7 +7,10 @@ blocks, and contour integrals are brute-force midpoint Riemann sums.
 ``reference_verification`` is the verification suite run through the
 library one input row at a time, ``reference_sweep`` a sweep run one
 ``run_phase`` per row, and ``reference_column_check`` a sweep's values
-checked one constructor per row.
+checked one constructor per row. ``reference_loop_of_lines`` and
+``reference_geometry_of_lines`` are the earlier, wrapper-call form of the
+line-loop build and of ``loop_geometry``'s lines branch, kept as the
+bit-for-bit oracle of the current code.
 """
 
 import math
@@ -17,8 +20,8 @@ import numpy as np
 
 from gupab import clifford, gup_algebra
 from gupab.cli_io import _check, _gamma_algebra_residual, run_phase
-from gupab.errors import DomainError, GeometryError
-from gupab.field_geometry import LoopPath, QuadratureSpec, Segment, SolenoidSpec, circle_loop
+from gupab.errors import DomainError, GeometryError, raise_first
+from gupab.field_geometry import _NON_FINITE, _OPEN, _VANISHING, LoopPath, QuadratureSpec, Segment, SolenoidSpec, _broken, _gaps, circle_loop
 from gupab.phase_engine import ParticleSpec, PhaseResult, ab_phase, dispersion, gup_phase_projected
 from gupab.units import GupParameter
 
@@ -331,3 +334,85 @@ def reference_column_check(config, parameter, values):
         except (DomainError, GeometryError) as exc:
             return f"sweep.values for {parameter.split('.')[0]}.{exc}"
     return None
+
+
+def _reference_unit_scale(radial):
+    _, exponent = np.frexp(np.max(np.abs(radial), axis=(1, 2)))
+    scale = np.ldexp(1.0, exponent - 1)
+    return radial / scale[:, None, None], scale
+
+
+def _reference_check_distinct(points, name):
+    repeats = np.flatnonzero(np.all(points == np.roll(points, -1, axis=0), axis=1))
+    if repeats.size:
+        raise GeometryError(f"{name} repeat consecutively at index {repeats[0]}")
+
+
+def reference_loop_of_lines(kind, points):
+    """(ends, length) of ``make_loop(kind, ...)`` for a 'rectangle' or 'polyline', or the ``GeometryError`` it raises.
+
+    The checks of ``rectangle_loop`` and ``polyline_loop``, then ``LoopPath``'s
+    handling of a closed loop of ``Line``s, each in its earlier form: ``np.roll``
+    for the next point, ``np.cross`` and ``np.linalg.norm`` for the rectangle's
+    normal, and the ends scattered into an empty array by a boolean mask.
+    """
+    points = np.asarray(points, dtype=float)
+    if kind == "rectangle":
+        if points.shape != (4, 3):
+            raise GeometryError("corners must list exactly four 3D points")
+        _reference_check_distinct(points, "corners")
+        with np.errstate(over="ignore", invalid="ignore"):
+            (edges,), (power,) = _reference_unit_scale((np.roll(points, -1, axis=0) - points)[None])
+            normal = np.cross(edges[0], edges[1])
+            if np.linalg.norm(normal) == 0.0:
+                raise GeometryError("corners are collinear")
+            scale = float(np.max(np.abs(points - points[0]))) or 1.0
+            if abs(-edges[3] @ normal) > 1e-9 * (scale / power) * np.linalg.norm(normal):
+                raise GeometryError("corners are not planar")
+    else:
+        if points.ndim != 2 or points.shape[0] < 3 or points.shape[1] != 3:
+            raise GeometryError("vertices must list at least three 3D points")
+        _reference_check_distinct(points, "vertices")
+    rows = [(*start, *end) for start, end in zip(points.tolist(), np.roll(points, -1, axis=0).tolist())]
+    is_line = np.ones(len(rows), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ends = np.empty((len(rows), 2, 3))
+        ends[is_line] = np.reshape(rows, (-1, 2, 3))
+        start, end = ends[is_line][:, 0], ends[is_line][:, 1]
+        finite = np.isfinite(ends[is_line]).all(axis=(1, 2)) & np.isfinite(end - start).all(axis=1)
+        raise_first(
+            (np.logical_not(finite), GeometryError, _NON_FINITE),
+            (np.all(start == end, axis=1), GeometryError, _VANISHING),
+        )
+        exact = float(np.sum(_gaps(start, end)))
+        tol = 1e-12 * exact
+        junctions = _gaps(ends[:-1, 1], ends[1:, 0])
+        closure = _gaps(ends[-1:, 1], ends[:1, 0])[0]
+    broken = np.flatnonzero(_broken(junctions, tol))
+    if broken.size:
+        raise GeometryError(f"segments do not join continuously (gap {junctions[broken[0]]:.3e})")
+    if _broken(closure, tol):
+        raise GeometryError(_OPEN.format(closure))
+    return ends, exact
+
+
+def reference_geometry_of_lines(ends, spec):
+    """(swept angle, clearance) that ``loop_geometry`` gives a loop of lines with these (k, 2, 3) ends, in its earlier form.
+
+    ``np.sum``, ``np.clip``, ``np.linalg.norm`` and ``np.stack`` where the
+    current code calls ndarray methods and ufuncs.
+    """
+    d = np.asarray(spec.axis_direction)
+    rel = np.asarray(ends, dtype=float) - np.asarray(spec.axis_point)
+    unit, scale = _reference_unit_scale(rel - np.sum(rel * d, axis=-1)[..., None] * d)
+    r_a, r_delta = unit[:, 0], unit[:, 1] - unit[:, 0]
+    length_sq = np.sum(r_delta * r_delta, axis=1)
+    t = np.divide(-np.sum(r_a * r_delta, axis=1), length_sq, out=np.zeros_like(length_sq), where=length_sq > 0.0)
+    closest = r_a + np.clip(t, 0.0, 1.0)[:, None] * r_delta
+    clearance = float(np.min(np.linalg.norm(closest, axis=1) * scale))
+    a, b = unit[:, 0], unit[:, 1]
+    normal = np.stack(
+        [a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1], a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2], a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]],
+        axis=-1,
+    )
+    return float(np.sum(np.arctan2(normal @ d, np.sum(a * b, axis=1)))), clearance

@@ -8,7 +8,7 @@ import sys
 import tempfile
 import warnings
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -24,14 +24,15 @@ from gupab.cli_io import (
     SweepSpec,
     load_config,
     main,
+    phase_json,
     run_phase,
     run_sweep,
     run_verification,
     sweep_csv,
 )
 from gupab.errors import ConfigError, GeometryError, GupabError
-from gupab.field_geometry import SolenoidSpec, circle_loop, loop_geometry, solenoid_circulation
-from gupab.phase_engine import PhaseResult, dispersion
+from gupab.field_geometry import LoopPath, QuadratureSpec, SolenoidSpec, circle_loop, line_segment, loop_geometry, solenoid_circulation
+from gupab.phase_engine import ParticleSpec, PhaseResult, dispersion, total_phase
 
 BASE_CONFIG = {
     "particle": {"q": 1.0, "m": 1.0, "v": 0.6},
@@ -269,6 +270,57 @@ def test_phase_json_round_trip_bits(tmp_path, capsys):
     assert json.dumps(payload, indent=2) + "\n" == text
     restored = PhaseResult.from_json_dict(payload)
     assert json.dumps(restored.to_json_dict(), indent=2) + "\n" == text
+
+
+def _assert_phase_json_restores(result):
+    """``phase_json`` writes ``json.dumps(indent=2)``'s bytes, and reading them back restores every bit of every field."""
+    text = phase_json(result)
+    assert text == json.dumps(result.to_json_dict(), indent=2) + "\n"
+    restored = PhaseResult.from_json_dict(json.loads(text))
+    for field in fields(PhaseResult):
+        assert np.asarray(getattr(restored, field.name)).tobytes() == np.asarray(getattr(result, field.name)).tobytes()
+
+
+_EXTREME_DOUBLES = (0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308)
+_FINITE_DOUBLES = st.one_of(st.sampled_from(_EXTREME_DOUBLES), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(scalars=st.lists(_FINITE_DOUBLES, min_size=5, max_size=5), parts=st.lists(_FINITE_DOUBLES, min_size=32, max_size=32))
+def test_phase_json_is_json_dumps_and_restores_every_bit(scalars, parts):
+    standard, projected, total, error, a = scalars
+    matrix = np.array(parts).view(complex).reshape(4, 4)  # [re, im] pairs, imaginary parts nonzero as on an open path
+    _assert_phase_json_restores(PhaseResult(standard, matrix, projected, total, error, a))
+
+
+def test_phase_json_of_an_open_path():
+    # an open path's displacement brings in the spatial gammas, so the matrix has imaginary parts
+    corner = (2.0, 2.0, 0.0)
+    path = LoopPath((line_segment((2.0, 0.0, 0.0), corner), line_segment(corner, (0.0, 2.0, 0.0))), closed=False)
+    particle = ParticleSpec(charge=1.0, mass=1.0, speed=0.6)
+    result = total_phase(particle, SolenoidSpec(flux=1.0, radius=0.1), path, 0.01, QuadratureSpec())
+    assert np.any(result.correction_matrix.imag != 0.0)
+    _assert_phase_json_restores(result)
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b'{"particle": "\xff\xfe"}', "config error: cannot read config file: 'utf-8' codec can't decode byte 0xff"),
+        (b"[" * 100_000, "config error: config parse error: maximum recursion depth exceeded"),
+        (b'{"particle": ' + b"9" * 5000 + b"}", "config error: config parse error: Exceeds the limit (4300 digits)"),
+    ],
+    ids=["not-utf-8", "nested-too-deeply", "too-many-digits"],
+)
+def test_unreadable_config_is_a_one_line_config_error(tmp_path, capsys, content, message):
+    # each file is at most 100 KB
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert main(["phase", "-c", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(message)
 
 
 def test_verification_fast_passes():

@@ -246,6 +246,23 @@ def test_spinor_keeps_the_bits_of_the_unscaled_formula(p3, m, branch):
     assert on_shell_spinor(p3, m, branch).tobytes() == (u / np.linalg.norm(u, axis=-1, keepdims=True)).tobytes()
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    p3=st.lists(st.lists(_ORDINARY, min_size=3, max_size=3), min_size=1, max_size=8),
+    m=st.floats(1e-3, 1e3),
+    branch=st.sampled_from(["particle1", "particle2"]),
+)
+def test_batched_spinors_keep_the_bits_of_the_tensordot_formula(p3, m, branch):
+    # sigma.p is one matrix product with the Pauli matrices as rows; np.tensordot forms the same sums
+    p3 = np.array(p3)
+    chi = np.array([1.0, 0.0] if branch == "particle1" else [0.0, 1.0], dtype=complex)
+    sigma_p = np.tensordot(p3, _PAULI, axes=(-1, 0))
+    energy = np.sqrt(np.sum(p3 * p3, axis=-1) + m * m)
+    lower = (sigma_p @ chi) / (energy + m)[..., None]
+    u = np.concatenate([np.broadcast_to(chi, lower.shape), lower], axis=-1)
+    assert on_shell_spinor(p3, m, branch).tobytes() == (u / np.linalg.norm(u, axis=-1, keepdims=True)).tobytes()
+
+
 @pytest.mark.parametrize("p3", [(1e308, 1e308, 0.0), (1.7e308, 0.0, 0.0), (1e150, 1e150, 0.0), (0.0, -1e300, 1e300)])
 @pytest.mark.parametrize("branch", ["particle1", "particle2"])
 def test_spinor_at_huge_momenta_is_the_ultrarelativistic_limit(p3, branch):

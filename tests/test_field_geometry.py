@@ -3,12 +3,19 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import fourier_loop, random_polynomial_gauge, riemann_circulation, strip_shape
+from helpers import (
+    fourier_loop,
+    random_polynomial_gauge,
+    reference_geometry_of_lines,
+    reference_loop_of_lines,
+    riemann_circulation,
+    strip_shape,
+)
 from gupab import field_geometry
-from gupab.errors import DomainError, FieldEvaluationError, GeometryError, SingularInputError
+from gupab.errors import DomainError, FieldEvaluationError, GeometryError, GupabError, SingularInputError
 from gupab.field_geometry import (
     Arc,
     Line,
@@ -710,3 +717,80 @@ def test_radius_column_needs_one_arc_normal_to_the_axis():
     for loop, spec in ((square, SolenoidSpec(flux=1.0, radius=0.1)), (circle_loop(radius=3.0), tilted)):
         with pytest.raises(GeometryError, match="one arc normal to the solenoid axis"):
             loop_geometry(loop, spec, radius)
+
+
+def _result_and_warnings(call):
+    """(the result, or the type and text of the GupabError raised, and the warnings, by category and text) of call()."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            value = call()
+        except GupabError as exc:
+            value = (type(exc), str(exc))
+    return value, [(w.category, str(w.message)) for w in caught]
+
+
+def _bits(*values):
+    return [np.asarray(v, dtype=float).tobytes() for v in values]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(["polyline", "rectangle"]),
+    count=st.integers(3, 64),
+    seed=st.integers(0, 2**32 - 1),
+    exponent=st.floats(-160.0, 300.0),
+    flaw=st.sampled_from([None, None, None, "repeat", "inf", "nan", "overflow", "collinear", "skew", "nearly collinear", "nearly skew"]),
+    axis=st.sampled_from(["inside", "outside", "crossing", "vertex"]),
+    tilted=st.booleans(),
+)
+def test_a_loop_of_lines_matches_its_reference_bit_for_bit(kind, count, seed, exponent, flaw, axis, tilted):
+    # the build and the lines geometry against their earlier form (tests/helpers.py): equal bytes, or the same error
+    rng = np.random.default_rng(seed)
+    scale = 10.0**exponent
+    center = rng.normal(size=3)
+    if kind == "rectangle":
+        u, v = rng.normal(size=(2, 3))
+        w, h = rng.uniform(0.2, 1.5, size=2)
+        points = center + np.array([[w, h], [-w, h], [-w, -h], [w, -h]]) @ np.stack([u, v])
+    else:
+        angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, size=count)) if rng.random() < 0.8 else rng.uniform(0.0, 6.0, size=count)
+        radii = rng.uniform(0.3, 1.5, size=count)
+        points = center + np.column_stack([radii * np.cos(angles), radii * np.sin(angles), rng.normal(0.0, 0.3, size=count)])
+    points = points * scale
+    i = int(rng.integers(len(points)))
+    if flaw == "repeat":
+        points[(i + 1) % len(points)] = points[i]
+    elif flaw in ("inf", "nan"):
+        points[i, int(rng.integers(3))] = float(flaw) * rng.choice([-1.0, 1.0])
+    elif flaw == "overflow":  # finite points whose step overflows
+        points[i, 0], points[(i + 1) % len(points), 0] = 1.7e308, -1.7e308
+    elif flaw is not None and flaw.endswith("collinear"):
+        points = np.outer(np.arange(len(points)), rng.normal(size=3)) * scale
+        if flaw == "nearly collinear":  # a normal far below the edges, but not 0
+            points[i] += scale * 10.0 ** rng.uniform(-20.0, -8.0) * rng.normal(size=3)
+    elif flaw is not None and flaw.endswith("skew"):  # nearly: about the planarity tolerance
+        points[i, 2] += scale * (rng.uniform(0.01, 1.0) if flaw == "skew" else 10.0 ** rng.uniform(-12.0, -7.0))
+    corners_or_vertices = "corners" if kind == "rectangle" else "vertices"
+    want, want_warnings = _result_and_warnings(lambda: reference_loop_of_lines(kind, points.tolist()))
+    loop, got_warnings = _result_and_warnings(lambda: make_loop(kind, **{corners_or_vertices: points.tolist()}))
+    assert got_warnings == want_warnings
+    if isinstance(want[0], type):  # an error
+        event(want[1].split(" at index")[0])
+        assert loop == want
+        return
+    ends, length = want
+    assert _bits(loop.ends, loop.length) == _bits(ends, length)
+    finite = points[np.isfinite(points).all(axis=1)]
+    foot = {
+        "inside": finite.mean(axis=0),
+        "outside": finite.mean(axis=0) + 5.0 * np.abs(finite).max(),
+        "crossing": 0.5 * (points[i] + points[(i + 1) % len(points)]),
+        "vertex": points[i],
+    }[axis]
+    spec = SolenoidSpec(flux=1.0, radius=1.0, axis_point=tuple(foot), axis_direction=tuple(rng.normal(size=3)) if tilted else (0.0, 0.0, 1.0))
+    want, want_warnings = _result_and_warnings(lambda: reference_geometry_of_lines(ends, spec))
+    got, got_warnings = _result_and_warnings(lambda: loop_geometry(loop, spec))
+    assert got_warnings == want_warnings
+    assert _bits(*got) == _bits(*want)
+    event(f"{kind} about an axis {axis}{', tilted' if tilted else ''}")
