@@ -6,16 +6,16 @@ circular arcs ``Arc`` records; ``LoopPath`` validates them (all lines in one
 array call) and takes their ends and exact lengths once, without calling
 them; a loop of lines only takes its ends array from its lines in one call.
 Only generic curves, ``Segment``s, are checked on a 64-point sample.
-``loop_geometry`` adds the closed forms that depend on a solenoid:
-the azimuth swept about its axis and the least distance from it, for lines
-by ufuncs and ndarray methods over the ends array. Generic
-curves go through composite Gauss-Legendre quadrature per piece, with the
-error estimated by node doubling. The built-in field source is the ideal
-infinite solenoid: purely azimuthal potential, flux Phi / (2 pi rho)
-outside the coil and Phi rho / (2 pi R^2) inside. Its potential takes a
-whole (n, 3) array of points, so ``solenoid_circulation`` samples each
-segment's nodes in one call; generic fields handed to ``line_integral`` are
-called once per point.
+``loop_geometry`` adds the closed forms that depend on a solenoid: the azimuth
+swept about its axis and the least distance from it, for lines by ufuncs and
+ndarray methods over the ends array, for arcs by two atan2 end terms, each
+within (-pi/2, pi/2), so with no unwrapping needed. Generic curves go through
+composite Gauss-Legendre quadrature per piece, with the error estimated by
+node doubling. The built-in field source is the ideal infinite solenoid:
+purely azimuthal potential, flux Phi / (2 pi rho) outside the coil and
+Phi rho / (2 pi R^2) inside. Its potential takes a whole (n, 3) array of
+points, so ``solenoid_circulation`` samples each segment's nodes in one call;
+generic fields handed to ``line_integral`` are called once per point.
 """
 
 from __future__ import annotations
@@ -36,11 +36,11 @@ _NEXT, _NEXT2 = np.array([1, 2, 0]), np.array([2, 0, 1])  # each 3-vector compon
 
 
 def _unit(v, name) -> tuple:
-    """The 3-vector v over its norm, as a tuple of floats; DomainError unless v is a nonzero 3-vector."""
+    """The 3-vector v over its norm, as a tuple of floats; DomainError unless v is a finite nonzero 3-vector."""
     v = np.asarray(v, dtype=float)
-    # sqrt(v . v) is np.linalg.norm's own formula for a vector, bit for bit, without its dispatch
-    if v.shape != (3,) or (norm := math.sqrt(v @ v)) == 0.0:
-        raise DomainError(f"{name} must be a nonzero 3-vector")
+    # math.hypot takes the norm without squaring, so a huge or tiny v neither overflows nor underflows
+    if v.shape != (3,) or not (0.0 < (norm := math.hypot(*v.tolist())) < math.inf):
+        raise DomainError(f"{name} must be a finite nonzero 3-vector")
     return tuple(c / norm for c in v.tolist())
 
 
@@ -69,6 +69,7 @@ class SolenoidSpec:
     def __post_init__(self):
         raise_first((np.logical_not(self.radius > 0.0), DomainError, "radius must be positive"), finite_flux(self.flux))
         object.__setattr__(self, "axis_point", _point(self.axis_point, "axis point", DomainError))
+        raise_first((not all(map(math.isfinite, self.axis_point)), DomainError, "axis point must be finite"))
         object.__setattr__(self, "axis_direction", _unit(self.axis_direction, "axis direction"))
 
     def radial(self, point) -> np.ndarray:
@@ -224,12 +225,14 @@ _NON_FINITE = "segment has non-finite points or tangents"
 _VANISHING = "segment tangent vanishes somewhere on [0, 1]"
 _NONPOSITIVE_RADIUS = "radius must be positive"
 _OPEN = "path marked closed but endpoints differ by {:.3e}"
+_ONE_ARC = "a column of radii needs a loop of one arc normal to the solenoid axis"
 
 
 def circle_arc(loop, radius):
     """The ``Arc`` of ``loop``, a circle of one arc, with ``radius`` (a float or an array) in place of its own."""
-    (arc,) = loop.segments
-    return arc._replace(radius=radius)
+    if len(loop.segments) != 1 or not isinstance(loop.segments[0], Arc):
+        raise GeometryError(_ONE_ARC)
+    return loop.segments[0]._replace(radius=radius)
 
 
 def _broken(gap, tol):
@@ -558,43 +561,32 @@ def _arc_about_axis(arc, spec: SolenoidSpec):
     """(closest approach, swept azimuth) of an arc whose plane is normal to the solenoid axis.
 
     The radius is a float or an array of them, and so is each result, with
-    an entry per radius: one closed form for one circle and for a column.
+    an entry per radius: one closed form, through the same ufuncs, for one
+    circle and for a column. The azimuth is the sweep about an axis inside the
+    circle plus the difference of two atan2 end terms, each of positive real
+    part, so within (-pi/2, pi/2) and with no unwrapping needed.
     """
     (cx, cy, _), radius, theta0, theta1 = arc
-    sweep, low, sign = theta1 - theta0, min(theta0, theta1), math.copysign(1.0, theta1 - theta0)
+    sweep = theta1 - theta0
     facing = spec.axis_direction[2]  # +1 or -1: the arc's plane normal, seen along the axis
     ax, ay = spec.axis_point[0] - cx, spec.axis_point[1] - cy  # axis foot P relative to the center c
-    offset = math.hypot(ax, ay)
+    offset, bearing = math.hypot(ax, ay), math.atan2(ay, ax)
     # |P - c| - r is attained where P's azimuth about c falls inside the sweep; otherwise at an end
-    bearing = (math.atan2(ay, ax) - low) % (2.0 * math.pi)
-    if abs(sweep) >= 2.0 * math.pi or offset == 0.0 or bearing <= abs(sweep):
+    if abs(sweep) >= 2.0 * math.pi or offset == 0.0 or (bearing - min(theta0, theta1)) % (2.0 * math.pi) <= abs(sweep):
         clearance = abs(offset - radius)
     else:
-        ends = (np.hypot(radius * math.cos(t) - ax, radius * math.sin(t) - ay) for t in (theta0, theta1))
-        clearance = np.minimum(*ends)
-    # Whole turns are closed circles: each sweeps 2 pi, signed by facing, about an axis inside the
-    # circle and 0 about one outside, so only the rest is cut into sub-arcs, always up from the lower
-    # end and their sum signed by the sweep, so that the reversed arc gives the exact negative.
-    # A sub-arc of sweep <= pi/2 turns by its chord's angle about the axis, plus a full turn when
-    # the axis lies between sub-arc and chord: inside the circle, on the arc's side of the chord.
-    # One cross-product scalar feeds both the atan2 and the side test, so an axis on a chord line
-    # gives the same total from either sign of zero.
-    # The chord ends are taken in units of a power of 2 near the arc's size, as in ``_unit_scale``.
-    turns = round(sweep / (2.0 * math.pi))
-    rest = sweep - 2.0 * math.pi * turns
-    angles, between = 0.0, 0
-    if rest:  # whole turns alone, as every circle has, cut no sub-arcs
-        t = np.linspace(low, low + sign * rest, math.ceil(abs(rest) / (0.5 * math.pi)) + 1)
-        unit = np.ldexp(1.0, np.frexp(np.maximum(radius, max(abs(ax), abs(ay))))[1] - 1)
-        # the sub-arc ends run along the last axis, after one per radius
-        r, x, y = (np.asarray(q / unit)[..., None] for q in (radius, ax, ay))
-        u, v = r * np.cos(t) - x, r * np.sin(t) - y
-        cross = facing * (u[..., :-1] * v[..., 1:] - v[..., :-1] * u[..., 1:])
-        angles = sign * np.sum(np.arctan2(cross, u[..., :-1] * u[..., 1:] + v[..., :-1] * v[..., 1:]), axis=-1)
-        between = np.count_nonzero(np.signbit(cross) != (facing * sign * rest < 0.0), axis=-1)
-    # the whole turns and the sub-arcs' full turns count only about an axis inside the circle
-    inside = offset < radius
-    return clearance, angles + 2.0 * math.pi * (facing * turns + math.copysign(1.0, facing * rest) * between) * inside
+        clearance = np.minimum(*(np.hypot(radius * math.cos(t) - ax, radius * math.sin(t) - ay) for t in (theta0, theta1)))
+    # With d = offset, psi = t - bearing: the point at angle t less P is e^(it) (r - d e^(-i psi)) inside (d < r)
+    # and -e^(i bearing) (d - r e^(i psi)) outside, so its azimuth about P is, up to a constant, t inside plus
+    # end(t) = atan2(+-small sin psi, big - small cos psi), big and small the larger and smaller of r and d
+    # (d = r puts P on the circle). Swapping the ends negates the difference exactly; whole turns skip it.
+    inside, end_terms = offset < radius, 0.0
+    if sweep != 2.0 * math.pi * round(sweep / (2.0 * math.pi)):
+        big, small = np.maximum(radius, offset), np.minimum(radius, offset)
+        side = np.where(inside, small, -small)
+        start, end = (np.arctan2(side * math.sin(t - bearing), big - small * math.cos(t - bearing)) for t in (theta0, theta1))
+        end_terms = end - start
+    return clearance, facing * (inside * sweep + end_terms)
 
 
 def loop_geometry(loop: LoopPath, spec: SolenoidSpec, radius=None) -> LoopGeometry:
@@ -602,7 +594,7 @@ def loop_geometry(loop: LoopPath, spec: SolenoidSpec, radius=None) -> LoopGeomet
 
     A line sweeps the atan2 angle between its endpoints' radial vectors,
     taken in units of their ``_unit_scale``, and an arc whose plane is
-    normal to the axis sweeps the sum from ``_arc_about_axis``; the swept
+    normal to the axis sweeps the closed form of ``_arc_about_axis``; the swept
     angle is None if some segment is neither. The clearance, the least
     distance from the axis, is always given: exact for lines and normal
     arcs, the least of 256 samples per segment otherwise.
@@ -616,8 +608,7 @@ def loop_geometry(loop: LoopPath, spec: SolenoidSpec, radius=None) -> LoopGeomet
     arcs = [seg for seg in loop.segments if isinstance(seg, Arc)]
     curves = [seg for seg in loop.segments if not isinstance(seg, (Line, Arc))]
     if radius is not None:
-        if not (along_z and len(loop.segments) == len(arcs) == 1):
-            raise GeometryError("a column of radii needs a loop of one arc normal to the solenoid axis")
+        raise_first((not along_z, GeometryError, _ONE_ARC))
         arcs = [circle_arc(loop, radius)]
     swept, rho = 0.0, []
     if any(is_line):  # no index into the ends for a loop of arcs, nor for a loop of lines
@@ -633,8 +624,7 @@ def loop_geometry(loop: LoopPath, spec: SolenoidSpec, radius=None) -> LoopGeomet
             clearance, angle = _arc_about_axis(arc, spec)
             rho.append(clearance)
             swept += angle
-    else:
-        # tilted to the axis: sampled clearance, quadrature flux
+    else:  # tilted to the axis: sampled clearance, quadrature flux
         curves += arcs
     if curves:
         s = np.linspace(0.0, 1.0, _CLEARANCE_SAMPLES)

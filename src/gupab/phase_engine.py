@@ -193,10 +193,12 @@ def _ab_integral(geometry: PhaseGeometry, charge, flux):
 
 
 def ab_phase(particle: ParticleSpec, solenoid: SolenoidSpec, loop: LoopPath, quad: QuadratureSpec | None = None) -> float:
-    """Flux phase q * circulation of A; equals q Phi w for winding number w."""
+    """Flux phase q * circulation of A; equals q Phi w for winding number w. GupabError if q Phi w overflows."""
     geometry = phase_geometry(loop, solenoid, quad)
     raise_first((geometry.clearance <= geometry.coil_radius, GeometryError, _ENTERS_COIL))
-    value, _ = _ab_integral(geometry, particle.charge, solenoid.flux)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        value, _ = _ab_integral(geometry, particle.charge, solenoid.flux)
+    raise_first((not math.isfinite(value), GupabError, _NOT_FINITE))
     return float(value)
 
 
@@ -222,14 +224,17 @@ def _matrix_correction(geometry: PhaseGeometry, charge, energy, momentum, speed,
 
 
 def _correction(particle: ParticleSpec, loop: LoopPath, a: float, quad):
-    """(matrix, error) of the correction alone, with no coil: a is checked, finiteness is not."""
+    """(matrix, error) of the correction alone, with no coil; raises unless a is nonnegative and the matrix finite."""
     raise_first(nonnegative_a(a))
     geometry = phase_geometry(loop, None, quad)
-    return _matrix_correction(geometry, particle.charge, particle.energy, particle.momentum, particle.speed, a)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        matrix, err = _matrix_correction(geometry, particle.charge, particle.energy, particle.momentum, particle.speed, a)
+    raise_first((not np.isfinite(matrix).all(), GupabError, _NOT_FINITE))
+    return matrix, err
 
 
 def gup_phase_matrix(particle: ParticleSpec, loop: LoopPath, a: float, quad: QuadratureSpec | None = None) -> np.ndarray:
-    """Matrix-valued correction -a q contour integral of slash(p0) (p0 . dx).
+    """Matrix-valued correction -a q contour integral of slash(p0) (p0 . dx); GupabError if it overflows.
 
     Exactly linear in a (the deformation factor scales an a-independent
     base integral), and exactly zero at a = 0. For closed loops the spatial
@@ -254,11 +259,13 @@ def gup_phase_projected(
     -a q m (E/v - p) * loop length, read off the correction matrix M as
     (m / E) Re M[0, 0], since the spatial gammas have a zero diagonal.
     'fixed_spinor' evaluates Re <u| M |u> / <u|u> for a caller-supplied
-    spinor u.
+    spinor u. GupabError if the matrix or the projection is not finite.
     """
     matrix, err = _correction(particle, loop, a, quad)
     spinor = _projection_spinor(projection, spinor)
-    value, _ = _projected_correction(matrix, err, particle.mass, particle.energy, spinor)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        value, _ = _projected_correction(matrix, err, particle.mass, particle.energy, spinor)
+    raise_first((not math.isfinite(value), GupabError, _NOT_FINITE))
     return float(value)
 
 

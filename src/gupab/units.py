@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, raise_first
 
 # CODATA 2018 literals (c is exact by definition of the metre).
@@ -56,8 +58,8 @@ class UnitSystem:
 
 
 def nonnegative_a(a):
-    """The check, for ``raise_first``, that a deformation strength a, a float or an array, is not negative."""
-    return a < 0.0, DomainError, "a must be nonnegative"
+    """The check, for ``raise_first``, that a deformation strength a, a float or an array, is not negative (so not NaN)."""
+    return np.logical_not(a >= 0.0), DomainError, "a must be nonnegative"
 
 
 @dataclass(frozen=True)

@@ -710,6 +710,64 @@ def test_arc_closed_form_over_a_radius_column_matches_each_arc(center, theta0, s
         assert (column.swept_angle[k], column.clearance[k]) == (one.swept_angle, one.clearance)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    inside=st.booleans(),
+    exponent=st.floats(-300.0, -20.0),
+    bearing=st.floats(-math.pi, math.pi),
+    theta0=st.floats(-math.pi, math.pi),
+    sweep=st.floats(-12.0, 12.0).filter(lambda sweep: abs(sweep) > 0.05),
+    facing=st.sampled_from([1.0, -1.0]),
+)
+@example(inside=False, exponent=-299.5, bearing=0.7, theta0=0.2, sweep=2.5, facing=1.0)
+def test_an_arc_far_from_the_axis_or_about_one_near_its_center_sweeps_its_first_order_form(
+    inside, exponent, bearing, theta0, sweep, facing
+):
+    # with r/d or d/r at most 1e-20, the swept azimuth is -facing (r/d)(sin psi1 - sin psi0) about a far
+    # axis and facing (sweep + (d/r)(sin psi1 - sin psi0)) about a near one, psi the end angles less the
+    # axis foot's bearing about the center; the second-order terms lie below 1e-40 of these
+    ratio = 10.0**exponent
+    radius, offset = (1.7, 1.7 * ratio) if inside else (0.3 * ratio, 0.3)
+    foot = (offset * math.cos(bearing), offset * math.sin(bearing))
+    spec = SolenoidSpec(flux=1.0, radius=1e-3, axis_point=(*foot, 1.0), axis_direction=(0.0, 0.0, facing))
+    arc = arc_segment((0.0, 0.0, -0.5), radius, theta0, theta0 + sweep)
+    d, alpha = math.hypot(*foot), math.atan2(foot[1], foot[0])
+    change = math.sin(arc.theta1 - alpha) - math.sin(arc.theta0 - alpha)
+    assume(abs(change) >= 0.5)  # no cancellation between the two ends
+    if inside:
+        expected = facing * ((arc.theta1 - arc.theta0) + d / radius * change)
+    else:
+        expected = -facing * (radius / d) * change
+    swept = loop_geometry(LoopPath((arc,), closed=False), spec).swept_angle
+    assert swept == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e200, 1e300])
+def test_axis_direction_of_any_size_is_normalised(scale):
+    # the norm takes no squares: a huge direction does not overflow to 0, nor a tiny one underflow
+    spec = SolenoidSpec(flux=1.0, radius=0.1, axis_direction=(0.0, 0.0, scale))
+    assert spec.axis_direction == (0.0, 0.0, 1.0)
+    assert loop_geometry(circle_loop(radius=2.0), spec).swept_angle == 2.0 * math.pi
+    tilted = SolenoidSpec(flux=1.0, radius=0.1, axis_direction=(3.0 * scale, 0.0, -4.0 * scale))
+    assert tilted.axis_direction == pytest.approx((0.6, 0.0, -0.8), rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "axis, message",
+    [
+        ({"axis_point": (math.nan, 0.0, 0.0)}, "axis point must be finite"),
+        ({"axis_point": (0.0, math.inf, 0.0)}, "axis point must be finite"),
+        ({"axis_direction": (math.nan, 0.0, 1.0)}, "axis direction must be a finite nonzero 3-vector"),
+        ({"axis_direction": (0.0, 0.0, -math.inf)}, "axis direction must be a finite nonzero 3-vector"),
+        ({"axis_direction": (0.0, 0.0, 0.0)}, "axis direction must be a finite nonzero 3-vector"),
+    ],
+)
+def test_solenoid_axis_must_be_finite(axis, message):
+    with pytest.raises(DomainError) as caught:
+        SolenoidSpec(flux=1.0, radius=0.1, **axis)
+    assert str(caught.value) == message
+
+
 def test_radius_column_needs_one_arc_normal_to_the_axis():
     radius = np.array([1.0, 2.0])
     square = polyline_loop([(1, 1, 0), (-1, 1, 0), (-1, -1, 0), (1, -1, 0)])

@@ -26,6 +26,7 @@ from gupab.field_geometry import (
     QuadratureSpec,
     SolenoidSpec,
     arc_segment,
+    check_radius,
     circle_loop,
     finite_flux,
     line_segment,
@@ -522,7 +523,7 @@ def test_reverse_negates_phase_of_arcs_and_polylines():
 
 @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e160, 1e300])
 def test_arc_phase_scales_with_the_loop(scale):
-    # an arc's sub-chords are measured in units of its size, so their products neither underflow nor overflow
+    # an arc's end terms take no squares, so they neither underflow nor overflow
     def half_disk(s):
         arc = arc_segment((0.0, -0.5 * s, 0.0), 2.0 * s, 0.0, math.pi)
         return LoopPath((arc, line_segment((-2.0 * s, -0.5 * s, 0.0), (2.0 * s, -0.5 * s, 0.0))))
@@ -658,6 +659,33 @@ def test_generic_curve_phase_within_its_error_at_any_flux(name, flux):
     assert abs(result.standard_phase - exact.standard_phase) <= result.quadrature_error
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ab_phase(ParticleSpec(charge=1e308, mass=1.0, speed=0.6), SolenoidSpec(flux=10.0, radius=0.1), _LOOP),
+        lambda: gup_phase_matrix(PARTICLE, _LOOP, 1e308),
+        lambda: gup_phase_projected(PARTICLE, _LOOP, 1e308),
+        lambda: gup_phase_projected(PARTICLE, _LOOP, 1e308, projection="fixed_spinor", spinor=[1.0, 0.0, 0.0, 0.0]),
+        lambda: gup_phase_matrix(PARTICLE, _LOOP, math.inf),
+    ],
+)
+def test_library_phases_that_overflow_raise(call):
+    # q Phi = 1e309 and a q (E / v - p) L overflow: an error, as phase_rows gives, not an inf or a warning
+    with pytest.raises(GupabError, match="not finite"):
+        call()
+
+
+def test_a_radius_column_needs_a_loop_of_one_arc():
+    radius = np.array([1.0, 2.0])
+    two_arcs = LoopPath((arc_segment((0.0, 0.0, 0.0), 2.0, 0.0, math.pi), arc_segment((0.0, 0.0, 0.0), 2.0, math.pi, 0.0)))
+    for loop in (rectangle_loop([(1, 1, 0), (-1, 1, 0), (-1, -1, 0), (1, -1, 0)]), two_arcs):
+        for call in (check_radius, lambda loop, radius: phase_geometry(loop, None, radius=radius)):
+            with pytest.raises(GeometryError, match="a column of radii needs a loop of one arc"):
+                call(loop, radius)
+        with pytest.raises(GeometryError, match="a column of radii needs a loop of one arc"):
+            phase_geometry(loop, SOLENOID, radius=radius)
+
+
 def test_phase_rows_raise_for_the_first_failing_row():
     geometry = phase_geometry(circle_loop(radius=2.0), SOLENOID)
     with pytest.raises(DomainError, match="a must be nonnegative"):
@@ -729,6 +757,11 @@ _CALLERS = [
     ("a must be nonnegative", lambda: gup_algebra.commutator_target([1.0, 0.0, 0.0], 1, 1, -1.0)),
     ("a must be nonnegative", lambda: gup_algebra.grid_operator_lab(_GRID, -1.0)),
     ("a must be nonnegative", lambda: gup_algebra.uncertainty_check(_GRID, _STATE, [0.1, -1.0])),
+    # NaN is not nonnegative either
+    ("a must be nonnegative", lambda: GupParameter(a=math.nan)),
+    ("a must be nonnegative", lambda: gup_phase_matrix(PARTICLE, _LOOP, math.nan)),
+    ("a must be nonnegative", lambda: gup_phase_projected(PARTICLE, _LOOP, math.nan)),
+    ("a must be nonnegative", lambda: gup_algebra.uncertainty_check(_GRID, _STATE, math.nan)),
     ("m must be positive", lambda: ParticleSpec(charge=1.0, mass=0.0, speed=0.6)),
     ("m must be positive", lambda: on_shell_spinor([1.0, 0.0, 0.0], np.array([1.0, -1.0]))),
     ("m must be positive", lambda: dispersion([1.0, 0.0, 0.0], 0.0, 0.1)),
