@@ -7,8 +7,9 @@ validated once, by the check its engine constructor makes, before any computatio
 sweep column in one call of that check, which names the first bad row. ``_build`` turns the
 error into a ``ConfigError`` naming ``section.key``; so do a dispersion range that is not
 positive and finite and a step count outside [2, 10**6]. Structured results go out as JSON,
-sweep tables as CSV with a frozen header, each sweep one batch over one geometry record (for
-``loop.radius`` one array of circles) into one column result, its rows in input order.
+sweep and dispersion tables as CSV with a frozen header, both from one template, each sweep one
+batch over one geometry record (for ``loop.radius`` one array of circles) into one column
+result, its rows in input order.
 Output is written to stdout or the ``-o`` file only once the command has finished, so a failed
 run leaves an existing file as it was. Exit codes: 0 success, 1 verification or computation
 failure, 2 config error or an output file that cannot be written.
@@ -322,12 +323,17 @@ def phase_json(result: PhaseResult) -> str:
     return _PHASE_JSON % (*values, *(part for pair in matrix for part in pair))
 
 
+def _csv(header: str, *columns) -> str:
+    """``header``, then ``",".join(map(repr, row))`` for each row of the broadcast float columns, from one template."""
+    table = np.stack(np.broadcast_arrays(*columns), axis=-1)
+    return f"{header}\n" + (",".join(["%r"] * table.shape[1]) + "\n") * len(table) % tuple(table.ravel().tolist())
+
+
 def sweep_csv(sweep) -> str:
     """The CSV table of ``run_sweep``'s values and column result: one line per value, under the frozen header."""
     values, result = sweep
     columns = (values, result.a, result.standard_phase, result.projected_correction, result.total_phase, result.quadrature_error)
-    table = np.stack(np.broadcast_arrays(*columns), axis=-1).tolist()
-    return "\n".join([SWEEP_CSV_HEADER, *(",".join(map(repr, row)) for row in table)]) + "\n"
+    return _csv(SWEEP_CSV_HEADER, *columns)
 
 
 def dispersion_csv(config: RunConfig, p_max: float, steps: int) -> str:
@@ -339,12 +345,12 @@ def dispersion_csv(config: RunConfig, p_max: float, steps: int) -> str:
         raise ConfigError("dispersion p range must be positive")
     if p_max == math.inf:
         raise ConfigError("dispersion p range must be finite")
-    p = np.linspace(0.0, p_max, steps)
-    momenta = np.stack([p, np.zeros_like(p), np.zeros_like(p)], axis=-1)
+    with np.errstate(over="ignore"):  # its last step, which may round past the largest double, is set to p_max
+        p = np.linspace(0.0, p_max, steps)
+    momenta = p[:, None] * [1.0, 0.0, 0.0]  # along x: each p is finite and nonnegative, so this is exact
     base = dispersion(momenta, config.particle.mass, 0.0).e_plus
     shifted = dispersion(momenta, config.particle.mass, config.a).e_plus
-    table = np.stack([p, base, shifted, shifted - base], axis=-1).tolist()
-    return "\n".join([DISPERSION_CSV_HEADER, *(",".join(map(repr, row)) for row in table)]) + "\n"
+    return _csv(DISPERSION_CSV_HEADER, p, base, shifted, shifted - base)
 
 
 # --- verification suite -----------------------------------------------------

@@ -179,6 +179,7 @@ def phase_geometry(
 
 _ENTERS_COIL = "loop enters the solenoid interior; the flux phase requires field-free paths"
 _NOT_FINITE = "phase is not finite: the inputs overflow double precision"
+_DISPERSION_NOT_FINITE = "dispersion is not finite: the inputs overflow double precision"
 
 
 def _rows(x):
@@ -280,6 +281,9 @@ def _projection_spinor(projection, spinor):
     u = np.asarray(spinor, dtype=complex)
     if u.shape != (4,):
         raise DomainError("spinor must have four components")
+    # exactly rescaled to a largest modulus in [1, 2), <u|u> neither overflows nor underflows; the projection is scale-free
+    _, exponent = np.frexp(np.max(np.abs(u)))
+    u = u / np.ldexp(1.0, exponent - 1)
     norm_sq = float(np.real(np.vdot(u, u)))
     if norm_sq == 0.0:
         raise DomainError("spinor must be nonzero")
@@ -358,11 +362,22 @@ def total_phase(
 
 @dataclass(frozen=True)
 class DispersionResult:
-    """Analytic branches and the explicit 4x4 Hamiltonian; arrays over (..., 3) momenta."""
+    """Analytic branches over (..., 3) momenta; the explicit 4x4 Hamiltonian and its spectrum are built on first read."""
 
     e_plus: float | np.ndarray
     e_minus: float | np.ndarray
-    hamiltonian: np.ndarray = field(repr=False, compare=False)
+    _p3: np.ndarray = field(repr=False, compare=False)
+    _m: np.ndarray = field(repr=False, compare=False)
+    _a: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def hamiltonian(self) -> np.ndarray:
+        """H = alpha.p + a (alpha.p)^2 + beta m per momentum, built and checked on first read; GupabError unless finite."""
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            ap = (self._p3 @ _ALPHA_ROWS).reshape(self._p3.shape[:-1] + (4, 4))
+            matrix = ap + self._a[..., None, None] * (ap @ ap) + self._m[..., None, None] * beta()
+        raise_first((not np.isfinite(matrix).all(), GupabError, _DISPERSION_NOT_FINITE))
+        return matrix
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
@@ -374,22 +389,24 @@ def dispersion(p3, m, a) -> DispersionResult:
     """Energy branches of H = alpha.p + a (alpha.p)^2 + beta m.
 
     Since (alpha.p)^2 = |p|^2, the branches are +-sqrt(|p|^2 + m^2) + a |p|^2,
-    each doubly degenerate; the explicit 4x4 Hamiltonian is returned
-    alongside, and its spectrum, a cross-check, is computed when
-    ``eigenvalues`` is first read. ``p3`` is a 3-vector or an (..., 3) array
-    of them; ``m`` and ``a`` are floats or arrays that broadcast against the
-    momenta. Raises ``GupabError`` if the Hamiltonian or a branch is not
-    finite, as when a |p|^2 overflows double precision.
+    each doubly degenerate; the explicit 4x4 Hamiltonian is built and checked
+    when ``hamiltonian`` is first read, and its spectrum, a cross-check, when
+    ``eigenvalues`` is. ``p3`` is a 3-vector or an (..., 3) array of them;
+    ``m`` and ``a`` are floats or arrays that broadcast against the momenta.
+    Raises ``GupabError`` if a branch or the Hamiltonian is not finite, as
+    when a |p|^2 overflows double precision.
     """
     m, a = np.asarray(m, dtype=float), np.asarray(a, dtype=float)
     raise_first(positive_mass(m), nonnegative_a(a))
     p3 = momenta(p3)
     with np.errstate(over="ignore", invalid="ignore"):  # reported once, below
-        ap = (p3 @ _ALPHA_ROWS).reshape(p3.shape[:-1] + (4, 4))
-        hamiltonian = ap + a[..., None, None] * (ap @ ap) + m[..., None, None] * beta()
         p_sq = (p3 * p3).sum(axis=-1)
-        root = np.sqrt(p_sq + m * m)
-        e_plus, e_minus = root + a * p_sq, -root + a * p_sq
-    if not all(np.isfinite(x).all() for x in (hamiltonian, e_plus, e_minus)):
-        raise GupabError("dispersion is not finite: the inputs overflow double precision")
-    return DispersionResult(e_plus=e_plus, e_minus=e_minus, hamiltonian=hamiltonian)
+        root, shift = np.sqrt(p_sq + m * m), a * p_sq
+        e_plus = root + shift  # finite only with both terms, which are nonnegative: then so is -root + shift
+        # (alpha.p)^2, a matrix product, may round a few ulps past |p|^2: within 2^-40 of overflow, H is checked here
+        near_overflow = not np.isfinite(np.maximum(e_plus, p_sq) * (1.0 + 2.0**-40)).all()
+    raise_first((not np.isfinite(e_plus).all(), GupabError, _DISPERSION_NOT_FINITE))
+    result = DispersionResult(e_plus, -root + shift, p3, m, a)
+    if near_overflow:
+        result.hamiltonian  # noqa: B018 -- built now, so that it raises here and never when read
+    return result

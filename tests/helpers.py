@@ -10,7 +10,9 @@ library one input row at a time, ``reference_sweep`` a sweep run one
 checked one constructor per row. ``reference_loop_of_lines`` and
 ``reference_geometry_of_lines`` are the earlier, wrapper-call form of the
 line-loop build and of ``loop_geometry``'s lines branch, kept as the
-bit-for-bit oracle of the current code.
+bit-for-bit oracle of the current code; ``reference_dispersion`` and
+``reference_csv`` are, likewise, the earlier eager ``dispersion`` and the
+earlier row-by-row CSV writer.
 """
 
 import math
@@ -20,10 +22,10 @@ import numpy as np
 
 from gupab import clifford, gup_algebra
 from gupab.cli_io import _check, _gamma_algebra_residual, run_phase
-from gupab.errors import DomainError, GeometryError, raise_first
+from gupab.errors import DomainError, GeometryError, GupabError, raise_first
 from gupab.field_geometry import _NON_FINITE, _OPEN, _VANISHING, LoopPath, QuadratureSpec, Segment, SolenoidSpec, _broken, _gaps, circle_loop
-from gupab.phase_engine import ParticleSpec, PhaseResult, ab_phase, dispersion, gup_phase_projected
-from gupab.units import GupParameter
+from gupab.phase_engine import _ALPHA_ROWS, ParticleSpec, PhaseResult, ab_phase, dispersion, gup_phase_projected
+from gupab.units import GupParameter, nonnegative_a
 
 # Dirac representation rebuilt from scratch (oracle side).
 _S = [
@@ -416,3 +418,29 @@ def reference_geometry_of_lines(ends, spec):
         axis=-1,
     )
     return float(np.sum(np.arctan2(normal @ d, np.sum(a * b, axis=1)))), clearance
+
+
+def reference_dispersion(p3, m, a):
+    """(e_plus, e_minus, hamiltonian) as ``dispersion`` gave them when it built the Hamiltonian eagerly, or its error.
+
+    The Hamiltonian and both branches are computed at once, and any of them
+    not finite raises ``GupabError``.
+    """
+    m, a = np.asarray(m, dtype=float), np.asarray(a, dtype=float)
+    raise_first(clifford.positive_mass(m), nonnegative_a(a))
+    p3 = clifford.momenta(p3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ap = (p3 @ _ALPHA_ROWS).reshape(p3.shape[:-1] + (4, 4))
+        hamiltonian = ap + a[..., None, None] * (ap @ ap) + m[..., None, None] * clifford.beta()
+        p_sq = (p3 * p3).sum(axis=-1)
+        root = np.sqrt(p_sq + m * m)
+        e_plus, e_minus = root + a * p_sq, -root + a * p_sq
+    if not all(np.isfinite(x).all() for x in (hamiltonian, e_plus, e_minus)):
+        raise GupabError("dispersion is not finite: the inputs overflow double precision")
+    return e_plus, e_minus, hamiltonian
+
+
+def reference_csv(header, *columns):
+    """The CSV text of ``header`` and the broadcast columns, written row by row with ``",".join(map(repr, row))``."""
+    table = np.stack(np.broadcast_arrays(*columns), axis=-1).tolist()
+    return "\n".join([header, *(",".join(map(repr, row)) for row in table)]) + "\n"

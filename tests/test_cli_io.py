@@ -12,9 +12,10 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from helpers import fourier_loop, reference_column_check, reference_sweep, reference_verification
+from helpers import fourier_loop, reference_column_check, reference_csv, reference_sweep, reference_verification
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gupab import cli_io, phase_engine
 from gupab.cli_io import (
@@ -438,6 +439,18 @@ def test_cmd_dispersion_argument_validation(tmp_path, capsys):
         assert captured.err.splitlines() == [f"config error: {message}"]
 
 
+@pytest.mark.parametrize("steps", [2, 3, 10, 100])
+def test_dispersion_up_to_the_largest_double_is_one_error_line(tmp_path, capsys, steps):
+    # linspace's last step can round past the largest double before it is set to p_max: that is no warning
+    path = write_config(tmp_path, BASE_CONFIG)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["dispersion", "-c", path, "--pmax", "1.7976931348623157e308", "--steps", str(steps)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: dispersion is not finite: the inputs overflow double precision"]
+
+
 def test_cmd_dispersion_overflow_exits_1(tmp_path, capsys):
     # a |p|^2 = 4e308 at p = 2 overflows: one error line, no CSV and no traceback
     payload = json.loads(json.dumps(BASE_CONFIG))
@@ -669,11 +682,36 @@ def test_dispersion_csv_skips_the_spectrum(tmp_path, monkeypatch):
         return original(matrix)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    results = []
+
+    def recorded(*args):
+        results.append(dispersion(*args))
+        return results[-1]
+
+    monkeypatch.setattr(cli_io, "dispersion", recorded)
     cli_io.dispersion_csv(load_config(write_config(tmp_path, BASE_CONFIG)), 2.0, 50)
     assert calls == []
+    assert len(results) == 2 and all("hamiltonian" not in vars(result) for result in results)  # nor the Hamiltonian
     result = dispersion(np.array([[0.6, 0.0, 0.0], [0.0, 1.2, 0.0]]), 1.0, 0.1)
     assert result.eigenvalues is result.eigenvalues  # diagonalized on first read, then kept
     assert calls == [(2, 4, 4)]
+
+
+_CSV_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.integers(1, 200), header=st.sampled_from([DISPERSION_CSV_HEADER, SWEEP_CSV_HEADER]), data=st.data())
+def test_csv_template_writes_the_row_writer_text(rows, header, data):
+    # the first column has a value per row; each other one a value per row or one value that every row shares
+    width = header.count(",") + 1
+    first = data.draw(arrays(float, rows, elements=_CSV_FLOATS))
+    rest = [data.draw(st.one_of(_CSV_FLOATS, arrays(float, rows, elements=_CSV_FLOATS))) for _ in range(width - 1)]
+    # line by line, so that a failure names its first differing line without diffing the whole text
+    assert cli_io._csv(header, first, *rest).split("\n") == reference_csv(header, first, *rest).split("\n")
 
 
 # --- one write path: -o is written only after the command has finished ---

@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from helpers import (
     ORACLE_GAMMA,
     fourier_loop,
+    reference_dispersion,
     riemann_phase_matrix,
     riemann_projected_phase,
     riemann_tangent_sums,
@@ -264,6 +265,34 @@ def test_fixed_spinor_matches_comoving_on_straight_segment():
     assert fixed == pytest.approx(comoving, abs=1e-10)
 
 
+@pytest.mark.parametrize("power", [-600, -200, 200, 600])
+def test_on_shell_spinor_projection_at_any_scale(power):
+    # |u|^2 underflowed to 0 at 2^-600 and overflowed at 2^600 when the spinor was not rescaled first
+    u = on_shell_spinor(np.array([0.3, -0.2, 0.5]), 1.0)
+    loop = circle_loop(radius=2.0)
+    unscaled = gup_phase_projected(PARTICLE, loop, 0.01, projection="fixed_spinor", spinor=u)
+    assert gup_phase_projected(PARTICLE, loop, 0.01, projection="fixed_spinor", spinor=u * 2.0**power) == unscaled
+
+
+# real and imaginary parts no smaller than 2^-20 of the largest, so that u 2^k stays a normal double for |k| <= 1000
+_SPINOR_PART = st.one_of(st.just(0.0), st.floats(2.0**-20, 2.0), st.floats(-2.0, -(2.0**-20)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    parts=st.lists(_SPINOR_PART, min_size=8, max_size=8).filter(any),
+    power=st.integers(-1000, 1000),
+    a=st.floats(1e-6, 1.0),
+)
+def test_fixed_spinor_projection_is_scale_free(parts, power, a):
+    u = np.array(parts[:4]) + 1j * np.array(parts[4:])
+    loop = polyline_loop([(2.0, 0.0, 0.0), (0.0, 2.0, 0.5), (-2.0, -1.0, 0.0)])
+    unscaled = phase_rows(phase_geometry(loop, SOLENOID), 1.0, 1.0, 0.6, 1.0, a, "fixed_spinor", u)
+    scaled = phase_rows(phase_geometry(loop, SOLENOID), 1.0, 1.0, 0.6, 1.0, a, "fixed_spinor", u * 2.0**power)
+    assert scaled.projected_correction == unscaled.projected_correction
+    assert scaled.total_phase == unscaled.total_phase
+
+
 def test_fixed_spinor_requires_spinor():
     with pytest.raises(DomainError):
         gup_phase_projected(PARTICLE, circle_loop(radius=1.0), 0.01, DOUBLING, projection="fixed_spinor")
@@ -385,6 +414,60 @@ def test_dispersion_overflow_raises(p3):
     # a |p|^2 = 4e308 overflows: the Hamiltonian and the branches are not finite
     with pytest.raises(GupabError, match="not finite"):
         dispersion(p3, 1.0, 1e308)
+
+
+_LARGEST = 1.7976931348623157e308
+
+
+def _nudged(x, ulps):
+    """x moved ``ulps`` representable doubles up (or down, for a negative count)."""
+    for _ in range(abs(ulps)):
+        x = np.nextafter(x, np.inf if ulps > 0 else 0.0)
+    return x
+
+
+@st.composite
+def _dispersion_near_overflow(draw):
+    """(p3, m, a) up to the edge of overflow: components near 1e154, |p|^2 or a |p|^2 within a few ulps of 1.8e308."""
+    shape = draw(st.sampled_from([(), (1,), (3,), (2, 2)]))
+    component = st.one_of(
+        st.floats(-3.0, 3.0), st.floats(-1.4e154, 1.4e154), st.sampled_from([0.0, -0.0, 1e154, -1.3407807929942596e154])
+    )
+    # or seeded normal draws, whose full mantissas make (alpha.p)^2 and |p|^2 round apart in the last bit
+    seeded = st.builds(
+        lambda seed, scale: np.random.default_rng(seed).normal(size=shape + (3,)) * scale,
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1.0, 1e100, 1e153]),
+    )
+    p3 = draw(st.one_of(arrays(float, shape + (3,), elements=component), seeded))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if draw(st.booleans()):  # |p|^2 within a few ulps of the largest double
+            p3 = p3 * np.sqrt(_LARGEST / (p3 * p3).sum(axis=-1))[..., None]
+            p3 = np.where(np.isfinite(p3), p3, 1e154)
+            p3 = _nudged(p3, draw(st.integers(-3, 3)))
+        p_sq = (p3 * p3).sum(axis=-1)
+        edge = _nudged(np.where(p_sq > 0.0, _LARGEST / p_sq, _LARGEST), draw(st.integers(-3, 3)))
+    edge = np.where(np.isfinite(edge), edge, _LARGEST)  # a |p|^2 within a few ulps of the largest double, row by row
+    a = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(0.0, _LARGEST), st.just(edge), st.just(edge.flat[0])))
+    m = draw(st.one_of(st.floats(0.1, 5.0), st.floats(1e-300, 1.4e154), st.just(1.3407807929942596e154)))
+    return p3, m, a
+
+
+@settings(max_examples=400, deadline=None)
+@given(_dispersion_near_overflow())
+@example((np.array([1.6347830429585774e150, 2.7276877584472174e149, -1.2333286640307717e150]), 1.0, 42120092.66333629))
+@example((np.array([2.228175225759626e152, 2.940952821448721e152, -1.340273008766814e154]), 1.0, 0.0))
+def test_lazy_hamiltonian_is_the_eager_one_and_never_raises_when_read(inputs):
+    # the two examples have finite branches but, through (alpha.p)^2's rounding, a Hamiltonian that is not
+    try:
+        e_plus, e_minus, hamiltonian = reference_dispersion(*inputs)
+    except GupabError as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            dispersion(*inputs)
+        return
+    result = dispersion(*inputs)
+    assert np.array_equal(result.e_plus, e_plus) and np.array_equal(result.e_minus, e_minus)
+    assert result.hamiltonian.tobytes() == hamiltonian.tobytes()
 
 
 # Straight edges that reach the coil between the 256 samples of a sampled
@@ -625,6 +708,7 @@ def test_one_row_keeps_the_scalar_operation_order(q, m, v, flux, a, vertices, cl
         projected = m / energy * float(matrix[0, 0].real)
     else:
         u = np.asarray(spinor, dtype=complex)
+        u = u / 2.0 ** (math.frexp(float(np.max(np.abs(u))))[1] - 1)  # first rescaled to a largest modulus in [1, 2)
         projected = float(np.real(np.vdot(u, matrix @ u))) / float(np.real(np.vdot(u, u)))
     standard = q * flux * (geometry.swept_angle / (2.0 * math.pi))
     assert result.correction_matrix.tobytes() == matrix.tobytes()
