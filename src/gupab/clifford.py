@@ -96,10 +96,11 @@ def positive_mass(m):
 
 
 def momenta(p3) -> np.ndarray:
-    """p3 as a float array of 3-vectors; DomainError unless it is a 3-vector or an (..., 3) array of them."""
+    """p3 as a float array of 3-vectors; DomainError unless it is a 3-vector or an (..., 3) array of them, all finite."""
     p3 = np.asarray(p3, dtype=float)
     if p3.ndim == 0 or p3.shape[-1] != 3:
         raise DomainError("momentum must be a 3-vector or an (..., 3) array of them")
+    raise_first((np.logical_not(np.isfinite(p3).all(axis=-1)), DomainError, "momentum must be finite"))
     return p3
 
 
@@ -117,7 +118,6 @@ def on_shell_spinor(p3, m, branch: str = "particle1") -> np.ndarray:
     if branch not in ("particle1", "particle2"):
         raise DomainError("branch must be 'particle1' or 'particle2'")
     p3 = momenta(p3)
-    raise_first((np.logical_not(np.isfinite(p3).all(axis=-1)), DomainError, "momentum must be finite"))
     # in units of a power of 2 near max(|p_i|, m), |p|^2 + m^2 cannot overflow, and u keeps its bits
     _, exponent = np.frexp(np.maximum(np.max(np.abs(p3), axis=-1), m))
     unit = np.ldexp(1.0, exponent - 1)

@@ -214,7 +214,8 @@ def _matrix_base(geometry: PhaseGeometry, energy, momentum, contraction):
     matrix = _rows(energy * geometry.length) * _G0
     if geometry.displacement is not None:
         matrix = matrix - _rows(momentum) * np.tensordot(geometry.displacement, _G_SPATIAL, axes=1)
-    return _rows(contraction) * matrix, contraction * energy * geometry.length_error
+    # a zero length error gives an error of 0.0 even where (E/v - p) E overflows
+    return _rows(contraction) * matrix, contraction * (energy * geometry.length_error)
 
 
 def _matrix_correction(geometry: PhaseGeometry, charge, energy, momentum, speed, a):

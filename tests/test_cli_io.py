@@ -33,7 +33,7 @@ from gupab.cli_io import (
 )
 from gupab.errors import ConfigError, GeometryError, GupabError
 from gupab.field_geometry import LoopPath, QuadratureSpec, SolenoidSpec, circle_loop, line_segment, loop_geometry, solenoid_circulation
-from gupab.phase_engine import ParticleSpec, PhaseResult, dispersion, total_phase
+from gupab.phase_engine import ParticleSpec, PhaseResult, dispersion, gup_phase_projected, total_phase
 
 BASE_CONFIG = {
     "particle": {"q": 1.0, "m": 1.0, "v": 0.6},
@@ -141,9 +141,10 @@ def test_sweep_validation(tmp_path):
     payload["sweep"] = {"parameter": "gup.a", "values": []}
     with pytest.raises(ConfigError, match="non-empty"):
         load_config(write_config(tmp_path, payload))
-    payload["sweep"] = {"parameter": "particle.v", "values": [0.5, 1.5]}
-    with pytest.raises(ConfigError, match="particle.v"):
-        load_config(write_config(tmp_path, payload))
+    for values in ([0.5, 1.5], [0.3, 0.6, 1.0, 0.2]):
+        payload["sweep"] = {"parameter": "particle.v", "values": values}
+        with pytest.raises(ConfigError, match="particle.v"):
+            load_config(write_config(tmp_path, payload))
     payload = json.loads(json.dumps(BASE_CONFIG))
     payload["loop"] = {"kind": "rectangle", "corners": [[1, 1, 0], [-1, 1, 0], [-1, -1, 0], [1, -1, 0]]}
     payload["sweep"] = {"parameter": "loop.radius", "values": [1.0]}
@@ -264,13 +265,20 @@ def test_outputs_are_deterministic(tmp_path):
     assert first == second
 
 
+def _reject_constant(constant):
+    raise ValueError(f"non-finite number {constant} in strict JSON")
+
+
 def test_phase_json_round_trip_bits(tmp_path, capsys):
-    assert main(["phase", "-c", write_config(tmp_path, BASE_CONFIG)]) == 0
-    text = capsys.readouterr().out
-    payload = json.loads(text)
-    assert json.dumps(payload, indent=2) + "\n" == text
-    restored = PhaseResult.from_json_dict(payload)
-    assert json.dumps(restored.to_json_dict(), indent=2) + "\n" == text
+    rectangle = {"kind": "rectangle", "corners": [[1, 1, 0], [-1, 1, 0], [-1, -1, 0], [1, -1, 0]]}
+    polyline = {"kind": "polyline", "vertices": [[2, 0, 0], [0, 2, 0.5], [-2, -1, 0], [1, -1.5, -0.3]]}
+    for loop in (BASE_CONFIG["loop"], rectangle, polyline):
+        assert main(["phase", "-c", write_config(tmp_path, dict(BASE_CONFIG, loop=loop))]) == 0
+        text = capsys.readouterr().out
+        payload = json.loads(text, parse_constant=_reject_constant)
+        assert json.dumps(payload, indent=2) + "\n" == text
+        restored = PhaseResult.from_json_dict(payload)
+        assert json.dumps(restored.to_json_dict(), indent=2) + "\n" == text
 
 
 def _assert_phase_json_restores(result):
@@ -304,17 +312,27 @@ def test_phase_json_of_an_open_path():
     _assert_phase_json_restores(result)
 
 
+def _config_bytes(**sections):
+    """The bytes of BASE_CONFIG with the given sections replaced."""
+    return json.dumps({**BASE_CONFIG, **sections}).encode()
+
+
 @pytest.mark.parametrize(
     "content, message",
     [
         (b'{"particle": "\xff\xfe"}', "config error: cannot read config file: 'utf-8' codec can't decode byte 0xff"),
         (b"[" * 100_000, "config error: config parse error: maximum recursion depth exceeded"),
         (b'{"particle": ' + b"9" * 5000 + b"}", "config error: config parse error: Exceeds the limit (4300 digits)"),
+        (b"[]", "config error: config root must be a JSON object"),
+        (_config_bytes(loop={"kind": "ellipse"}), "config error: loop.kind must be one of circle, rectangle, polyline"),
+        (_config_bytes(loop={"kind": "polyline", "vertices": 5}), "config error: loop.vertices must be a list of points"),
+        (_config_bytes(gup={"a0": 1.0, "units": "planck"}), "config error: gup.units must be 'natural' or 'si'"),
+        (_config_bytes(projection="none"), "config error: projection must be one of comoving_on_shell, fixed_spinor"),
     ],
-    ids=["not-utf-8", "nested-too-deeply", "too-many-digits"],
+    ids=["not-utf-8", "nested-too-deeply", "too-many-digits", "root", "loop-kind", "vertices", "gup-units", "projection"],
 )
 def test_unreadable_config_is_a_one_line_config_error(tmp_path, capsys, content, message):
-    # each file is at most 100 KB
+    # each file is at most 100 KB; the last five are valid JSON with a root, a choice or a point list that the schema rejects
     path = tmp_path / "bad.json"
     path.write_bytes(content)
     assert main(["phase", "-c", str(path)]) == 2
@@ -387,20 +405,23 @@ def test_batched_verification_matches_row_by_row(level, perturbation, monkeypatc
 
 
 def test_cmd_verify_exit_codes(capsys):
-    assert main(["verify", "--level", "fast"]) == 0
-    capsys.readouterr()
-    assert main(["verify", "--level", "fast", "--inject-fault"]) == 1
-    report = json.loads(capsys.readouterr().out)
-    assert not report["all_passed"]
+    for level in ("fast", "full"):
+        assert main(["verify", "--level", level]) == 0
+        capsys.readouterr()
+        assert main(["verify", "--level", level, "--inject-fault"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert not report["all_passed"]
 
 
 def test_cmd_dispersion_zero_coupling(tmp_path, capsys):
     payload = json.loads(json.dumps(BASE_CONFIG))
     payload["gup"] = {"a": 0.0}
-    assert main(["dispersion", "-c", write_config(tmp_path, payload), "--pmax", "2.0", "--steps", "5"]) == 0
-    lines = capsys.readouterr().out.strip().split("\n")
-    assert lines[0] == DISPERSION_CSV_HEADER
-    assert all(float(line.split(",")[3]) == 0.0 for line in lines[1:])
+    for argv, steps in [(["--pmax", "2.0", "--steps", "5"], 5), (["--steps", "2000"], 2000)]:
+        assert main(["dispersion", "-c", write_config(tmp_path, payload), *argv]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert lines[0] == DISPERSION_CSV_HEADER
+        assert len(lines) == steps + 1
+        assert all(float(line.split(",")[3]) == 0.0 for line in lines[1:])
 
 
 def test_cmd_dispersion_worked_row(tmp_path, capsys):
@@ -463,11 +484,13 @@ def test_cmd_dispersion_overflow_exits_1(tmp_path, capsys):
 
 @pytest.mark.parametrize("index", [0, 1, 2, 3])
 def test_rectangle_repeated_corner_names_corners(tmp_path, capsys, index):
+    # the same points as a polyline name its vertices
     corners = [[1.0, 1.0, 0.0], [-1.0, 1.0, 0.0], [-1.0, -1.0, 0.0], [1.0, -1.0, 0.0]]
     corners[(index + 1) % 4] = list(corners[index])
-    payload = dict(BASE_CONFIG, loop={"kind": "rectangle", "corners": corners})
-    assert main(["phase", "-c", write_config(tmp_path, payload)]) == 2
-    assert capsys.readouterr().err == f"config error: loop.corners repeat consecutively at index {index}\n"
+    for kind, key in [("rectangle", "corners"), ("polyline", "vertices")]:
+        payload = dict(BASE_CONFIG, loop={"kind": kind, key: corners})
+        assert main(["phase", "-c", write_config(tmp_path, payload)]) == 2
+        assert capsys.readouterr() == ("", f"config error: loop.{key} repeat consecutively at index {index}\n")
 
 
 def test_parser_is_built_once(tmp_path, capsys):
@@ -955,7 +978,7 @@ def test_batched_sweep_matches_row_by_row(parameter, kind, projection, data):
     "parameter, values",
     [
         ("gup.a", [0.0, 0.01, 0.02]),
-        ("solenoid.flux", [1.0, -2.0, 0.5, 3.0]),
+        ("solenoid.flux", [1.0, -2.0, 0.5, 3.0, 300.0]),
         ("particle.v", [0.2, 0.4, 0.6, 0.8, 0.9]),
         ("loop.radius", [1.0, 1.5, 2.0, 2.5]),
     ],
@@ -968,11 +991,13 @@ def test_sweep_computes_loop_geometry_once_per_loop(tmp_path, capsys, monkeypatc
         return loop_geometry(*args)
 
     monkeypatch.setattr(phase_engine, "loop_geometry", counted)
-    payload = json.loads(json.dumps(BASE_CONFIG))
-    payload["sweep"] = {"parameter": parameter, "values": values}
-    assert main(["sweep", "-c", write_config(tmp_path, payload)]) == 0
-    assert len(capsys.readouterr().out.splitlines()) == len(values) + 1
-    assert len(calls) == 1
+    rectangle = {"kind": "rectangle", "corners": [[1, 1, 0], [-1, 1, 0], [-1, -1, 0], [1, -1, 0]]}
+    for loop in [BASE_CONFIG["loop"]] + ([rectangle] if parameter != "loop.radius" else []):
+        payload = dict(BASE_CONFIG, loop=loop, sweep={"parameter": parameter, "values": values})
+        assert main(["sweep", "-c", write_config(tmp_path, payload)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == len(values) + 1
+        assert len(calls) == 1
+        calls.clear()
 
 
 _EXTREME_RADII = [0.0, -0.0, -1.0, -1e308, 1e308, 1.7e308, 1e-320, 5e-324, 1e-310, 3.0]
@@ -1027,6 +1052,18 @@ def test_tiny_circle_phase_and_radius_sweep(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["standard_phase"] == 1.0
     assert main(["sweep", "-c", path]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 3
+    # a heavy, slow particle about a circle of radius 1e-100: (E/v - p) E overflows, times a length error of 0.0
+    payload = {
+        "particle": {"q": 1.0, "m": 1e160, "v": 1e-10},
+        "solenoid": {"flux": 1.0, "radius": 1e-101},
+        "loop": {"kind": "circle", "radius": 1e-100},
+        "gup": {"a": 1e-100},
+    }
+    assert main(["phase", "-c", write_config(tmp_path, payload)]) == 0
+    result = json.loads(capsys.readouterr().out)
+    particle = ParticleSpec(charge=1.0, mass=1e160, speed=1e-10)
+    assert result["standard_phase"] == 1.0 and result["quadrature_error"] == 0.0
+    assert result["projected_correction"] == gup_phase_projected(particle, circle_loop(radius=1e-100), 1e-100)
 
 
 _OVERFLOW = "phase is not finite: the inputs overflow double precision"
@@ -1040,12 +1077,13 @@ _INSIDE = "loop enters the solenoid interior; the flux phase requires field-free
         ("gup", {"a": 1e7}, [1.0, 0.05, 1e303], _INSIDE),
         ("particle", {"v": 1e-320}, [0.05, 1.0], _INSIDE),  # every row overflows; row 1 also enters the coil
         ("particle", {"v": 1e-320}, [1.0, 0.05], _OVERFLOW),
+        ("sweep", {"parameter": "particle.v"}, [0.3, 0.6, 1e-320], _OVERFLOW),  # E / v overflows in the last row
     ],
 )
 def test_failing_sweep_reports_its_first_failing_row(tmp_path, capsys, section, update, values, message):
     payload = json.loads(json.dumps(BASE_CONFIG))
-    payload[section].update(update)
     payload["sweep"] = {"parameter": "loop.radius", "values": values}
+    payload[section].update(update)
     assert main(["sweep", "-c", write_config(tmp_path, payload)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -15,6 +15,8 @@ from gupab.clifford import (
     slash,
 )
 from gupab.errors import DomainError
+from gupab.gup_algebra import deform_momentum
+from gupab.phase_engine import dispersion
 
 I4 = np.eye(4)
 
@@ -279,7 +281,9 @@ def test_spinor_at_huge_momenta_is_the_ultrarelativistic_limit(p3, branch):
 
 @pytest.mark.parametrize("p3", [(np.inf, 0.0, 0.0), (0.0, -np.inf, 0.0), (0.0, 0.0, np.nan), [(0.3, 0.1, 0.0), (np.inf, 0.0, 0.0)]])
 def test_spinor_of_a_non_finite_momentum_is_a_domain_error(p3):
+    # clifford.momenta makes the check, for the dispersion and the deformation map as well
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DomainError, match="^momentum must be finite$"):
-            on_shell_spinor(p3, 1.0)
+        for call in (lambda: on_shell_spinor(p3, 1.0), lambda: dispersion(p3, 1.0, 0.0), lambda: deform_momentum(p3, 0.1)):
+            with pytest.raises(DomainError, match="^momentum must be finite$"):
+                call()

@@ -606,8 +606,9 @@ def test_arc_clearance_is_exact():
 )
 @example(1.0, -1.8414457813231144, 17.5, ("chord", 20, 0.5), 1.0)  # reversed, it once came out 1e-14 off
 def test_arc_circulation_property(radius, theta0, sweep, placement, facing):
-    # partial arcs of up to three turns either way, with the axis inside or outside the
-    # circle or on the line through the ends of one of the sub-arcs the closed form splits into
+    # partial arcs of up to three turns either way, with the axis inside or outside the circle, or on the
+    # line through two arc points at most a quarter turn apart: near the circle or an arc end, where the
+    # atan2 end terms matter
     center = np.array([0.4, -0.3, 0.7])
     if placement[0] == "polar":
         _, offset, bearing = placement

@@ -480,9 +480,14 @@ EDGE_THROUGH_AXIS = (
     polyline_loop([(-1.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]),
     SolenoidSpec(flux=1.0, radius=1e-6),
 )
+# the same edges as generic curves, with a sampled clearance inside the coil: their turns are NaN
+GENERIC_EDGE_THROUGH_AXIS = (
+    LoopPath(tuple(strip_shape(segment) for segment in EDGE_THROUGH_AXIS[0].segments)),
+    SolenoidSpec(flux=1.0, radius=0.01),
+)
 
 
-@pytest.mark.parametrize("loop, solenoid", [LONG_EDGE_GRAZING_COIL, EDGE_THROUGH_AXIS])
+@pytest.mark.parametrize("loop, solenoid", [LONG_EDGE_GRAZING_COIL, EDGE_THROUGH_AXIS, GENERIC_EDGE_THROUGH_AXIS])
 def test_straight_edge_reaching_coil_rejected(loop, solenoid):
     for path in (loop, loop.reverse()):
         with pytest.raises(GeometryError):
@@ -615,6 +620,10 @@ def test_arc_phase_scales_with_the_loop(scale):
     scaled = total_phase(PARTICLE, SolenoidSpec(flux=1.0, radius=0.1 * scale), half_disk(scale), 0.01)
     assert scaled.standard_phase == pytest.approx(base.standard_phase, rel=1e-13)
     assert scaled.projected_correction == pytest.approx(base.projected_correction * scale, rel=1e-13, abs=0.0)
+    # by the nearest power of 2, with a scaled inversely, both phases keep every bit
+    power = 2.0 ** round(math.log2(scale))
+    exact = total_phase(PARTICLE, SolenoidSpec(flux=1.0, radius=0.1 * power), half_disk(power), 0.01 / power)
+    assert (exact.standard_phase, exact.projected_correction) == (base.standard_phase, base.projected_correction)
 
 
 _STAR = [(1.0, 0.0), (1.5, 0.1), (2.0, -0.2), (1.2, 0.0)]
@@ -642,6 +651,10 @@ def test_polyline_phase_scales_with_the_loop(k, center, star):
     scaled = total_phase(PARTICLE, SolenoidSpec(flux=1.0, radius=0.05 * scale), polyline_loop(points * scale), 0.01)
     assert scaled.standard_phase == pytest.approx(base.standard_phase, rel=1e-13, abs=1e-13)
     assert scaled.projected_correction == pytest.approx(base.projected_correction * scale, rel=1e-13, abs=0.0)
+    # by the nearest power of 2, with a scaled inversely, both phases keep every bit
+    power = 2.0 ** round(k * math.log2(10.0))
+    exact = total_phase(PARTICLE, SolenoidSpec(flux=1.0, radius=0.05 * power), polyline_loop(points * power), 0.01 / power)
+    assert (exact.standard_phase, exact.projected_correction) == (base.standard_phase, base.projected_correction)
 
 
 @settings(max_examples=20, deadline=None)
@@ -856,6 +869,10 @@ _CALLERS = [
     (_SHAPE, lambda: on_shell_spinor(np.zeros((4, 2)), 1.0)),
     (_SHAPE, lambda: gup_algebra.deform_momentum([1.0, 2.0], 0.1)),
     (_SHAPE, lambda: gup_algebra.jacobian_commutator(2.0, 1, 1, 0.1)),
+    ("spinor must have four components", lambda: gup_phase_projected(PARTICLE, _LOOP, 0.01, None, "fixed_spinor", np.ones(3))),
+    ("spinor must have four components", lambda: total_phase(PARTICLE, SOLENOID, _LOOP, 0.01, None, "fixed_spinor", np.ones(3))),
+    ("spinor must be nonzero", lambda: gup_phase_projected(PARTICLE, _LOOP, 0.01, None, "fixed_spinor", np.zeros(4))),
+    ("spinor must be nonzero", lambda: total_phase(PARTICLE, SOLENOID, _LOOP, 0.01, None, "fixed_spinor", np.zeros(4))),
 ]
 
 
