@@ -29,13 +29,12 @@ import numpy as np
 
 from . import clifford, gup_algebra
 from .errors import ConfigError, DomainError, GeometryError, GupabError, raise_first
-from .field_geometry import LoopPath, QuadratureSpec, SolenoidSpec, check_radius, finite_flux, make_loop
+from .field_geometry import LoopPath, QuadratureSpec, SolenoidSpec, check_radius, finite_flux, loop_geometry, make_loop
 from .phase_engine import (
     ParticleSpec,
     PhaseResult,
     dispersion,
     gup_phase_projected,
-    phase_geometry,
     phase_rows,
     subluminal_speed,
     total_phase,
@@ -296,7 +295,7 @@ def run_sweep(config: RunConfig) -> tuple[np.ndarray, PhaseResult]:
     """The sweep values, as an array, and one ``PhaseResult`` of every row, a batch over one geometry record.
 
     A gup.a, particle.v or solenoid.flux sweep computes the loop's
-    ``phase_geometry`` record, whose turns hold for every flux, and a
+    ``loop_geometry`` record, whose turns hold for every flux, and a
     loop.radius sweep that of the loop's circle with the radius column
     swapped in; ``phase_rows`` then takes every row at once, each row with
     the operations ``run_phase`` would give it. The result's fields are
@@ -310,9 +309,9 @@ def run_sweep(config: RunConfig) -> tuple[np.ndarray, PhaseResult]:
     values = np.array(sweep.values)
     inputs = dict(charge=particle.charge, mass=particle.mass, speed=particle.speed, flux=solenoid.flux, a=config.a)
     if sweep.parameter == "loop.radius":
-        geometry = phase_geometry(config.loop, solenoid, config.quadrature, values)
+        geometry = loop_geometry(config.loop, solenoid, config.quadrature, values)
     else:
-        geometry = phase_geometry(config.loop, solenoid, config.quadrature)
+        geometry = loop_geometry(config.loop, solenoid, config.quadrature)
         inputs[_SWEPT_INPUT[sweep.parameter]] = values
     return values, phase_rows(geometry, **inputs, projection=config.projection, spinor=config.spinor)
 

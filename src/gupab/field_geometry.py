@@ -6,8 +6,9 @@ circular arcs ``Arc`` records; ``LoopPath`` validates them (all lines in one
 array call) and takes their ends and exact lengths once, without calling
 them; a loop of lines only takes its ends array from its lines in one call.
 Only generic curves, ``Segment``s, are checked on a 64-point sample.
-``loop_geometry`` adds the closed forms that depend on a solenoid: the azimuth
-swept about its axis and the least distance from it, for lines by ufuncs and
+``loop_geometry`` builds, once per loop, the record a phase needs of it: the
+length, and the closed forms that depend on a solenoid, the azimuth swept
+about its axis and the least distance from it, for lines by ufuncs and
 ndarray methods over the ends array, for arcs by two atan2 end terms, each
 within (-pi/2, pi/2), so with no unwrapping needed. Generic curves go through
 composite Gauss-Legendre quadrature per piece, with the error estimated by
@@ -21,7 +22,7 @@ generic fields handed to ``line_integral`` are called once per point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
@@ -155,7 +156,8 @@ class Arc(NamedTuple):
     """A circular arc in the plane z = center_z, from angle ``theta0`` to ``theta1`` (radians) about ``center``.
 
     ``check_radius`` and ``loop_geometry`` also read an arc whose radius is
-    an array, a column of circles. Reversal swaps the end angles.
+    an array, a column of circles. Reversal swaps the end angles; ``checks``
+    validates an arc, whoever builds it.
     """
 
     center: tuple
@@ -187,16 +189,20 @@ class Arc(NamedTuple):
     def checks(self):
         """The checks, for ``raise_first``, that the arc is valid, an entry per radius for an array of radii.
 
-        An arc is valid where |center| + radius, the length and both end
-        angles are finite, which bounds every point and tangent, and the
-        length is positive.
+        An arc is valid where the radius is positive, |center| + radius, the
+        length and both end angles are finite, which bounds every point and
+        tangent, and the length is positive.
         """
         (cx, cy, cz), radius, theta0, theta1 = self
         length = self.length()
         size = math.hypot(cx, cy, cz) + radius
         angles = math.isfinite(theta0) and math.isfinite(theta1)
         finite = (abs(size) < math.inf) & (abs(length) < math.inf) & angles
-        return (np.logical_not(finite), GeometryError, _NON_FINITE), (np.logical_not(length > 0.0), GeometryError, _VANISHING)
+        return (
+            (np.logical_not(radius > 0.0), GeometryError, _NONPOSITIVE_RADIUS),
+            (np.logical_not(finite), GeometryError, _NON_FINITE),
+            (np.logical_not(length > 0.0), GeometryError, _VANISHING),
+        )
 
     def ends(self):
         """The start and end points, for finite end angles; each coordinate is an array for an array of radii."""
@@ -212,13 +218,10 @@ def line_segment(start, end) -> Line:
 
 
 def arc_segment(center, radius, theta0, theta1) -> Arc:
-    """Circular arc in the plane z = center_z, angles in radians about the center."""
-    center = _point(center, "arc center")
-    if not (radius > 0.0):
-        raise GeometryError("arc radius must be positive")
-    if theta1 == theta0:
-        raise GeometryError("degenerate arc: zero angular sweep")
-    return Arc(center, float(radius), float(theta0), float(theta1))
+    """Circular arc in the plane z = center_z, angles in radians about the center; GeometryError unless ``Arc.checks`` pass."""
+    arc = Arc(_point(center, "arc center"), float(radius), float(theta0), float(theta1))
+    raise_first(*arc.checks())
+    return arc
 
 
 _NON_FINITE = "segment has non-finite points or tangents"
@@ -264,6 +267,8 @@ def _measure(seg):
     ``LoopPath``.
     """
     if isinstance(seg, Arc):
+        if len(seg.center) != 3:  # an Arc built directly: its center raises as in arc_segment
+            _point(seg.center, "arc center")
         raise_first(*seg.checks())
         return seg.ends(), None
     s = np.linspace(0.0, 1.0, _VALIDATION_SAMPLES)
@@ -350,22 +355,21 @@ class LoopPath:
 
 def circle_loop(center=(0.0, 0.0, 0.0), radius=1.0, windings=1) -> LoopPath:
     """Circle in the z = center_z plane from angle 0, traversed ``windings`` times (sign = orientation)."""
-    if not (radius > 0.0):
-        raise GeometryError(_NONPOSITIVE_RADIUS)
     w = int(windings) if abs(windings) < math.inf else 0  # inf and nan are not integers either
     if w != windings or w == 0:
         raise GeometryError("windings must be a nonzero integer")
     # beyond 2**1023 turns the sweep overflows to inf, which LoopPath rejects; a larger int would not convert
-    return LoopPath((arc_segment(center, radius, 0.0, 2.0 * math.pi * min(max(w, -(2**1023)), 2**1023)),))
+    sweep = 2.0 * math.pi * min(max(w, -(2**1023)), 2**1023)
+    return LoopPath((Arc(_point(center, "arc center"), float(radius), 0.0, sweep),))
 
 
 def check_radius(loop: LoopPath, radius: np.ndarray):
     """Check each entry of ``radius`` as the radius of ``loop``, a circle: one array call for a column of circles.
 
-    Each row gets the checks, in order and with the messages, that ``circle_loop`` and
-    ``LoopPath`` give the circle of that radius: a positive radius, the arc checks of
-    ``Arc.checks``, then closure. The first row that fails raises the
-    ``GeometryError`` of its first failing check; the center and end angles are the loop's.
+    Each row gets the checks, in order and with the messages, that ``LoopPath`` gives
+    the circle of that radius: those of ``Arc.checks``, then closure. The first row
+    that fails raises the ``GeometryError`` of its first failing check; the center and
+    end angles are the loop's.
     """
     arc = circle_arc(loop, radius)
     with np.errstate(over="ignore", invalid="ignore"):  # overflowing rows are reported as non-finite
@@ -373,11 +377,7 @@ def check_radius(loop: LoopPath, radius: np.ndarray):
         start, end = (np.stack(np.broadcast_arrays(*point), axis=-1) for point in arc.ends())
         closure = _gaps(end, start)
         broken = _broken(closure, 1e-12 * arc.length())  # the tolerance of LoopPath, from the one arc's length
-    raise_first(
-        (np.logical_not(radius > 0.0), GeometryError, _NONPOSITIVE_RADIUS),
-        *checks,
-        (broken, GeometryError, _OPEN.format(closure[np.argmax(broken)])),
-    )
+    raise_first(*checks, (broken, GeometryError, _OPEN.format(closure[np.argmax(broken)])))
 
 
 def _check_distinct(points: np.ndarray, name: str):
@@ -449,11 +449,11 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class IntegralResult:
-    """A loop integral; closed forms report error 0.0 and no node count."""
+    """A loop integral by quadrature: its value, its node-doubling error and the nodes per segment it ended on."""
 
     value: float
     error_estimate: float
-    nodes_per_segment: int | None = None
+    nodes_per_segment: int
 
 
 @lru_cache(maxsize=32)
@@ -524,13 +524,6 @@ def loop_length(loop: LoopPath, quad: QuadratureSpec | None = None) -> IntegralR
     return _quadrature(lambda seg, s: np.linalg.norm(seg.tangent(s), axis=1), loop, quad)
 
 
-class LoopGeometry(NamedTuple):
-    """A path's azimuth swept about a solenoid axis (None if some segment has no closed form) and its clearance."""
-
-    swept_angle: float | None
-    clearance: float
-
-
 def _unit_scale(radial: np.ndarray):
     """(radial / scale, scale) of (k, m, 3) vectors; each of the k groups' scale is a power of 2 near its largest entry.
 
@@ -589,45 +582,84 @@ def _arc_about_axis(arc, spec: SolenoidSpec):
     return clearance, facing * (inside * sweep + end_terms)
 
 
-def loop_geometry(loop: LoopPath, spec: SolenoidSpec, radius=None) -> LoopGeometry:
-    """The path's swept azimuth about the solenoid axis and its clearance from it.
+class LoopGeometry(NamedTuple):
+    """What a phase needs of one loop about one coil, whatever the particle, flux and coupling.
+
+    ``turns`` is the azimuth the loop sweeps about the axis over 2 pi, the
+    flux phase per unit charge and flux: exact for lines and arcs, with
+    ``turns_error`` 0.0, and, when some segment is a generic curve, the
+    coil's circulation along the loop at unit flux, by quadrature (NaN for
+    a loop through the coil, which ``phase_rows`` reports instead).
+    ``clearance`` is the loop's least distance from the axis and
+    ``coil_radius`` the coil's radius. ``length`` is exact for lines and
+    arcs, with ``length_error`` 0.0, and integrated otherwise;
+    ``displacement`` is the end-to-end step, None on closed paths. A record
+    built with no coil holds None in the four coil fields; one built over a
+    column of radii holds an array in each field that the radius changes.
+    """
+
+    turns: float | np.ndarray | None
+    turns_error: float | None
+    clearance: float | np.ndarray | None
+    coil_radius: float | None
+    length: float | np.ndarray
+    length_error: float
+    displacement: np.ndarray | None
+
+
+def loop_geometry(loop: LoopPath, spec: SolenoidSpec | None, quad: QuadratureSpec | None = None, radius=None) -> LoopGeometry:
+    """The loop's ``LoopGeometry`` about the coil ``spec``, or with no coil if it is None; quadrature only for generic curves.
 
     A line sweeps the atan2 angle between its endpoints' radial vectors,
     taken in units of their ``_unit_scale``, and an arc whose plane is
-    normal to the axis sweeps the closed form of ``_arc_about_axis``; the swept
-    angle is None if some segment is neither. The clearance, the least
-    distance from the axis, is always given: exact for lines and normal
-    arcs, the least of 256 samples per segment otherwise.
+    normal to the axis sweeps the closed form of ``_arc_about_axis``; any
+    other segment leaves the turns to quadrature, run only if the loop
+    clears the coil. The clearance is exact for lines and normal arcs, the
+    least of 256 samples per segment otherwise.
 
-    An array ``radius`` makes a column of circles: the loop must be one arc
-    in a plane normal to the axis, each entry is taken as its radius (see
-    ``check_radius``), and both results hold an entry per radius.
+    An array ``radius`` makes a column of circles: the loop must be one arc,
+    normal to the axis if there is a coil, each entry is taken as its radius
+    (see ``check_radius``), and the record holds an entry per radius.
     """
-    along_z = spec.axis_direction[0] == 0.0 and spec.axis_direction[1] == 0.0  # arcs lie in planes z = const
-    is_line = [isinstance(seg, Line) for seg in loop.segments]
-    arcs = [seg for seg in loop.segments if isinstance(seg, Arc)]
-    curves = [seg for seg in loop.segments if not isinstance(seg, (Line, Arc))]
-    if radius is not None:
-        raise_first((not along_z, GeometryError, _ONE_ARC))
-        arcs = [circle_arc(loop, radius)]
-    swept, rho = 0.0, []
-    if any(is_line):  # no index into the ends for a loop of arcs, nor for a loop of lines
-        d = np.asarray(spec.axis_direction)
-        unit, scale = _unit_scale(spec.radial(loop.ends if all(is_line) else loop.ends[is_line]))
-        rho.append(_closest_radius_of_lines(unit, scale))
-        # a x b of each line's end vectors a, b as np.cross forms it, from their components shifted by one and by two
-        nxt, nxt2 = unit.take(_NEXT, axis=2), unit.take(_NEXT2, axis=2)
-        normal = nxt[:, 0] * nxt2[:, 1] - nxt2[:, 0] * nxt[:, 1]
-        swept += float(np.arctan2(normal @ d, (unit[:, 0] * unit[:, 1]).sum(axis=1)).sum())
-    if along_z:
-        for arc in arcs:
-            clearance, angle = _arc_about_axis(arc, spec)
-            rho.append(clearance)
-            swept += angle
-    else:  # tilted to the axis: sampled clearance, quadrature flux
-        curves += arcs
-    if curves:
-        s = np.linspace(0.0, 1.0, _CLEARANCE_SAMPLES)
-        _, sampled = spec.axial_decomposition(np.vstack([seg.point(s) for seg in curves]))
-        rho.append(float(np.min(sampled)))
-    return LoopGeometry(None if curves else swept, min(rho))
+    column = None if radius is None else circle_arc(loop, radius)
+    turns = turns_error = clearance = coil_radius = None
+    if spec is not None:
+        along_z = spec.axis_direction[0] == 0.0 and spec.axis_direction[1] == 0.0  # arcs lie in planes z = const
+        raise_first((column is not None and not along_z, GeometryError, _ONE_ARC))
+        is_line = [isinstance(seg, Line) for seg in loop.segments]
+        arcs = [seg for seg in loop.segments if isinstance(seg, Arc)] if column is None else [column]
+        curves = [seg for seg in loop.segments if not isinstance(seg, (Line, Arc))]
+        swept, rho = 0.0, []
+        if any(is_line):  # no index into the ends for a loop of arcs, nor for a loop of lines
+            d = np.asarray(spec.axis_direction)
+            unit, scale = _unit_scale(spec.radial(loop.ends if all(is_line) else loop.ends[is_line]))
+            rho.append(_closest_radius_of_lines(unit, scale))
+            # a x b of each line's end vectors a, b as np.cross forms it, from their components shifted by one and by two
+            nxt, nxt2 = unit.take(_NEXT, axis=2), unit.take(_NEXT2, axis=2)
+            normal = nxt[:, 0] * nxt2[:, 1] - nxt2[:, 0] * nxt[:, 1]
+            swept += float(np.arctan2(normal @ d, (unit[:, 0] * unit[:, 1]).sum(axis=1)).sum())
+        if along_z:
+            for arc in arcs:
+                arc_clearance, angle = _arc_about_axis(arc, spec)
+                rho.append(arc_clearance)
+                swept += angle
+        else:  # tilted to the axis: sampled clearance, quadrature flux
+            curves += arcs
+        if curves:
+            s = np.linspace(0.0, 1.0, _CLEARANCE_SAMPLES)
+            _, sampled = spec.axial_decomposition(np.vstack([seg.point(s) for seg in curves]))
+            rho.append(float(np.min(sampled)))
+        clearance, coil_radius = min(rho), spec.radius
+        if not curves:
+            turns, turns_error = swept / (2.0 * math.pi), 0.0
+        elif clearance <= coil_radius:  # not integrated: every row reports the loop as entering the coil
+            turns = turns_error = math.nan
+        else:  # the circulation is linear in the flux, so one integral at unit flux serves every flux
+            result = solenoid_circulation(replace(spec, flux=1.0), loop, quad)
+            turns, turns_error = result.value, result.error_estimate
+    length, length_error = (loop.length if column is None else column.length()), 0.0
+    if length is None:
+        result = loop_length(loop, quad)
+        length, length_error = result.value, result.error_estimate
+    displacement = None if loop.closed else loop.ends[-1, 1] - loop.ends[0, 0]
+    return LoopGeometry(turns, turns_error, clearance, coil_radius, length, length_error, displacement)

@@ -16,34 +16,31 @@ p dx . gamma), with L the path length and dx its end-to-end displacement
 (zero on closed loops). The default reading projects the integrand onto the
 comoving positive-energy spinor, for which slash(p0) u = m u collapses it to
 -a q m (E / v - p) L; the raw matrix and a fixed-spinor projection are
-exposed as alternatives. Lines and circular arcs give dtheta and L in closed
-form (``field_geometry.loop_geometry``); a path with a generic curve falls
-back to quadrature for the turns, the coil's circulation at unit flux, and
-for the length. All phases are reported in radians without 2 pi reduction.
-Natural units (hbar = c = 1).
+exposed as alternatives. All phases are reported in radians without 2 pi
+reduction. Natural units (hbar = c = 1).
 
-The phase is assembled in two steps. ``phase_geometry`` computes, once per
-loop, the record that no particle, flux or coupling changes: the swept
-turns, the clearance from the axis and the length, each with its error.
-``phase_rows`` then takes charge, mass, speed, flux and a as floats or
-broadcast arrays and gives every row its phases, each row with the same
-IEEE operations in the same order as a lone row. One result type,
-``PhaseResult``, holds a row or a column: ``total_phase`` is the one-row
-case, and a sweep is one batch.
+The phase is assembled in two steps. ``field_geometry.loop_geometry``
+computes, once per loop, the record that no particle, flux or coupling
+changes: the swept turns, the clearance from the axis and the length, each
+with its error, in closed form for lines and circular arcs and by quadrature
+for a generic curve. ``phase_rows`` then takes charge, mass, speed, flux and
+a as floats or broadcast arrays and gives every row its phases, each row
+with the same IEEE operations in the same order as a lone row. One result
+type, ``PhaseResult``, holds a row or a column: ``total_phase`` is the
+one-row case, and a sweep is one batch.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
 from .clifford import alpha, beta, gamma, momenta, positive_mass
 from .errors import DomainError, GeometryError, GupabError, raise_first
-from .field_geometry import LoopPath, QuadratureSpec, SolenoidSpec, circle_arc, loop_geometry, loop_length, solenoid_circulation
+from .field_geometry import LoopGeometry, LoopPath, QuadratureSpec, SolenoidSpec, loop_geometry
 from .units import nonnegative_a
 
 _G0 = gamma(0)
@@ -126,57 +123,6 @@ class PhaseResult:
         )
 
 
-class PhaseGeometry(NamedTuple):
-    """What a phase needs of one loop about one coil, whatever the particle, flux and coupling.
-
-    ``turns`` is the azimuth the loop sweeps about the axis over 2 pi, the
-    flux phase per unit charge and flux: exact for lines and arcs, with
-    ``turns_error`` 0.0, and, when some segment is a generic curve, the
-    coil's circulation along the loop at unit flux, by quadrature (NaN for
-    a loop through the coil, which ``phase_rows`` reports instead).
-    ``length`` is exact for lines and arcs, with ``length_error`` 0.0, and
-    integrated otherwise; ``displacement`` is the end-to-end step, None on
-    closed paths. A record built with no coil holds None in the four coil
-    fields; one built over a column of radii holds an array in each field
-    that the radius changes.
-    """
-
-    turns: float | np.ndarray | None
-    turns_error: float | None
-    clearance: float | np.ndarray | None
-    coil_radius: float | np.ndarray | None
-    length: float | np.ndarray
-    length_error: float | np.ndarray
-    displacement: np.ndarray | None
-
-
-def phase_geometry(
-    loop: LoopPath, solenoid: SolenoidSpec | None, quad: QuadratureSpec | None = None, radius=None
-) -> PhaseGeometry:
-    """The loop's record about the coil, from one ``loop_geometry`` call; quadrature only for generic curves.
-
-    An array ``radius`` takes each entry as the radius of ``loop``, a circle
-    (see ``loop_geometry``): the record then holds an entry per radius.
-    """
-    turns = turns_error = clearance = coil_radius = None
-    if solenoid is not None:
-        geometry = loop_geometry(loop, solenoid, radius)
-        clearance, coil_radius = geometry.clearance, solenoid.radius
-        if geometry.swept_angle is not None:
-            turns, turns_error = geometry.swept_angle / (2.0 * math.pi), 0.0
-        elif clearance <= coil_radius:  # not integrated: every row reports the loop as entering the coil
-            turns = turns_error = math.nan
-        else:  # the circulation is linear in the flux, so one integral at unit flux serves every flux
-            result = solenoid_circulation(replace(solenoid, flux=1.0), loop, quad)
-            turns, turns_error = result.value, result.error_estimate
-    length, length_error = (loop.length if radius is None else circle_arc(loop, radius).length()), 0.0
-    if length is None:
-        result = loop_length(loop, quad)
-        length, length_error = result.value, result.error_estimate
-    displacement = None if loop.closed else loop.ends[-1, 1] - loop.ends[0, 0]
-    return PhaseGeometry(turns, turns_error, clearance, coil_radius, length, length_error, displacement)
-
-
 _ENTERS_COIL = "loop enters the solenoid interior; the flux phase requires field-free paths"
 _NOT_FINITE = "phase is not finite: the inputs overflow double precision"
 _DISPERSION_NOT_FINITE = "dispersion is not finite: the inputs overflow double precision"
@@ -187,7 +133,7 @@ def _rows(x):
     return np.asarray(x)[..., None, None]
 
 
-def _ab_integral(geometry: PhaseGeometry, charge, flux):
+def _ab_integral(geometry: LoopGeometry, charge, flux):
     """(value, error) of the flux phase q Phi turns, with the turns' error scaled by |q Phi|."""
     coupling = charge * flux
     return coupling * geometry.turns, abs(coupling) * geometry.turns_error
@@ -195,7 +141,7 @@ def _ab_integral(geometry: PhaseGeometry, charge, flux):
 
 def ab_phase(particle: ParticleSpec, solenoid: SolenoidSpec, loop: LoopPath, quad: QuadratureSpec | None = None) -> float:
     """Flux phase q * circulation of A; equals q Phi w for winding number w. GupabError if q Phi w overflows."""
-    geometry = phase_geometry(loop, solenoid, quad)
+    geometry = loop_geometry(loop, solenoid, quad)
     raise_first((geometry.clearance <= geometry.coil_radius, GeometryError, _ENTERS_COIL))
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         value, _ = _ab_integral(geometry, particle.charge, solenoid.flux)
@@ -203,7 +149,7 @@ def ab_phase(particle: ParticleSpec, solenoid: SolenoidSpec, loop: LoopPath, qua
     return float(value)
 
 
-def _matrix_base(geometry: PhaseGeometry, energy, momentum, contraction):
+def _matrix_base(geometry: LoopGeometry, energy, momentum, contraction):
     """Contour integral of slash(p0) (p0 . dx), without the -a q factor, and its error.
 
     Equals (E/v - p)(E L gamma^0 - p dx . gamma), since |dr| t-hat = dr; dx
@@ -218,7 +164,7 @@ def _matrix_base(geometry: PhaseGeometry, energy, momentum, contraction):
     return _rows(contraction) * matrix, contraction * (energy * geometry.length_error)
 
 
-def _matrix_correction(geometry: PhaseGeometry, charge, energy, momentum, speed, a):
+def _matrix_correction(geometry: LoopGeometry, charge, energy, momentum, speed, a):
     base, err = _matrix_base(geometry, energy, momentum, energy / speed - momentum)
     factor = -a * charge
     # + 0.0 folds the signed zero at a = 0 without touching nonzero entries
@@ -228,7 +174,7 @@ def _matrix_correction(geometry: PhaseGeometry, charge, energy, momentum, speed,
 def _correction(particle: ParticleSpec, loop: LoopPath, a: float, quad):
     """(matrix, error) of the correction alone, with no coil; raises unless a is nonnegative and the matrix finite."""
     raise_first(nonnegative_a(a))
-    geometry = phase_geometry(loop, None, quad)
+    geometry = loop_geometry(loop, None, quad)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         matrix, err = _matrix_correction(geometry, particle.charge, particle.energy, particle.momentum, particle.speed, a)
     raise_first((not np.isfinite(matrix).all(), GupabError, _NOT_FINITE))
@@ -302,7 +248,7 @@ def _projected_correction(matrix, err, mass, energy, spinor):
 
 
 def phase_rows(
-    geometry: PhaseGeometry,
+    geometry: LoopGeometry,
     charge,
     mass,
     speed,
@@ -357,7 +303,7 @@ def total_phase(
     Raises ``GupabError`` if any of them is not finite, as when E / v or
     a q overflows double precision.
     """
-    geometry = phase_geometry(loop, solenoid, quad)
+    geometry = loop_geometry(loop, solenoid, quad)
     return phase_rows(geometry, particle.charge, particle.mass, particle.speed, solenoid.flux, a, projection, spinor)
 
 

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gupab import cli_io, phase_engine
+from gupab import cli_io, field_geometry
 from gupab.cli_io import (
     DISPERSION_CSV_HEADER,
     PROJECTIONS,
@@ -312,6 +312,9 @@ def test_phase_json_of_an_open_path():
     _assert_phase_json_restores(result)
 
 
+_NOT_THREE = "config error: {} must be a list of three numbers"
+
+
 def _config_bytes(**sections):
     """The bytes of BASE_CONFIG with the given sections replaced."""
     return json.dumps({**BASE_CONFIG, **sections}).encode()
@@ -328,11 +331,17 @@ def _config_bytes(**sections):
         (_config_bytes(loop={"kind": "polyline", "vertices": 5}), "config error: loop.vertices must be a list of points"),
         (_config_bytes(gup={"a0": 1.0, "units": "planck"}), "config error: gup.units must be 'natural' or 'si'"),
         (_config_bytes(projection="none"), "config error: projection must be one of comoving_on_shell, fixed_spinor"),
+        (_config_bytes(loop={"kind": "circle", "radius": 2.0, "center": [1.0, 2.0]}), _NOT_THREE.format("loop.center")),
+        (_config_bytes(loop={"kind": "polyline", "vertices": [[2, 0, 0], [1, 0], [0, 2, 0]]}), _NOT_THREE.format("loop.vertices")),
+        (_config_bytes(spinor={"momentum": [0.0, 0.6]}, projection="fixed_spinor"), _NOT_THREE.format("spinor.momentum")),
     ],
-    ids=["not-utf-8", "nested-too-deeply", "too-many-digits", "root", "loop-kind", "vertices", "gup-units", "projection"],
+    ids=[
+        "not-utf-8", "nested-too-deeply", "too-many-digits", "root", "loop-kind", "vertices", "gup-units", "projection",
+        "center-2d", "vertex-2d", "momentum-2d",
+    ],
 )
 def test_unreadable_config_is_a_one_line_config_error(tmp_path, capsys, content, message):
-    # each file is at most 100 KB; the last five are valid JSON with a root, a choice or a point list that the schema rejects
+    # each file is at most 100 KB; the last eight are valid JSON with a root, a choice or a point that the schema rejects
     path = tmp_path / "bad.json"
     path.write_bytes(content)
     assert main(["phase", "-c", str(path)]) == 2
@@ -346,6 +355,8 @@ def test_verification_fast_passes():
     report = run_verification("fast")
     assert report["all_passed"]
     assert all(set(c) == {"name", "passed", "residual", "bound"} for c in report["checks"])
+    with pytest.raises(ConfigError, match="^verify level must be 'fast' or 'full'$"):
+        run_verification("medium")
 
 
 def test_verification_full_reports_grid_lab():
@@ -990,7 +1001,7 @@ def test_sweep_computes_loop_geometry_once_per_loop(tmp_path, capsys, monkeypatc
         calls.append(args)
         return loop_geometry(*args)
 
-    monkeypatch.setattr(phase_engine, "loop_geometry", counted)
+    monkeypatch.setattr(cli_io, "loop_geometry", counted)
     rectangle = {"kind": "rectangle", "corners": [[1, 1, 0], [-1, 1, 0], [-1, -1, 0], [1, -1, 0]]}
     for loop in [BASE_CONFIG["loop"]] + ([rectangle] if parameter != "loop.radius" else []):
         payload = dict(BASE_CONFIG, loop=loop, sweep={"parameter": parameter, "values": values})
@@ -1117,7 +1128,7 @@ def test_flux_sweep_over_a_generic_curve_integrates_once(tmp_path, monkeypatch):
         calls.append(args)
         return solenoid_circulation(*args)
 
-    monkeypatch.setattr(phase_engine, "solenoid_circulation", counted)
+    monkeypatch.setattr(field_geometry, "solenoid_circulation", counted)
     values, result = run_sweep(config)
     assert len(calls) == 1
     expected = reference_sweep(config)

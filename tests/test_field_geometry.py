@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -174,6 +175,18 @@ def test_degenerate_loops_rejected():
         polyline_loop([(0, 0, 0), (0, 0, 0), (1, 1, 0)])
     with pytest.raises(GeometryError):
         make_loop("helix", radius=1.0)
+    # the messages of the pieces themselves; an arc's are those of Arc.checks, whoever builds it
+    pieces = [
+        (lambda: line_segment((1.0, 2.0, 3.0), (1.0, 2.0, 3.0)), "degenerate segment: start equals end"),
+        (lambda: LoopPath(()), "path needs at least one segment"),
+        (lambda: arc_segment((0.0, 0.0, 0.0), 0.0, 0.0, 1.0), "radius must be positive"),
+        (lambda: arc_segment((0.0, 0.0, 0.0), -1.0, 0.0, 1.0), "radius must be positive"),
+        (lambda: arc_segment((0.0, 0.0, 0.0), 1.0, 0.5, 0.5), "segment tangent vanishes somewhere on [0, 1]"),
+        (lambda: LoopPath((Arc((0.0, 0.0, 0.0), -1.0, 0.0, 2.0 * math.pi),)), "radius must be positive"),
+    ]
+    for build, message in pieces:
+        with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
+            build()
 
 
 def test_loop_closure_validated():
@@ -192,8 +205,14 @@ def test_vanishing_tangent_rejected():
         s = np.atleast_1d(np.asarray(s, dtype=float))
         return np.column_stack([2.0 * s, np.zeros(s.size), np.zeros(s.size)])
 
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError, match=f"^{re.escape('segment tangent vanishes somewhere on [0, 1]')}$"):
         LoopPath((Segment(point, tangent),), closed=False)
+    flat = Segment(lambda s: point(s)[:, :2], lambda s: tangent(s)[:, :2])
+    with pytest.raises(GeometryError, match=f"^{re.escape('segment callables must map (n,) parameters to (n, 3) arrays')}$"):
+        LoopPath((flat,), closed=False)
+    undefined = Segment(lambda s: np.full((np.size(s), 3), np.nan), lambda s: np.ones((np.size(s), 3)))
+    with pytest.raises(GeometryError, match="^segment has non-finite points or tangents$"):
+        LoopPath((undefined,), closed=False)
 
 
 def test_constant_field_closed_loop_vanishes():
@@ -406,9 +425,9 @@ def test_polyline_circulation_property(steps, start):
     swept = angles[-1] - angles[0] + closing
     assert batched.value == pytest.approx(swept / (2.0 * math.pi), abs=1e-9)
     # the closed form agrees with the converged quadrature, in both orientations
-    closed_form = loop_geometry(loop, spec).swept_angle
-    assert closed_form / (2.0 * math.pi) == pytest.approx(batched.value, abs=1e-11)
-    assert loop_geometry(loop.reverse(), spec).swept_angle == pytest.approx(-closed_form, abs=1e-14)
+    closed_form = loop_geometry(loop, spec).turns
+    assert closed_form == pytest.approx(batched.value, abs=1e-11)
+    assert loop_geometry(loop.reverse(), spec).turns == pytest.approx(-closed_form, abs=1e-14 / (2.0 * math.pi))
 
 
 def test_refine_error_is_entrywise_max_and_capped(monkeypatch):
@@ -470,7 +489,7 @@ def test_loop_geometry_of_huge_lines_takes_no_squares():
         warnings.simplefilter("error")
         geometry = loop_geometry(path, SolenoidSpec(flux=1.0, radius=0.1))
     assert geometry.clearance == 1e308
-    assert geometry.swept_angle == 0.0
+    assert geometry.turns == 0.0
 
 
 @pytest.mark.parametrize("scale", [1e-160, 1.0, 1e200])
@@ -525,11 +544,12 @@ def test_a_loop_of_lines_reports_its_first_bad_line_and_a_mixed_loop_its_lines_f
         ((Line((0.0, 0.0, 0.0), (1.0, 0.0, 0.0)), Line((1.0, 0.0), (0.0, 0.0))), "segment start"),
         ((Line((0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0)),), "segment start"),
         ((Line((0.0, 0.0, 0.0), (1.0, 0.0, 0.0)), Line((1.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0))), "segment end"),
+        ((Arc((0.0, 0.0), 1.0, 0.0, 2.0 * math.pi),), "arc center"),
     ],
-    ids=["2d", "mixed-2d-3d", "4d", "4d-end"],
+    ids=["2d", "mixed-2d-3d", "4d", "4d-end", "arc-2d"],
 )
 def test_a_line_whose_points_are_not_3_vectors_is_a_geometry_error(segments, message):
-    # a Line built directly, not by line_segment: LoopPath gives line_segment's error, not a numpy one
+    # a Line or Arc built directly, not by line_segment or arc_segment: LoopPath gives their error, not a numpy one
     with pytest.raises(GeometryError, match=f"^{message} must be a 3-vector$"):
         LoopPath(segments, closed=False)
 
@@ -569,9 +589,13 @@ def test_loop_geometry_lengths_are_exact():
         assert loop.length == pytest.approx(loop_length(loop, DOUBLING).value, rel=1e-13)
         assert loop.reverse().length == pytest.approx(length, rel=1e-15)
     assert fourier_loop(np.random.default_rng(79)).length is None
-    # a generic curve leaves the flux to quadrature, but still gets a (sampled) clearance
-    generic = loop_geometry(fourier_loop(np.random.default_rng(79)), SolenoidSpec(flux=1.0, radius=0.1))
-    assert generic.swept_angle is None and generic.clearance > 1.0
+    # a generic curve leaves the flux and the length to quadrature, but still gets a (sampled) clearance
+    generic_loop, spec = fourier_loop(np.random.default_rng(79)), SolenoidSpec(flux=1.0, radius=0.1)
+    generic = loop_geometry(generic_loop, spec)
+    circulation, length = solenoid_circulation(spec, generic_loop), loop_length(generic_loop)
+    assert (generic.turns, generic.turns_error) == (circulation.value, circulation.error_estimate)
+    assert (generic.length, generic.length_error) == (length.value, length.error_estimate)
+    assert generic.clearance > 1.0
 
 
 def test_arc_clearance_is_exact():
@@ -631,8 +655,8 @@ def test_arc_circulation_property(radius, theta0, sweep, placement, facing):
     reference = solenoid_circulation(spec, path, DOUBLING)
     assert reference.error_estimate <= 1e-10
     tolerance = 1e-11 + 10.0 * reference.error_estimate
-    assert geometry.swept_angle / (2.0 * math.pi) == pytest.approx(reference.value, abs=tolerance)
-    assert loop_geometry(path.reverse(), spec).swept_angle == -geometry.swept_angle
+    assert geometry.turns == pytest.approx(reference.value, abs=tolerance)
+    assert loop_geometry(path.reverse(), spec).turns == -geometry.turns
 
 
 _piece = st.one_of(
@@ -705,10 +729,10 @@ def test_arc_closed_form_over_a_radius_column_matches_each_arc(center, theta0, s
     # one closed form for a column: row k holds, bit for bit, the geometry of the arc of radius radii[k]
     spec = SolenoidSpec(flux=1.0, radius=0.01)
     path = LoopPath((arc_segment(center, 1.0, theta0, theta0 + sweep),), closed=False)
-    column = loop_geometry(path, spec, np.array(radii))
+    column = loop_geometry(path, spec, radius=np.array(radii))
     for k, radius in enumerate(radii):
         one = loop_geometry(LoopPath((arc_segment(center, radius, theta0, theta0 + sweep),), closed=False), spec)
-        assert (column.swept_angle[k], column.clearance[k]) == (one.swept_angle, one.clearance)
+        assert (column.turns[k], column.clearance[k], column.length[k]) == (one.turns, one.clearance, one.length)
 
 
 @settings(max_examples=100, deadline=None)
@@ -739,8 +763,8 @@ def test_an_arc_far_from_the_axis_or_about_one_near_its_center_sweeps_its_first_
         expected = facing * ((arc.theta1 - arc.theta0) + d / radius * change)
     else:
         expected = -facing * (radius / d) * change
-    swept = loop_geometry(LoopPath((arc,), closed=False), spec).swept_angle
-    assert swept == pytest.approx(expected, rel=1e-14, abs=0.0)
+    turns = loop_geometry(LoopPath((arc,), closed=False), spec).turns
+    assert turns == pytest.approx(expected / (2.0 * math.pi), rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e200, 1e300])
@@ -748,7 +772,7 @@ def test_axis_direction_of_any_size_is_normalised(scale):
     # the norm takes no squares: a huge direction does not overflow to 0, nor a tiny one underflow
     spec = SolenoidSpec(flux=1.0, radius=0.1, axis_direction=(0.0, 0.0, scale))
     assert spec.axis_direction == (0.0, 0.0, 1.0)
-    assert loop_geometry(circle_loop(radius=2.0), spec).swept_angle == 2.0 * math.pi
+    assert loop_geometry(circle_loop(radius=2.0), spec).turns == 1.0
     tilted = SolenoidSpec(flux=1.0, radius=0.1, axis_direction=(3.0 * scale, 0.0, -4.0 * scale))
     assert tilted.axis_direction == pytest.approx((0.6, 0.0, -0.8), rel=1e-15)
 
@@ -775,7 +799,7 @@ def test_radius_column_needs_one_arc_normal_to_the_axis():
     tilted = SolenoidSpec(flux=1.0, radius=0.1, axis_direction=(0.0, 1.0, 1.0))
     for loop, spec in ((square, SolenoidSpec(flux=1.0, radius=0.1)), (circle_loop(radius=3.0), tilted)):
         with pytest.raises(GeometryError, match="one arc normal to the solenoid axis"):
-            loop_geometry(loop, spec, radius)
+            loop_geometry(loop, spec, radius=radius)
 
 
 def _result_and_warnings(call):
@@ -850,5 +874,6 @@ def test_a_loop_of_lines_matches_its_reference_bit_for_bit(kind, count, seed, ex
     want, want_warnings = _result_and_warnings(lambda: reference_geometry_of_lines(ends, spec))
     got, got_warnings = _result_and_warnings(lambda: loop_geometry(loop, spec))
     assert got_warnings == want_warnings
-    assert _bits(*got) == _bits(*want)
+    swept, clearance = want
+    assert _bits(got.turns, got.clearance) == _bits(swept / (2.0 * math.pi), clearance)
     event(f"{kind} about an axis {axis}{', tilted' if tilted else ''}")

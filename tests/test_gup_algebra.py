@@ -141,6 +141,16 @@ def test_lab_rejects_bad_inputs():
     grid = MomentumGrid.uniform(1.0, 2.0, 128)
     with pytest.raises(DomainError):
         grid_operator_lab(grid, 0.3)  # a * p_max = 0.6 >= 0.5
+    cases = [
+        (lambda: MomentumGrid(np.linspace(1.0, 2.0, 7)), "grid needs at least 8 points in one dimension"),
+        (lambda: MomentumGrid(np.linspace(0.0, 2.0, 64)), "grid must live on the positive half-line (p_min > 0)"),
+        (lambda: uncertainty_check(MomentumGrid.uniform(1.0, 2.0, 64), np.ones(5), 0.1), "state must match the grid size"),
+        (lambda: commutator_consistency_exponent(np.array([0.3, -1.2, 0.7]), (0.1,)), "need at least two positive a values"),
+    ]
+    for call, message in cases:
+        with pytest.raises(DomainError) as caught:
+            call()
+        assert str(caught.value) == message
 
 
 def test_lab_canonical_pair_second_order():

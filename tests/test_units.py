@@ -23,6 +23,8 @@ def test_natural_units_are_exactly_one():
 def test_natural_mode_rejects_other_constants():
     with pytest.raises(DomainError):
         UnitSystem("natural", 2.0, 1.0, 1.0, 1.0)
+    with pytest.raises(DomainError, match="^unknown unit mode 'planck'$"):
+        UnitSystem("planck", 1.0, 1.0, 1.0, 1.0)
 
 
 def test_planck_scales_must_be_positive():
