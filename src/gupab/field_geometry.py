@@ -219,7 +219,8 @@ def line_segment(start, end) -> Line:
 
 def arc_segment(center, radius, theta0, theta1) -> Arc:
     """Circular arc in the plane z = center_z, angles in radians about the center; GeometryError unless ``Arc.checks`` pass."""
-    arc = Arc(_point(center, "arc center"), float(radius), float(theta0), float(theta1))
+    # a radius below -1 fails as -1 does, so an int beyond the doubles reaches that check instead of float()
+    arc = Arc(_point(center, "arc center"), float(max(radius, -1.0)), float(theta0), float(theta1))
     raise_first(*arc.checks())
     return arc
 
@@ -360,7 +361,8 @@ def circle_loop(center=(0.0, 0.0, 0.0), radius=1.0, windings=1) -> LoopPath:
         raise GeometryError("windings must be a nonzero integer")
     # beyond 2**1023 turns the sweep overflows to inf, which LoopPath rejects; a larger int would not convert
     sweep = 2.0 * math.pi * min(max(w, -(2**1023)), 2**1023)
-    return LoopPath((Arc(_point(center, "arc center"), float(radius), 0.0, sweep),))
+    # a radius below -1 fails as -1 does, as in arc_segment, so an int beyond the doubles is no OverflowError
+    return LoopPath((Arc(_point(center, "arc center"), float(max(radius, -1.0)), 0.0, sweep),))
 
 
 def check_radius(loop: LoopPath, radius: np.ndarray):

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gupab import cli_io, field_geometry
+from gupab import cli_io, field_geometry, phase_engine
 from gupab.cli_io import (
     DISPERSION_CSV_HEADER,
     PROJECTIONS,
@@ -1001,7 +1001,9 @@ def test_sweep_computes_loop_geometry_once_per_loop(tmp_path, capsys, monkeypatc
         calls.append(args)
         return loop_geometry(*args)
 
-    monkeypatch.setattr(cli_io, "loop_geometry", counted)
+    # run_sweep looks the name up in cli_io, total_phase and the phase functions in phase_engine
+    for module in (cli_io, phase_engine):
+        monkeypatch.setattr(module, "loop_geometry", counted)
     rectangle = {"kind": "rectangle", "corners": [[1, 1, 0], [-1, 1, 0], [-1, -1, 0], [1, -1, 0]]}
     for loop in [BASE_CONFIG["loop"]] + ([rectangle] if parameter != "loop.radius" else []):
         payload = dict(BASE_CONFIG, loop=loop, sweep={"parameter": parameter, "values": values})

@@ -181,6 +181,9 @@ def test_degenerate_loops_rejected():
         (lambda: LoopPath(()), "path needs at least one segment"),
         (lambda: arc_segment((0.0, 0.0, 0.0), 0.0, 0.0, 1.0), "radius must be positive"),
         (lambda: arc_segment((0.0, 0.0, 0.0), -1.0, 0.0, 1.0), "radius must be positive"),
+        (lambda: arc_segment((0.0, 0.0, 0.0), -(10**400), 0.0, 1.0), "radius must be positive"),
+        (lambda: circle_loop(radius=-(10**400)), "radius must be positive"),
+        (lambda: arc_segment((0.0, 0.0, 0.0), math.nan, 0.0, 1.0), "radius must be positive"),
         (lambda: arc_segment((0.0, 0.0, 0.0), 1.0, 0.5, 0.5), "segment tangent vanishes somewhere on [0, 1]"),
         (lambda: LoopPath((Arc((0.0, 0.0, 0.0), -1.0, 0.0, 2.0 * math.pi),)), "radius must be positive"),
     ]
