@@ -29,7 +29,7 @@ import numpy as np
 
 from . import clifford, gup_algebra
 from .errors import ConfigError, DomainError, GeometryError, GupabError, raise_first
-from .field_geometry import LoopPath, QuadratureSpec, SolenoidSpec, check_radius, finite_flux, loop_geometry, make_loop
+from .field_geometry import LoopPath, QuadratureSpec, SolenoidSpec, circle_arc, finite_flux, loop_geometry, make_loop, to_float
 from .phase_engine import (
     ParticleSpec,
     PhaseResult,
@@ -45,7 +45,7 @@ SWEEP_CSV_HEADER = "sweep_value,a,standard_phase,projected_correction,total_phas
 DISPERSION_CSV_HEADER = "p,E_plus_a0,E_plus,shift"
 _COLUMN_CHECKS = {  # (loop, column) -> raise for the first bad row: the check the column's constructor makes
     "gup.a": lambda loop, column: raise_first(nonnegative_a(column)),
-    "loop.radius": check_radius,
+    "loop.radius": lambda loop, column: raise_first(*circle_arc(loop, column).checks()),
     "particle.v": lambda loop, column: raise_first(subluminal_speed(column)),
     "solenoid.flux": lambda loop, column: raise_first(finite_flux(column)),
 }
@@ -81,10 +81,7 @@ def _require(mapping: dict, key: str, context: str):
 def _number(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name} must be a number")
-    try:
-        value = float(value)
-    except OverflowError:  # an integer beyond the float range
-        value = math.inf
+    value = to_float(value)
     if not math.isfinite(value):
         raise ConfigError(f"{name} must be finite")
     return value
@@ -227,7 +224,8 @@ def _parse_sweep(raw, config: RunConfig, loop_kind: str) -> SweepSpec:
     values = tuple(_number(v, "sweep.values") for v in values)
     if parameter == "loop.radius" and loop_kind != "circle":
         raise ConfigError("sweeping loop.radius requires a circle loop")
-    _build(f"sweep.values for {parameter.split('.')[0]}", _COLUMN_CHECKS[parameter], config.loop, np.array(values))
+    with np.errstate(over="ignore"):  # a radius whose circle's size or length overflows is reported as non-finite
+        _build(f"sweep.values for {parameter.split('.')[0]}", _COLUMN_CHECKS[parameter], config.loop, np.array(values))
     return SweepSpec(parameter=parameter, values=values)
 
 

@@ -45,6 +45,14 @@ def _unit(v, name) -> tuple:
     return tuple(c / norm for c in v.tolist())
 
 
+def to_float(x) -> float:
+    """x as a float; an int beyond the doubles becomes the infinity of its sign, which every finiteness check rejects."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def _point(p, name, error=GeometryError) -> tuple:
     """p as a tuple of three floats; ``error`` naming it unless p is a 3-vector."""
     p = np.asarray(p, dtype=float)
@@ -155,9 +163,9 @@ class Line(NamedTuple):
 class Arc(NamedTuple):
     """A circular arc in the plane z = center_z, from angle ``theta0`` to ``theta1`` (radians) about ``center``.
 
-    ``check_radius`` and ``loop_geometry`` also read an arc whose radius is
-    an array, a column of circles. Reversal swaps the end angles; ``checks``
-    validates an arc, whoever builds it.
+    ``checks``, ``length`` and ``loop_geometry`` also read an arc whose
+    radius is an array, a column of circles. Reversal swaps the end angles;
+    ``checks`` validates an arc, whoever builds it.
     """
 
     center: tuple
@@ -205,9 +213,16 @@ class Arc(NamedTuple):
         )
 
     def ends(self):
-        """The start and end points, for finite end angles; each coordinate is an array for an array of radii."""
+        """The start and end points, for finite end angles; an arc of whole turns ends exactly at its start."""
         (cx, cy, cz), radius, theta0, theta1 = self
-        return tuple((cx + radius * math.cos(t), cy + radius * math.sin(t), cz) for t in (theta0, theta1))
+        start, end = ((cx + radius * math.cos(t), cy + radius * math.sin(t), cz) for t in (theta0, theta1))
+        return start, (start if _whole_turns(theta1 - theta0) else end)
+
+
+def _whole_turns(sweep) -> bool:
+    """Whether a finite sweep is a whole number of turns: within one ulp of a multiple of 2 pi."""
+    # math.remainder is exact, and 2 pi w rounds to within half an ulp of a multiple of 2 pi: every circle passes
+    return abs(math.remainder(sweep, 2.0 * math.pi)) <= math.ulp(sweep)
 
 
 def line_segment(start, end) -> Line:
@@ -219,8 +234,7 @@ def line_segment(start, end) -> Line:
 
 def arc_segment(center, radius, theta0, theta1) -> Arc:
     """Circular arc in the plane z = center_z, angles in radians about the center; GeometryError unless ``Arc.checks`` pass."""
-    # a radius below -1 fails as -1 does, so an int beyond the doubles reaches that check instead of float()
-    arc = Arc(_point(center, "arc center"), float(max(radius, -1.0)), float(theta0), float(theta1))
+    arc = Arc(_point(center, "arc center"), to_float(radius), to_float(theta0), to_float(theta1))
     raise_first(*arc.checks())
     return arc
 
@@ -359,27 +373,8 @@ def circle_loop(center=(0.0, 0.0, 0.0), radius=1.0, windings=1) -> LoopPath:
     w = int(windings) if abs(windings) < math.inf else 0  # inf and nan are not integers either
     if w != windings or w == 0:
         raise GeometryError("windings must be a nonzero integer")
-    # beyond 2**1023 turns the sweep overflows to inf, which LoopPath rejects; a larger int would not convert
-    sweep = 2.0 * math.pi * min(max(w, -(2**1023)), 2**1023)
-    # a radius below -1 fails as -1 does, as in arc_segment, so an int beyond the doubles is no OverflowError
-    return LoopPath((Arc(_point(center, "arc center"), float(max(radius, -1.0)), 0.0, sweep),))
-
-
-def check_radius(loop: LoopPath, radius: np.ndarray):
-    """Check each entry of ``radius`` as the radius of ``loop``, a circle: one array call for a column of circles.
-
-    Each row gets the checks, in order and with the messages, that ``LoopPath`` gives
-    the circle of that radius: those of ``Arc.checks``, then closure. The first row
-    that fails raises the ``GeometryError`` of its first failing check; the center and
-    end angles are the loop's.
-    """
-    arc = circle_arc(loop, radius)
-    with np.errstate(over="ignore", invalid="ignore"):  # overflowing rows are reported as non-finite
-        checks = arc.checks()
-        start, end = (np.stack(np.broadcast_arrays(*point), axis=-1) for point in arc.ends())
-        closure = _gaps(end, start)
-        broken = _broken(closure, 1e-12 * arc.length())  # the tolerance of LoopPath, from the one arc's length
-    raise_first(*checks, (broken, GeometryError, _OPEN.format(closure[np.argmax(broken)])))
+    # past about 2**1021 turns the sweep overflows to inf, which LoopPath rejects as non-finite
+    return LoopPath((Arc(_point(center, "arc center"), to_float(radius), 0.0, 2.0 * math.pi * to_float(w)),))
 
 
 def _check_distinct(points: np.ndarray, name: str):
@@ -576,7 +571,7 @@ def _arc_about_axis(arc, spec: SolenoidSpec):
     # end(t) = atan2(+-small sin psi, big - small cos psi), big and small the larger and smaller of r and d
     # (d = r puts P on the circle). Swapping the ends negates the difference exactly; whole turns skip it.
     inside, end_terms = offset < radius, 0.0
-    if sweep != 2.0 * math.pi * round(sweep / (2.0 * math.pi)):
+    if not _whole_turns(sweep):
         big, small = np.maximum(radius, offset), np.minimum(radius, offset)
         side = np.where(inside, small, -small)
         start, end = (np.arctan2(side * math.sin(t - bearing), big - small * math.cos(t - bearing)) for t in (theta0, theta1))
@@ -621,7 +616,8 @@ def loop_geometry(loop: LoopPath, spec: SolenoidSpec | None, quad: QuadratureSpe
 
     An array ``radius`` makes a column of circles: the loop must be one arc,
     normal to the axis if there is a coil, each entry is taken as its radius
-    (see ``check_radius``), and the record holds an entry per radius.
+    (valid where ``Arc.checks`` of ``circle_arc(loop, radius)`` pass), and
+    the record holds an entry per radius.
     """
     column = None if radius is None else circle_arc(loop, radius)
     turns = turns_error = clearance = coil_radius = None

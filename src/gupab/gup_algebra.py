@@ -104,7 +104,7 @@ def jacobian_commutator(p0, i: int, j: int, a: float):
 def _bracket_deviations(p0, a_values):
     """The (k,) log a values and the (..., k) logs of each momentum's largest |jacobian - target| entry."""
     a_values = [float(a) for a in a_values]
-    if len(a_values) < 2 or any(a <= 0.0 for a in a_values):
+    if len(set(a_values)) < 2 or any(a <= 0.0 for a in a_values):  # one distinct a leaves the slope 0 / 0
         raise DomainError("need at least two positive a values")
     devs = [np.max(np.abs(_brackets(p0, a, "jacobian") - _brackets(p0, a, "target")), axis=(-2, -1)) for a in a_values]
     return np.log(a_values), np.log(np.stack(devs, axis=-1))

@@ -13,7 +13,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 from helpers import fourier_loop, reference_column_check, reference_csv, reference_sweep, reference_verification
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -150,6 +150,18 @@ def test_sweep_validation(tmp_path):
     payload["sweep"] = {"parameter": "loop.radius", "values": [1.0]}
     with pytest.raises(ConfigError, match="circle"):
         load_config(write_config(tmp_path, payload))
+
+
+def test_a_circle_whose_end_rounds_off_its_start_still_runs(tmp_path, capsys):
+    # the cos and sin of its end angle put the end 9.8e-4 off its start, past the closure tolerance of 6.3e-4
+    loop = {"kind": "circle", "center": [2.0**42, 0.0, 0.0], "radius": 1.00146484375, "windings": 10**8}
+    payload = {**BASE_CONFIG, "loop": loop}
+    assert main(["phase", "-c", write_config(tmp_path, payload)]) == 0
+    phase = json.loads(capsys.readouterr().out)
+    payload["sweep"] = {"parameter": "loop.radius", "values": [1.00146484375, 2.0]}
+    assert main(["sweep", "-c", write_config(tmp_path, payload, "sweep.json")]) == 0
+    _, first, _ = capsys.readouterr().out.splitlines()
+    assert first.split(",")[4] == repr(phase["total_phase"])
 
 
 def test_cmd_phase_worked_example(tmp_path, capsys):
@@ -327,6 +339,7 @@ def _config_bytes(**sections):
         (b"[" * 100_000, "config error: config parse error: maximum recursion depth exceeded"),
         (b'{"particle": ' + b"9" * 5000 + b"}", "config error: config parse error: Exceeds the limit (4300 digits)"),
         (b"[]", "config error: config root must be a JSON object"),
+        (_config_bytes(loop=3), "config error: loop must be an object"),
         (_config_bytes(loop={"kind": "ellipse"}), "config error: loop.kind must be one of circle, rectangle, polyline"),
         (_config_bytes(loop={"kind": "polyline", "vertices": 5}), "config error: loop.vertices must be a list of points"),
         (_config_bytes(gup={"a0": 1.0, "units": "planck"}), "config error: gup.units must be 'natural' or 'si'"),
@@ -336,12 +349,12 @@ def _config_bytes(**sections):
         (_config_bytes(spinor={"momentum": [0.0, 0.6]}, projection="fixed_spinor"), _NOT_THREE.format("spinor.momentum")),
     ],
     ids=[
-        "not-utf-8", "nested-too-deeply", "too-many-digits", "root", "loop-kind", "vertices", "gup-units", "projection",
-        "center-2d", "vertex-2d", "momentum-2d",
+        "not-utf-8", "nested-too-deeply", "too-many-digits", "root", "loop-not-object", "loop-kind", "vertices", "gup-units",
+        "projection", "center-2d", "vertex-2d", "momentum-2d",
     ],
 )
 def test_unreadable_config_is_a_one_line_config_error(tmp_path, capsys, content, message):
-    # each file is at most 100 KB; the last eight are valid JSON with a root, a choice or a point that the schema rejects
+    # each file is at most 100 KB; the last nine are valid JSON with a root, a choice or a point that the schema rejects
     path = tmp_path / "bad.json"
     path.write_bytes(content)
     assert main(["phase", "-c", str(path)]) == 2
@@ -894,6 +907,125 @@ def test_config_fuzzer_mutation_exits_2(ops):
     assert out.getvalue() == ""
     lines = err.getvalue().splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error: ")
+
+
+# --- CLI contract fuzzer: one or two keys of a valid config set to any number or a wrong type ---
+
+_CONTRACT_LOOPS = {
+    "circle": {"kind": "circle", "center": [0.5, -0.25, 0.0], "radius": 2.0, "windings": 1},
+    "rectangle": {"kind": "rectangle", "corners": [[1.0, 1.0, 0.0], [-1.0, 1.0, 0.0], [-1.0, -1.0, 0.0], [1.0, -1.0, 0.0]]},
+    "polyline": {"kind": "polyline", "vertices": [[2.0, 0.0, 0.0], [0.0, 2.0, 0.0], [-2.0, -1.0, 0.0]]},
+}
+_CONTRACT_SWEEPS = {"gup.a": [0.0, 0.01], "loop.radius": [1.5, 2.0, 3.0], "particle.v": [0.3, 0.6], "solenoid.flux": [-1.0, 2.5]}
+_CHOICES = {"refinement": ["fixed", "doubling"], "units": ["natural", "si"], "branch": ["particle1", "particle2"]}
+_EDGE_DOUBLES = [5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308]
+_ANY_NUMBER = st.one_of(
+    st.floats(),  # subnormals to the largest doubles, and the infinities and NaN that json writes as Infinity and NaN
+    st.sampled_from(_EDGE_DOUBLES),
+    st.integers(-(2**64), 2**64),
+    st.integers(2**1024, 2**1100),
+    st.integers(-(2**1100), -(2**1024)),
+)
+_ANY_TYPE = st.one_of(
+    st.text(max_size=5),
+    st.booleans(),
+    st.none(),
+    st.lists(_floats(-10.0, 10.0), max_size=4),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+def _leaves(node, path=()):
+    """The paths of the numbers and strings under a JSON node but the choices of a code path: kind, parameter, projection."""
+    if not isinstance(node, (dict, list)):
+        return [path]
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    choices = ("kind", "parameter", "projection")
+    return [leaf for key, child in items if key not in choices for leaf in _leaves(child, path + (key,))]
+
+
+_ANY_VALUE = st.one_of(_ANY_NUMBER, _ANY_TYPE)
+_ANY_ROWS = st.one_of(st.lists(_ANY_VALUE, max_size=8), _ANY_TYPE)  # a whole sweep.values
+_ANY_CHOICE = {key: st.one_of(st.sampled_from(choices), _ANY_VALUE) for key, choices in _CHOICES.items()}
+
+
+def _contract_value(path):
+    """Any number or a wrong type; for a string choice, also its valid choices; for sweep.values, a list of up to 8."""
+    if path == ("sweep", "values"):
+        return _ANY_ROWS
+    return _ANY_CHOICE.get(path[-1], _ANY_VALUE)
+
+
+def _contract_config(kind, parameter, gup, spinor):
+    """A valid config: the loop of ``kind``, a sweep of ``parameter``, ``gup.a`` or ``gup.a0``, and a fixed spinor or none."""
+    config = {
+        "particle": {"q": 1.0, "m": 1.0, "v": 0.6},
+        "solenoid": {"flux": 1.0, "radius": 0.1},
+        "loop": json.loads(json.dumps(_CONTRACT_LOOPS[kind])),
+        "gup": {"a": 0.01} if gup == "a" else {"a0": 2.0, "units": "natural"},
+        "quadrature": {"nodes_per_segment": 16, "tolerance": 1e-10, "refinement": "fixed"},
+        "sweep": {"parameter": parameter, "values": list(_CONTRACT_SWEEPS[parameter])},
+    }
+    if spinor:
+        config.update(projection="fixed_spinor", spinor={"momentum": [0.0, 0.0, 0.75], "branch": "particle1"})
+    return config
+
+
+_CONTRACT_CASES = [
+    (kind, parameter, gup, spinor)
+    for kind in sorted(_CONTRACT_LOOPS)
+    for parameter in sorted(_CONTRACT_SWEEPS)
+    if kind == "circle" or parameter != "loop.radius"
+    for gup in ("a", "a0")
+    for spinor in (False, True)
+]
+# one or two of each case's keys, built once: strategies built per draw would cost more than the runs they feed
+_CONTRACT_KEYS = {
+    case: st.lists(st.sampled_from(_leaves(_contract_config(*case)) + [("sweep", "values")]), min_size=1, max_size=2, unique=True)
+    for case in _CONTRACT_CASES
+}
+_ANY_PMAX = st.one_of(st.just(2.0), st.floats(), st.sampled_from(_EDGE_DOUBLES), st.integers(2**1024, 2**1100))
+
+
+@settings(max_examples=250, deadline=None)
+@given(data=st.data())
+def test_cli_contract_holds_for_any_value_of_one_or_two_keys(tmp_path_factory, data):
+    # exit 0, 1 or 2; a failure prints one stderr line and no stdout; no warning; no NaN or Infinity in any output
+    command = data.draw(st.sampled_from(["phase", "sweep", "dispersion"]))
+    case = data.draw(st.sampled_from(_CONTRACT_CASES))
+    config = _contract_config(*case)
+    # the longer path first, so that a list replaced whole is not then indexed
+    for path in sorted(data.draw(_CONTRACT_KEYS[case]), key=len, reverse=True):
+        *parents, key = path
+        target = config
+        for name in parents:
+            target = target[name]
+        target[key] = data.draw(_contract_value(path), label=".".join(map(str, path)))
+    argv = [command]
+    if command == "dispersion":  # the --pmax=VALUE form, so that a negative value is not read as an option
+        argv += [f"--pmax={data.draw(_ANY_PMAX)!r}", "--steps", str(data.draw(st.integers(-2, 1000)))]
+    path = tmp_path_factory.getbasetemp() / "contract.json"  # a session-scoped directory, rewritten by each draw
+    path.write_text(json.dumps(config), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv + ["-c", str(path)])
+    assert [str(warning.message) for warning in caught] == []
+    event(f"{command} exits {code}")
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    if code:
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: " if code == 2 else "error: ")
+    elif command == "phase":
+        assert err == ""
+        json.loads(out, parse_constant=lambda constant: pytest.fail(f"non-finite {constant} in {out}"))
+    else:
+        assert err == ""
+        header, *rows = out.splitlines()
+        assert header == (SWEEP_CSV_HEADER if command == "sweep" else DISPERSION_CSV_HEADER) and rows
+        assert all(math.isfinite(float(cell)) for row in rows for cell in row.split(","))
 
 
 # --- batched sweeps ---------------------------------------------------------------

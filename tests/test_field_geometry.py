@@ -183,6 +183,10 @@ def test_degenerate_loops_rejected():
         (lambda: arc_segment((0.0, 0.0, 0.0), -1.0, 0.0, 1.0), "radius must be positive"),
         (lambda: arc_segment((0.0, 0.0, 0.0), -(10**400), 0.0, 1.0), "radius must be positive"),
         (lambda: circle_loop(radius=-(10**400)), "radius must be positive"),
+        # an int beyond the doubles converts to the infinity of its sign, so a positive one is non-finite
+        (lambda: circle_loop(radius=10**400), "segment has non-finite points or tangents"),
+        (lambda: arc_segment((0.0, 0.0, 0.0), 10**400, 0.0, 1.0), "segment has non-finite points or tangents"),
+        (lambda: arc_segment((0.0, 0.0, 0.0), 1.0, 0.0, 10**400), "segment has non-finite points or tangents"),
         (lambda: arc_segment((0.0, 0.0, 0.0), math.nan, 0.0, 1.0), "radius must be positive"),
         (lambda: arc_segment((0.0, 0.0, 0.0), 1.0, 0.5, 0.5), "segment tangent vanishes somewhere on [0, 1]"),
         (lambda: LoopPath((Arc((0.0, 0.0, 0.0), -1.0, 0.0, 2.0 * math.pi),)), "radius must be positive"),
@@ -561,6 +565,23 @@ def test_a_line_whose_points_are_not_3_vectors_is_a_geometry_error(segments, mes
 def test_non_finite_windings_are_not_integers(windings):
     with pytest.raises(GeometryError, match="^windings must be a nonzero integer$"):
         circle_loop(windings=windings)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    center=st.lists(st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-80, 80)), min_size=3, max_size=3),
+    radius=st.builds(math.ldexp, st.floats(0.5, 1.0), st.integers(-20, 20)),
+    windings=st.integers(0, 999).flatmap(lambda k: st.integers(2**k, 2 ** (k + 1) - 1)),
+    sign=st.sampled_from([1, -1]),
+)
+@example(center=[2.0**42, 0.0, 0.0], radius=1.00146484375, windings=10**8, sign=1)  # cos and sin put its end 9.8e-4 off
+def test_a_circle_closes_exactly_at_any_center_radius_and_winding_count(center, radius, windings, sign):
+    # every such circle is accepted: its length is positive and finite, at most 2**20 * 2 pi * 2**1000
+    loop = circle_loop(center, radius, sign * windings)
+    assert loop.ends[0, 1].tobytes() == loop.ends[0, 0].tobytes()
+    # the same whole-turn test skips the end terms, so an axis inside the circle gives the sweep alone
+    spec = SolenoidSpec(flux=1.0, radius=radius / 4.0, axis_point=(center[0] + radius / 2.0, center[1], 0.0))
+    assert loop_geometry(loop, spec).turns == loop.segments[0].theta1 / (2.0 * math.pi)
 
 
 @pytest.mark.parametrize(

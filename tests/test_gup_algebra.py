@@ -146,6 +146,9 @@ def test_lab_rejects_bad_inputs():
         (lambda: MomentumGrid(np.linspace(0.0, 2.0, 64)), "grid must live on the positive half-line (p_min > 0)"),
         (lambda: uncertainty_check(MomentumGrid.uniform(1.0, 2.0, 64), np.ones(5), 0.1), "state must match the grid size"),
         (lambda: commutator_consistency_exponent(np.array([0.3, -1.2, 0.7]), (0.1,)), "need at least two positive a values"),
+        # repeated values fit no slope: distinct a values are counted
+        (lambda: commutator_consistency_exponent(np.array([0.3, -1.2, 0.7]), (0.1, 0.1)), "need at least two positive a values"),
+        (lambda: consistency_exponents(np.array([0.3, -1.2, 0.7]), (0.01, 0.01, 0.01)), "need at least two positive a values"),
     ]
     for call, message in cases:
         with pytest.raises(DomainError) as caught:

@@ -27,7 +27,6 @@ from gupab.field_geometry import (
     QuadratureSpec,
     SolenoidSpec,
     arc_segment,
-    check_radius,
     circle_loop,
     finite_flux,
     line_segment,
@@ -784,9 +783,8 @@ def test_a_radius_column_needs_a_loop_of_one_arc():
     radius = np.array([1.0, 2.0])
     two_arcs = LoopPath((arc_segment((0.0, 0.0, 0.0), 2.0, 0.0, math.pi), arc_segment((0.0, 0.0, 0.0), 2.0, math.pi, 0.0)))
     for loop in (rectangle_loop([(1, 1, 0), (-1, 1, 0), (-1, -1, 0), (1, -1, 0)]), two_arcs):
-        for call in (check_radius, lambda loop, radius: loop_geometry(loop, None, radius=radius)):
-            with pytest.raises(GeometryError, match="a column of radii needs a loop of one arc"):
-                call(loop, radius)
+        with pytest.raises(GeometryError, match="a column of radii needs a loop of one arc"):
+            loop_geometry(loop, None, radius=radius)
         with pytest.raises(GeometryError, match="a column of radii needs a loop of one arc"):
             loop_geometry(loop, SOLENOID, radius=radius)
 
