@@ -38,7 +38,7 @@ _NEXT, _NEXT2 = np.array([1, 2, 0]), np.array([2, 0, 1])  # each 3-vector compon
 
 def _unit(v, name) -> tuple:
     """The 3-vector v over its norm, as a tuple of floats; DomainError unless v is a finite nonzero 3-vector."""
-    v = np.asarray(v, dtype=float)
+    v = to_floats(v)
     # math.hypot takes the norm without squaring, so a huge or tiny v neither overflows nor underflows
     if v.shape != (3,) or not (0.0 < (norm := math.hypot(*v.tolist())) < math.inf):
         raise DomainError(f"{name} must be a finite nonzero 3-vector")
@@ -53,9 +53,17 @@ def to_float(x) -> float:
         return math.inf if x > 0 else -math.inf
 
 
+def to_floats(x) -> np.ndarray:
+    """x as a float array, each int beyond the doubles the infinity of its sign, as ``to_float`` gives it."""
+    try:
+        return np.asarray(x, dtype=float)
+    except OverflowError:
+        return np.vectorize(to_float, otypes=[float])(np.asarray(x, dtype=object))
+
+
 def _point(p, name, error=GeometryError) -> tuple:
     """p as a tuple of three floats; ``error`` naming it unless p is a 3-vector."""
-    p = np.asarray(p, dtype=float)
+    p = to_floats(p)
     if p.shape != (3,):
         raise error(f"{name} must be a 3-vector")
     return tuple(p.tolist())
@@ -385,7 +393,7 @@ def _check_distinct(points: np.ndarray, name: str):
 
 
 def rectangle_loop(corners) -> LoopPath:
-    corners = np.asarray(corners, dtype=float)
+    corners = to_floats(corners)
     if corners.shape != (4, 3):
         raise GeometryError("corners must list exactly four 3D points")
     _check_distinct(corners, "corners")
@@ -406,7 +414,7 @@ def rectangle_loop(corners) -> LoopPath:
 
 
 def polyline_loop(vertices) -> LoopPath:
-    vertices = np.asarray(vertices, dtype=float)
+    vertices = to_floats(vertices)
     if vertices.ndim != 2 or vertices.shape[0] < 3 or vertices.shape[1] != 3:
         raise GeometryError("vertices must list at least three 3D points")
     _check_distinct(vertices, "vertices")
@@ -436,8 +444,8 @@ class QuadratureSpec:
     tolerance: float = 1e-10
 
     def __post_init__(self):
-        if self.nodes_per_segment < 4:
-            raise DomainError("nodes_per_segment must be an integer >= 4")
+        if not 4 <= self.nodes_per_segment <= _MAX_NODES_PER_SEGMENT // 2:  # so the fine rule, 2n nodes, is within the cap
+            raise DomainError(f"nodes_per_segment must be an integer in [4, {_MAX_NODES_PER_SEGMENT // 2}]")
         if self.refinement not in ("fixed", "doubling"):
             raise DomainError("refinement must be 'fixed' or 'doubling'")
         if not (self.tolerance > 0.0):
@@ -590,15 +598,15 @@ class LoopGeometry(NamedTuple):
     ``clearance`` is the loop's least distance from the axis and
     ``coil_radius`` the coil's radius. ``length`` is exact for lines and
     arcs, with ``length_error`` 0.0, and integrated otherwise;
-    ``displacement`` is the end-to-end step, None on closed paths. A record
-    built with no coil holds None in the four coil fields; one built over a
-    column of radii holds an array in each field that the radius changes.
+    ``displacement`` is the end-to-end step, None on closed paths. With no
+    coil, the turns are 0.0, exact, the clearance inf and the coil radius 0.0;
+    over a column of radii, each field that the radius changes is an array.
     """
 
-    turns: float | np.ndarray | None
-    turns_error: float | None
-    clearance: float | np.ndarray | None
-    coil_radius: float | None
+    turns: float | np.ndarray
+    turns_error: float
+    clearance: float | np.ndarray
+    coil_radius: float
     length: float | np.ndarray
     length_error: float
     displacement: np.ndarray | None
@@ -620,7 +628,7 @@ def loop_geometry(loop: LoopPath, spec: SolenoidSpec | None, quad: QuadratureSpe
     the record holds an entry per radius.
     """
     column = None if radius is None else circle_arc(loop, radius)
-    turns = turns_error = clearance = coil_radius = None
+    turns, turns_error, clearance, coil_radius = 0.0, 0.0, math.inf, 0.0
     if spec is not None:
         along_z = spec.axis_direction[0] == 0.0 and spec.axis_direction[1] == 0.0  # arcs lie in planes z = const
         raise_first((column is not None and not along_z, GeometryError, _ONE_ARC))

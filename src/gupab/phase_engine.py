@@ -27,12 +27,13 @@ for a generic curve. ``phase_rows`` then takes charge, mass, speed, flux and
 a as floats or broadcast arrays and gives every row its phases, each row
 with the same IEEE operations in the same order as a lone row. One result
 type, ``PhaseResult``, holds a row or a column: ``total_phase`` is the
-one-row case, and a sweep is one batch.
+one-row case, and a sweep is one batch. ``phase_rows`` is the one place that
+assembles and checks a phase; ``ab_phase``, ``gup_phase_matrix`` and
+``gup_phase_projected`` each read one field of one row of it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -124,7 +125,6 @@ class PhaseResult:
 
 
 _ENTERS_COIL = "loop enters the solenoid interior; the flux phase requires field-free paths"
-_NOT_FINITE = "phase is not finite: the inputs overflow double precision"
 _DISPERSION_NOT_FINITE = "dispersion is not finite: the inputs overflow double precision"
 
 
@@ -140,13 +140,8 @@ def _ab_integral(geometry: LoopGeometry, charge, flux):
 
 
 def ab_phase(particle: ParticleSpec, solenoid: SolenoidSpec, loop: LoopPath, quad: QuadratureSpec | None = None) -> float:
-    """Flux phase q * circulation of A; equals q Phi w for winding number w. GupabError if q Phi w overflows."""
-    geometry = loop_geometry(loop, solenoid, quad)
-    raise_first((geometry.clearance <= geometry.coil_radius, GeometryError, _ENTERS_COIL))
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        value, _ = _ab_integral(geometry, particle.charge, solenoid.flux)
-    raise_first((not math.isfinite(value), GupabError, _NOT_FINITE))
-    return float(value)
+    """Flux phase q Phi w for winding number w, the standard phase of ``total_phase`` at a = 0; GupabError if it overflows."""
+    return float(total_phase(particle, solenoid, loop, 0.0, quad).standard_phase)
 
 
 def _matrix_base(geometry: LoopGeometry, energy, momentum, contraction):
@@ -167,18 +162,9 @@ def _matrix_base(geometry: LoopGeometry, energy, momentum, contraction):
 def _matrix_correction(geometry: LoopGeometry, charge, energy, momentum, speed, a):
     base, err = _matrix_base(geometry, energy, momentum, energy / speed - momentum)
     factor = -a * charge
-    # + 0.0 folds the signed zero at a = 0 without touching nonzero entries
-    return _rows(factor) * base + 0.0, abs(factor) * err
-
-
-def _correction(particle: ParticleSpec, loop: LoopPath, a: float, quad):
-    """(matrix, error) of the correction alone, with no coil; raises unless a is nonnegative and the matrix finite."""
-    raise_first(nonnegative_a(a))
-    geometry = loop_geometry(loop, None, quad)
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        matrix, err = _matrix_correction(geometry, particle.charge, particle.energy, particle.momentum, particle.speed, a)
-    raise_first((not np.isfinite(matrix).all(), GupabError, _NOT_FINITE))
-    return matrix, err
+    zero = a == 0.0  # no deformation: exactly zero, also where the base integral overflows and 0 * inf is NaN
+    # + 0.0 folds the signed zeros of -a q times a zero entry without touching nonzero entries
+    return np.where(_rows(zero), 0.0, _rows(factor) * base + 0.0), np.where(zero, 0.0, abs(factor) * err)
 
 
 def gup_phase_matrix(particle: ParticleSpec, loop: LoopPath, a: float, quad: QuadratureSpec | None = None) -> np.ndarray:
@@ -186,10 +172,11 @@ def gup_phase_matrix(particle: ParticleSpec, loop: LoopPath, a: float, quad: Qua
 
     Exactly linear in a (the deformation factor scales an a-independent
     base integral), and exactly zero at a = 0. For closed loops the spatial
-    gamma parts cancel with the tangent, leaving the gamma^0 block.
+    gamma parts cancel with the tangent, leaving the gamma^0 block. One row of
+    ``phase_rows`` with no coil, at flux 0.
     """
-    matrix, _ = _correction(particle, loop, a, quad)
-    return matrix
+    geometry = loop_geometry(loop, None, quad)
+    return phase_rows(geometry, particle.charge, particle.mass, particle.speed, 0.0, a).correction_matrix
 
 
 def gup_phase_projected(
@@ -207,14 +194,11 @@ def gup_phase_projected(
     -a q m (E/v - p) * loop length, read off the correction matrix M as
     (m / E) Re M[0, 0], since the spatial gammas have a zero diagonal.
     'fixed_spinor' evaluates Re <u| M |u> / <u|u> for a caller-supplied
-    spinor u. GupabError if the matrix or the projection is not finite.
+    spinor u. One row of ``phase_rows`` with no coil, at flux 0; GupabError
+    if the matrix or the projection is not finite.
     """
-    matrix, err = _correction(particle, loop, a, quad)
-    spinor = _projection_spinor(projection, spinor)
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        value, _ = _projected_correction(matrix, err, particle.mass, particle.energy, spinor)
-    raise_first((not math.isfinite(value), GupabError, _NOT_FINITE))
-    return float(value)
+    geometry = loop_geometry(loop, None, quad)
+    return float(phase_rows(geometry, particle.charge, particle.mass, particle.speed, 0.0, a, projection, spinor).projected_correction)
 
 
 def _projection_spinor(projection, spinor):
@@ -268,7 +252,8 @@ def phase_rows(
     first, for every row alike. Then the first row that fails raises, with,
     in this order: ``GeometryError`` if its loop enters the coil,
     ``DomainError`` if its a is negative, and ``GupabError`` if any of its
-    results is not finite, as when E / v or a q overflows double precision.
+    results is not finite, as when E / v or a q overflows double precision;
+    where a = 0, the correction and its error are exactly zero all the same.
     """
     spinor = _projection_spinor(projection, spinor)
     with np.errstate(over="ignore", invalid="ignore"):  # reported row by row, below
@@ -284,7 +269,7 @@ def phase_rows(
     raise_first(
         (geometry.clearance <= geometry.coil_radius, GeometryError, _ENTERS_COIL),
         nonnegative_a(a),
-        (np.logical_not(finite), GupabError, _NOT_FINITE),
+        (np.logical_not(finite), GupabError, "phase is not finite: the inputs overflow double precision"),
     )
     return PhaseResult(standard, matrix, projected, total, error, a)
 

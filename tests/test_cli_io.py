@@ -670,6 +670,61 @@ def test_integers_beyond_the_float_range_are_not_finite(tmp_path, capsys, sign, 
     assert captured.err.splitlines() == [f"config error: {message}"]
 
 
+def test_heavy_particle_at_a_zero_has_an_exactly_zero_correction(tmp_path, capsys):
+    # (E / v - p) E L overflows, so -a q times it would be 0 * inf = NaN: a phase and a sweep at a = 0 still run
+    payload = json.loads(json.dumps(BASE_CONFIG))
+    payload["particle"].update(m=1e154, v=0.5)
+    payload["gup"]["a"] = 0.0
+    assert main(["phase", "-c", write_config(tmp_path, payload)]) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert (result["standard_phase"], result["projected_correction"]) == (1.0, 0.0)
+    payload["particle"]["m"] = 1e300
+    payload["sweep"] = {"parameter": "particle.v", "values": [0.001, 0.5, 0.9]}
+    assert main(["sweep", "-c", write_config(tmp_path, payload)]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header == SWEEP_CSV_HEADER and len(rows) == 3
+    assert all(row.split(",")[3] == "0.0" for row in rows)
+    payload["gup"]["a"] = 0.01  # a > 0 still overflows
+    assert main(["sweep", "-c", write_config(tmp_path, payload)]) == 1
+    assert capsys.readouterr().err == "error: phase is not finite: the inputs overflow double precision\n"
+
+
+@pytest.mark.parametrize("nodes", [513, 10**6, 2**1100])
+def test_node_count_is_capped_by_value(tmp_path, capsys, nodes):
+    # rejected before any Gauss-Legendre rule is built
+    payload = dict(BASE_CONFIG, quadrature={"nodes_per_segment": nodes})
+    assert main(["phase", "-c", write_config(tmp_path, payload)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["config error: quadrature.nodes_per_segment must be an integer in [4, 512]"]
+
+
+def test_benchmark_tracer_finds_its_hooks_and_puts_them_back(monkeypatch):
+    # perfbench/tracer.py patches gupab's names, private ones too: a rename fails here instead of blinding a layer metric
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
+    from tracer import Tracer
+
+    import gupab
+
+    modules = [getattr(gupab, name) for name in ("cli_io", "field_geometry", "phase_engine", "clifford", "gup_algebra")]
+    owners = modules + [phase_engine.PhaseResult]
+    before = [dict(vars(owner)) for owner in owners]
+    tracer = Tracer()
+    tracer.install(gupab)
+    try:
+        # the four that the engine no longer calls through these names
+        hooks = ("line_integral", "solenoid_field", "on_shell_spinor", "slash")
+        assert tracer.missing == [f"gupab.phase_engine.{name}" for name in hooks]
+        assert [dict(vars(owner)) for owner in owners] != before
+        for name in ("_ab_integral", "_matrix_correction", "_projected_correction"):
+            assert getattr(phase_engine, name) is not before[2][name]
+    finally:
+        tracer.uninstall()
+    after = [dict(vars(owner)) for owner in owners]
+    for old, new in zip(before, after):
+        assert old.keys() == new.keys() and all(new[key] is value for key, value in old.items())
+
+
 @pytest.mark.parametrize(
     "values, message",
     [

@@ -187,6 +187,11 @@ def test_degenerate_loops_rejected():
         (lambda: circle_loop(radius=10**400), "segment has non-finite points or tangents"),
         (lambda: arc_segment((0.0, 0.0, 0.0), 10**400, 0.0, 1.0), "segment has non-finite points or tangents"),
         (lambda: arc_segment((0.0, 0.0, 0.0), 1.0, 0.0, 10**400), "segment has non-finite points or tangents"),
+        # so does a coordinate of a center, a vertex, a corner or an end
+        (lambda: circle_loop(center=(10**400, 0, 0)), "segment has non-finite points or tangents"),
+        (lambda: polyline_loop([(10**400, 0, 0), (0, 1, 0), (1, 1, 0)]), "segment has non-finite points or tangents"),
+        (lambda: rectangle_loop([(1, 1, 0), (-1, 1, 0), (-1, -(10**400), 0), (1, -1, 0)]), "segment has non-finite points or tangents"),
+        (lambda: LoopPath((line_segment((10**400, 0, 0), (0, 1, 0)),), closed=False), "segment has non-finite points or tangents"),
         (lambda: arc_segment((0.0, 0.0, 0.0), math.nan, 0.0, 1.0), "radius must be positive"),
         (lambda: arc_segment((0.0, 0.0, 0.0), 1.0, 0.5, 0.5), "segment tangent vanishes somewhere on [0, 1]"),
         (lambda: LoopPath((Arc((0.0, 0.0, 0.0), -1.0, 0.0, 2.0 * math.pi),)), "radius must be positive"),
@@ -326,6 +331,11 @@ def test_quadrature_spec_validation():
         QuadratureSpec(refinement="adaptive")
     with pytest.raises(DomainError):
         QuadratureSpec(tolerance=0.0)
+    # capped by value, so that no rule past the doubling cap is built; never integrated with here
+    assert QuadratureSpec(nodes_per_segment=512).nodes_per_segment == 512
+    for nodes in (3, 513, 10**6, 2**1100, math.nan):
+        with pytest.raises(DomainError, match=f"^{re.escape('nodes_per_segment must be an integer in [4, 512]')}$"):
+            QuadratureSpec(nodes_per_segment=nodes)
 
 
 def test_arc_segment_quarter_circle():
@@ -575,12 +585,16 @@ def test_non_finite_windings_are_not_integers(windings):
     sign=st.sampled_from([1, -1]),
 )
 @example(center=[2.0**42, 0.0, 0.0], radius=1.00146484375, windings=10**8, sign=1)  # cos and sin put its end 9.8e-4 off
+@example(center=[3002399751580330.5, 0.0, 0.0], radius=0.5, windings=1, sign=1)  # center + r / 2 rounds onto the circle
 def test_a_circle_closes_exactly_at_any_center_radius_and_winding_count(center, radius, windings, sign):
     # every such circle is accepted: its length is positive and finite, at most 2**20 * 2 pi * 2**1000
     loop = circle_loop(center, radius, sign * windings)
     assert loop.ends[0, 1].tobytes() == loop.ends[0, 0].tobytes()
     # the same whole-turn test skips the end terms, so an axis inside the circle gives the sweep alone
-    spec = SolenoidSpec(flux=1.0, radius=radius / 4.0, axis_point=(center[0] + radius / 2.0, center[1], 0.0))
+    axis = center[0] + radius / 2.0
+    if not abs(axis - center[0]) < radius:  # an ulp of the center past the radius: the nearest double inside is the center
+        axis = center[0]
+    spec = SolenoidSpec(flux=1.0, radius=radius / 4.0, axis_point=(axis, center[1], 0.0))
     assert loop_geometry(loop, spec).turns == loop.segments[0].theta1 / (2.0 * math.pi)
 
 
@@ -806,6 +820,8 @@ def test_axis_direction_of_any_size_is_normalised(scale):
     [
         ({"axis_point": (math.nan, 0.0, 0.0)}, "axis point must be finite"),
         ({"axis_point": (0.0, math.inf, 0.0)}, "axis point must be finite"),
+        ({"axis_point": (10**400, 0, 0)}, "axis point must be finite"),  # an int beyond the doubles is an inf
+        ({"axis_direction": (10**400, 0, 1)}, "axis direction must be a finite nonzero 3-vector"),
         ({"axis_direction": (math.nan, 0.0, 1.0)}, "axis direction must be a finite nonzero 3-vector"),
         ({"axis_direction": (0.0, 0.0, -math.inf)}, "axis direction must be a finite nonzero 3-vector"),
         ({"axis_direction": (0.0, 0.0, 0.0)}, "axis direction must be a finite nonzero 3-vector"),

@@ -779,6 +779,78 @@ def test_library_phases_that_overflow_raise(call):
         call()
 
 
+def test_correction_is_exactly_zero_at_a_zero_however_heavy_the_particle():
+    # (E / v - p) E L overflows, and -a q times it would be 0 * inf = NaN: at a = 0 it is exactly +0.0 instead
+    heavy = ParticleSpec(charge=1.0, mass=1e300, speed=0.5)
+    matrix = gup_phase_matrix(heavy, _LOOP, 0.0)
+    assert matrix.shape == (4, 4) and np.array_equal(matrix.view(float), np.zeros((4, 8)))
+    assert not np.signbit(matrix.view(float)).any()
+    projected = gup_phase_projected(heavy, _LOOP, 0.0)
+    assert projected == 0.0 and not math.copysign(1.0, projected) < 0.0
+    assert ab_phase(heavy, SOLENOID, _LOOP) == 1.0
+    result = total_phase(heavy, SOLENOID, _LOOP, 0.0)
+    assert (result.standard_phase, result.projected_correction, result.quadrature_error) == (1.0, 0.0, 0.0)
+    # any a > 0 still overflows
+    for call in (
+        lambda: gup_phase_matrix(heavy, _LOOP, 1e-300),
+        lambda: gup_phase_projected(heavy, _LOOP, 0.01),
+        lambda: total_phase(heavy, SOLENOID, _LOOP, 0.01),
+    ):
+        with pytest.raises(GupabError, match="not finite"):
+            call()
+
+
+def test_single_quantity_functions_read_one_phase_row(monkeypatch):
+    calls = []
+    original = phase_engine.phase_rows
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(phase_engine, "phase_rows", counted)
+    u = on_shell_spinor((0.3, 0.0, 0.4), PARTICLE.mass)
+    for call in (
+        lambda: ab_phase(PARTICLE, SOLENOID, _LOOP),
+        lambda: gup_phase_matrix(PARTICLE, _LOOP, 0.01),
+        lambda: gup_phase_projected(PARTICLE, _LOOP, 0.01),
+        lambda: gup_phase_projected(PARTICLE, _LOOP, 0.01, None, "fixed_spinor", u),
+    ):
+        call()
+        assert len(calls) == 1
+        calls.clear()
+
+
+_CIRCLES = st.builds(
+    lambda x, y, radius, windings: circle_loop(center=(x, y, 0.0), radius=radius, windings=windings),
+    st.floats(-3.0, 3.0),
+    st.floats(-3.0, 3.0),
+    st.floats(0.5, 3.0),
+    st.sampled_from([-2, -1, 1, 2, 3]),
+)
+_POLYGONS = st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)), min_size=3, max_size=8, unique=True).map(
+    lambda points: polyline_loop([(x, y, 0.0) for x, y in points])
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    loop=st.one_of(_CIRCLES, _POLYGONS),
+    charge=st.floats(-1e6, 1e6),
+    flux=st.floats(-1e3, 1e3),
+    mass=st.floats(1e-300, 1e300),
+    speed=st.floats(5e-324, 1.0 - 2.0**-53),
+)
+@example(loop=circle_loop(radius=2.0), charge=1.0, flux=1.0, mass=1e300, speed=0.5)
+@example(loop=circle_loop(radius=2.0), charge=-3.0, flux=0.5, mass=1e-300, speed=5e-324)
+def test_ab_phase_depends_on_the_particle_only_through_its_charge(loop, charge, flux, mass, speed):
+    # the standard phase of a row at a = 0, whose correction is exactly zero even where E / v or E L overflows
+    solenoid = SolenoidSpec(flux=flux, radius=0.1)
+    assume(loop_geometry(loop, solenoid).clearance > solenoid.radius)
+    expected = ab_phase(ParticleSpec(charge, 1.0, 0.6), solenoid, loop)
+    assert ab_phase(ParticleSpec(charge, mass, speed), solenoid, loop).hex() == expected.hex()
+
+
 def test_a_radius_column_needs_a_loop_of_one_arc():
     radius = np.array([1.0, 2.0])
     two_arcs = LoopPath((arc_segment((0.0, 0.0, 0.0), 2.0, 0.0, math.pi), arc_segment((0.0, 0.0, 0.0), 2.0, math.pi, 0.0)))
