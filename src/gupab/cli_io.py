@@ -138,7 +138,6 @@ class RunConfig:
     loop: LoopPath
     a: float
     quadrature: QuadratureSpec
-    projection: str
     spinor: np.ndarray | None
     sweep: SweepSpec | None
 
@@ -253,7 +252,6 @@ def parse_config(raw: dict) -> RunConfig:
         loop=_build("loop", make_loop, loop_kind, **loop_params),
         a=a,
         quadrature=quadrature,
-        projection=projection,
         spinor=spinor,
         sweep=None,
     )
@@ -284,7 +282,6 @@ def run_phase(config: RunConfig) -> PhaseResult:
         config.loop,
         config.a,
         config.quadrature,
-        projection=config.projection,
         spinor=config.spinor,
     )
 
@@ -311,7 +308,7 @@ def run_sweep(config: RunConfig) -> tuple[np.ndarray, PhaseResult]:
     else:
         geometry = loop_geometry(config.loop, solenoid, config.quadrature)
         inputs[_SWEPT_INPUT[sweep.parameter]] = values
-    return values, phase_rows(geometry, **inputs, projection=config.projection, spinor=config.spinor)
+    return values, phase_rows(geometry, **inputs, spinor=config.spinor)
 
 
 def phase_json(result: PhaseResult) -> str:
@@ -443,16 +440,15 @@ def run_verification(level: str = "fast", gamma_perturbation: float = 0.0) -> di
 
     particle = ParticleSpec(charge=1.0, mass=1.0, speed=0.6)
     solenoid = SolenoidSpec(flux=1.0, radius=0.1)
-    quad = QuadratureSpec(refinement="doubling", tolerance=1e-12)
     worst = 0.0
     for windings in (1, -1, 2):
         loop = circle_loop(radius=2.0, windings=windings)
-        worst = max(worst, abs(ab_phase(particle, solenoid, loop, quad) - windings))
+        worst = max(worst, abs(ab_phase(particle, solenoid, loop) - windings))
     checks.append(_check("flux_phase_quantization", worst, 1e-9))
 
     loop = circle_loop(radius=1.0)
     a = 0.01
-    projected = gup_phase_projected(particle, loop, a, quad)
+    projected = gup_phase_projected(particle, loop, a)
     closed_form = -a * particle.charge * particle.mass * (particle.energy / particle.speed - particle.momentum) * (
         2.0 * math.pi
     )

@@ -206,14 +206,17 @@ class Arc(NamedTuple):
         """The checks, for ``raise_first``, that the arc is valid, an entry per radius for an array of radii.
 
         An arc is valid where the radius is positive, |center| + radius, the
-        length and both end angles are finite, which bounds every point and
-        tangent, and the length is positive.
+        length and both end angles are finite (an int past the doubles is not),
+        which bounds every point and tangent, and the length is positive.
         """
         (cx, cy, cz), radius, theta0, theta1 = self
-        length = self.length()
-        size = math.hypot(cx, cy, cz) + radius
-        angles = math.isfinite(theta0) and math.isfinite(theta1)
-        finite = (abs(size) < math.inf) & (abs(length) < math.inf) & angles
+        try:
+            length = self.length() * 1.0  # a float: an int length past the doubles overflows here
+            size = math.hypot(cx, cy, cz) + radius
+            angles = math.isfinite(theta0) and math.isfinite(theta1)
+            finite = (abs(size) < math.inf) & (abs(length) < math.inf) & angles
+        except OverflowError:  # an int past the doubles, in an Arc built directly
+            length, finite = math.inf, False
         return (
             (np.logical_not(radius > 0.0), GeometryError, _NONPOSITIVE_RADIUS),
             (np.logical_not(finite), GeometryError, _NON_FINITE),
@@ -348,7 +351,7 @@ class LoopPath:
             _point(bad.start, "segment start")
             _point(bad.end, "segment end")
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported as non-finite or as a gap
-            ends = np.array([(*line.start, *line.end) for line in lines], dtype=float).reshape(-1, 2, 3)  # flat rows convert faster
+            ends = to_floats([(*line.start, *line.end) for line in lines]).reshape(-1, 2, 3)  # flat rows convert faster
             chords = float(_check_lines(ends).sum()) if lines else 0.0
             measured = [_measure(seg) for seg in others]
             if others:

@@ -13,11 +13,11 @@ along the unit tangent, the contraction with the worldline element reduces to
 and the correction integrand is the matrix -a q slash(p0(s)) (p0 . dx).
 Since |dr| t-hat = dr, it integrates to -a q (E / v - p)(E L gamma^0 -
 p dx . gamma), with L the path length and dx its end-to-end displacement
-(zero on closed loops). The default reading projects the integrand onto the
+(zero on closed loops). With no spinor, the integrand is projected onto the
 comoving positive-energy spinor, for which slash(p0) u = m u collapses it to
--a q m (E / v - p) L; the raw matrix and a fixed-spinor projection are
-exposed as alternatives. All phases are reported in radians without 2 pi
-reduction. Natural units (hbar = c = 1).
+-a q m (E / v - p) L; a given spinor u selects the fixed-spinor projection
+Re <u| M |u> / <u|u> of the raw matrix M, also exposed. All phases are in
+radians without 2 pi reduction. Natural units (hbar = c = 1).
 
 The phase is assembled in two steps. ``field_geometry.loop_geometry``
 computes, once per loop, the record that no particle, flux or coupling
@@ -162,7 +162,8 @@ def _matrix_base(geometry: LoopGeometry, energy, momentum, contraction):
 def _matrix_correction(geometry: LoopGeometry, charge, energy, momentum, speed, a):
     base, err = _matrix_base(geometry, energy, momentum, energy / speed - momentum)
     factor = -a * charge
-    zero = a == 0.0  # no deformation: exactly zero, also where the base integral overflows and 0 * inf is NaN
+    # a and q tested apart: where -a q underflows to 0, a q times an overflowing base may be finite, so the row raises
+    zero = (a == 0.0) | (charge == 0.0)  # no deformation or no charge: exactly zero, also where 0 * inf is NaN
     # + 0.0 folds the signed zeros of -a q times a zero entry without touching nonzero entries
     return np.where(_rows(zero), 0.0, _rows(factor) * base + 0.0), np.where(zero, 0.0, abs(factor) * err)
 
@@ -170,8 +171,8 @@ def _matrix_correction(geometry: LoopGeometry, charge, energy, momentum, speed, 
 def gup_phase_matrix(particle: ParticleSpec, loop: LoopPath, a: float, quad: QuadratureSpec | None = None) -> np.ndarray:
     """Matrix-valued correction -a q contour integral of slash(p0) (p0 . dx); GupabError if it overflows.
 
-    Exactly linear in a (the deformation factor scales an a-independent
-    base integral), and exactly zero at a = 0. For closed loops the spatial
+    Exactly linear in a (the deformation factor scales an a-independent base
+    integral), and exactly zero at a = 0 or q = 0. For closed loops the spatial
     gamma parts cancel with the tangent, leaving the gamma^0 block. One row of
     ``phase_rows`` with no coil, at flux 0.
     """
@@ -184,31 +185,25 @@ def gup_phase_projected(
     loop: LoopPath,
     a: float,
     quad: QuadratureSpec | None = None,
-    projection: str = "comoving_on_shell",
     spinor=None,
 ) -> float:
-    """Scalar correction phase under the chosen spinor projection.
+    """Scalar correction phase: the comoving projection, or the fixed-spinor one when a spinor is given.
 
-    'comoving_on_shell' projects the integrand onto the local positive-energy
+    With no spinor, the integrand is projected onto the local positive-energy
     spinor, which collapses it to -a q m (E/v - p) |dr| and integrates to
     -a q m (E/v - p) * loop length, read off the correction matrix M as
-    (m / E) Re M[0, 0], since the spatial gammas have a zero diagonal.
-    'fixed_spinor' evaluates Re <u| M |u> / <u|u> for a caller-supplied
-    spinor u. One row of ``phase_rows`` with no coil, at flux 0; GupabError
-    if the matrix or the projection is not finite.
+    (m / E) Re M[0, 0], since the spatial gammas have a zero diagonal; a
+    spinor u gives Re <u| M |u> / <u|u>. One row of ``phase_rows`` with no
+    coil, at flux 0; GupabError if the matrix or the projection is not finite.
     """
     geometry = loop_geometry(loop, None, quad)
-    return float(phase_rows(geometry, particle.charge, particle.mass, particle.speed, 0.0, a, projection, spinor).projected_correction)
+    return float(phase_rows(geometry, particle.charge, particle.mass, particle.speed, 0.0, a, spinor).projected_correction)
 
 
-def _projection_spinor(projection, spinor):
-    """(u, <u|u>) for the fixed-spinor projection, None for the comoving one; DomainError for anything else."""
-    if projection == "comoving_on_shell":
-        return None
-    if projection != "fixed_spinor":
-        raise DomainError(f"unknown projection {projection!r}")
+def _projection_spinor(spinor):
+    """(u, <u|u>) for a given spinor, the fixed-spinor projection; None, the comoving one, for none; DomainError if invalid."""
     if spinor is None:
-        raise DomainError("fixed_spinor projection needs a spinor")
+        return None
     u = np.asarray(spinor, dtype=complex)
     if u.shape != (4,):
         raise DomainError("spinor must have four components")
@@ -238,7 +233,6 @@ def phase_rows(
     speed,
     flux,
     a,
-    projection: str = "comoving_on_shell",
     spinor=None,
 ) -> PhaseResult:
     """The ``PhaseResult`` of rows of particle, flux and coupling values: a column of rows, or one row.
@@ -248,14 +242,15 @@ def phase_rows(
     a column of radii; each entry of the broadcast is a row, and takes the
     same IEEE operations in the same order as a row given as floats. The
     result's fields are what the broadcast gives, not broadcast further, and
-    its ``a`` is the ``a`` given. The projection and spinor are checked
-    first, for every row alike. Then the first row that fails raises, with,
-    in this order: ``GeometryError`` if its loop enters the coil,
-    ``DomainError`` if its a is negative, and ``GupabError`` if any of its
-    results is not finite, as when E / v or a q overflows double precision;
-    where a = 0, the correction and its error are exactly zero all the same.
+    its ``a`` is the ``a`` given. The spinor, if any, is checked first: it
+    selects the fixed-spinor projection, and None the comoving one. Then the
+    first row that fails raises, in this order: ``GeometryError`` if its loop
+    enters the coil, ``DomainError`` if its a is negative, and ``GupabError``
+    if any of its results is not finite, as when E / v or a q overflows double
+    precision; at a = 0 or q = 0, the correction and its error are exactly
+    zero all the same.
     """
-    spinor = _projection_spinor(projection, spinor)
+    spinor = _projection_spinor(spinor)
     with np.errstate(over="ignore", invalid="ignore"):  # reported row by row, below
         standard, standard_err = _ab_integral(geometry, charge, flux)
         energy = _lorentz(speed) * mass
@@ -280,16 +275,15 @@ def total_phase(
     loop: LoopPath,
     a: float,
     quad: QuadratureSpec | None = None,
-    projection: str = "comoving_on_shell",
     spinor=None,
 ) -> PhaseResult:
     """Assemble standard phase, correction matrix, projection, and their sum: the one-row case of ``phase_rows``.
 
-    Raises ``GupabError`` if any of them is not finite, as when E / v or
-    a q overflows double precision.
+    A given spinor selects the fixed-spinor projection; GupabError if any of
+    them is not finite, as when E / v or a q overflows double precision.
     """
     geometry = loop_geometry(loop, solenoid, quad)
-    return phase_rows(geometry, particle.charge, particle.mass, particle.speed, solenoid.flux, a, projection, spinor)
+    return phase_rows(geometry, particle.charge, particle.mass, particle.speed, solenoid.flux, a, spinor)
 
 
 @dataclass(frozen=True)

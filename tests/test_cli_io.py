@@ -54,7 +54,7 @@ def test_minimal_config_gets_defaults(tmp_path):
     assert config.quadrature.nodes_per_segment == 16
     assert config.quadrature.tolerance == 1e-10
     assert config.quadrature.refinement == "fixed"
-    assert config.projection == "comoving_on_shell"
+    assert config.spinor is None
     assert config.sweep is None
     assert config.a == 0.01
 
@@ -670,21 +670,23 @@ def test_integers_beyond_the_float_range_are_not_finite(tmp_path, capsys, sign, 
     assert captured.err.splitlines() == [f"config error: {message}"]
 
 
-def test_heavy_particle_at_a_zero_has_an_exactly_zero_correction(tmp_path, capsys):
-    # (E / v - p) E L overflows, so -a q times it would be 0 * inf = NaN: a phase and a sweep at a = 0 still run
+# (q, a) with an exactly zero correction, then (q, a) that still overflow: a q > 0, also where -a q underflows to 0
+@pytest.mark.parametrize("q, a, overflowing", [(1.0, 0.0, (1.0, 0.01)), (0.0, 0.01, (1e-300, 1e-30))])
+def test_heavy_particle_at_a_zero_has_an_exactly_zero_correction(tmp_path, capsys, q, a, overflowing):
+    # (E / v - p) E L overflows, so -a q times it would be 0 * inf = NaN: a phase and a sweep at a = 0 or q = 0 still run
     payload = json.loads(json.dumps(BASE_CONFIG))
-    payload["particle"].update(m=1e154, v=0.5)
-    payload["gup"]["a"] = 0.0
+    payload["particle"].update(q=q, m=1e154, v=0.5)
+    payload["gup"]["a"] = a
     assert main(["phase", "-c", write_config(tmp_path, payload)]) == 0
     result = json.loads(capsys.readouterr().out)
-    assert (result["standard_phase"], result["projected_correction"]) == (1.0, 0.0)
+    assert (result["standard_phase"], result["projected_correction"]) == (q, 0.0)
     payload["particle"]["m"] = 1e300
     payload["sweep"] = {"parameter": "particle.v", "values": [0.001, 0.5, 0.9]}
     assert main(["sweep", "-c", write_config(tmp_path, payload)]) == 0
     header, *rows = capsys.readouterr().out.splitlines()
     assert header == SWEEP_CSV_HEADER and len(rows) == 3
     assert all(row.split(",")[3] == "0.0" for row in rows)
-    payload["gup"]["a"] = 0.01  # a > 0 still overflows
+    payload["particle"]["q"], payload["gup"]["a"] = overflowing
     assert main(["sweep", "-c", write_config(tmp_path, payload)]) == 1
     assert capsys.readouterr().err == "error: phase is not finite: the inputs overflow double precision\n"
 

@@ -195,6 +195,13 @@ def test_degenerate_loops_rejected():
         (lambda: arc_segment((0.0, 0.0, 0.0), math.nan, 0.0, 1.0), "radius must be positive"),
         (lambda: arc_segment((0.0, 0.0, 0.0), 1.0, 0.5, 0.5), "segment tangent vanishes somewhere on [0, 1]"),
         (lambda: LoopPath((Arc((0.0, 0.0, 0.0), -1.0, 0.0, 2.0 * math.pi),)), "radius must be positive"),
+        # records built directly with an int beyond the doubles: as the builders report it, never an OverflowError
+        (lambda: LoopPath((Arc((10**400, 0, 0), 1.0, 0.0, 2.0 * math.pi),)), "segment has non-finite points or tangents"),
+        (lambda: LoopPath((Line((10**400, 0, 0), (0, 1, 0)),), closed=False), "segment has non-finite points or tangents"),
+        (lambda: LoopPath((Arc((0.0, 0.0, 0.0), 10**400, 0.0, 2.0 * math.pi),)), "segment has non-finite points or tangents"),
+        (lambda: LoopPath((Arc((0.0, 0.0, 0.0), -(10**400), 0.0, 2.0 * math.pi),)), "radius must be positive"),
+        (lambda: LoopPath((Arc((0.0, 0.0, 0.0), 1.0, 0.0, 10**400),)), "segment has non-finite points or tangents"),
+        (lambda: LoopPath((Arc((0, 0, 0), 10**200, 0, 10**200),), closed=False), "segment has non-finite points or tangents"),
     ]
     for build, message in pieces:
         with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):

@@ -151,7 +151,7 @@ def test_total_phase_computes_geometry_once(monkeypatch):
     monkeypatch.setattr(phase_engine, "loop_geometry", counted)
     for loop in (circle_loop(radius=2.0), polyline_loop([(2, 0, 0), (0, 2, 0.5), (-2, -1, 0)])):
         calls.clear()
-        total_phase(PARTICLE, SOLENOID, loop, 0.01, DOUBLING, projection="fixed_spinor", spinor=np.ones(4))
+        total_phase(PARTICLE, SOLENOID, loop, 0.01, DOUBLING, spinor=np.ones(4))
         assert len(calls) == 1
 
 
@@ -258,7 +258,7 @@ def test_energy_speed_identity():
 def test_fixed_spinor_matches_comoving_on_straight_segment():
     path = LoopPath((line_segment((0, 0, 0), (0, 0, 2.0)),), closed=False)
     u = on_shell_spinor((0.0, 0.0, PARTICLE.momentum), PARTICLE.mass)
-    fixed = gup_phase_projected(PARTICLE, path, 0.01, DOUBLING, projection="fixed_spinor", spinor=u)
+    fixed = gup_phase_projected(PARTICLE, path, 0.01, DOUBLING, spinor=u)
     comoving = gup_phase_projected(PARTICLE, path, 0.01, DOUBLING)
     assert fixed == pytest.approx(comoving, abs=1e-10)
 
@@ -268,8 +268,8 @@ def test_on_shell_spinor_projection_at_any_scale(power):
     # |u|^2 underflowed to 0 at 2^-600 and overflowed at 2^600 when the spinor was not rescaled first
     u = on_shell_spinor(np.array([0.3, -0.2, 0.5]), 1.0)
     loop = circle_loop(radius=2.0)
-    unscaled = gup_phase_projected(PARTICLE, loop, 0.01, projection="fixed_spinor", spinor=u)
-    assert gup_phase_projected(PARTICLE, loop, 0.01, projection="fixed_spinor", spinor=u * 2.0**power) == unscaled
+    unscaled = gup_phase_projected(PARTICLE, loop, 0.01, spinor=u)
+    assert gup_phase_projected(PARTICLE, loop, 0.01, spinor=u * 2.0**power) == unscaled
 
 
 # real and imaginary parts no smaller than 2^-20 of the largest, so that u 2^k stays a normal double for |k| <= 1000
@@ -285,17 +285,10 @@ _SPINOR_PART = st.one_of(st.just(0.0), st.floats(2.0**-20, 2.0), st.floats(-2.0,
 def test_fixed_spinor_projection_is_scale_free(parts, power, a):
     u = np.array(parts[:4]) + 1j * np.array(parts[4:])
     loop = polyline_loop([(2.0, 0.0, 0.0), (0.0, 2.0, 0.5), (-2.0, -1.0, 0.0)])
-    unscaled = phase_rows(loop_geometry(loop, SOLENOID), 1.0, 1.0, 0.6, 1.0, a, "fixed_spinor", u)
-    scaled = phase_rows(loop_geometry(loop, SOLENOID), 1.0, 1.0, 0.6, 1.0, a, "fixed_spinor", u * 2.0**power)
+    unscaled = phase_rows(loop_geometry(loop, SOLENOID), 1.0, 1.0, 0.6, 1.0, a, u)
+    scaled = phase_rows(loop_geometry(loop, SOLENOID), 1.0, 1.0, 0.6, 1.0, a, u * 2.0**power)
     assert scaled.projected_correction == unscaled.projected_correction
     assert scaled.total_phase == unscaled.total_phase
-
-
-def test_fixed_spinor_requires_spinor():
-    with pytest.raises(DomainError):
-        gup_phase_projected(PARTICLE, circle_loop(radius=1.0), 0.01, DOUBLING, projection="fixed_spinor")
-    with pytest.raises(DomainError):
-        gup_phase_projected(PARTICLE, circle_loop(radius=1.0), 0.01, DOUBLING, projection="unknown")
 
 
 def test_total_phase_zero_coupling_recovers_standard():
@@ -531,10 +524,32 @@ def test_total_phase_builds_matrix_once_for_fixed_spinor(monkeypatch):
 
     monkeypatch.setattr(phase_engine, "_matrix_base", counted)
     u = on_shell_spinor((0.3, 0.0, 0.4), PARTICLE.mass)
-    result = total_phase(PARTICLE, SOLENOID, circle_loop(radius=2.0), 0.01, DOUBLING, "fixed_spinor", u)
+    result = total_phase(PARTICLE, SOLENOID, circle_loop(radius=2.0), 0.01, DOUBLING, u)
     assert len(calls) == 1
-    alone = gup_phase_projected(PARTICLE, circle_loop(radius=2.0), 0.01, DOUBLING, "fixed_spinor", u)
+    alone = gup_phase_projected(PARTICLE, circle_loop(radius=2.0), 0.01, DOUBLING, u)
     assert result.projected_correction == alone
+
+
+def test_a_given_spinor_selects_the_fixed_spinor_projection():
+    # on the README circle <u|gamma^0|u> = -1 for u = (0, 0, 1, 0), so the fixed spinor flips the comoving sign
+    loop, u = circle_loop(radius=2.0), np.array([0.0, 0.0, 1.0, 0.0])
+    geometry = loop_geometry(loop, SOLENOID)
+
+    def fixed_spinor(matrix):
+        return np.vdot(u, matrix @ u).real / np.vdot(u, u).real
+
+    for result in (total_phase(PARTICLE, SOLENOID, loop, 0.01, spinor=u), phase_rows(geometry, 1.0, 1.0, 0.6, 1.0, 0.01, spinor=u)):
+        assert result.projected_correction == pytest.approx(fixed_spinor(result.correction_matrix), rel=1e-15)
+        assert result.projected_correction == pytest.approx(0.20944, abs=1e-5)
+    projected = gup_phase_projected(PARTICLE, loop, 0.01, spinor=u)
+    assert projected == pytest.approx(fixed_spinor(gup_phase_matrix(PARTICLE, loop, 0.01)), rel=1e-15)
+    assert projected == pytest.approx(0.20944, abs=1e-5)
+    for comoving in (
+        total_phase(PARTICLE, SOLENOID, loop, 0.01).projected_correction,
+        phase_rows(geometry, 1.0, 1.0, 0.6, 1.0, 0.01).projected_correction,
+        gup_phase_projected(PARTICLE, loop, 0.01),
+    ):
+        assert comoving == pytest.approx(-0.16755, abs=1e-5)
 
 
 def test_circle_grazing_coil_rejected():
@@ -714,8 +729,7 @@ def test_one_row_keeps_the_scalar_operation_order(q, m, v, flux, a, vertices, cl
     geometry = loop_geometry(path, coil)
     assume(geometry.clearance > coil.radius)
     particle = ParticleSpec(charge=q, mass=m, speed=v)
-    projection = "comoving_on_shell" if spinor is None else "fixed_spinor"
-    result = total_phase(particle, coil, path, a, projection=projection, spinor=spinor)
+    result = total_phase(particle, coil, path, a, spinor=spinor)
 
     energy = 1.0 / math.sqrt(1.0 - v * v) * m
     momentum = energy * v
@@ -769,7 +783,7 @@ def test_generic_curve_phase_within_its_error_at_any_flux(name, flux):
         lambda: ab_phase(ParticleSpec(charge=1e308, mass=1.0, speed=0.6), SolenoidSpec(flux=10.0, radius=0.1), _LOOP),
         lambda: gup_phase_matrix(PARTICLE, _LOOP, 1e308),
         lambda: gup_phase_projected(PARTICLE, _LOOP, 1e308),
-        lambda: gup_phase_projected(PARTICLE, _LOOP, 1e308, projection="fixed_spinor", spinor=[1.0, 0.0, 0.0, 0.0]),
+        lambda: gup_phase_projected(PARTICLE, _LOOP, 1e308, spinor=[1.0, 0.0, 0.0, 0.0]),
         lambda: gup_phase_matrix(PARTICLE, _LOOP, math.inf),
     ],
 )
@@ -779,22 +793,25 @@ def test_library_phases_that_overflow_raise(call):
         call()
 
 
-def test_correction_is_exactly_zero_at_a_zero_however_heavy_the_particle():
-    # (E / v - p) E L overflows, and -a q times it would be 0 * inf = NaN: at a = 0 it is exactly +0.0 instead
-    heavy = ParticleSpec(charge=1.0, mass=1e300, speed=0.5)
-    matrix = gup_phase_matrix(heavy, _LOOP, 0.0)
+@pytest.mark.parametrize("charge, a", [(1.0, 0.0), (0.0, 0.01), (-0.0, 0.01), (0.0, 0.0)])
+def test_correction_is_exactly_zero_at_a_zero_however_heavy_the_particle(charge, a):
+    # (E / v - p) E L overflows, and -a q times it would be 0 * inf = NaN: at a = 0 or q = 0 it is exactly +0.0 instead
+    heavy = ParticleSpec(charge=charge, mass=1e300, speed=0.5)
+    matrix = gup_phase_matrix(heavy, _LOOP, a)
     assert matrix.shape == (4, 4) and np.array_equal(matrix.view(float), np.zeros((4, 8)))
     assert not np.signbit(matrix.view(float)).any()
-    projected = gup_phase_projected(heavy, _LOOP, 0.0)
-    assert projected == 0.0 and not math.copysign(1.0, projected) < 0.0
-    assert ab_phase(heavy, SOLENOID, _LOOP) == 1.0
-    result = total_phase(heavy, SOLENOID, _LOOP, 0.0)
-    assert (result.standard_phase, result.projected_correction, result.quadrature_error) == (1.0, 0.0, 0.0)
-    # any a > 0 still overflows
+    for projected in (gup_phase_projected(heavy, _LOOP, a), gup_phase_projected(heavy, _LOOP, a, spinor=[1, 0, 0, 0])):
+        assert projected == 0.0 and not math.copysign(1.0, projected) < 0.0
+    assert ab_phase(heavy, SOLENOID, _LOOP) == charge
+    result = total_phase(heavy, SOLENOID, _LOOP, a)
+    assert (result.standard_phase, result.projected_correction, result.quadrature_error) == (charge, 0.0, 0.0)
+    # a charged particle at any a > 0 still overflows, also where -a q underflows to 0 but a q times the base need not
+    charged, underflow = ParticleSpec(charge=1.0, mass=1e300, speed=0.5), ParticleSpec(charge=1e-300, mass=1e300, speed=0.5)
     for call in (
-        lambda: gup_phase_matrix(heavy, _LOOP, 1e-300),
-        lambda: gup_phase_projected(heavy, _LOOP, 0.01),
-        lambda: total_phase(heavy, SOLENOID, _LOOP, 0.01),
+        lambda: gup_phase_matrix(charged, _LOOP, 1e-300),
+        lambda: gup_phase_projected(charged, _LOOP, 0.01),
+        lambda: total_phase(charged, SOLENOID, _LOOP, 0.01),
+        lambda: total_phase(underflow, SOLENOID, _LOOP, 1e-30),
     ):
         with pytest.raises(GupabError, match="not finite"):
             call()
@@ -814,7 +831,7 @@ def test_single_quantity_functions_read_one_phase_row(monkeypatch):
         lambda: ab_phase(PARTICLE, SOLENOID, _LOOP),
         lambda: gup_phase_matrix(PARTICLE, _LOOP, 0.01),
         lambda: gup_phase_projected(PARTICLE, _LOOP, 0.01),
-        lambda: gup_phase_projected(PARTICLE, _LOOP, 0.01, None, "fixed_spinor", u),
+        lambda: gup_phase_projected(PARTICLE, _LOOP, 0.01, None, u),
     ):
         call()
         assert len(calls) == 1
@@ -947,10 +964,10 @@ _CALLERS = [
     (_SHAPE, lambda: on_shell_spinor(np.zeros((4, 2)), 1.0)),
     (_SHAPE, lambda: gup_algebra.deform_momentum([1.0, 2.0], 0.1)),
     (_SHAPE, lambda: gup_algebra.jacobian_commutator(2.0, 1, 1, 0.1)),
-    ("spinor must have four components", lambda: gup_phase_projected(PARTICLE, _LOOP, 0.01, None, "fixed_spinor", np.ones(3))),
-    ("spinor must have four components", lambda: total_phase(PARTICLE, SOLENOID, _LOOP, 0.01, None, "fixed_spinor", np.ones(3))),
-    ("spinor must be nonzero", lambda: gup_phase_projected(PARTICLE, _LOOP, 0.01, None, "fixed_spinor", np.zeros(4))),
-    ("spinor must be nonzero", lambda: total_phase(PARTICLE, SOLENOID, _LOOP, 0.01, None, "fixed_spinor", np.zeros(4))),
+    ("spinor must have four components", lambda: gup_phase_projected(PARTICLE, _LOOP, 0.01, None, np.ones(3))),
+    ("spinor must have four components", lambda: total_phase(PARTICLE, SOLENOID, _LOOP, 0.01, None, np.ones(3))),
+    ("spinor must be nonzero", lambda: gup_phase_projected(PARTICLE, _LOOP, 0.01, None, np.zeros(4))),
+    ("spinor must be nonzero", lambda: total_phase(PARTICLE, SOLENOID, _LOOP, 0.01, None, np.zeros(4))),
 ]
 
 
