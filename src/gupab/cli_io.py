@@ -318,9 +318,17 @@ def phase_json(result: PhaseResult) -> str:
 
 
 def _csv(header: str, *columns) -> str:
-    """``header``, then ``",".join(map(repr, row))`` for each row of the broadcast float columns, from one template."""
+    """``header``, then ``",".join(map(repr, row))`` for each row of the broadcast float columns, from one template.
+
+    A column that holds one double, bit for bit, in every row goes into the
+    template as its repr, so only the other columns are formatted row by row.
+    """
     table = np.stack(np.broadcast_arrays(*columns), axis=-1)
-    return f"{header}\n" + (",".join(["%r"] * table.shape[1]) + "\n") * len(table) % tuple(table.ravel().tolist())
+    bits = table.view(np.int64)
+    varies = (bits != bits[0]).any(axis=0)
+    fields = ["%r" if v else repr(x) for v, x in zip(varies.tolist(), table[0].tolist())]
+    values = table if varies.all() else table[:, varies]  # a copy only where a column is written once
+    return f"{header}\n" + (",".join(fields) + "\n") * len(table) % tuple(values.ravel().tolist())
 
 
 def sweep_csv(sweep) -> str:
@@ -372,8 +380,10 @@ def _gamma_algebra_residual(perturbation: float) -> float:
 def _draw_rows(count: int, draw):
     """Call ``draw()``, which returns a tuple of draws, ``count`` times; stack each position into an array.
 
-    The rows are drawn one at a time, so a seeded generator hands out its
-    numbers in the same order as a loop that uses each row as it is drawn.
+    For rows that mix normal and uniform draws: a normal draw may take more
+    than one word of the generator, so such rows are drawn one at a time, and
+    a seeded generator hands out its numbers in the same order as a loop that
+    uses each row as it is drawn.
     """
     return [np.array(column) for column in zip(*(draw() for _ in range(count)))]
 
@@ -386,8 +396,10 @@ def run_verification(level: str = "fast", gamma_perturbation: float = 0.0) -> di
 
     Every check draws its rows of seeded inputs from one generator, in a
     fixed order, and then evaluates all of them in one batched call (the
-    random states in blocks of ``_STATE_BLOCK``). Nothing is cached: every
-    call recomputes every check.
+    random states in blocks of ``_STATE_BLOCK``). A check whose rows are all
+    uniform draws takes them in one call; the numbers and their order are
+    those of the row loop, since a uniform draw takes one word of the
+    generator per value. Nothing is cached: every call recomputes every check.
     """
     if level not in ("fast", "full"):
         raise ConfigError("verify level must be 'fast' or 'full'")
@@ -396,14 +408,14 @@ def run_verification(level: str = "fast", gamma_perturbation: float = 0.0) -> di
 
     checks.append(_check("gamma_algebra_exact", _gamma_algebra_residual(gamma_perturbation), 0.0))
 
-    (components,) = _draw_rows(100, lambda: (rng.uniform(-2.0, 2.0, size=4),))
-    p = clifford.FourVector(*components.T)
+    p = clifford.FourVector(*rng.uniform(-2.0, 2.0, size=(100, 4)).T)
     sl = clifford.slash(p)
     p_sq = p.square()
     deviation = np.max(np.abs(sl @ sl - p_sq[:, None, None] * np.eye(4)), axis=(1, 2))
     checks.append(_check("slash_square_relative", np.max(deviation / np.maximum(np.abs(p_sq), 1e-3)), 1e-12))
 
-    p3, m = _draw_rows(20, lambda: (rng.uniform(-1.5, 1.5, size=3), rng.uniform(0.2, 2.0)))
+    rows = rng.uniform([-1.5, -1.5, -1.5, 0.2], [1.5, 1.5, 1.5, 2.0], size=(20, 4))
+    p3, m = rows[:, :3], rows[:, 3]
     energy = np.sqrt(np.sum(p3 * p3, axis=1) + m * m)
     sl = clifford.slash(clifford.FourVector.from_spatial(energy, p3))
     u1 = clifford.on_shell_spinor(p3, m, "particle1")
@@ -454,10 +466,8 @@ def run_verification(level: str = "fast", gamma_perturbation: float = 0.0) -> di
     )
     checks.append(_check("comoving_closed_form", abs(projected - closed_form) / abs(closed_form), 1e-10))
 
-    p3, m, a_values = _draw_rows(
-        100, lambda: (rng.uniform(-2.0, 2.0, size=3), rng.uniform(0.2, 2.0), rng.uniform(0.0, 0.2))
-    )
-    result = dispersion(p3, m, a_values)
+    rows = rng.uniform([-2.0, -2.0, -2.0, 0.2, 0.0], [2.0, 2.0, 2.0, 2.0, 0.2], size=(100, 5))
+    result = dispersion(rows[:, :3], rows[:, 3], rows[:, 4])
     expected = np.stack([result.e_minus, result.e_minus, result.e_plus, result.e_plus], axis=-1)
     checks.append(_check("dispersion_eigenvalues", np.max(np.abs(result.eigenvalues - expected)), 1e-12))
 

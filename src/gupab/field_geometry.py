@@ -628,8 +628,11 @@ def loop_geometry(loop: LoopPath, spec: SolenoidSpec | None, quad: QuadratureSpe
     An array ``radius`` makes a column of circles: the loop must be one arc,
     normal to the axis if there is a coil, each entry is taken as its radius
     (valid where ``Arc.checks`` of ``circle_arc(loop, radius)`` pass), and
-    the record holds an entry per radius.
+    the record holds an entry per radius. ``quad`` must be None or a
+    ``QuadratureSpec``, else DomainError, even where nothing is integrated.
     """
+    if quad is not None and not isinstance(quad, QuadratureSpec):
+        raise DomainError("quad must be a QuadratureSpec")
     column = None if radius is None else circle_arc(loop, radius)
     turns, turns_error, clearance, coil_radius = 0.0, 0.0, math.inf, 0.0
     if spec is not None:

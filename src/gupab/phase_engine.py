@@ -204,9 +204,16 @@ def _projection_spinor(spinor):
     """(u, <u|u>) for a given spinor, the fixed-spinor projection; None, the comoving one, for none; DomainError if invalid."""
     if spinor is None:
         return None
-    u = np.asarray(spinor, dtype=complex)
+    try:
+        u = np.asarray(spinor, dtype=complex)
+    except OverflowError:  # an int beyond the doubles
+        raise DomainError("spinor must be finite") from None
+    except (TypeError, ValueError):  # not numbers
+        raise DomainError("spinor must have four components") from None
     if u.shape != (4,):
         raise DomainError("spinor must have four components")
+    if not np.isfinite(u).all():
+        raise DomainError("spinor must be finite")
     # exactly rescaled to a largest modulus in [1, 2), <u|u> neither overflows nor underflows; the projection is scale-free
     _, exponent = np.frexp(np.max(np.abs(u)))
     u = u / np.ldexp(1.0, exponent - 1)

@@ -392,15 +392,15 @@ _default_rng = np.random.default_rng
 
 
 class _RecordedGenerator:
-    """A seeded generator that records each draw's method, shape and values, in order."""
+    """A seeded generator that records every number it hands out as one flat stream, in draw order, bit for bit."""
 
     def __init__(self, seed):
-        self._rng, self.draws = _default_rng(seed), []
+        self._rng, self.stream = _default_rng(seed), []
 
     def __getattr__(self, name):
         def draw(*args, **kwargs):
             value = np.asarray(getattr(self._rng, name)(*args, **kwargs))
-            self.draws.append((name, value.shape, value.tolist()))
+            self.stream.extend(map(float.hex, value.ravel().tolist()))
             return value if value.ndim else float(value)
 
         return draw
@@ -419,7 +419,8 @@ def test_batched_verification_matches_row_by_row(level, perturbation, monkeypatc
     batched = run_verification(level, perturbation)
     oracle = reference_verification(level, perturbation)
     assert len(generators) == 2  # each run draws afresh: nothing is cached across calls
-    assert generators[0].draws == generators[1].draws  # the same inputs, drawn in the same order
+    # the same numbers in the same order, whether a check draws its rows in one block or one at a time
+    assert generators[0].stream == generators[1].stream
     assert batched["all_passed"] == oracle["all_passed"] == (perturbation == 0.0)
     assert [(c["name"], c["bound"], c["passed"]) for c in batched["checks"]] == [
         (c["name"], c["bound"], c["passed"]) for c in oracle["checks"]
@@ -810,10 +811,16 @@ _CSV_FLOATS = st.one_of(
 @settings(max_examples=150, deadline=None)
 @given(rows=st.integers(1, 200), header=st.sampled_from([DISPERSION_CSV_HEADER, SWEEP_CSV_HEADER]), data=st.data())
 def test_csv_template_writes_the_row_writer_text(rows, header, data):
-    # the first column has a value per row; each other one a value per row or one value that every row shares
+    # the first column is an array of rows; each other one an array or one value that every row shares. An array
+    # holds a value per row, one drawn value in every row (written once), or 0.0 and -0.0 (equal, not one double)
     width = header.count(",") + 1
-    first = data.draw(arrays(float, rows, elements=_CSV_FLOATS))
-    rest = [data.draw(st.one_of(_CSV_FLOATS, arrays(float, rows, elements=_CSV_FLOATS))) for _ in range(width - 1)]
+    column = st.one_of(
+        arrays(float, rows, elements=_CSV_FLOATS),
+        _CSV_FLOATS.map(lambda value: np.full(rows, value)),
+        arrays(float, rows, elements=st.sampled_from([0.0, -0.0])),
+    )
+    first = data.draw(column)
+    rest = [data.draw(st.one_of(_CSV_FLOATS, column)) for _ in range(width - 1)]
     # line by line, so that a failure names its first differing line without diffing the whole text
     assert cli_io._csv(header, first, *rest).split("\n") == reference_csv(header, first, *rest).split("\n")
 

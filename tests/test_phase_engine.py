@@ -968,6 +968,12 @@ _CALLERS = [
     ("spinor must have four components", lambda: total_phase(PARTICLE, SOLENOID, _LOOP, 0.01, None, np.ones(3))),
     ("spinor must be nonzero", lambda: gup_phase_projected(PARTICLE, _LOOP, 0.01, None, np.zeros(4))),
     ("spinor must be nonzero", lambda: total_phase(PARTICLE, SOLENOID, _LOOP, 0.01, None, np.zeros(4))),
+    # a value that is not numbers, such as the old projection string, and entries that are not finite doubles
+    ("spinor must have four components", lambda: total_phase(PARTICLE, SOLENOID, _LOOP, 0.01, None, "comoving_on_shell")),
+    ("spinor must have four components", lambda: gup_phase_projected(PARTICLE, _LOOP, 0.01, None, {"u": 1.0})),
+    ("spinor must be finite", lambda: total_phase(PARTICLE, SOLENOID, _LOOP, 0.01, None, (10**400, 0, 0, 0))),
+    ("spinor must be finite", lambda: total_phase(PARTICLE, SOLENOID, _LOOP, 0.01, None, (math.nan, 0, 0, 0))),
+    ("spinor must be finite", lambda: gup_phase_projected(PARTICLE, _LOOP, 0.01, None, (math.inf, 1, 0, 0))),
 ]
 
 
@@ -976,3 +982,19 @@ def test_every_caller_reports_the_shared_message(message, call):
     with pytest.raises(DomainError) as caught:
         call()
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("loop", [_LOOP, polyline_loop([(2.0, 0.0, 0.0), (-1.0, 2.0, 0.0), (-1.0, -2.0, 0.0)])])
+@pytest.mark.parametrize("quad", [np.array([0.0, 0.0, 1.0, 0.0]), "fixed"])
+def test_quad_must_be_a_quadrature_spec_even_where_nothing_is_integrated(loop, quad):
+    # lines and arcs take closed forms that read no quad, so the check cannot wait for an integral
+    calls = [
+        lambda: total_phase(PARTICLE, SOLENOID, loop, 0.01, quad),
+        lambda: ab_phase(PARTICLE, SOLENOID, loop, quad),
+        lambda: gup_phase_matrix(PARTICLE, loop, 0.01, quad),
+        lambda: gup_phase_projected(PARTICLE, loop, 0.01, quad),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError) as caught:
+            call()
+        assert str(caught.value) == "quad must be a QuadratureSpec"
