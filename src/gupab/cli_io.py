@@ -21,15 +21,15 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
 from . import clifford, gup_algebra
-from .errors import ConfigError, DomainError, GeometryError, GupabError, raise_first
-from .field_geometry import LoopPath, QuadratureSpec, SolenoidSpec, circle_arc, finite_flux, loop_geometry, make_loop, to_float
+from .errors import ConfigError, DomainError, GeometryError, GupabError, raise_first, to_float
+from .field_geometry import LoopPath, QuadratureSpec, SolenoidSpec, circle_arc, finite_flux, loop_geometry, make_loop
 from .phase_engine import (
     ParticleSpec,
     PhaseResult,
@@ -211,7 +211,7 @@ def _parse_spinor(raw, particle: ParticleSpec):
     return _build("spinor", clifford.on_shell_spinor, np.asarray(momentum), particle.mass, branch)
 
 
-def _parse_sweep(raw, config: RunConfig, loop_kind: str) -> SweepSpec:
+def _parse_sweep(raw, loop: LoopPath, loop_kind: str) -> SweepSpec:
     """Check the sweep section and, in one ``_COLUMN_CHECKS`` call, its values: a bad one is a config error."""
     _section(raw, "sweep", {"parameter", "values"})
     parameter = _require(raw, "parameter", "sweep")
@@ -224,7 +224,7 @@ def _parse_sweep(raw, config: RunConfig, loop_kind: str) -> SweepSpec:
     if parameter == "loop.radius" and loop_kind != "circle":
         raise ConfigError("sweeping loop.radius requires a circle loop")
     with np.errstate(over="ignore"):  # a radius whose circle's size or length overflows is reported as non-finite
-        _build(f"sweep.values for {parameter.split('.')[0]}", _COLUMN_CHECKS[parameter], config.loop, np.array(values))
+        _build(f"sweep.values for {parameter.split('.')[0]}", _COLUMN_CHECKS[parameter], loop, np.array(values))
     return SweepSpec(parameter=parameter, values=values)
 
 
@@ -246,18 +246,9 @@ def parse_config(raw: dict) -> RunConfig:
         spinor = _parse_spinor(_require(raw, "spinor", ""), particle)
     elif "spinor" in raw:
         raise ConfigError("spinor is only meaningful with projection 'fixed_spinor'")
-    config = RunConfig(
-        particle=particle,
-        solenoid=solenoid,
-        loop=_build("loop", make_loop, loop_kind, **loop_params),
-        a=a,
-        quadrature=quadrature,
-        spinor=spinor,
-        sweep=None,
-    )
-    if "sweep" in raw:
-        config = replace(config, sweep=_parse_sweep(raw["sweep"], config, loop_kind))
-    return config
+    loop = _build("loop", make_loop, loop_kind, **loop_params)
+    sweep = _parse_sweep(raw["sweep"], loop, loop_kind) if "sweep" in raw else None
+    return RunConfig(particle=particle, solenoid=solenoid, loop=loop, a=a, quadrature=quadrature, spinor=spinor, sweep=sweep)
 
 
 def load_config(path) -> RunConfig:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, raise_first
+from .errors import DomainError, raise_first, to_floats
 
 PAULI = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -97,7 +97,7 @@ def positive_mass(m):
 
 def momenta(p3) -> np.ndarray:
     """p3 as a float array of 3-vectors; DomainError unless it is a 3-vector or an (..., 3) array of them, all finite."""
-    p3 = np.asarray(p3, dtype=float)
+    p3 = to_floats(p3)
     if p3.ndim == 0 or p3.shape[-1] != 3:
         raise DomainError("momentum must be a 3-vector or an (..., 3) array of them")
     raise_first((np.logical_not(np.isfinite(p3).all(axis=-1)), DomainError, "momentum must be finite"))
@@ -113,7 +113,7 @@ def on_shell_spinor(p3, m, branch: str = "particle1") -> np.ndarray:
     4-spinor; an (..., 3) array of momenta gives an (..., 4) array of them,
     with ``m`` a float or an array that broadcasts against the momenta.
     """
-    m = np.asarray(m, dtype=float)
+    m = to_floats(m)
     raise_first(positive_mass(m))
     if branch not in ("particle1", "particle2"):
         raise DomainError("branch must be 'particle1' or 'particle2'")

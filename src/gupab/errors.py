@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the row-by-row raise that batched checks share."""
+"""Exception types shared across the package, the row-by-row raise that batched checks share, and the one conversion of numbers."""
 
 import functools
+import math
 import operator
 
 import numpy as np
@@ -49,3 +50,19 @@ def raise_first(*checks):
         for mask, error, message in checks:
             if np.ravel(np.broadcast_to(mask, np.shape(failed)))[row]:
                 raise error(message)
+
+
+def to_float(x) -> float:
+    """x as a float; an int beyond the doubles becomes the infinity of its sign, which every finiteness check rejects."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def to_floats(x) -> np.ndarray:
+    """x as a float array, each int beyond the doubles the infinity of its sign, as ``to_float`` gives it."""
+    try:
+        return np.asarray(x, dtype=float)
+    except OverflowError:
+        return np.vectorize(to_float, otypes=[float])(np.asarray(x, dtype=object))

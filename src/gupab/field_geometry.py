@@ -22,13 +22,13 @@ generic fields handed to ``line_integral`` are called once per point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, FieldEvaluationError, GeometryError, SingularInputError, raise_first
+from .errors import DomainError, FieldEvaluationError, GeometryError, SingularInputError, raise_first, to_float, to_floats
 
 _MAX_NODES_PER_SEGMENT = 1024  # 2**10 cap for the doubling refinement
 _VALIDATION_SAMPLES = 64
@@ -43,22 +43,6 @@ def _unit(v, name) -> tuple:
     if v.shape != (3,) or not (0.0 < (norm := math.hypot(*v.tolist())) < math.inf):
         raise DomainError(f"{name} must be a finite nonzero 3-vector")
     return tuple(c / norm for c in v.tolist())
-
-
-def to_float(x) -> float:
-    """x as a float; an int beyond the doubles becomes the infinity of its sign, which every finiteness check rejects."""
-    try:
-        return float(x)
-    except OverflowError:
-        return math.inf if x > 0 else -math.inf
-
-
-def to_floats(x) -> np.ndarray:
-    """x as a float array, each int beyond the doubles the infinity of its sign, as ``to_float`` gives it."""
-    try:
-        return np.asarray(x, dtype=float)
-    except OverflowError:
-        return np.vectorize(to_float, otypes=[float])(np.asarray(x, dtype=object))
 
 
 def _point(p, name, error=GeometryError) -> tuple:
@@ -447,7 +431,8 @@ class QuadratureSpec:
     tolerance: float = 1e-10
 
     def __post_init__(self):
-        if not 4 <= self.nodes_per_segment <= _MAX_NODES_PER_SEGMENT // 2:  # so the fine rule, 2n nodes, is within the cap
+        n = self.nodes_per_segment  # the fine rule, 2n nodes, must be within the cap; True fails the range
+        if not (isinstance(n, (int, np.integer)) and 4 <= n <= _MAX_NODES_PER_SEGMENT // 2):
             raise DomainError(f"nodes_per_segment must be an integer in [4, {_MAX_NODES_PER_SEGMENT // 2}]")
         if self.refinement not in ("fixed", "doubling"):
             raise DomainError("refinement must be 'fixed' or 'doubling'")
@@ -470,34 +455,28 @@ def _unit_interval_rule(n: int):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _refine(evaluate, quad: QuadratureSpec):
-    """Shared node-doubling refinement; returns (fine value, max |fine - coarse|, fine nodes).
-
-    ``evaluate(n)`` may return a scalar or an array; the error is the largest
-    entrywise change between the last two rules.
-    """
-    n = quad.nodes_per_segment
-    coarse = evaluate(n)
-    fine = evaluate(2 * n)
-    err = float(np.max(np.abs(fine - coarse)))
-    if quad.refinement == "doubling":
-        while err > quad.tolerance and 2 * n < _MAX_NODES_PER_SEGMENT:
-            n *= 2
-            coarse = fine
-            fine = evaluate(2 * n)
-            err = float(np.max(np.abs(fine - coarse)))
-    return fine, err, 2 * n
-
-
 def _quadrature(integrand, loop, quad) -> IntegralResult:
-    """The sum over segments of integrand(segment, s) on each one's Gauss-Legendre nodes s, refined by ``_refine``."""
+    """The sum over segments of integrand(segment, s) on each one's Gauss-Legendre nodes s, refined in place.
+
+    Each rule of n nodes is checked against the rule of 2n; under
+    ``doubling`` the pair moves up one doubling while their difference
+    exceeds the tolerance and the next fine rule stays below the cap. The
+    result is the last fine value, its difference from the coarse one and
+    the fine rule's nodes per segment. A NaN difference stops the doubling.
+    """
+    quad = quad or QuadratureSpec()
 
     def evaluate(n):
         s, w = _unit_interval_rule(n)
         return sum(float(np.sum(w * integrand(seg, s))) for seg in loop.segments)
 
-    value, err, nodes = _refine(evaluate, quad or QuadratureSpec())
-    return IntegralResult(value=value, error_estimate=err, nodes_per_segment=nodes)
+    n = quad.nodes_per_segment
+    coarse, fine = evaluate(n), evaluate(2 * n)
+    if quad.refinement == "doubling":
+        while abs(fine - coarse) > quad.tolerance and 2 * n < _MAX_NODES_PER_SEGMENT:
+            n *= 2
+            coarse, fine = fine, evaluate(2 * n)
+    return IntegralResult(value=fine, error_estimate=abs(fine - coarse), nodes_per_segment=2 * n)
 
 
 def _circulation(sample, loop, quad) -> IntegralResult:
@@ -667,7 +646,7 @@ def loop_geometry(loop: LoopPath, spec: SolenoidSpec | None, quad: QuadratureSpe
         elif clearance <= coil_radius:  # not integrated: every row reports the loop as entering the coil
             turns = turns_error = math.nan
         else:  # the circulation is linear in the flux, so one integral at unit flux serves every flux
-            result = solenoid_circulation(replace(spec, flux=1.0), loop, quad)
+            result = solenoid_circulation(SolenoidSpec(1.0, spec.radius, spec.axis_point, spec.axis_direction), loop, quad)
             turns, turns_error = result.value, result.error_estimate
     length, length_error = (loop.length if column is None else column.length()), 0.0
     if length is None:

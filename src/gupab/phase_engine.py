@@ -40,7 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from .clifford import alpha, beta, gamma, momenta, positive_mass
-from .errors import DomainError, GeometryError, GupabError, raise_first
+from .errors import DomainError, GeometryError, GupabError, raise_first, to_floats
 from .field_geometry import LoopGeometry, LoopPath, QuadratureSpec, SolenoidSpec, loop_geometry
 from .units import nonnegative_a
 
@@ -223,14 +223,20 @@ def _projection_spinor(spinor):
     return u, norm_sq
 
 
-def _projected_correction(matrix, err, mass, energy, spinor):
-    """(value, error) of the projection of the correction rows, for a spinor from ``_projection_spinor``."""
+def _projected_correction(matrix, mass, energy, spinor):
+    """The projection of the correction rows, for a spinor from ``_projection_spinor``.
+
+    Its error is not computed: the comoving one would be (m / E) times the
+    matrix's error, with E = gamma m and gamma >= 1, and the fixed-spinor one
+    the matrix's error itself, so neither exceeds the matrix's error that
+    ``phase_rows`` reports. Where m / E is NaN (an infinite mass), so is the
+    projection, and the row raises all the same.
+    """
     if spinor is None:
-        ratio = mass / energy
-        return ratio * matrix[..., 0, 0].real, ratio * err
+        return mass / energy * matrix[..., 0, 0].real
     u, norm_sq = spinor
     # row by row the same BLAS dot as np.vdot(u, M u), which conjugates u
-    return np.matmul(np.conj(u), (matrix @ u)[..., None])[..., 0].real / norm_sq, err
+    return np.matmul(np.conj(u), (matrix @ u)[..., None])[..., 0].real / norm_sq
 
 
 def phase_rows(
@@ -263,10 +269,10 @@ def phase_rows(
         energy = _lorentz(speed) * mass
         momentum = energy * speed
         matrix, matrix_err = _matrix_correction(geometry, charge, energy, momentum, speed, a)
-        projected, projected_err = _projected_correction(matrix, matrix_err, mass, energy, spinor)
+        projected = _projected_correction(matrix, mass, energy, spinor)
         total = standard + projected
-        error = np.maximum(np.maximum(standard_err, matrix_err), projected_err)
-        # a sum is finite only with both terms, and a maximum only with all three (NaN propagates)
+        error = np.maximum(standard_err, matrix_err)
+        # a sum is finite only with both terms, and a maximum only with both operands (NaN propagates)
         finite = np.isfinite(matrix).all(axis=(-2, -1)) & np.isfinite(total) & np.isfinite(error)
     raise_first(
         (geometry.clearance <= geometry.coil_radius, GeometryError, _ENTERS_COIL),
@@ -329,7 +335,7 @@ def dispersion(p3, m, a) -> DispersionResult:
     Raises ``GupabError`` if a branch or the Hamiltonian is not finite, as
     when a |p|^2 overflows double precision.
     """
-    m, a = np.asarray(m, dtype=float), np.asarray(a, dtype=float)
+    m, a = to_floats(m), to_floats(a)
     raise_first(positive_mass(m), nonnegative_a(a))
     p3 = momenta(p3)
     with np.errstate(over="ignore", invalid="ignore"):  # reported once, below

@@ -15,7 +15,7 @@ from gupab.clifford import (
     slash,
 )
 from gupab.errors import DomainError
-from gupab.gup_algebra import deform_momentum
+from gupab.gup_algebra import commutator_target, deform_momentum, jacobian_commutator
 from gupab.phase_engine import dispersion
 
 I4 = np.eye(4)
@@ -279,11 +279,31 @@ def test_spinor_at_huge_momenta_is_the_ultrarelativistic_limit(p3, branch):
     np.testing.assert_allclose(u, expected, rtol=0.0, atol=1e-15)
 
 
-@pytest.mark.parametrize("p3", [(np.inf, 0.0, 0.0), (0.0, -np.inf, 0.0), (0.0, 0.0, np.nan), [(0.3, 0.1, 0.0), (np.inf, 0.0, 0.0)]])
+@pytest.mark.parametrize(
+    "p3",
+    [(np.inf, 0.0, 0.0), (0.0, -np.inf, 0.0), (0.0, 0.0, np.nan), [(0.3, 0.1, 0.0), (np.inf, 0.0, 0.0)], [10**400, 0, 0]],
+)
 def test_spinor_of_a_non_finite_momentum_is_a_domain_error(p3):
-    # clifford.momenta makes the check, for the dispersion and the deformation map as well
+    # clifford.momenta makes the check, for the dispersion, the deformation map and the brackets as well;
+    # an int beyond the doubles reads as infinite
+    calls = (
+        lambda: on_shell_spinor(p3, 1.0),
+        lambda: dispersion(p3, 1.0, 0.0),
+        lambda: deform_momentum(p3, 0.1),
+        lambda: jacobian_commutator(p3, 1, 1, 0.1),
+        lambda: commutator_target(p3, 1, 1, 0.1),
+    )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for call in (lambda: on_shell_spinor(p3, 1.0), lambda: dispersion(p3, 1.0, 0.0), lambda: deform_momentum(p3, 0.1)):
+        for call in calls:
             with pytest.raises(DomainError, match="^momentum must be finite$"):
                 call()
+
+
+@pytest.mark.parametrize("m", [1e400, 10**400], ids=["float", "int"])
+def test_spinor_of_an_infinite_mass_is_at_rest(m):
+    # an int mass beyond the doubles reads as infinite, as a float one does
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = on_shell_spinor([1, 0, 0], m)
+    assert np.array_equal(u, [1.0, 0.0, 0.0, 0.0])

@@ -340,7 +340,8 @@ def test_quadrature_spec_validation():
         QuadratureSpec(tolerance=0.0)
     # capped by value, so that no rule past the doubling cap is built; never integrated with here
     assert QuadratureSpec(nodes_per_segment=512).nodes_per_segment == 512
-    for nodes in (3, 513, 10**6, 2**1100, math.nan):
+    assert QuadratureSpec(nodes_per_segment=np.int64(16)).nodes_per_segment == 16
+    for nodes in (3, 513, 10**6, 2**1100, math.nan, 16.0, 16.5, True):
         with pytest.raises(DomainError, match=f"^{re.escape('nodes_per_segment must be an integer in [4, 512]')}$"):
             QuadratureSpec(nodes_per_segment=nodes)
 
@@ -454,19 +455,25 @@ def test_polyline_circulation_property(steps, start):
     assert loop_geometry(loop.reverse(), spec).turns == pytest.approx(-closed_form, abs=1e-14 / (2.0 * math.pi))
 
 
-def test_refine_error_is_entrywise_max_and_capped(monkeypatch):
+def test_quadrature_doubles_up_to_the_cap(monkeypatch):
     monkeypatch.setattr(field_geometry, "_MAX_NODES_PER_SEGMENT", 64)
     calls = []
 
-    def evaluate(n):
-        calls.append(n)
-        return np.array([1.0, 2.0 + 1.0 / n])
+    def integrand(seg, s):  # 2 + 1/n on an n-node rule: the difference never meets the tolerance
+        calls.append(s.size)
+        return np.full(s.size, 2.0 + 1.0 / s.size)
 
-    value, err, nodes = field_geometry._refine(evaluate, QuadratureSpec(8, "doubling", 1e-15))
+    path = LoopPath((line_segment((1.0, 0.0, 0.0), (2.0, 0.0, 0.0)),), closed=False)
+    result = field_geometry._quadrature(integrand, path, QuadratureSpec(8, "doubling", 1e-15))
     assert calls == [8, 16, 32, 64]
-    assert nodes == 64
-    assert err == pytest.approx(1.0 / 32 - 1.0 / 64, rel=1e-15)
-    assert np.array_equal(value, [1.0, 2.0 + 1.0 / 64])
+    assert result.nodes_per_segment == 64
+    assert result.error_estimate == pytest.approx(1.0 / 32 - 1.0 / 64, rel=1e-13)
+    assert result.value == pytest.approx(2.0 + 1.0 / 64, rel=1e-15)
+    # a NaN difference stops the doubling at once
+    calls.clear()
+    result = field_geometry._quadrature(lambda seg, s: integrand(seg, s) * math.nan, path, QuadratureSpec(8, "doubling", 1e-15))
+    assert calls == [8, 16]
+    assert result.nodes_per_segment == 16 and math.isnan(result.error_estimate)
 
 
 def test_line_segment_records_endpoints():

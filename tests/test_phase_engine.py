@@ -400,11 +400,20 @@ def test_array_dispersion_matches_scalar_calls(momenta, m, a, per_row, data):
         assert np.array_equal(row.eigenvalues, batch.eigenvalues[index])
 
 
-@pytest.mark.parametrize("p3", [(2.0, 0.0, 0.0), [[0.0, 0.0, 0.0], [0.0, 2.0, 0.0]]])
-def test_dispersion_overflow_raises(p3):
-    # a |p|^2 = 4e308 overflows: the Hamiltonian and the branches are not finite
-    with pytest.raises(GupabError, match="not finite"):
-        dispersion(p3, 1.0, 1e308)
+@pytest.mark.parametrize(
+    "p3, m, a",
+    [
+        ((2.0, 0.0, 0.0), 1.0, 1e308),
+        ([[0.0, 0.0, 0.0], [0.0, 2.0, 0.0]], 1.0, 1e308),
+        ([1, 0, 0], 10**400, 0),
+        ([1, 0, 0], 1, 10**400),
+    ],
+    ids=["vector", "batch", "int-mass", "int-coupling"],
+)
+def test_dispersion_overflow_raises(p3, m, a):
+    # a |p|^2 = 4e308 overflows, and an int beyond the doubles reads as infinite: the branches are not finite
+    with pytest.raises(GupabError, match="^dispersion is not finite"):
+        dispersion(p3, m, a)
 
 
 _LARGEST = 1.7976931348623157e308
