@@ -198,7 +198,7 @@ def _parse_quadrature(raw) -> QuadratureSpec:
     return _build(
         "quadrature",
         QuadratureSpec,
-        nodes_per_segment=_integer(raw.get("nodes_per_segment", 16), "quadrature.nodes_per_segment"),
+        nodes_per_segment=raw.get("nodes_per_segment", 16),
         refinement=raw.get("refinement", "fixed"),
         tolerance=_number(raw.get("tolerance", 1e-10), "quadrature.tolerance"),
     )

@@ -60,6 +60,13 @@ def to_float(x) -> float:
         return math.inf if x > 0 else -math.inf
 
 
+def read_ints(spec, *names):
+    """Store ``to_float`` of each named field of a frozen dataclass that holds an int; any other value stays as it is."""
+    for name in names:
+        if isinstance(value := getattr(spec, name), int):
+            object.__setattr__(spec, name, to_float(value))
+
+
 def to_floats(x) -> np.ndarray:
     """x as a float array, each int beyond the doubles the infinity of its sign, as ``to_float`` gives it."""
     try:

@@ -10,13 +10,13 @@ Only generic curves, ``Segment``s, are checked on a 64-point sample.
 length, and the closed forms that depend on a solenoid, the azimuth swept
 about its axis and the least distance from it, for lines by ufuncs and
 ndarray methods over the ends array, for arcs by two atan2 end terms, each
-within (-pi/2, pi/2), so with no unwrapping needed. Generic curves go through
-composite Gauss-Legendre quadrature per piece, with the error estimated by
-node doubling. The built-in field source is the ideal infinite solenoid:
-purely azimuthal potential, flux Phi / (2 pi rho) outside the coil and
-Phi rho / (2 pi R^2) inside. Its potential takes a whole (n, 3) array of
-points, so ``solenoid_circulation`` samples each segment's nodes in one call;
-generic fields handed to ``line_integral`` are called once per point.
+within (-pi/2, pi/2), so with no unwrapping needed, in any loop. Only generic
+curves, and arcs about an axis not normal to their plane, go through composite
+Gauss-Legendre quadrature per piece, with the error estimated by node doubling.
+The built-in field source is the ideal infinite solenoid: purely azimuthal
+potential, flux Phi / (2 pi rho) outside the coil and Phi rho / (2 pi R^2)
+inside, taken for a whole (n, 3) array of points in one call; generic fields
+handed to ``line_integral`` are called once per point.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, FieldEvaluationError, GeometryError, SingularInputError, raise_first, to_float, to_floats
+from .errors import DomainError, FieldEvaluationError, GeometryError, SingularInputError, raise_first, read_ints, to_float, to_floats
 
 _MAX_NODES_PER_SEGMENT = 1024  # 2**10 cap for the doubling refinement
 _VALIDATION_SAMPLES = 64
@@ -68,6 +68,7 @@ class SolenoidSpec:
     axis_direction: tuple = (0.0, 0.0, 1.0)
 
     def __post_init__(self):
+        read_ints(self, "flux", "radius")  # an int past the doubles reads as the infinity of its sign
         raise_first((np.logical_not(self.radius > 0.0), DomainError, "radius must be positive"), finite_flux(self.flux))
         object.__setattr__(self, "axis_point", _point(self.axis_point, "axis point", DomainError))
         raise_first((not all(map(math.isfinite, self.axis_point)), DomainError, "axis point must be finite"))
@@ -455,8 +456,8 @@ def _unit_interval_rule(n: int):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _quadrature(integrand, loop, quad) -> IntegralResult:
-    """The sum over segments of integrand(segment, s) on each one's Gauss-Legendre nodes s, refined in place.
+def _quadrature(integrand, segments, quad) -> IntegralResult:
+    """The sum over ``segments`` of integrand(segment, s) on each one's Gauss-Legendre nodes s, refined in place.
 
     Each rule of n nodes is checked against the rule of 2n; under
     ``doubling`` the pair moves up one doubling while their difference
@@ -468,7 +469,7 @@ def _quadrature(integrand, loop, quad) -> IntegralResult:
 
     def evaluate(n):
         s, w = _unit_interval_rule(n)
-        return sum(float(np.sum(w * integrand(seg, s))) for seg in loop.segments)
+        return sum(float(np.sum(w * integrand(seg, s))) for seg in segments)
 
     n = quad.nodes_per_segment
     coarse, fine = evaluate(n), evaluate(2 * n)
@@ -479,22 +480,24 @@ def _quadrature(integrand, loop, quad) -> IntegralResult:
     return IntegralResult(value=fine, error_estimate=abs(fine - coarse), nodes_per_segment=2 * n)
 
 
-def _circulation(sample, loop, quad) -> IntegralResult:
+def _circulation(sample, segments, quad) -> IntegralResult:
     def integrand(seg, s):
         vals = np.asarray(sample(seg.point(s)), dtype=float)
         if not np.isfinite(vals).all():
             bad = int(np.argwhere(~np.isfinite(vals))[0, 0])
-            raise FieldEvaluationError(
-                f"field sample is not finite at curve parameter s = {s[bad]!r}", parameter=float(s[bad])
-            )
+            raise FieldEvaluationError(f"field sample is not finite at curve parameter s = {s[bad]!r}", parameter=float(s[bad]))
         return np.einsum("ij,ij->i", vals, seg.tangent(s))
 
-    return _quadrature(integrand, loop, quad)
+    return _quadrature(integrand, segments, quad)
+
+
+def _speed(seg, s):
+    return np.linalg.norm(seg.tangent(s), axis=1)
 
 
 def line_integral(field, loop: LoopPath, quad: QuadratureSpec | None = None) -> IntegralResult:
     """Circulation of a per-point vector field along the path, with a doubling error estimate."""
-    return _circulation(lambda pts: np.asarray([field(p) for p in pts], dtype=float), loop, quad)
+    return _circulation(lambda pts: np.asarray([field(p) for p in pts], dtype=float), loop.segments, quad)
 
 
 def solenoid_circulation(spec: SolenoidSpec, loop: LoopPath, quad: QuadratureSpec | None = None) -> IntegralResult:
@@ -503,12 +506,12 @@ def solenoid_circulation(spec: SolenoidSpec, loop: LoopPath, quad: QuadratureSpe
     Same nodes, refinement and error estimate as
     ``line_integral(solenoid_field(spec), loop, quad)``.
     """
-    return _circulation(lambda pts: solenoid_vector_potential(pts, spec), loop, quad)
+    return _circulation(lambda pts: solenoid_vector_potential(pts, spec), loop.segments, quad)
 
 
 def loop_length(loop: LoopPath, quad: QuadratureSpec | None = None) -> IntegralResult:
-    """Arc length of the path by the same quadrature machinery."""
-    return _quadrature(lambda seg, s: np.linalg.norm(seg.tangent(s), axis=1), loop, quad)
+    """Arc length of the whole path by the same quadrature machinery."""
+    return _quadrature(_speed, loop.segments, quad)
 
 
 def _unit_scale(radial: np.ndarray):
@@ -573,16 +576,16 @@ class LoopGeometry(NamedTuple):
     """What a phase needs of one loop about one coil, whatever the particle, flux and coupling.
 
     ``turns`` is the azimuth the loop sweeps about the axis over 2 pi, the
-    flux phase per unit charge and flux: exact for lines and arcs, with
-    ``turns_error`` 0.0, and, when some segment is a generic curve, the
-    coil's circulation along the loop at unit flux, by quadrature (NaN for
-    a loop through the coil, which ``phase_rows`` reports instead).
-    ``clearance`` is the loop's least distance from the axis and
-    ``coil_radius`` the coil's radius. ``length`` is exact for lines and
-    arcs, with ``length_error`` 0.0, and integrated otherwise;
-    ``displacement`` is the end-to-end step, None on closed paths. With no
-    coil, the turns are 0.0, exact, the clearance inf and the coil radius 0.0;
-    over a column of radii, each field that the radius changes is an array.
+    flux phase per unit charge and flux: exact for lines and normal arcs,
+    plus the coil's circulation at unit flux along generic curves and tilted
+    arcs, whose quadrature error alone is ``turns_error`` (NaN for such a
+    loop through the coil, which ``phase_rows`` reports). ``clearance`` is
+    the least distance from the axis, ``coil_radius`` the coil's radius.
+    ``length`` is exact for lines and arcs plus the integrated length of
+    generic curves, whose error alone is ``length_error``; ``displacement``
+    is the end-to-end step, None on closed paths. With no coil, the turns
+    are 0.0, exact, the clearance inf and the coil radius 0.0; over a column
+    of radii, each field that the radius changes is an array.
     """
 
     turns: float | np.ndarray
@@ -599,8 +602,8 @@ def loop_geometry(loop: LoopPath, spec: SolenoidSpec | None, quad: QuadratureSpe
 
     A line sweeps the atan2 angle between its endpoints' radial vectors,
     taken in units of their ``_unit_scale``, and an arc whose plane is
-    normal to the axis sweeps the closed form of ``_arc_about_axis``; any
-    other segment leaves the turns to quadrature, run only if the loop
+    normal to the axis sweeps the closed form of ``_arc_about_axis``, in any
+    loop; only the other segments are integrated, in path order, if the loop
     clears the coil. The clearance is exact for lines and normal arcs, the
     least of 256 samples per segment otherwise.
 
@@ -613,44 +616,41 @@ def loop_geometry(loop: LoopPath, spec: SolenoidSpec | None, quad: QuadratureSpe
     if quad is not None and not isinstance(quad, QuadratureSpec):
         raise DomainError("quad must be a QuadratureSpec")
     column = None if radius is None else circle_arc(loop, radius)
+    is_line = [isinstance(seg, Line) for seg in loop.segments]
     turns, turns_error, clearance, coil_radius = 0.0, 0.0, math.inf, 0.0
     if spec is not None:
         along_z = spec.axis_direction[0] == 0.0 and spec.axis_direction[1] == 0.0  # arcs lie in planes z = const
         raise_first((column is not None and not along_z, GeometryError, _ONE_ARC))
-        is_line = [isinstance(seg, Line) for seg in loop.segments]
-        arcs = [seg for seg in loop.segments if isinstance(seg, Arc)] if column is None else [column]
-        curves = [seg for seg in loop.segments if not isinstance(seg, (Line, Arc))]
+        arcs = [seg for seg in loop.segments if isinstance(seg, Arc) and along_z] if column is None else [column]
+        # generic curves and arcs tilted to the axis, in path order: the only pieces integrated
+        curves = [seg for seg in loop.segments if not isinstance(seg, Line) and not (along_z and isinstance(seg, Arc))]
         swept, rho = 0.0, []
         if any(is_line):  # no index into the ends for a loop of arcs, nor for a loop of lines
-            d = np.asarray(spec.axis_direction)
             unit, scale = _unit_scale(spec.radial(loop.ends if all(is_line) else loop.ends[is_line]))
             rho.append(_closest_radius_of_lines(unit, scale))
             # a x b of each line's end vectors a, b as np.cross forms it, from their components shifted by one and by two
             nxt, nxt2 = unit.take(_NEXT, axis=2), unit.take(_NEXT2, axis=2)
             normal = nxt[:, 0] * nxt2[:, 1] - nxt2[:, 0] * nxt[:, 1]
-            swept += float(np.arctan2(normal @ d, (unit[:, 0] * unit[:, 1]).sum(axis=1)).sum())
-        if along_z:
-            for arc in arcs:
-                arc_clearance, angle = _arc_about_axis(arc, spec)
-                rho.append(arc_clearance)
-                swept += angle
-        else:  # tilted to the axis: sampled clearance, quadrature flux
-            curves += arcs
-        if curves:
+            swept += float(np.arctan2(normal @ np.asarray(spec.axis_direction), (unit[:, 0] * unit[:, 1]).sum(axis=1)).sum())
+        for arc in arcs:
+            arc_clearance, angle = _arc_about_axis(arc, spec)
+            rho.append(arc_clearance)
+            swept += angle
+        if curves:  # sampled clearance
             s = np.linspace(0.0, 1.0, _CLEARANCE_SAMPLES)
             _, sampled = spec.axial_decomposition(np.vstack([seg.point(s) for seg in curves]))
             rho.append(float(np.min(sampled)))
-        clearance, coil_radius = min(rho), spec.radius
-        if not curves:
-            turns, turns_error = swept / (2.0 * math.pi), 0.0
-        elif clearance <= coil_radius:  # not integrated: every row reports the loop as entering the coil
+        clearance, coil_radius, turns = min(rho), spec.radius, swept / (2.0 * math.pi)
+        if curves and clearance <= coil_radius:  # not integrated: every row reports the loop as entering the coil
             turns = turns_error = math.nan
-        else:  # the circulation is linear in the flux, so one integral at unit flux serves every flux
-            result = solenoid_circulation(SolenoidSpec(1.0, spec.radius, spec.axis_point, spec.axis_direction), loop, quad)
-            turns, turns_error = result.value, result.error_estimate
+        elif curves:  # the circulation is linear in the flux, so one integral at unit flux serves every flux
+            result = _circulation(solenoid_field(SolenoidSpec(1.0, spec.radius, spec.axis_point, spec.axis_direction)), curves, quad)
+            turns, turns_error = turns + result.value, result.error_estimate
     length, length_error = (loop.length if column is None else column.length()), 0.0
-    if length is None:
-        result = loop_length(loop, quad)
-        length, length_error = result.value, result.error_estimate
+    if length is None:  # the exact chords and arc lengths, plus the integrated length of the generic curves
+        ends = loop.ends[is_line]
+        result = _quadrature(_speed, [seg for seg in loop.segments if not isinstance(seg, (Line, Arc))], quad)
+        exact = float(_gaps(ends[:, 0], ends[:, 1]).sum()) + sum(seg.length() for seg in loop.segments if isinstance(seg, Arc))
+        length, length_error = exact + result.value, result.error_estimate
     displacement = None if loop.closed else loop.ends[-1, 1] - loop.ends[0, 0]
     return LoopGeometry(turns, turns_error, clearance, coil_radius, length, length_error, displacement)

@@ -22,14 +22,15 @@ radians without 2 pi reduction. Natural units (hbar = c = 1).
 The phase is assembled in two steps. ``field_geometry.loop_geometry``
 computes, once per loop, the record that no particle, flux or coupling
 changes: the swept turns, the clearance from the axis and the length, each
-with its error, in closed form for lines and circular arcs and by quadrature
-for a generic curve. ``phase_rows`` then takes charge, mass, speed, flux and
-a as floats or broadcast arrays and gives every row its phases, each row
-with the same IEEE operations in the same order as a lone row. One result
-type, ``PhaseResult``, holds a row or a column: ``total_phase`` is the
-one-row case, and a sweep is one batch. ``phase_rows`` is the one place that
-assembles and checks a phase; ``ab_phase``, ``gup_phase_matrix`` and
-``gup_phase_projected`` each read one field of one row of it.
+with its error, in closed form for lines and normal arcs and by quadrature
+for generic curves and tilted arcs alone. ``phase_rows`` then takes charge,
+mass, speed, flux and a as floats or broadcast arrays and gives every row its
+phases, each row with the same IEEE operations in the same order as a lone
+row. One result type, ``PhaseResult``, holds a row or a column:
+``total_phase`` is the one-row case, and a sweep is one batch. ``phase_rows``
+is the one place that assembles and checks a phase; ``ab_phase``,
+``gup_phase_matrix`` and ``gup_phase_projected`` each read one field of one
+row of it.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from functools import cached_property
 import numpy as np
 
 from .clifford import alpha, beta, gamma, momenta, positive_mass
-from .errors import DomainError, GeometryError, GupabError, raise_first, to_floats
+from .errors import DomainError, GeometryError, GupabError, raise_first, read_ints, to_floats
 from .field_geometry import LoopGeometry, LoopPath, QuadratureSpec, SolenoidSpec, loop_geometry
 from .units import nonnegative_a
 
@@ -68,6 +69,7 @@ class ParticleSpec:
     speed: float
 
     def __post_init__(self):
+        read_ints(self, "charge", "mass", "speed")  # an int past the doubles reads as the infinity of its sign
         raise_first(positive_mass(self.mass), subluminal_speed(self.speed))
 
     @property
@@ -149,8 +151,8 @@ def _matrix_base(geometry: LoopGeometry, energy, momentum, contraction):
 
     Equals (E/v - p)(E L gamma^0 - p dx . gamma), since |dr| t-hat = dr; dx
     is the end-to-end displacement, zero on closed loops. L is the length the
-    record holds: exact for lines and arcs, integrated, with its error, when
-    some segment is a generic curve.
+    record holds: exact for lines and arcs, plus the integrated length, with
+    its error, of the generic curves alone.
     """
     matrix = _rows(energy * geometry.length) * _G0
     if geometry.displacement is not None:

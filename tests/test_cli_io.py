@@ -32,7 +32,7 @@ from gupab.cli_io import (
     sweep_csv,
 )
 from gupab.errors import ConfigError, GeometryError, GupabError
-from gupab.field_geometry import LoopPath, QuadratureSpec, SolenoidSpec, circle_loop, line_segment, loop_geometry, solenoid_circulation
+from gupab.field_geometry import LoopPath, QuadratureSpec, SolenoidSpec, circle_loop, line_segment, loop_geometry
 from gupab.phase_engine import ParticleSpec, PhaseResult, dispersion, gup_phase_projected, total_phase
 
 BASE_CONFIG = {
@@ -692,14 +692,29 @@ def test_heavy_particle_at_a_zero_has_an_exactly_zero_correction(tmp_path, capsy
     assert capsys.readouterr().err == "error: phase is not finite: the inputs overflow double precision\n"
 
 
-@pytest.mark.parametrize("nodes", [513, 10**6, 2**1100])
+@pytest.mark.parametrize("nodes", [513, 10**6, 2**1100, 16.0, True, "16", None, [16]])
 def test_node_count_is_capped_by_value(tmp_path, capsys, nodes):
-    # rejected before any Gauss-Legendre rule is built
+    # rejected before any Gauss-Legendre rule is built; QuadratureSpec is the one check, of the type too
     payload = dict(BASE_CONFIG, quadrature={"nodes_per_segment": nodes})
     assert main(["phase", "-c", write_config(tmp_path, payload)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == ["config error: quadrature.nodes_per_segment must be an integer in [4, 512]"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["bogus"], ["phase"], ["phase", "-c", "x.json", "--unknown"], ["dispersion", "-c", "x.json", "--steps", "abc"], ["verify", "--level", "wrong"]],
+)
+def test_an_argv_that_argparse_rejects_prints_its_usage_and_exits_2(capsys, argv):
+    # the one exception to one stderr line: argparse's usage, which may wrap, then its error
+    with pytest.raises(SystemExit) as caught:
+        main(argv)
+    assert caught.value.code == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == ""
+    assert 2 <= len(lines) <= 3 and lines[0].startswith("usage: ") and ": error: " in lines[-1]
 
 
 def test_benchmark_tracer_finds_its_hooks_and_puts_them_back(monkeypatch):
@@ -1320,13 +1335,13 @@ def test_flux_sweep_over_a_generic_curve_integrates_once(tmp_path, monkeypatch):
         loop=fourier_loop(np.random.default_rng(5)),
         sweep=SweepSpec(parameter="solenoid.flux", values=(1.0, -2.0, 0.5)),
     )
-    calls = []
+    calls, circulation = [], field_geometry._circulation
 
-    def counted(*args):
+    def counted(*args):  # every quadrature circulation, whichever public function asks for it
         calls.append(args)
-        return solenoid_circulation(*args)
+        return circulation(*args)
 
-    monkeypatch.setattr(field_geometry, "solenoid_circulation", counted)
+    monkeypatch.setattr(field_geometry, "_circulation", counted)
     values, result = run_sweep(config)
     assert len(calls) == 1
     expected = reference_sweep(config)

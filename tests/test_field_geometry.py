@@ -464,14 +464,14 @@ def test_quadrature_doubles_up_to_the_cap(monkeypatch):
         return np.full(s.size, 2.0 + 1.0 / s.size)
 
     path = LoopPath((line_segment((1.0, 0.0, 0.0), (2.0, 0.0, 0.0)),), closed=False)
-    result = field_geometry._quadrature(integrand, path, QuadratureSpec(8, "doubling", 1e-15))
+    result = field_geometry._quadrature(integrand, path.segments, QuadratureSpec(8, "doubling", 1e-15))
     assert calls == [8, 16, 32, 64]
     assert result.nodes_per_segment == 64
     assert result.error_estimate == pytest.approx(1.0 / 32 - 1.0 / 64, rel=1e-13)
     assert result.value == pytest.approx(2.0 + 1.0 / 64, rel=1e-15)
     # a NaN difference stops the doubling at once
     calls.clear()
-    result = field_geometry._quadrature(lambda seg, s: integrand(seg, s) * math.nan, path, QuadratureSpec(8, "doubling", 1e-15))
+    result = field_geometry._quadrature(lambda seg, s: integrand(seg, s) * math.nan, path.segments, QuadratureSpec(8, "doubling", 1e-15))
     assert calls == [8, 16]
     assert result.nodes_per_segment == 16 and math.isnan(result.error_estimate)
 
@@ -648,6 +648,78 @@ def test_loop_geometry_lengths_are_exact():
     assert (generic.turns, generic.turns_error) == (circulation.value, circulation.error_estimate)
     assert (generic.length, generic.length_error) == (length.value, length.error_estimate)
     assert generic.clearance > 1.0
+
+
+def _assert_lines_stay_exact(vertices, stripped, spec, quad):
+    """The polygon's geometry with the edges ``stripped`` as generic curves, checked against the all-line polygon.
+
+    Only the generic edges are integrated, so the turns and the length equal
+    the all-line closed forms within the errors of those edges, each
+    integrated on its own, plus a few ulps; the reported errors are theirs.
+    """
+    lines = polyline_loop(vertices)
+    mixed = LoopPath(tuple(strip_shape(seg) if k in stripped else seg for k, seg in enumerate(lines.segments)))
+    exact, geometry = loop_geometry(lines, spec, quad), loop_geometry(mixed, spec, quad)
+    unit_flux = SolenoidSpec(1.0, spec.radius, spec.axis_point, spec.axis_direction)
+    pieces = [LoopPath((strip_shape(lines.segments[k]),), closed=False) for k in stripped]
+    turns_error = sum(solenoid_circulation(unit_flux, piece, quad).error_estimate for piece in pieces)
+    length_error = sum(loop_length(piece, quad).error_estimate for piece in pieces)
+    assert geometry.turns_error <= turns_error + 4.0 * math.ulp(1.0)
+    assert abs(geometry.turns - exact.turns) <= turns_error + 4.0 * len(vertices) * math.ulp(1.0)
+    assert geometry.length_error <= length_error + 4.0 * math.ulp(exact.length)
+    assert abs(geometry.length - exact.length) <= length_error + 4.0 * len(vertices) * math.ulp(exact.length)
+    assert (geometry.clearance, geometry.coil_radius) == (exact.clearance, exact.coil_radius)
+    return geometry
+
+
+@pytest.mark.parametrize("quad", [None, DOUBLING])
+def test_a_generic_far_edge_leaves_the_pentagon_one_whole_turn(quad):
+    # the first edge passes 3 coil radii from the axis: integrated with the generic edge, the fixed rule read 0.8754
+    vertices = [(0.3, -10.0, 0.0), (0.3, 10.0, 0.0), (-10.0, 15.0, 0.0), (-20.0, 0.0, 0.0), (-10.0, -15.0, 0.0)]
+    geometry = _assert_lines_stay_exact(vertices, [3], SolenoidSpec(flux=1.0, radius=0.1), quad)
+    assert geometry.turns == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    radii=st.lists(st.floats(1.0, 3.0), min_size=3, max_size=9),
+    start=st.floats(-math.pi, math.pi),
+    near=st.integers(0, 8),
+    along=st.floats(0.2, 0.8),
+    gap=st.floats(1.5, 4.0),
+    inside=st.booleans(),
+    strip=st.lists(st.booleans(), min_size=9, max_size=9),
+    quad=st.sampled_from([None, DOUBLING]),
+)
+def test_generic_edges_leave_every_line_of_a_polygon_exact(radii, start, near, along, gap, inside, strip, quad):
+    # a polygon star-shaped about the origin, whose edge ``near`` passes ``gap`` coil radii from the axis on
+    # either side, and whose edges at least half their length from the axis may be generic curves
+    n, coil = len(radii), 0.05
+    angles = start + 2.0 * math.pi * np.arange(n) / n
+    vertices = np.column_stack([radii * np.cos(angles), radii * np.sin(angles), np.zeros(n)])
+    a, step = vertices[near % n], vertices[(near + 1) % n] - vertices[near % n]
+    normal = np.array([-step[1], step[0], 0.0]) / math.hypot(step[0], step[1])  # into the polygon
+    spec = SolenoidSpec(flux=1.0, radius=coil, axis_point=tuple(a + along * step + (gap if inside else -gap) * coil * normal))
+    lines = polyline_loop(vertices)
+    assume(loop_geometry(lines, spec).clearance > coil)
+    far = [loop_geometry(LoopPath((seg,), closed=False), spec).clearance >= 0.5 * math.dist(*seg) for seg in lines.segments]
+    stripped = [k for k in range(n) if strip[k] and far[k] and k != near % n]
+    assume(stripped)
+    _assert_lines_stay_exact(vertices, stripped, spec, quad)
+
+
+@pytest.mark.parametrize("quad", [None, DOUBLING])
+def test_a_line_stays_exact_beside_an_arc_tilted_to_the_axis(quad):
+    # the line passes about 3 coil radii from the axis; only the arc is integrated
+    arc, line = arc_segment((0.0, 0.0, 0.0), 2.0, 0.0, math.pi), line_segment((-2.0, 0.0, 0.0), (2.0, 0.0, 0.0))
+    spec = SolenoidSpec(flux=1.0, radius=0.05, axis_point=(0.3, 0.15, 0.0), axis_direction=(0.3, 0.1, 1.0))
+    geometry = loop_geometry(LoopPath((arc, line)), spec, quad)
+    closed_form = loop_geometry(LoopPath((line,), closed=False), spec, quad)
+    integrated = solenoid_circulation(spec, LoopPath((arc,), closed=False), quad)
+    assert closed_form.turns_error == 0.0 and geometry.clearance <= 4.0 * spec.radius
+    assert (geometry.turns, geometry.turns_error) == (closed_form.turns + integrated.value, integrated.error_estimate)
+    assert geometry.turns == pytest.approx(1.0, abs=geometry.turns_error + 1e-15)
+    assert (geometry.length, geometry.length_error) == (2.0 * math.pi + 4.0, 0.0)
 
 
 def test_arc_clearance_is_exact():
