@@ -390,7 +390,11 @@ def run_verification(level: str = "fast", gamma_perturbation: float = 0.0) -> di
     random states in blocks of ``_STATE_BLOCK``). A check whose rows are all
     uniform draws takes them in one call; the numbers and their order are
     those of the row loop, since a uniform draw takes one word of the
-    generator per value. Nothing is cached: every call recomputes every check.
+    generator per value. The random states are normalized by a product with
+    the reciprocal of their norms, which gives the bits of numpy's complex
+    division by a real wherever no coordinate is zero, and the algebra checks
+    run ``gup_algebra``'s real kernels: no algebra check divides a complex
+    array by a real. Nothing is cached: every call recomputes every check.
     """
     if level not in ("fast", "full"):
         raise ConfigError("verify level must be 'fast' or 'full'")
@@ -433,7 +437,7 @@ def run_verification(level: str = "fast", gamma_perturbation: float = 0.0) -> di
         states, a_values = _draw_rows(
             _STATE_BLOCK, lambda: (rng.normal(size=grid.n) + 1j * rng.normal(size=grid.n), rng.uniform(0.0, 0.19))
         )
-        states /= np.sqrt(np.sum(weights * np.abs(states) ** 2, axis=1))[:, None]
+        states *= 1.0 / np.sqrt(np.sum(weights * np.abs(states) ** 2, axis=1))[:, None]
         report = gup_algebra.uncertainty_check(grid, states, a_values, tolerance=1e-6)
         failures += np.count_nonzero(~report.holds)
     checks.append(_check("uncertainty_random_states", failures, 0.0))

@@ -24,7 +24,11 @@ The grid lab and the uncertainty check work on a uniform 1D momentum grid on
 a positive half-line, where |p| = p is smooth. The position operator in the
 momentum representation is x = i d/dp, applied as the truncated
 antisymmetric central-difference stencil (exactly Hermitian, second order);
-the deformed momentum is multiplication by the sampled map.
+the deformed momentum is multiplication by the sampled map. The stencil and
+the brackets run in real arithmetic, with no complex division by a real.
+Every public entry reads ``a`` with ``errors.to_floats`` (an int past the
+doubles is an infinity, a str the number it spells) and rejects a negative,
+NaN or infinite ``a`` with ``DomainError``.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import momenta
-from .errors import DomainError, SingularInputError, raise_first
+from .errors import DomainError, SingularInputError, raise_first, to_float, to_floats
 from .units import nonnegative_a
 
 # Probe state used by the operator lab: a sup-normalized Gaussian sitting at
@@ -54,6 +58,13 @@ def _check_axis(i):
         raise DomainError(f"axis index must be 1, 2 or 3, got {i}")
 
 
+def _strength(a):
+    """a as a float array, after the checks every entry makes of it: nonnegative, then finite."""
+    a = to_floats(a)
+    raise_first(nonnegative_a(a), (np.logical_not(np.isfinite(a)), DomainError, "a must be finite"))
+    return a
+
+
 def deformation_factor(p0_mag, a):
     """Radial rescaling 1 - a p0 + 2 a^2 p0^2 (positive for all real p0)."""
     return 1.0 - a * p0_mag + 2.0 * a * a * p0_mag * p0_mag
@@ -61,27 +72,35 @@ def deformation_factor(p0_mag, a):
 
 def deform_momentum(p0, a: float) -> np.ndarray:
     """Apply the deformation map to a 3-vector or an (..., 3) array; the zero vector is fixed."""
-    p0 = momenta(p0)
-    raise_first(nonnegative_a(a))
+    p0, a = momenta(p0), _strength(a)
     return p0 * deformation_factor(np.linalg.norm(p0, axis=-1, keepdims=True), a)
+
+
+def _real_brackets(p0, a, kind):
+    """The (..., 3, 3) 'target' or 'jacobian' brackets divided by i, for a > 0 that broadcasts against them.
+
+    p0 is a checked momentum array; an array of strengths gives all their
+    brackets in one pass, each as its own call would.
+    """
+    mag = np.linalg.norm(p0, axis=-1)[..., None, None]
+    if np.any(mag == 0.0):
+        raise SingularInputError(f"{kind} bracket needs |p0| > 0 when a > 0")
+    p_i, p_j = p0[..., :, None], p0[..., None, :]
+    if kind == "jacobian":
+        return _DELTA * deformation_factor(mag, a) + p_j * (-a * p_i / mag + 4.0 * a * a * p_i)
+    scale = deformation_factor(mag, a)  # the deformed momentum, as rows and as columns
+    pd_i, pd_j = p_i * scale, p_j * scale
+    mag = np.linalg.norm(pd_j, axis=-1, keepdims=True)
+    pipj = pd_i * pd_j
+    return _DELTA - a * (mag * _DELTA + pipj / mag) + a * a * (mag * mag * _DELTA + 3.0 * pipj)
 
 
 def _brackets(p0, a, kind):
     """(..., 3, 3) brackets over all (i, j): the deformed-bracket 'target' or the exact 'jacobian'."""
-    p0 = momenta(p0)
-    raise_first(nonnegative_a(a))
-    mag = np.linalg.norm(p0, axis=-1)[..., None, None]
+    p0, a = momenta(p0), _strength(a)
     if a == 0.0:
-        return 1j * np.broadcast_to(_DELTA, mag.shape[:-2] + (3, 3))
-    if np.any(mag == 0.0):
-        raise SingularInputError(f"{kind} bracket needs |p0| > 0 when a > 0")
-    if kind == "jacobian":
-        p_i, p_j = p0[..., :, None], p0[..., None, :]
-        return 1j * (_DELTA * deformation_factor(mag, a) + p_j * (-a * p_i / mag + 4.0 * a * a * p_i))
-    pd = deform_momentum(p0, a)
-    mag = np.linalg.norm(pd, axis=-1)[..., None, None]
-    pipj = pd[..., :, None] * pd[..., None, :]
-    return 1j * (_DELTA - a * (mag * _DELTA + pipj / mag) + a * a * (mag * mag * _DELTA + 3.0 * pipj))
+        return 1j * np.broadcast_to(_DELTA, p0.shape[:-1] + (3, 3))
+    return 1j * _real_brackets(p0, a, kind)
 
 
 def _bracket(p0, i, j, a, kind):
@@ -103,11 +122,13 @@ def jacobian_commutator(p0, i: int, j: int, a: float):
 
 def _bracket_deviations(p0, a_values):
     """The (k,) log a values and the (..., k) logs of each momentum's largest |jacobian - target| entry."""
-    a_values = [float(a) for a in a_values]
-    if len(set(a_values)) < 2 or any(a <= 0.0 for a in a_values):  # one distinct a leaves the slope 0 / 0
+    a = to_floats(a_values)
+    if a.ndim != 1 or not np.all(a > 0.0) or len(set(a.tolist())) < 2:  # one distinct a leaves the slope 0 / 0
         raise DomainError("need at least two positive a values")
-    devs = [np.max(np.abs(_brackets(p0, a, "jacobian") - _brackets(p0, a, "target")), axis=(-2, -1)) for a in a_values]
-    return np.log(a_values), np.log(np.stack(devs, axis=-1))
+    a, p0 = _strength(a), momenta(p0)[..., None, :]
+    # each momentum against all k strengths in (..., k, 3, 3) brackets; |i x - i y| is |x - y| bit for bit
+    jacobian, target = (_real_brackets(p0, a[:, None, None], kind) for kind in ("jacobian", "target"))
+    return np.log(a), np.log(np.max(np.abs(jacobian - target), axis=(-2, -1)))
 
 
 def _slopes(x, y):
@@ -152,8 +173,11 @@ class MomentumGrid:
 
     @classmethod
     def uniform(cls, p_min: float, p_max: float, n: int) -> "MomentumGrid":
+        p_min, p_max = to_float(p_min), to_float(p_max)
         if not (0.0 < p_min < p_max):
             raise DomainError("require 0 < p_min < p_max")
+        if p_max == math.inf:
+            raise DomainError("grid bounds must be finite")
         return cls(np.linspace(p_min, p_max, n))
 
     @property
@@ -178,10 +202,22 @@ class CommutatorReport:
 
 
 def _position(psi, h: float) -> np.ndarray:
-    """x psi for x = i d/dp: the truncated antisymmetric central-difference stencil, along the last axis."""
-    xpsi = np.zeros(psi.shape, dtype=complex)
-    xpsi[..., :-1] += psi[..., 1:] / (2.0 * h)
-    xpsi[..., 1:] -= psi[..., :-1] / (2.0 * h)
+    """x psi for x = i d/dp: the truncated antisymmetric central-difference stencil, along the last axis.
+
+    Applied as a real-scaled difference of a finite psi with at least two
+    points: half = psi / (2h) once, then each point's half[k + 1] - half[k - 1]
+    (the missing neighbour at either end is 0), then the factor i. A complex
+    psi is scaled by the reciprocal 1 / (2h): numpy's complex division by a
+    real multiplies by it too, so the two differ only in the signs of zeros,
+    and adding 0.0 makes every zero difference +0.0 whatever those signs.
+    """
+    half = psi * (1.0 / (2.0 * h)) if np.iscomplexobj(psi) else psi / (2.0 * h)
+    xpsi = np.empty(psi.shape, dtype=complex)
+    # one pass over the flattened stack (numpy copies strided 2D slices), then each row's two ends
+    np.subtract(half.reshape(-1)[2:], half.reshape(-1)[:-2], out=xpsi.reshape(-1)[1:-1])
+    xpsi[..., 0] = half[..., 1]
+    np.subtract(0.0, half[..., -2], out=xpsi[..., -1])
+    xpsi += 0.0
     xpsi *= 1j
     return xpsi
 
@@ -223,7 +259,7 @@ def grid_operator_lab(grid: MomentumGrid, a: float) -> CommutatorReport:
     """
     if grid.n < 64:
         raise DomainError("operator lab needs at least 64 grid points")
-    raise_first(nonnegative_a(a))
+    a = float(_strength(a))
     p_max = float(grid.points[-1])
     if a > 0.0 and a * p_max >= 0.5:
         raise DomainError("perturbative regime requires a * p_max < 0.5")
@@ -267,7 +303,7 @@ def gaussian_state(grid: MomentumGrid) -> np.ndarray:
     width = float((p[-1] - p[0]) / 12.0)
     psi = np.exp(-((p - center) ** 2) / (4.0 * width * width)).astype(complex)
     norm = np.sqrt(np.sum(_trapezoid_weights(grid.n, grid.h) * np.abs(psi) ** 2))
-    return psi / norm
+    return psi * (1.0 / norm)
 
 
 @dataclass(frozen=True)
@@ -303,8 +339,7 @@ def uncertainty_check(
     psi = np.asarray(state, dtype=complex)
     if psi.ndim == 0 or psi.shape[-1] != grid.n:
         raise DomainError("state must match the grid size")
-    a = np.asarray(a, dtype=float)
-    raise_first(nonnegative_a(a))
+    a = _strength(a)
     if not np.isfinite(psi).all():  # a NaN norm would pass the normalization test below
         raise DomainError("state must be finite")
     h = grid.h

@@ -12,7 +12,11 @@ checked one constructor per row. ``reference_loop_of_lines`` and
 line-loop build and of ``loop_geometry``'s lines branch, kept as the
 bit-for-bit oracle of the current code; ``reference_dispersion`` and
 ``reference_csv`` are, likewise, the earlier eager ``dispersion`` and the
-earlier row-by-row CSV writer.
+earlier row-by-row CSV writer. ``reference_position``,
+``reference_brackets`` and ``reference_bracket_deviations`` are the
+earlier complex-arithmetic forms of ``gup_algebra``'s stencil, brackets and
+consistency deviations, kept as the bit-for-bit oracles of its real
+kernels.
 """
 
 import math
@@ -444,3 +448,35 @@ def reference_csv(header, *columns):
     """The CSV text of ``header`` and the broadcast columns, written row by row with ``",".join(map(repr, row))``."""
     table = np.stack(np.broadcast_arrays(*columns), axis=-1).tolist()
     return "\n".join([header, *(",".join(map(repr, row)) for row in table)]) + "\n"
+
+
+def reference_position(psi, h):
+    """x psi as the stencil was first written: each neighbour divided by 2h, a complex division for a complex psi."""
+    xpsi = np.zeros(psi.shape, dtype=complex)
+    xpsi[..., :-1] += psi[..., 1:] / (2.0 * h)
+    xpsi[..., 1:] -= psi[..., :-1] / (2.0 * h)
+    xpsi *= 1j
+    return xpsi
+
+
+def reference_brackets(p0, a, kind):
+    """The (..., 3, 3) complex 'target' or 'jacobian' brackets for one a > 0, as the complex formula writes them."""
+    p0 = clifford.momenta(p0)
+    mag = np.linalg.norm(p0, axis=-1)[..., None, None]
+    if kind == "jacobian":
+        p_i, p_j = p0[..., :, None], p0[..., None, :]
+        return 1j * (np.eye(3) * gup_algebra.deformation_factor(mag, a) + p_j * (-a * p_i / mag + 4.0 * a * a * p_i))
+    pd = p0 * gup_algebra.deformation_factor(np.linalg.norm(p0, axis=-1, keepdims=True), a)
+    mag = np.linalg.norm(pd, axis=-1)[..., None, None]
+    pipj = pd[..., :, None] * pd[..., None, :]
+    return 1j * (np.eye(3) - a * (mag * np.eye(3) + pipj / mag) + a * a * (mag * mag * np.eye(3) + 3.0 * pipj))
+
+
+def reference_bracket_deviations(p0, a_values):
+    """(log a, log deviation) of ``gup_algebra._bracket_deviations``, one a at a time over the public complex brackets."""
+    pairs = [(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]
+    devs = []
+    for a in a_values:
+        gaps = [np.abs(gup_algebra.jacobian_commutator(p0, i, j, a) - gup_algebra.commutator_target(p0, i, j, a)) for i, j in pairs]
+        devs.append(np.max(np.stack(gaps, axis=-1), axis=-1))
+    return np.log([float(a) for a in a_values]), np.log(np.stack(devs, axis=-1))

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import dense_commutator_residual
+from helpers import dense_commutator_residual, reference_bracket_deviations, reference_brackets, reference_position
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
@@ -11,6 +11,9 @@ from gupab.errors import DomainError, SingularInputError
 from gupab.gup_algebra import (
     _BOUNDARY_MARGIN,
     MomentumGrid,
+    _bracket_deviations,
+    _brackets,
+    _position,
     _trapezoid_weights,
     commutator_consistency_exponent,
     commutator_target,
@@ -349,3 +352,102 @@ def test_array_brackets_keep_their_errors():
             bracket(np.ones((2, 2)), 1, 1, 0.1)
         with pytest.raises(DomainError):
             bracket(momenta[:1], 1, 1, -0.1)
+
+
+def _same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and x.dtype == y.dtype and np.array_equal(x.reshape(-1).view(np.int64), y.reshape(-1).view(np.int64))
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _states(draw):
+    """A finite real or complex (..., n) stack, n >= 2, with every double a coordinate may hold, signed zeros too.
+
+    It is laid out in C or Fortran order, since the stencil runs on the stack flattened.
+    """
+    shape = draw(array_shapes(min_dims=0, max_dims=2, max_side=4)) + (draw(st.integers(2, 40)),)
+    if draw(st.booleans()):
+        psi = draw(arrays(float, shape, elements=_FINITE))
+    else:
+        psi = draw(arrays(float, shape + (2,), elements=_FINITE)).view(complex)[..., 0]
+    return np.asfortranarray(psi) if draw(st.booleans()) else psi
+
+
+@settings(max_examples=100, deadline=None)
+@given(psi=_states(), h=st.floats(min_value=5e-324, max_value=1e308))
+def test_position_matches_the_complex_division_stencil_bit_for_bit(psi, h):
+    with np.errstate(all="ignore"):  # a huge psi or a tiny h overflows on both sides alike
+        assert _same_bits(_position(psi, h), reference_position(psi, h))
+
+
+_WIDE_MOMENTA = arrays(
+    float,
+    array_shapes(min_dims=1, max_dims=3, max_side=4).map(lambda shape: shape + (3,)),
+    elements=st.floats(-1e6, 1e6),
+).filter(lambda p: np.all(np.linalg.norm(p, axis=-1) > 0.0))
+_STRENGTHS = st.floats(min_value=1e-300, max_value=1e3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(momenta=_WIDE_MOMENTA, a=_STRENGTHS, kind=st.sampled_from(["jacobian", "target"]))
+def test_brackets_match_the_complex_formula_bit_for_bit(momenta, a, kind):
+    with np.errstate(all="ignore"):
+        assert _same_bits(_brackets(momenta, a, kind), reference_brackets(momenta, a, kind))
+
+
+@settings(max_examples=100, deadline=None)
+@given(momenta=_WIDE_MOMENTA, a_values=st.lists(_STRENGTHS, min_size=2, max_size=4, unique=True))
+def test_bracket_deviations_match_the_per_a_loop_bit_for_bit(momenta, a_values):
+    with np.errstate(all="ignore"):  # a deviation may round to 0, whose log is -inf on both sides
+        new, old = _bracket_deviations(momenta, a_values), reference_bracket_deviations(momenta, a_values)
+    assert _same_bits(new[0], old[0]) and _same_bits(new[1], old[1])
+
+
+_GRID64 = MomentumGrid.uniform(0.5, 2.5, 64)
+_PAST = 10**400  # an int past the largest double
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: deform_momentum([1.0, 0.0, 0.0], _PAST), id="deform_momentum-int"),
+        pytest.param(lambda: deform_momentum([1.0, 0.0, 0.0], 1e400), id="deform_momentum-inf"),
+        pytest.param(lambda: jacobian_commutator([1.0, 0.0, 0.0], 1, 1, _PAST), id="jacobian_commutator-int"),
+        pytest.param(lambda: commutator_target([1.0, 0.0, 0.0], 1, 1, math.inf), id="commutator_target-inf"),
+        pytest.param(lambda: commutator_consistency_exponent([1.0, 0.0, 0.0], (_PAST, 0.1)), id="exponent-int"),
+        pytest.param(lambda: consistency_exponents([[1.0, 0.0, 0.0]], (0.1, math.inf)), id="exponents-inf"),
+        pytest.param(lambda: grid_operator_lab(_GRID64, _PAST), id="grid_operator_lab-int"),
+        pytest.param(lambda: uncertainty_check(_GRID64, gaussian_state(_GRID64), _PAST), id="uncertainty_check-int"),
+        pytest.param(lambda: uncertainty_check(_GRID64, gaussian_state(_GRID64), math.inf), id="uncertainty_check-inf"),
+        pytest.param(lambda: uncertainty_check(_GRID64, gaussian_state(_GRID64), [0.1, _PAST]), id="uncertainty_check-row"),
+    ],
+)
+def test_an_a_past_the_doubles_or_infinite_is_a_domain_error(call):
+    # no bare OverflowError and no RuntimeWarning: the one finite check every entry makes
+    with pytest.raises(DomainError) as caught:
+        call()
+    assert str(caught.value) == "a must be finite"
+
+
+@pytest.mark.filterwarnings("error")
+def test_grid_bounds_past_the_doubles_are_a_domain_error():
+    for p_max in (_PAST, math.inf, 1e400):
+        with pytest.raises(DomainError) as caught:
+            MomentumGrid.uniform(0.5, p_max, 64)
+        assert str(caught.value) == "grid bounds must be finite"
+    for p_min, p_max in ((_PAST, _PAST + 1), (math.nan, 2.0), (0.5, -_PAST)):
+        with pytest.raises(DomainError) as caught:
+            MomentumGrid.uniform(p_min, p_max, 64)
+        assert str(caught.value) == "require 0 < p_min < p_max"
+
+
+def test_an_a_given_as_a_str_is_read_as_the_number_it_spells():
+    # as errors.to_floats reads every number of the library, dispersion's coupling among them
+    p0 = [1.0, 0.0, 0.0]
+    assert jacobian_commutator(p0, 1, 1, "0.1") == jacobian_commutator(p0, 1, 1, 0.1)
+    assert np.array_equal(deform_momentum(p0, "0.1"), deform_momentum(p0, 0.1))
+    assert commutator_consistency_exponent(p0, ("0.1", "0.01")) == commutator_consistency_exponent(p0, (0.1, 0.01))
