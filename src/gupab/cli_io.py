@@ -23,12 +23,11 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
 from . import clifford, gup_algebra
-from .errors import ConfigError, DomainError, GeometryError, GupabError, raise_first, to_float
+from .errors import ConfigError, DomainError, GeometryError, GupabError, raise_first, to_float, to_floats
 from .field_geometry import LoopPath, QuadratureSpec, SolenoidSpec, circle_arc, finite_flux, loop_geometry, make_loop
 from .phase_engine import (
     ParticleSpec,
@@ -49,6 +48,7 @@ _COLUMN_CHECKS = {  # (loop, column) -> raise for the first bad row: the check t
     "particle.v": lambda loop, column: raise_first(subluminal_speed(column)),
     "solenoid.flux": lambda loop, column: raise_first(finite_flux(column)),
 }
+_NUMBER = (int, float)  # the JSON number types; bool is neither
 _MAX_DISPERSION_STEPS = 10**6  # rows of one dispersion table, which bounds the memory it takes
 _SWEPT_INPUT = {"gup.a": "a", "particle.v": "speed", "solenoid.flux": "flux"}  # the ``phase_rows`` input each sets
 PROJECTIONS = ("comoving_on_shell", "fixed_spinor")
@@ -100,8 +100,19 @@ def _vector3(value, name: str):
 
 
 def _points(value, name: str):
+    """The points: an (n, 3) float array, read in one pass, when each is a list of three finite JSON numbers.
+
+    Otherwise each point is read in turn, so the first bad one names the error.
+    """
     if not isinstance(value, list):
         raise ConfigError(f"{name} must be a list of points")
+    if all(
+        type(p) is list and len(p) == 3 and type(p[0]) in _NUMBER and type(p[1]) in _NUMBER and type(p[2]) in _NUMBER
+        for p in value
+    ):
+        points = to_floats(value)
+        if np.isfinite(points).all():
+            return points
     return [_vector3(point, name) for point in value]
 
 
@@ -254,7 +265,8 @@ def parse_config(raw: dict) -> RunConfig:
 def load_config(path) -> RunConfig:
     """Read, parse, and fully validate a JSON run configuration."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as stream:
+            text = stream.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     try:
@@ -308,13 +320,21 @@ def phase_json(result: PhaseResult) -> str:
     return _PHASE_JSON % (*values, *(part for pair in matrix for part in pair))
 
 
+def _table(*columns) -> np.ndarray:
+    """The float columns broadcast against each other and set side by side, as a (..., k) array."""
+    table = np.empty(np.broadcast_shapes(*map(np.shape, columns)) + (len(columns),))
+    for k, column in enumerate(columns):
+        table[..., k] = column
+    return table
+
+
 def _csv(header: str, *columns) -> str:
     """``header``, then ``",".join(map(repr, row))`` for each row of the broadcast float columns, from one template.
 
     A column that holds one double, bit for bit, in every row goes into the
     template as its repr, so only the other columns are formatted row by row.
     """
-    table = np.stack(np.broadcast_arrays(*columns), axis=-1)
+    table = _table(*columns)
     bits = table.view(np.int64)
     varies = (bits != bits[0]).any(axis=0)
     fields = ["%r" if v else repr(x) for v, x in zip(varies.tolist(), table[0].tolist())]

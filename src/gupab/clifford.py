@@ -126,5 +126,7 @@ def on_shell_spinor(p3, m, branch: str = "particle1") -> np.ndarray:
     chi = np.array([1.0, 0.0], dtype=complex) if branch == "particle1" else np.array([0.0, 1.0], dtype=complex)
     sigma_p = (p3 @ _PAULI_ROWS).reshape(p3.shape[:-1] + (2, 2))
     lower = (sigma_p @ chi) / (energy + m)[..., None]
-    u = np.concatenate([np.broadcast_to(chi, lower.shape), lower], axis=-1)
-    return u / np.linalg.norm(u, axis=-1, keepdims=True)
+    u = np.empty(lower.shape[:-1] + (4,), dtype=complex)
+    u[..., :2], u[..., 2:] = chi, lower
+    # np.linalg.norm's vector 2-norm, written out
+    return u / np.sqrt(np.add.reduce((u.conj() * u).real, axis=-1, keepdims=True))

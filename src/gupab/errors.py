@@ -1,8 +1,6 @@
 """Exception types shared across the package, the row-by-row raise that batched checks share, and the one conversion of numbers."""
 
-import functools
 import math
-import operator
 
 import numpy as np
 
@@ -44,7 +42,9 @@ def raise_first(*checks):
     Each check is (mask, error type, message); the masks are bools or
     arrays of them that broadcast over the rows.
     """
-    failed = functools.reduce(operator.or_, (mask for mask, _, _ in checks))
+    failed = checks[0][0]
+    for mask, _, _ in checks[1:]:
+        failed = failed | mask
     if np.count_nonzero(failed):
         row = np.argmax(np.ravel(failed))
         for mask, error, message in checks:

@@ -375,9 +375,9 @@ def circle_loop(center=(0.0, 0.0, 0.0), radius=1.0, windings=1) -> LoopPath:
 
 def _check_distinct(points: np.ndarray, name: str):
     """Reject a closed point list in which some point equals the next one, cyclically."""
-    repeats = np.flatnonzero((points == np.concatenate([points[1:], points[:1]])).all(axis=1))
-    if repeats.size:
-        raise GeometryError(f"{name} repeat consecutively at index {repeats[0]}")
+    repeats = (points == np.concatenate([points[1:], points[:1]])).all(axis=1)
+    if repeats.any():
+        raise GeometryError(f"{name} repeat consecutively at index {repeats.argmax()}")
 
 
 def rectangle_loop(corners) -> LoopPath:

@@ -28,7 +28,9 @@ the deformed momentum is multiplication by the sampled map. The stencil and
 the brackets run in real arithmetic, with no complex division by a real.
 Every public entry reads ``a`` with ``errors.to_floats`` (an int past the
 doubles is an infinity, a str the number it spells) and rejects a negative,
-NaN or infinite ``a`` with ``DomainError``.
+NaN or infinite ``a`` with ``DomainError``; a result that overflows double
+precision is a ``GupabError``, and a grid has from 8 to ``_MAX_GRID_POINTS``
+points.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import momenta
-from .errors import DomainError, SingularInputError, raise_first, to_float, to_floats
+from .errors import DomainError, GupabError, SingularInputError, raise_first, to_float, to_floats
 from .units import nonnegative_a
 
 # Probe state used by the operator lab: a sup-normalized Gaussian sitting at
@@ -49,8 +51,11 @@ _PROBE_CENTER_FRACTION = 0.5
 _PROBE_WIDTH_FRACTION = 0.15
 # Points the lab leaves out at each end of the grid, where the stencil is truncated.
 _BOUNDARY_MARGIN = 2
+# Points of a uniform grid, which bounds the memory of one state (16 MiB) and of the lab's doubled grid.
+_MAX_GRID_POINTS = 2**20
 
 _DELTA = np.eye(3)
+_OVERFLOW = "{} is not finite: the inputs overflow double precision"
 
 
 def _check_axis(i):
@@ -73,26 +78,36 @@ def deformation_factor(p0_mag, a):
 def deform_momentum(p0, a: float) -> np.ndarray:
     """Apply the deformation map to a 3-vector or an (..., 3) array; the zero vector is fixed."""
     p0, a = momenta(p0), _strength(a)
-    return p0 * deformation_factor(np.linalg.norm(p0, axis=-1, keepdims=True), a)
+    with np.errstate(all="ignore"):  # a result that overflows is reported below
+        deformed = p0 * deformation_factor(np.linalg.norm(p0, axis=-1, keepdims=True), a)
+    if not np.isfinite(deformed).all():
+        raise GupabError(_OVERFLOW.format("deformed momentum"))
+    return deformed
 
 
 def _real_brackets(p0, a, kind):
     """The (..., 3, 3) 'target' or 'jacobian' brackets divided by i, for a > 0 that broadcasts against them.
 
     p0 is a checked momentum array; an array of strengths gives all their
-    brackets in one pass, each as its own call would.
+    brackets in one pass, each as its own call would. A bracket that
+    overflows is a ``GupabError``.
     """
-    mag = np.linalg.norm(p0, axis=-1)[..., None, None]
-    if np.any(mag == 0.0):
-        raise SingularInputError(f"{kind} bracket needs |p0| > 0 when a > 0")
-    p_i, p_j = p0[..., :, None], p0[..., None, :]
-    if kind == "jacobian":
-        return _DELTA * deformation_factor(mag, a) + p_j * (-a * p_i / mag + 4.0 * a * a * p_i)
-    scale = deformation_factor(mag, a)  # the deformed momentum, as rows and as columns
-    pd_i, pd_j = p_i * scale, p_j * scale
-    mag = np.linalg.norm(pd_j, axis=-1, keepdims=True)
-    pipj = pd_i * pd_j
-    return _DELTA - a * (mag * _DELTA + pipj / mag) + a * a * (mag * mag * _DELTA + 3.0 * pipj)
+    with np.errstate(all="ignore"):
+        mag = np.linalg.norm(p0, axis=-1)[..., None, None]
+        if np.any(mag == 0.0):
+            raise SingularInputError(f"{kind} bracket needs |p0| > 0 when a > 0")
+        p_i, p_j = p0[..., :, None], p0[..., None, :]
+        if kind == "jacobian":
+            brackets = _DELTA * deformation_factor(mag, a) + p_j * (-a * p_i / mag + 4.0 * a * a * p_i)
+        else:
+            scale = deformation_factor(mag, a)  # the deformed momentum, as rows and as columns
+            pd_i, pd_j = p_i * scale, p_j * scale
+            mag = np.linalg.norm(pd_j, axis=-1, keepdims=True)
+            pipj = pd_i * pd_j
+            brackets = _DELTA - a * (mag * _DELTA + pipj / mag) + a * a * (mag * mag * _DELTA + 3.0 * pipj)
+    if not np.isfinite(brackets).all():
+        raise GupabError(_OVERFLOW.format(f"{kind} bracket"))
+    return brackets
 
 
 def _brackets(p0, a, kind):
@@ -173,6 +188,8 @@ class MomentumGrid:
 
     @classmethod
     def uniform(cls, p_min: float, p_max: float, n: int) -> "MomentumGrid":
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 8 <= n <= _MAX_GRID_POINTS:
+            raise DomainError(f"grid point count must be an integer in [8, {_MAX_GRID_POINTS}]")
         p_min, p_max = to_float(p_min), to_float(p_max)
         if not (0.0 < p_min < p_max):
             raise DomainError("require 0 < p_min < p_max")
@@ -296,14 +313,19 @@ def gaussian_state(grid: MomentumGrid) -> np.ndarray:
 
     The packet sits mid-grid with its 6-sigma points at the boundaries: its
     momentum spread is width = span / 12, and the position spread of the
-    continuum state is 1 / (2 width).
+    continuum state is 1 / (2 width). A grid whose squared span overflows
+    is a ``GupabError``.
     """
     p = grid.points
-    center = float(0.5 * (p[0] + p[-1]))
-    width = float((p[-1] - p[0]) / 12.0)
-    psi = np.exp(-((p - center) ** 2) / (4.0 * width * width)).astype(complex)
-    norm = np.sqrt(np.sum(_trapezoid_weights(grid.n, grid.h) * np.abs(psi) ** 2))
-    return psi * (1.0 / norm)
+    with np.errstate(all="ignore"):  # a state that overflows is reported below
+        center = float(0.5 * (p[0] + p[-1]))
+        width = float((p[-1] - p[0]) / 12.0)
+        psi = np.exp(-((p - center) ** 2) / (4.0 * width * width)).astype(complex)
+        norm = np.sqrt(np.sum(_trapezoid_weights(grid.n, grid.h) * np.abs(psi) ** 2))
+        psi = psi * (1.0 / norm)
+    if not np.isfinite(psi).all():
+        raise GupabError(_OVERFLOW.format("gaussian state"))
+    return psi
 
 
 @dataclass(frozen=True)
@@ -334,7 +356,8 @@ def uncertainty_check(
     normalization precondition is checked with trapezoid weights. The
     default tolerance (1e-3 / 2) absorbs the O(h^2) discretization bias of
     the stencil for well-resolved states. A state with a NaN or infinite
-    amplitude is rejected.
+    amplitude is rejected, and a spread or bound that overflows is a
+    ``GupabError``.
     """
     psi = np.asarray(state, dtype=complex)
     if psi.ndim == 0 or psi.shape[-1] != grid.n:
@@ -348,20 +371,24 @@ def uncertainty_check(
     if np.any(np.abs(trap_norm - 1.0) > 1e-8):
         raise DomainError("state must be trapezoid-normalized to 1 within 1e-8")
 
-    norm_sq = h * np.sum(density, axis=-1)
+    with np.errstate(all="ignore"):  # a spread or bound that overflows is reported below
+        norm_sq = h * np.sum(density, axis=-1)
 
-    xpsi = _position(psi, h)
-    mean_x = h * np.sum(np.conj(psi) * xpsi, axis=-1).real / norm_sq
-    mean_x_sq = h * np.sum(np.conj(xpsi) * xpsi, axis=-1).real / norm_sq
-    delta_x = np.sqrt(np.maximum(mean_x_sq - mean_x * mean_x, 0.0))
+        xpsi = _position(psi, h)
+        mean_x = h * np.sum(np.conj(psi) * xpsi, axis=-1).real / norm_sq
+        mean_x_sq = h * np.sum(np.conj(xpsi) * xpsi, axis=-1).real / norm_sq
+        delta_x = np.sqrt(np.maximum(mean_x_sq - mean_x * mean_x, 0.0))
 
-    g = grid.points * deformation_factor(grid.points, a[..., None])
-    mean_p = h * np.sum(density * g, axis=-1) / norm_sq
-    mean_p_sq = h * np.sum(density * g * g, axis=-1) / norm_sq
-    delta_p = np.sqrt(np.maximum(mean_p_sq - mean_p * mean_p, 0.0))
+        g = grid.points * deformation_factor(grid.points, a[..., None])
+        mean_p = h * np.sum(density * g, axis=-1) / norm_sq
+        mean_p_sq = h * np.sum(density * g * g, axis=-1) / norm_sq
+        delta_p = np.sqrt(np.maximum(mean_p_sq - mean_p * mean_p, 0.0))
 
-    lhs = delta_x * delta_p
-    rhs = 0.5 * (1.0 - 2.0 * a * mean_p + 4.0 * a * a * mean_p_sq)
+        lhs = delta_x * delta_p
+        rhs = 0.5 * (1.0 - 2.0 * a * mean_p + 4.0 * a * a * mean_p_sq)
+    # every other field enters lhs or rhs, where an inf or NaN one leaves an inf or NaN (0 * inf is NaN)
+    if not (np.isfinite(lhs).all() and np.isfinite(rhs).all()):
+        raise GupabError(_OVERFLOW.format("uncertainty bound"))
     fields = np.broadcast_arrays(delta_x, delta_p, mean_p, mean_p_sq, lhs, rhs, lhs >= rhs - tolerance)
     if fields[0].ndim == 0:
         fields = [float(x) for x in fields[:-1]] + [bool(fields[-1])]

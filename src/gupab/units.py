@@ -11,7 +11,9 @@ product is independent of a0.
 
 All engine-internal numerics run in natural units (hbar = c = 1); the SI
 system exists for reporting. The SI literals are CODATA 2018 values; only
-their order of magnitude matters for any physics done here.
+their order of magnitude matters for any physics done here. Each function
+reads a0 with ``errors.to_float``: an int past the doubles is an infinity,
+which the finite check rejects, and a str is the number it spells.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, raise_first
+from .errors import DomainError, raise_first, to_float
 
 # CODATA 2018 literals (c is exact by definition of the metre).
 PLANCK_LENGTH_SI = 1.616255e-35  # m
@@ -78,6 +80,7 @@ def gup_from_a0(a0: float, units: UnitSystem) -> GupParameter:
     SI mode applies a = a0 * l_pl / hbar; natural mode returns a = a0 and
     leaves any momentum rescaling to the caller.
     """
+    a0 = to_float(a0)
     if a0 < 0.0 or not math.isfinite(a0):
         raise DomainError("a0 must be finite and nonnegative")
     if units.mode == "si":
@@ -87,6 +90,7 @@ def gup_from_a0(a0: float, units: UnitSystem) -> GupParameter:
 
 def min_length(a0: float, units: UnitSystem) -> float:
     """Smallest resolvable length, a0 * l_pl."""
+    a0 = to_float(a0)
     if not (a0 > 0.0) or not math.isfinite(a0):
         raise DomainError("a0 must be finite and strictly positive")
     return a0 * units.planck_length
@@ -94,6 +98,7 @@ def min_length(a0: float, units: UnitSystem) -> float:
 
 def max_momentum(a0: float, units: UnitSystem) -> float:
     """Largest reachable momentum, M_pl * c / a0."""
+    a0 = to_float(a0)
     if not (a0 > 0.0) or not math.isfinite(a0):
         raise DomainError("a0 must be finite and strictly positive")
     return units.planck_mass * units.c / a0

@@ -16,7 +16,11 @@ earlier row-by-row CSV writer. ``reference_position``,
 ``reference_brackets`` and ``reference_bracket_deviations`` are the
 earlier complex-arithmetic forms of ``gup_algebra``'s stencil, brackets and
 consistency deviations, kept as the bit-for-bit oracles of its real
-kernels.
+kernels. ``reference_on_shell_spinor``, ``reference_table`` and
+``reference_points`` are, likewise, the earlier spinor assembly
+(``np.concatenate`` and ``np.linalg.norm``), the earlier CSV table
+(``np.stack`` of ``np.broadcast_arrays``) and the earlier config point list
+read one coordinate at a time.
 """
 
 import math
@@ -25,8 +29,8 @@ from dataclasses import fields, replace
 import numpy as np
 
 from gupab import clifford, gup_algebra
-from gupab.cli_io import _check, _gamma_algebra_residual, run_phase
-from gupab.errors import DomainError, GeometryError, GupabError, raise_first
+from gupab.cli_io import _check, _gamma_algebra_residual, _vector3, run_phase
+from gupab.errors import ConfigError, DomainError, GeometryError, GupabError, raise_first, to_floats
 from gupab.field_geometry import _NON_FINITE, _OPEN, _VANISHING, LoopPath, QuadratureSpec, Segment, SolenoidSpec, _broken, _gaps, circle_loop
 from gupab.phase_engine import _ALPHA_ROWS, ParticleSpec, PhaseResult, ab_phase, dispersion, gup_phase_projected
 from gupab.units import GupParameter, nonnegative_a
@@ -444,10 +448,38 @@ def reference_dispersion(p3, m, a):
     return e_plus, e_minus, hamiltonian
 
 
+def reference_table(*columns):
+    """The broadcast columns side by side, as ``cli_io._table`` first built them."""
+    return np.stack(np.broadcast_arrays(*columns), axis=-1)
+
+
 def reference_csv(header, *columns):
     """The CSV text of ``header`` and the broadcast columns, written row by row with ``",".join(map(repr, row))``."""
-    table = np.stack(np.broadcast_arrays(*columns), axis=-1).tolist()
+    table = reference_table(*columns).tolist()
     return "\n".join([header, *(",".join(map(repr, row)) for row in table)]) + "\n"
+
+
+def reference_points(value, name):
+    """``cli_io._points`` as first written: a list of ``_vector3``s, each point read one coordinate at a time."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{name} must be a list of points")
+    return [_vector3(point, name) for point in value]
+
+
+def reference_on_shell_spinor(p3, m, branch):
+    """``clifford.on_shell_spinor`` with its spinor assembled as first written: ``np.concatenate``, then ``np.linalg.norm``."""
+    m = to_floats(m)
+    raise_first(clifford.positive_mass(m))
+    p3 = clifford.momenta(p3)
+    _, exponent = np.frexp(np.maximum(np.max(np.abs(p3), axis=-1), m))
+    unit = np.ldexp(1.0, exponent - 1)
+    p3, m = p3 / unit[..., None], m / unit
+    energy = np.sqrt(np.sum(p3 * p3, axis=-1) + m * m)
+    chi = np.array([1.0, 0.0] if branch == "particle1" else [0.0, 1.0], dtype=complex)
+    sigma_p = (p3 @ clifford._PAULI_ROWS).reshape(p3.shape[:-1] + (2, 2))
+    lower = (sigma_p @ chi) / (energy + m)[..., None]
+    u = np.concatenate([np.broadcast_to(chi, lower.shape), lower], axis=-1)
+    return u / np.linalg.norm(u, axis=-1, keepdims=True)
 
 
 def reference_position(psi, h):

@@ -12,7 +12,15 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from helpers import fourier_loop, reference_column_check, reference_csv, reference_sweep, reference_verification
+from helpers import (
+    fourier_loop,
+    reference_column_check,
+    reference_csv,
+    reference_points,
+    reference_sweep,
+    reference_table,
+    reference_verification,
+)
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -332,9 +340,14 @@ def _config_bytes(**sections):
     return json.dumps({**BASE_CONFIG, **sections}).encode()
 
 
+_DIRECTORY = object()  # the config path names a directory
+
+
 @pytest.mark.parametrize(
     "content, message",
     [
+        (None, "config error: cannot read config file: [Errno 2] No such file or directory: "),
+        (_DIRECTORY, "config error: cannot read config file: [Errno 21] Is a directory: "),
         (b'{"particle": "\xff\xfe"}', "config error: cannot read config file: 'utf-8' codec can't decode byte 0xff"),
         (b"[" * 100_000, "config error: config parse error: maximum recursion depth exceeded"),
         (b'{"particle": ' + b"9" * 5000 + b"}", "config error: config parse error: Exceeds the limit (4300 digits)"),
@@ -349,14 +362,17 @@ def _config_bytes(**sections):
         (_config_bytes(spinor={"momentum": [0.0, 0.6]}, projection="fixed_spinor"), _NOT_THREE.format("spinor.momentum")),
     ],
     ids=[
-        "not-utf-8", "nested-too-deeply", "too-many-digits", "root", "loop-not-object", "loop-kind", "vertices", "gup-units",
-        "projection", "center-2d", "vertex-2d", "momentum-2d",
+        "missing", "directory", "not-utf-8", "nested-too-deeply", "too-many-digits", "root", "loop-not-object", "loop-kind",
+        "vertices", "gup-units", "projection", "center-2d", "vertex-2d", "momentum-2d",
     ],
 )
 def test_unreadable_config_is_a_one_line_config_error(tmp_path, capsys, content, message):
     # each file is at most 100 KB; the last nine are valid JSON with a root, a choice or a point that the schema rejects
     path = tmp_path / "bad.json"
-    path.write_bytes(content)
+    if content is _DIRECTORY:
+        path.mkdir()
+    elif content is not None:
+        path.write_bytes(content)
     assert main(["phase", "-c", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -838,6 +854,62 @@ def test_csv_template_writes_the_row_writer_text(rows, header, data):
     rest = [data.draw(st.one_of(_CSV_FLOATS, column)) for _ in range(width - 1)]
     # line by line, so that a failure names its first differing line without diffing the whole text
     assert cli_io._csv(header, first, *rest).split("\n") == reference_csv(header, first, *rest).split("\n")
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.integers(1, 50), width=st.integers(2, 7), data=st.data())
+def test_csv_table_matches_the_stacked_broadcast_arrays_bit_for_bit(rows, width, data):
+    # the table is filled column by column: the bits of np.stack(np.broadcast_arrays(...)), each column an array
+    # of rows or one float, any double included
+    column = st.one_of(st.floats(), arrays(float, rows, elements=st.floats()))
+    columns = [data.draw(column) for _ in range(width)]
+    new, old = cli_io._table(*columns), reference_table(*columns)
+    assert new.shape == old.shape and np.array_equal(new.view(np.int64), old.view(np.int64))
+
+
+_PAST = 10**400  # an int past the largest double
+_COORDINATES = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-(2**70), 2**70), st.just(2**53 + 1))
+_BAD_COORDINATES = st.sampled_from([True, False, "1.0", None, [1.0], {"x": 1.0}, _PAST, -_PAST, math.inf, -math.inf, math.nan])
+_BAD_POINTS = st.one_of(
+    _BAD_COORDINATES,  # a point that is not a list
+    st.lists(_COORDINATES, max_size=2),  # a short point
+    st.lists(_COORDINATES, min_size=4, max_size=5),
+    st.tuples(_COORDINATES, _COORDINATES, _COORDINATES),  # three numbers, not a list
+    st.builds(  # three coordinates, one of them bad
+        lambda point, index, bad: point[:index] + [bad] + point[index + 1 :],
+        st.lists(_COORDINATES, min_size=3, max_size=3),
+        st.integers(0, 2),
+        _BAD_COORDINATES,
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    points=st.lists(st.lists(_COORDINATES, min_size=3, max_size=3), max_size=8),
+    bad_points=st.lists(st.tuples(st.integers(0, 8), _BAD_POINTS), max_size=2),
+    bad_list=st.sampled_from([None, "points", 3, {"vertices": []}, ((0.0, 0.0, 0.0),)]),
+    whole=st.booleans(),
+)
+def test_points_read_in_one_pass_accept_what_the_coordinate_loop_accepts(points, bad_points, bad_list, whole):
+    # the same (n, 3) values where the loop reads the list, else the loop's first message: a bool, a str, None,
+    # a short point, a point that is not a list, an int past the doubles or a float that is not finite
+    for index, point in bad_points:
+        points.insert(index, point)
+    value = points if whole else bad_list
+    outcomes = []
+    for read in (cli_io._points, reference_points):
+        try:
+            outcomes.append(read(value, "loop.vertices"))
+        except ConfigError as exc:
+            outcomes.append(str(exc))
+    new, old = outcomes
+    if isinstance(old, str):
+        assert isinstance(new, str) and new == old
+    else:
+        assert isinstance(new, np.ndarray) and new.dtype == float  # read in one pass
+        old = np.array(old, dtype=float).reshape(new.shape)
+        assert np.array_equal(new.view(np.int64), old.view(np.int64))
 
 
 # --- one write path: -o is written only after the command has finished ---

@@ -1,9 +1,12 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
+from helpers import reference_on_shell_spinor
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gupab.clifford import (
     MINKOWSKI_METRIC,
@@ -263,6 +266,29 @@ def test_batched_spinors_keep_the_bits_of_the_tensordot_formula(p3, m, branch):
     lower = (sigma_p @ chi) / (energy + m)[..., None]
     u = np.concatenate([np.broadcast_to(chi, lower.shape), lower], axis=-1)
     assert on_shell_spinor(p3, m, branch).tobytes() == (u / np.linalg.norm(u, axis=-1, keepdims=True)).tobytes()
+
+
+# a magnitude from about 1e-300 to 1e300, its binary exponent drawn uniformly
+_MAGNITUDES = st.builds(math.ldexp, st.floats(1.0, 2.0, exclude_max=True), st.integers(-996, 995))
+_COMPONENTS = st.one_of(st.sampled_from([0.0, -0.0]), _MAGNITUDES, _MAGNITUDES.map(lambda x: -x))
+
+
+@st.composite
+def _spinor_inputs(draw):
+    """Momenta of shape (3,), (k, 3) or (k, m, 3), and a mass that is a float or an array of their batch shape."""
+    batch = tuple(draw(st.lists(st.integers(1, 4), max_size=2)))
+    p3 = draw(arrays(float, batch + (3,), elements=_COMPONENTS))
+    mass = draw(_MAGNITUDES | (arrays(float, batch, elements=_MAGNITUDES) if batch else _MAGNITUDES))
+    return p3, mass
+
+
+@settings(max_examples=200, deadline=None)
+@given(inputs=_spinor_inputs(), branch=st.sampled_from(["particle1", "particle2"]))
+def test_spinor_assembly_matches_the_concatenated_one_bit_for_bit(inputs, branch):
+    # u is filled in place and divided by np.linalg.norm's vector formula, written out: the bits of np.concatenate
+    # and np.linalg.norm, for every scale, signed zeros and both branches
+    new, old = on_shell_spinor(*inputs, branch), reference_on_shell_spinor(*inputs, branch)
+    assert new.shape == old.shape and np.array_equal(new.view(np.int64), old.view(np.int64))
 
 
 @pytest.mark.parametrize("p3", [(1e308, 1e308, 0.0), (1.7e308, 0.0, 0.0), (1e150, 1e150, 0.0), (0.0, -1e300, 1e300)])

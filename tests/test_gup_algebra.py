@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from gupab.errors import DomainError, SingularInputError
+from gupab.errors import DomainError, GupabError, SingularInputError
 from gupab.gup_algebra import (
     _BOUNDARY_MARGIN,
+    _MAX_GRID_POINTS,
     MomentumGrid,
     _bracket_deviations,
     _brackets,
@@ -451,3 +452,50 @@ def test_an_a_given_as_a_str_is_read_as_the_number_it_spells():
     assert jacobian_commutator(p0, 1, 1, "0.1") == jacobian_commutator(p0, 1, 1, 0.1)
     assert np.array_equal(deform_momentum(p0, "0.1"), deform_momentum(p0, 0.1))
     assert commutator_consistency_exponent(p0, ("0.1", "0.01")) == commutator_consistency_exponent(p0, (0.1, 0.01))
+
+
+def _flat_state(grid):
+    """The constant state, trapezoid-normalized on the grid."""
+    return np.full(grid.n, 1.0 / math.sqrt(np.sum(_trapezoid_weights(grid.n, grid.h))), dtype=complex)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "call, quantity",
+    [
+        pytest.param(lambda: deform_momentum([1e200, 0.0, 0.0], 1e200), "deformed momentum", id="deform_momentum"),
+        pytest.param(lambda: deform_momentum([1e300, 1e300, 0.0], 0.1), "deformed momentum", id="deform_momentum-norm"),
+        pytest.param(lambda: jacobian_commutator([1e200, 0.0, 0.0], 1, 1, 1e200), "jacobian bracket", id="jacobian_commutator"),
+        pytest.param(lambda: commutator_target([1e200, 0.0, 0.0], 1, 1, 1e200), "target bracket", id="commutator_target"),
+        pytest.param(
+            lambda: commutator_consistency_exponent([1e300, 0.0, 0.0], (0.1, 0.01)), "jacobian bracket", id="consistency_exponent"
+        ),
+        pytest.param(
+            lambda: uncertainty_check(grid := MomentumGrid.uniform(0.5, 1e300, 64), _flat_state(grid), 1e10),
+            "uncertainty bound",
+            id="uncertainty_check",
+        ),
+        pytest.param(lambda: gaussian_state(MomentumGrid.uniform(0.5, 1e300, 64)), "gaussian state", id="gaussian_state"),
+    ],
+)
+def test_a_result_that_overflows_is_a_gupab_error(call, quantity):
+    # finite inputs whose products pass the largest double: no RuntimeWarning, and no inf or NaN returned
+    with pytest.raises(GupabError) as caught:
+        call()
+    assert str(caught.value) == f"{quantity} is not finite: the inputs overflow double precision"
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_grid_point_count_that_is_not_an_int_in_range_is_a_domain_error(monkeypatch):
+    message = f"grid point count must be an integer in [8, {_MAX_GRID_POINTS}]"
+    assert _MAX_GRID_POINTS == 2**20
+    for n in (64.0, True, "64", None, 7, -1, _MAX_GRID_POINTS + 1, 10**400):
+        with pytest.raises(DomainError) as caught:
+            MomentumGrid.uniform(0.5, 2.5, n)
+        assert str(caught.value) == message
+    assert MomentumGrid.uniform(0.5, 2.5, np.int64(8)).n == 8
+    # the cap itself is accepted: checked by value, with linspace stubbed so that nothing large is allocated
+    points, asked = np.arange(1.0, 9.0), []
+    monkeypatch.setattr(np, "linspace", lambda start, stop, num: asked.append(num) or points)
+    MomentumGrid.uniform(0.5, 2.5, _MAX_GRID_POINTS)
+    assert asked == [_MAX_GRID_POINTS]

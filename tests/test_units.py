@@ -92,3 +92,33 @@ def test_min_length_max_momentum_domain():
             min_length(bad, si)
         with pytest.raises(DomainError):
             max_momentum(bad, si)
+
+
+_PAST = 10**400  # an int past the largest double
+
+
+@pytest.mark.filterwarnings("error")
+def test_gup_from_a0_past_the_doubles_is_a_domain_error():
+    for units in (UnitSystem.natural(), UnitSystem.si()):
+        with pytest.raises(DomainError, match="^a0 must be finite and nonnegative$"):
+            gup_from_a0(_PAST, units)
+
+
+@pytest.mark.filterwarnings("error")
+def test_min_length_past_the_doubles_is_a_domain_error():
+    with pytest.raises(DomainError, match="^a0 must be finite and strictly positive$"):
+        min_length(_PAST, UnitSystem.si())
+
+
+@pytest.mark.filterwarnings("error")
+def test_max_momentum_past_the_doubles_is_a_domain_error():
+    with pytest.raises(DomainError, match="^a0 must be finite and strictly positive$"):
+        max_momentum(_PAST, UnitSystem.si())
+
+
+def test_an_a0_given_as_a_str_is_read_as_the_number_it_spells():
+    # as errors.to_float reads every number of the library, a of GupParameter among them
+    si = UnitSystem.si()
+    assert gup_from_a0("2.5", si) == gup_from_a0(2.5, si)
+    assert min_length("2.5", si) == min_length(2.5, si)
+    assert max_momentum("2.5", si) == max_momentum(2.5, si)
