@@ -399,7 +399,7 @@ def _draw_rows(count: int, draw):
     return [np.array(column) for column in zip(*(draw() for _ in range(count)))]
 
 
-_STATE_BLOCK = 20  # random states checked per call, which bounds the memory a 'full' run needs
+_STATE_BLOCK = 10  # random states checked per call, which bounds the memory a 'full' run needs
 
 
 def run_verification(level: str = "fast", gamma_perturbation: float = 0.0) -> dict:
@@ -410,11 +410,17 @@ def run_verification(level: str = "fast", gamma_perturbation: float = 0.0) -> di
     random states in blocks of ``_STATE_BLOCK``). A check whose rows are all
     uniform draws takes them in one call; the numbers and their order are
     those of the row loop, since a uniform draw takes one word of the
-    generator per value. The random states are normalized by a product with
-    the reciprocal of their norms, which gives the bits of numpy's complex
-    division by a real wherever no coordinate is zero, and the algebra checks
-    run ``gup_algebra``'s real kernels: no algebra check divides a complex
-    array by a real. Nothing is cached: every call recomputes every check.
+    generator per value. Each block of random states is drawn row by row
+    into one (block, 2, n) float buffer, allocated once per call: a row's
+    real and then imaginary normal draws, then its a, as a loop that drew
+    each state when it used it would take them. The random states are
+    normalized by a product with the reciprocal of their norms, whose
+    weighted |state|^2 are formed in place in one array; the product gives
+    the bits of numpy's complex division by a real wherever no coordinate is
+    zero, and the algebra checks run ``gup_algebra``'s real kernels: no
+    algebra check divides a complex array by a real. 'full' reads only the
+    grid-lab fields it reports, and the lab measures a field only when it is
+    read. Nothing is cached: every call recomputes every check.
     """
     if level not in ("fast", "full"):
         raise ConfigError("verify level must be 'fast' or 'full'")
@@ -452,12 +458,18 @@ def run_verification(level: str = "fast", gamma_perturbation: float = 0.0) -> di
 
     count = 100 if level == "full" else 20
     weights = gup_algebra._trapezoid_weights(grid.n, grid.h)
+    parts = np.empty((_STATE_BLOCK, 2, grid.n))  # each row's real and imaginary normal draws, refilled per block
+    a_values = np.empty(_STATE_BLOCK)
     failures = 0
     for _ in range(count // _STATE_BLOCK):
-        states, a_values = _draw_rows(
-            _STATE_BLOCK, lambda: (rng.normal(size=grid.n) + 1j * rng.normal(size=grid.n), rng.uniform(0.0, 0.19))
-        )
-        states *= 1.0 / np.sqrt(np.sum(weights * np.abs(states) ** 2, axis=1))[:, None]
+        for row in range(_STATE_BLOCK):
+            rng.standard_normal(out=parts[row])
+            a_values[row] = rng.uniform(0.0, 0.19)
+        states = parts[:, 0] + 1j * parts[:, 1]
+        density = np.abs(states)
+        density **= 2
+        density *= weights
+        states *= 1.0 / np.sqrt(np.sum(density, axis=1))[:, None]
         report = gup_algebra.uncertainty_check(grid, states, a_values, tolerance=1e-6)
         failures += np.count_nonzero(~report.holds)
     checks.append(_check("uncertainty_random_states", failures, 0.0))

@@ -26,6 +26,8 @@ momentum representation is x = i d/dp, applied as the truncated
 antisymmetric central-difference stencil (exactly Hermitian, second order);
 the deformed momentum is multiplication by the sampled map. The stencil and
 the brackets run in real arithmetic, with no complex division by a real.
+The grid lab checks its inputs at once and measures each quantity of its
+report when that is first read, so an overflow there raises on the read.
 Every public entry reads ``a`` with ``errors.to_floats`` (an int past the
 doubles is an infinity, a str the number it spells) and rejects a negative,
 NaN or infinite ``a`` with ``DomainError``; a result that overflows double
@@ -36,7 +38,8 @@ points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -206,18 +209,6 @@ class MomentumGrid:
         return int(self.points.size)
 
 
-@dataclass(frozen=True)
-class CommutatorReport:
-    """Residuals and convergence rates measured by the grid operator lab."""
-
-    a: float
-    grid_points: int
-    h: float
-    max_residual_interior: float
-    discretization_order: float
-    gup_scaling_exponent: float
-
-
 def _position(psi, h: float) -> np.ndarray:
     """x psi for x = i d/dp: the truncated antisymmetric central-difference stencil, along the last axis.
 
@@ -261,6 +252,46 @@ def _lab_max_residual(points: np.ndarray, a: float) -> float:
     return float(np.max(np.abs(residual[_BOUNDARY_MARGIN : points.size - _BOUNDARY_MARGIN])))
 
 
+@dataclass(frozen=True)
+class CommutatorReport:
+    """Residuals and convergence rates measured by the grid operator lab, each measured when it is first read.
+
+    ``max_residual_interior`` is the probe's residual on the grid,
+    ``discretization_order`` the order from it and the residual on the grid
+    of twice the points, and ``gup_scaling_exponent`` the consistency slope at
+    the grid's interior momenta (NaN for a = 0). A measured field is computed
+    once, from the private, non-compared grid points ``_points``, with the
+    operations of an eager lab, and is the same bit for bit in any read
+    order; a bracket that overflows is a ``GupabError`` when its field is read.
+    """
+
+    a: float
+    grid_points: int
+    h: float
+    _points: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def max_residual_interior(self) -> float:
+        return _lab_max_residual(self._points, self.a)
+
+    @cached_property
+    def discretization_order(self) -> float:
+        coarse, res_coarse = self._points, self.max_residual_interior
+        fine = np.linspace(coarse[0], coarse[-1], 2 * coarse.size)
+        res_fine = _lab_max_residual(fine, self.a)
+        h_coarse = float(coarse[1] - coarse[0])
+        h_fine = float(fine[1] - fine[0])
+        return math.log(res_coarse / res_fine) / math.log(h_coarse / h_fine)
+
+    @cached_property
+    def gup_scaling_exponent(self) -> float:
+        if self.a == 0.0:
+            return math.nan
+        decade = (self.a, self.a / math.sqrt(10.0), self.a / 10.0)
+        interior = _on_x_axis(self._points[_BOUNDARY_MARGIN : self._points.size - _BOUNDARY_MARGIN])
+        return commutator_consistency_exponent(interior, decade)
+
+
 def grid_operator_lab(grid: MomentumGrid, a: float) -> CommutatorReport:
     """Finite-dimensional commutator test of the deformation map.
 
@@ -272,7 +303,9 @@ def grid_operator_lab(grid: MomentumGrid, a: float) -> CommutatorReport:
     together with its convergence order under grid refinement (expected 2,
     from the stencil) and, for a > 0, the log-log slope of the
     jacobian-vs-target deviation at the interior momenta (p, 0, 0) over a
-    decade of deformation strengths anchored at a (expected 3).
+    decade of deformation strengths anchored at a (expected 3). The inputs
+    are checked here; each of the three is measured when the report's field
+    is first read, so a caller pays only for the fields it reads.
     """
     if grid.n < 64:
         raise DomainError("operator lab needs at least 64 grid points")
@@ -280,26 +313,7 @@ def grid_operator_lab(grid: MomentumGrid, a: float) -> CommutatorReport:
     p_max = float(grid.points[-1])
     if a > 0.0 and a * p_max >= 0.5:
         raise DomainError("perturbative regime requires a * p_max < 0.5")
-
-    coarse = grid.points
-    fine = np.linspace(coarse[0], coarse[-1], 2 * grid.n)
-    res_coarse = _lab_max_residual(coarse, a)
-    res_fine = _lab_max_residual(fine, a)
-    h_coarse = float(coarse[1] - coarse[0])
-    h_fine = float(fine[1] - fine[0])
-    order = math.log(res_coarse / res_fine) / math.log(h_coarse / h_fine)
-    decade = (a, a / math.sqrt(10.0), a / 10.0)
-    interior = _on_x_axis(coarse[_BOUNDARY_MARGIN : coarse.size - _BOUNDARY_MARGIN])
-    exponent = commutator_consistency_exponent(interior, decade) if a > 0.0 else math.nan
-
-    return CommutatorReport(
-        a=a,
-        grid_points=grid.n,
-        h=grid.h,
-        max_residual_interior=res_coarse,
-        discretization_order=order,
-        gup_scaling_exponent=exponent,
-    )
+    return CommutatorReport(a=a, grid_points=grid.n, h=grid.h, _points=grid.points)
 
 
 def _trapezoid_weights(n: int, h: float) -> np.ndarray:
@@ -357,7 +371,11 @@ def uncertainty_check(
     default tolerance (1e-3 / 2) absorbs the O(h^2) discretization bias of
     the stencil for well-resolved states. A state with a NaN or infinite
     amplitude is rejected, and a spread or bound that overflows is a
-    ``GupabError``.
+    ``GupabError``. The moments allocate few temporaries: conj(psi) xpsi and
+    conj(xpsi) xpsi are formed in turn in one work array, |psi| is squared in
+    place, and density g is formed once and multiplied by g in place for
+    <p^2>. Each keeps the operations, their order and the reductions of the
+    plain expressions, so the report is the same bit for bit.
     """
     psi = np.asarray(state, dtype=complex)
     if psi.ndim == 0 or psi.shape[-1] != grid.n:
@@ -366,7 +384,8 @@ def uncertainty_check(
     if not np.isfinite(psi).all():  # a NaN norm would pass the normalization test below
         raise DomainError("state must be finite")
     h = grid.h
-    density = np.abs(psi) ** 2
+    density = np.abs(psi)
+    density **= 2
     trap_norm = np.sum(_trapezoid_weights(grid.n, h) * density, axis=-1)
     if np.any(np.abs(trap_norm - 1.0) > 1e-8):
         raise DomainError("state must be trapezoid-normalized to 1 within 1e-8")
@@ -375,13 +394,20 @@ def uncertainty_check(
         norm_sq = h * np.sum(density, axis=-1)
 
         xpsi = _position(psi, h)
-        mean_x = h * np.sum(np.conj(psi) * xpsi, axis=-1).real / norm_sq
-        mean_x_sq = h * np.sum(np.conj(xpsi) * xpsi, axis=-1).real / norm_sq
+        # conj(psi) * xpsi, then conj(xpsi) * xpsi, in one array laid out as xpsi, as numpy lays out their products
+        work = np.conjugate(psi, out=np.empty_like(xpsi))
+        work *= xpsi
+        mean_x = h * np.sum(work, axis=-1).real / norm_sq
+        np.conjugate(xpsi, out=work)
+        work *= xpsi
+        mean_x_sq = h * np.sum(work, axis=-1).real / norm_sq
         delta_x = np.sqrt(np.maximum(mean_x_sq - mean_x * mean_x, 0.0))
 
         g = grid.points * deformation_factor(grid.points, a[..., None])
-        mean_p = h * np.sum(density * g, axis=-1) / norm_sq
-        mean_p_sq = h * np.sum(density * g * g, axis=-1) / norm_sq
+        weighted = density * g  # density * g, then density * g * g in its left-to-right order
+        mean_p = h * np.sum(weighted, axis=-1) / norm_sq
+        weighted *= g
+        mean_p_sq = h * np.sum(weighted, axis=-1) / norm_sq
         delta_p = np.sqrt(np.maximum(mean_p_sq - mean_p * mean_p, 0.0))
 
         lhs = delta_x * delta_p

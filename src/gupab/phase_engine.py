@@ -35,6 +35,7 @@ row of it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -62,7 +63,7 @@ def subluminal_speed(v):
 
 @dataclass(frozen=True)
 class ParticleSpec:
-    """Charge, mass, and constant traversal speed (natural units, v < 1)."""
+    """Charge, mass, and constant traversal speed (natural units, v < 1); the charge and the mass are finite."""
 
     charge: float
     mass: float
@@ -70,7 +71,12 @@ class ParticleSpec:
 
     def __post_init__(self):
         read_ints(self, "charge", "mass", "speed")  # an int past the doubles reads as the infinity of its sign
-        raise_first(positive_mass(self.mass), subluminal_speed(self.speed))
+        raise_first(
+            positive_mass(self.mass),
+            (not math.isfinite(self.mass), DomainError, "m must be finite"),
+            subluminal_speed(self.speed),
+            (not math.isfinite(self.charge), DomainError, "q must be finite"),
+        )
 
     @property
     def lorentz_gamma(self) -> float:

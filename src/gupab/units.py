@@ -66,12 +66,14 @@ def nonnegative_a(a):
 
 @dataclass(frozen=True)
 class GupParameter:
-    """Deformation strength a (inverse momentum)."""
+    """Deformation strength a (inverse momentum), stored as the float ``errors.to_float`` reads: nonnegative, then finite."""
 
     a: float
 
     def __post_init__(self):
-        raise_first(nonnegative_a(self.a))
+        a = to_float(self.a)
+        object.__setattr__(self, "a", a)
+        raise_first(nonnegative_a(a), (not math.isfinite(a), DomainError, "a must be finite"))
 
 
 def gup_from_a0(a0: float, units: UnitSystem) -> GupParameter:

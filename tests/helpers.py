@@ -16,7 +16,9 @@ earlier row-by-row CSV writer. ``reference_position``,
 ``reference_brackets`` and ``reference_bracket_deviations`` are the
 earlier complex-arithmetic forms of ``gup_algebra``'s stencil, brackets and
 consistency deviations, kept as the bit-for-bit oracles of its real
-kernels. ``reference_on_shell_spinor``, ``reference_table`` and
+kernels; ``reference_uncertainty_check`` and ``reference_lab_fields`` are,
+likewise, the earlier allocating uncertainty kernel and the earlier eager
+grid lab. ``reference_on_shell_spinor``, ``reference_table`` and
 ``reference_points`` are, likewise, the earlier spinor assembly
 (``np.concatenate`` and ``np.linalg.norm``), the earlier CSV table
 (``np.stack`` of ``np.broadcast_arrays``) and the earlier config point list
@@ -512,3 +514,56 @@ def reference_bracket_deviations(p0, a_values):
         gaps = [np.abs(gup_algebra.jacobian_commutator(p0, i, j, a) - gup_algebra.commutator_target(p0, i, j, a)) for i, j in pairs]
         devs.append(np.max(np.stack(gaps, axis=-1), axis=-1))
     return np.log([float(a) for a in a_values]), np.log(np.stack(devs, axis=-1))
+
+
+def reference_uncertainty_check(grid, state, a, tolerance=1e-3 / 2.0):
+    """``gup_algebra.uncertainty_check`` as it was written before its in-place moments: each product a fresh array."""
+    psi = np.asarray(state, dtype=complex)
+    if psi.ndim == 0 or psi.shape[-1] != grid.n:
+        raise DomainError("state must match the grid size")
+    a = gup_algebra._strength(a)
+    if not np.isfinite(psi).all():
+        raise DomainError("state must be finite")
+    h = grid.h
+    density = np.abs(psi) ** 2
+    trap_norm = np.sum(gup_algebra._trapezoid_weights(grid.n, h) * density, axis=-1)
+    if np.any(np.abs(trap_norm - 1.0) > 1e-8):
+        raise DomainError("state must be trapezoid-normalized to 1 within 1e-8")
+
+    with np.errstate(all="ignore"):
+        norm_sq = h * np.sum(density, axis=-1)
+
+        xpsi = gup_algebra._position(psi, h)
+        mean_x = h * np.sum(np.conj(psi) * xpsi, axis=-1).real / norm_sq
+        mean_x_sq = h * np.sum(np.conj(xpsi) * xpsi, axis=-1).real / norm_sq
+        delta_x = np.sqrt(np.maximum(mean_x_sq - mean_x * mean_x, 0.0))
+
+        g = grid.points * gup_algebra.deformation_factor(grid.points, a[..., None])
+        mean_p = h * np.sum(density * g, axis=-1) / norm_sq
+        mean_p_sq = h * np.sum(density * g * g, axis=-1) / norm_sq
+        delta_p = np.sqrt(np.maximum(mean_p_sq - mean_p * mean_p, 0.0))
+
+        lhs = delta_x * delta_p
+        rhs = 0.5 * (1.0 - 2.0 * a * mean_p + 4.0 * a * a * mean_p_sq)
+    if not (np.isfinite(lhs).all() and np.isfinite(rhs).all()):
+        raise GupabError(gup_algebra._OVERFLOW.format("uncertainty bound"))
+    fields = np.broadcast_arrays(delta_x, delta_p, mean_p, mean_p_sq, lhs, rhs, lhs >= rhs - tolerance)
+    if fields[0].ndim == 0:
+        fields = [float(x) for x in fields[:-1]] + [bool(fields[-1])]
+    return gup_algebra.UncertaintyReport(*fields)
+
+
+def reference_lab_fields(grid, a):
+    """The measured fields of ``gup_algebra.grid_operator_lab``, by name, all computed at once as the lab did when it was eager."""
+    coarse = grid.points
+    fine = np.linspace(coarse[0], coarse[-1], 2 * grid.n)
+    res_coarse = gup_algebra._lab_max_residual(coarse, a)
+    res_fine = gup_algebra._lab_max_residual(fine, a)
+    h_coarse = float(coarse[1] - coarse[0])
+    h_fine = float(fine[1] - fine[0])
+    order = math.log(res_coarse / res_fine) / math.log(h_coarse / h_fine)
+    decade = (a, a / math.sqrt(10.0), a / 10.0)
+    margin = gup_algebra._BOUNDARY_MARGIN
+    interior = gup_algebra._on_x_axis(coarse[margin : coarse.size - margin])
+    exponent = gup_algebra.commutator_consistency_exponent(interior, decade) if a > 0.0 else math.nan
+    return {"max_residual_interior": res_coarse, "discretization_order": order, "gup_scaling_exponent": exponent}

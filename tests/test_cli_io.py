@@ -25,7 +25,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gupab import cli_io, field_geometry, phase_engine
+from gupab import cli_io, field_geometry, gup_algebra, phase_engine
 from gupab.cli_io import (
     DISPERSION_CSV_HEADER,
     PROJECTIONS,
@@ -443,6 +443,28 @@ def test_batched_verification_matches_row_by_row(level, perturbation, monkeypatc
     ]
     for mine, theirs in zip(batched["checks"], oracle["checks"]):
         assert mine["residual"] == pytest.approx(theirs["residual"], rel=1e-9, abs=0.0), mine["name"]
+
+
+def test_full_verification_measures_each_lab_quantity_it_reports_once(monkeypatch):
+    residuals, exponents = [], []
+    residual, exponent = gup_algebra._lab_max_residual, gup_algebra.commutator_consistency_exponent
+
+    def counted_residual(points, a):
+        residuals.append((points.size, a))
+        return residual(points, a)
+
+    def counted_exponent(p0, a_values):
+        exponents.append(np.shape(p0))
+        return exponent(p0, a_values)
+
+    monkeypatch.setattr(gup_algebra, "_lab_max_residual", counted_residual)
+    monkeypatch.setattr(gup_algebra, "commutator_consistency_exponent", counted_exponent)
+    report = run_verification("full")
+    # the a = 0 lab's coarse and fine grids for its order, the a = 0.05 lab's coarse grid for its residual
+    assert residuals == [(256, 0.0), (512, 0.0), (256, 0.05)]
+    # the scaling exponent of the 512-point lab, over its interior momenta
+    assert exponents == [(512 - 2 * gup_algebra._BOUNDARY_MARGIN, 3)]
+    assert report["all_passed"]
 
 
 def test_cmd_verify_exit_codes(capsys):

@@ -1,8 +1,16 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from helpers import dense_commutator_residual, reference_bracket_deviations, reference_brackets, reference_position
+from helpers import (
+    dense_commutator_residual,
+    reference_bracket_deviations,
+    reference_brackets,
+    reference_lab_fields,
+    reference_position,
+    reference_uncertainty_check,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
@@ -405,6 +413,68 @@ def test_bracket_deviations_match_the_per_a_loop_bit_for_bit(momenta, a_values):
     with np.errstate(all="ignore"):  # a deviation may round to 0, whose log is -inf on both sides
         new, old = _bracket_deviations(momenta, a_values), reference_bracket_deviations(momenta, a_values)
     assert _same_bits(new[0], old[0]) and _same_bits(new[1], old[1])
+
+
+@st.composite
+def _normalized_stacks(draw):
+    """A grid of 8 to 300 points and a trapezoid-normalized real or complex (..., n) stack on it, with 0 to 2 leading axes.
+
+    The stack is laid out in C or Fortran order; its a is a scalar, a float
+    or a 0-d array, or one a per row.
+    """
+    # a span of at least 2 above p_min <= 2 keeps the 300-point spacing uniform within MomentumGrid's 1e-12
+    p_min = draw(st.floats(0.01, 2.0))
+    grid = MomentumGrid.uniform(p_min, p_min + draw(st.floats(2.0, 10.0)), draw(st.integers(8, 300)))
+    lead = draw(array_shapes(min_dims=0, max_dims=2, max_side=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    psi = rng.standard_normal(lead + (grid.n,))
+    if draw(st.booleans()):
+        psi = psi + 1j * rng.standard_normal(lead + (grid.n,))
+    psi *= (1.0 / np.sqrt(np.sum(_trapezoid_weights(grid.n, grid.h) * np.abs(psi) ** 2, axis=-1)))[..., None]
+    psi = np.asfortranarray(psi) if draw(st.booleans()) else psi
+    strengths = st.floats(0.0, 0.19)
+    a = draw(st.one_of(strengths, strengths.map(np.float64), arrays(float, lead, elements=strengths)))
+    return grid, psi, a
+
+
+def _same_report(new, old):
+    """Every field of two ``UncertaintyReport``s of one type, shape and dtype, bit for bit."""
+    for name in (f.name for f in dataclasses.fields(old)):
+        x, y = getattr(new, name), getattr(old, name)
+        if type(x) is not type(y) or np.shape(x) != np.shape(y) or np.asarray(x).dtype != np.asarray(y).dtype:
+            return False
+        if np.asarray(x).tobytes() != np.asarray(y).tobytes():
+            return False
+    return True
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_normalized_stacks(), tolerance=st.sampled_from([1e-3 / 2.0, 1e-6]))
+def test_uncertainty_check_matches_the_allocating_kernel_bit_for_bit(case, tolerance):
+    grid, psi, a = case
+    assert _same_report(uncertainty_check(grid, psi, a, tolerance), reference_uncertainty_check(grid, psi, a, tolerance))
+
+
+_LAB_FIELDS = ("max_residual_interior", "discretization_order", "gup_scaling_exponent")
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    p_min=st.floats(0.1, 2.0),
+    span=st.floats(1.0, 4.0),
+    n=st.integers(64, 300),
+    share=st.one_of(st.just(0.0), st.floats(1e-6, 0.99)),
+    order=st.permutations(_LAB_FIELDS),
+)
+def test_lazy_lab_fields_match_the_eager_lab_bit_for_bit(p_min, span, n, share, order):
+    # each field is measured on first read, whichever is read first, and then kept
+    grid = MomentumGrid.uniform(p_min, p_min + span, n)
+    report = grid_operator_lab(grid, share * 0.5 / grid.points[-1])
+    with np.errstate(divide="ignore", invalid="ignore"):  # at a tiny a a deviation may round to 0, on both sides alike
+        eager = reference_lab_fields(grid, report.a)
+        for name in order + order:
+            assert getattr(report, name).hex() == eager[name].hex(), name
+    assert all(name in vars(report) for name in _LAB_FIELDS)
 
 
 _GRID64 = MomentumGrid.uniform(0.5, 2.5, 64)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from gupab.units import (
     PLANCK_LENGTH_SI,
     PLANCK_MASS_SI,
     C_SI,
+    GupParameter,
     UnitSystem,
     gup_from_a0,
     max_momentum,
@@ -114,6 +117,22 @@ def test_min_length_past_the_doubles_is_a_domain_error():
 def test_max_momentum_past_the_doubles_is_a_domain_error():
     with pytest.raises(DomainError, match="^a0 must be finite and strictly positive$"):
         max_momentum(_PAST, UnitSystem.si())
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("a", [math.inf, _PAST])
+def test_an_infinite_gup_parameter_is_a_domain_error(a):
+    # an int past the doubles is read as an infinity, and the finite check follows the nonnegative one
+    with pytest.raises(DomainError, match="^a must be finite$"):
+        GupParameter(a=a)
+    with pytest.raises(DomainError, match="^a must be nonnegative$"):
+        GupParameter(a=-a)
+
+
+def test_a_gup_parameter_stores_the_float_it_reads():
+    for given in (2, "0.25", 0.5):
+        assert type(GupParameter(a=given).a) is float
+    assert GupParameter(a=2).a == 2.0 and GupParameter(a="0.25").a == 0.25
 
 
 def test_an_a0_given_as_a_str_is_read_as_the_number_it_spells():
