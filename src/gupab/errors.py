@@ -53,23 +53,30 @@ def raise_first(*checks):
 
 
 def to_float(x) -> float:
-    """x as a float; an int beyond the doubles becomes the infinity of its sign, which every finiteness check rejects."""
+    """x as a float, as ``float`` reads it, so a str that spells a number is that number.
+
+    An int beyond the doubles becomes the infinity of its sign, which every
+    finiteness check rejects; a value ``float`` cannot read is a DomainError.
+    """
     try:
         return float(x)
     except OverflowError:
         return math.inf if x > 0 else -math.inf
+    except (TypeError, ValueError):
+        raise DomainError(f"not a number: {x!r:.60}") from None
 
 
-def read_ints(spec, *names):
-    """Store ``to_float`` of each named field of a frozen dataclass that holds an int; any other value stays as it is."""
+def read_floats(spec, *names):
+    """Store ``to_float`` of each named field of a frozen dataclass."""
     for name in names:
-        if isinstance(value := getattr(spec, name), int):
-            object.__setattr__(spec, name, to_float(value))
+        object.__setattr__(spec, name, to_float(getattr(spec, name)))
 
 
 def to_floats(x) -> np.ndarray:
-    """x as a float array, each int beyond the doubles the infinity of its sign, as ``to_float`` gives it."""
+    """x as a float array, each entry as ``to_float`` reads it; DomainError unless x is a number or an array of them."""
     try:
         return np.asarray(x, dtype=float)
     except OverflowError:
         return np.vectorize(to_float, otypes=[float])(np.asarray(x, dtype=object))
+    except (TypeError, ValueError):
+        raise DomainError(f"not a number or an array of numbers: {x!r:.60}") from None

@@ -8,11 +8,13 @@ them; a loop of lines only takes its ends array from its lines in one call.
 Only generic curves, ``Segment``s, are checked on a 64-point sample.
 ``loop_geometry`` builds, once per loop, the record a phase needs of it: the
 length, and the closed forms that depend on a solenoid, the azimuth swept
-about its axis and the least distance from it, for lines by ufuncs and
-ndarray methods over the ends array, for arcs by two atan2 end terms, each
-within (-pi/2, pi/2), so with no unwrapping needed, in any loop. Only generic
-curves, and arcs about an axis not normal to their plane, go through composite
-Gauss-Legendre quadrature per piece, with the error estimated by node doubling.
+about its axis and the least distance from it: for lines by ufuncs and
+ndarray methods over the ends array, for arcs normal to the axis by two atan2
+end terms, each within (-pi/2, pi/2), so with no unwrapping needed, and for
+generic curves and tilted arcs by the lines' forms over the chords of their
+refined samples. Composite Gauss-Legendre quadrature, with the error
+estimated by node doubling, gives only the length of generic curves and the
+public circulations.
 The built-in field source is the ideal infinite solenoid: purely azimuthal
 potential, flux Phi / (2 pi rho) outside the coil and Phi rho / (2 pi R^2)
 inside, taken for a whole (n, 3) array of points in one call; generic fields
@@ -28,11 +30,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, FieldEvaluationError, GeometryError, SingularInputError, raise_first, read_ints, to_float, to_floats
+from .errors import DomainError, FieldEvaluationError, GeometryError, SingularInputError, raise_first, read_floats, to_float, to_floats
 
 _MAX_NODES_PER_SEGMENT = 1024  # 2**10 cap for the doubling refinement
 _VALIDATION_SAMPLES = 64
-_CLEARANCE_SAMPLES = 256  # per segment, for curves with no closed-form closest approach
+_MAX_SAMPLES = 2**16  # per piece sampled for its azimuth about the axis: generic curves and tilted arcs
 _NEXT, _NEXT2 = np.array([1, 2, 0]), np.array([2, 0, 1])  # each 3-vector component's index plus one, plus two
 
 
@@ -68,7 +70,7 @@ class SolenoidSpec:
     axis_direction: tuple = (0.0, 0.0, 1.0)
 
     def __post_init__(self):
-        read_ints(self, "flux", "radius")  # an int past the doubles reads as the infinity of its sign
+        read_floats(self, "flux", "radius")  # a str that spells a number is that number, an int past the doubles an infinity
         raise_first((np.logical_not(self.radius > 0.0), DomainError, "radius must be positive"), finite_flux(self.flux))
         object.__setattr__(self, "axis_point", _point(self.axis_point, "axis point", DomainError))
         raise_first((not all(map(math.isfinite, self.axis_point)), DomainError, "axis point must be finite"))
@@ -527,17 +529,62 @@ def _unit_scale(radial: np.ndarray):
     return radial / scale[:, None, None], scale
 
 
-def _closest_radius_of_lines(unit: np.ndarray, scale: np.ndarray) -> float:
-    """Exact least distance from the axis over straight segments, from ``_unit_scale``'d endpoint radial vectors.
+def _lines_about_axis(ends: np.ndarray, spec: SolenoidSpec):
+    """(least distance from the axis, swept azimuth) of each straight segment with these (k, 2, 3) ends, as (k,) arrays.
 
-    The radial offset r_a + t r_delta is linear in t, so its norm is least at
-    t* = -r_a . r_delta / |r_delta|^2, clamped to [0, 1].
+    From the endpoints' radial vectors in units of their ``_unit_scale``: the
+    offset r_a + t r_delta is least at t* = -r_a . r_delta / |r_delta|^2,
+    clamped to [0, 1], and the azimuth is the atan2 angle from r_a to r_b.
     """
+    unit, scale = _unit_scale(spec.radial(ends))
     r_a, r_delta = unit[:, 0], unit[:, 1] - unit[:, 0]
     length_sq = (r_delta * r_delta).sum(axis=1)
     t = np.divide(-(r_a * r_delta).sum(axis=1), length_sq, out=np.zeros_like(length_sq), where=length_sq > 0.0)
     closest = r_a + np.minimum(np.maximum(t, 0.0), 1.0)[:, None] * r_delta
-    return float((np.sqrt((closest * closest).sum(axis=1)) * scale).min())
+    # a x b of each line's end vectors a, b as np.cross forms it, from their components shifted by one and by two
+    nxt, nxt2 = unit.take(_NEXT, axis=2), unit.take(_NEXT2, axis=2)
+    normal = nxt[:, 0] * nxt2[:, 1] - nxt2[:, 0] * nxt[:, 1]
+    angle = np.arctan2(normal @ np.asarray(spec.axis_direction), (unit[:, 0] * unit[:, 1]).sum(axis=1))
+    return np.sqrt((closest * closest).sum(axis=1)) * scale, angle
+
+
+def _sampled_about_axis(seg, spec: SolenoidSpec, index: int):
+    """(least distance from the axis, swept azimuth, a rounding bound of it) of a piece, over chords of its samples.
+
+    From the 64 validation samples, a chord is halved while it turns more
+    than pi/8 about the axis or passes no farther from it than its length;
+    the chords then take the lines' closed forms, which assumes the samples
+    resolve the curve. Each chord's azimuth rounds within about 4 eps, and
+    rounding at the piece's ends moves it by eps max(rho) / clearance, so
+    4 eps n max(rho) / clearance radians bounds it for n samples.
+    GeometryError naming the piece past ``_MAX_SAMPLES`` samples or the
+    parameter's precision, as for a piece through the axis. An arc, whose
+    sweep is known, starts from 16 samples a turn if that is more, since a
+    chord that spans most of a turn can alias to a small azimuth.
+    """
+    count = _VALIDATION_SAMPLES
+    if isinstance(seg, Arc):
+        count = max(count, math.ceil(8.0 * abs(seg.theta1 - seg.theta0) / math.pi) + 1)
+    unresolved = GeometryError(f"segment {index} is not resolved about the solenoid axis within {_MAX_SAMPLES} samples")
+    if count > _MAX_SAMPLES:
+        raise unresolved
+    s = np.linspace(0.0, 1.0, count)
+    points = np.asarray(seg.point(s), dtype=float)
+    while True:
+        clearance, angle = _lines_about_axis(np.stack([points[:-1], points[1:]], axis=1), spec)
+        split = np.flatnonzero((abs(angle) > math.pi / 8.0) | (clearance <= _gaps(points[:-1], points[1:])))
+        if not split.size:
+            break
+        mid = 0.5 * (s[split] + s[split + 1])
+        if s.size + split.size > _MAX_SAMPLES or not ((s[split] < mid) & (mid < s[split + 1])).all():
+            raise unresolved
+        new = np.asarray(seg.point(mid), dtype=float)
+        if new.shape != (mid.size, 3) or not np.isfinite(new).all():
+            raise GeometryError(_NON_FINITE)
+        s, points = np.insert(s, split + 1, mid), np.insert(points, split + 1, new, axis=0)
+    reach = float(np.hypot.reduce(spec.radial(points), axis=1).max())  # the largest radial distance, with no squares
+    least = float(clearance.min())
+    return least, float(angle.sum()), 4.0 * math.ulp(1.0) * s.size * reach / least
 
 
 def _arc_about_axis(arc, spec: SolenoidSpec):
@@ -576,10 +623,8 @@ class LoopGeometry(NamedTuple):
     """What a phase needs of one loop about one coil, whatever the particle, flux and coupling.
 
     ``turns`` is the azimuth the loop sweeps about the axis over 2 pi, the
-    flux phase per unit charge and flux: exact for lines and normal arcs,
-    plus the coil's circulation at unit flux along generic curves and tilted
-    arcs, whose quadrature error alone is ``turns_error`` (NaN for such a
-    loop through the coil, which ``phase_rows`` reports). ``clearance`` is
+    flux phase per unit charge and flux, in closed form; ``turns_error`` is
+    the rounding bound of the sampled pieces, 0.0 with none. ``clearance`` is
     the least distance from the axis, ``coil_radius`` the coil's radius.
     ``length`` is exact for lines and arcs plus the integrated length of
     generic curves, whose error alone is ``length_error``; ``displacement``
@@ -598,14 +643,14 @@ class LoopGeometry(NamedTuple):
 
 
 def loop_geometry(loop: LoopPath, spec: SolenoidSpec | None, quad: QuadratureSpec | None = None, radius=None) -> LoopGeometry:
-    """The loop's ``LoopGeometry`` about the coil ``spec``, or with no coil if it is None; quadrature only for generic curves.
+    """The loop's ``LoopGeometry`` about the coil ``spec``, or with no coil if it is None; quadrature only for lengths.
 
-    A line sweeps the atan2 angle between its endpoints' radial vectors,
-    taken in units of their ``_unit_scale``, and an arc whose plane is
-    normal to the axis sweeps the closed form of ``_arc_about_axis``, in any
-    loop; only the other segments are integrated, in path order, if the loop
-    clears the coil. The clearance is exact for lines and normal arcs, the
-    least of 256 samples per segment otherwise.
+    A line sweeps the atan2 angle between its endpoints' radial vectors, an
+    arc whose plane is normal to the axis the closed form of
+    ``_arc_about_axis``, and each other piece, a generic curve or a tilted
+    arc, the lines' angles over the chords of its samples, in any loop. The
+    clearance is the least of the same closed forms. ``quad`` changes only
+    the length of generic curves and its error.
 
     An array ``radius`` makes a column of circles: the loop must be one arc,
     normal to the axis if there is a coil, each entry is taken as its radius
@@ -622,30 +667,21 @@ def loop_geometry(loop: LoopPath, spec: SolenoidSpec | None, quad: QuadratureSpe
         along_z = spec.axis_direction[0] == 0.0 and spec.axis_direction[1] == 0.0  # arcs lie in planes z = const
         raise_first((column is not None and not along_z, GeometryError, _ONE_ARC))
         arcs = [seg for seg in loop.segments if isinstance(seg, Arc) and along_z] if column is None else [column]
-        # generic curves and arcs tilted to the axis, in path order: the only pieces integrated
-        curves = [seg for seg in loop.segments if not isinstance(seg, Line) and not (along_z and isinstance(seg, Arc))]
         swept, rho = 0.0, []
         if any(is_line):  # no index into the ends for a loop of arcs, nor for a loop of lines
-            unit, scale = _unit_scale(spec.radial(loop.ends if all(is_line) else loop.ends[is_line]))
-            rho.append(_closest_radius_of_lines(unit, scale))
-            # a x b of each line's end vectors a, b as np.cross forms it, from their components shifted by one and by two
-            nxt, nxt2 = unit.take(_NEXT, axis=2), unit.take(_NEXT2, axis=2)
-            normal = nxt[:, 0] * nxt2[:, 1] - nxt2[:, 0] * nxt[:, 1]
-            swept += float(np.arctan2(normal @ np.asarray(spec.axis_direction), (unit[:, 0] * unit[:, 1]).sum(axis=1)).sum())
+            lines_rho, angles = _lines_about_axis(loop.ends if all(is_line) else loop.ends[is_line], spec)
+            rho.append(float(lines_rho.min()))
+            swept += float(angles.sum())
         for arc in arcs:
             arc_clearance, angle = _arc_about_axis(arc, spec)
             rho.append(arc_clearance)
             swept += angle
-        if curves:  # sampled clearance
-            s = np.linspace(0.0, 1.0, _CLEARANCE_SAMPLES)
-            _, sampled = spec.axial_decomposition(np.vstack([seg.point(s) for seg in curves]))
-            rho.append(float(np.min(sampled)))
+        for k, seg in enumerate(loop.segments):  # generic curves and arcs tilted to the axis, in path order
+            if not (is_line[k] or (along_z and isinstance(seg, Arc))):
+                piece_rho, angle, rounding = _sampled_about_axis(seg, spec, k)
+                rho.append(piece_rho)
+                swept, turns_error = swept + angle, turns_error + rounding / (2.0 * math.pi)
         clearance, coil_radius, turns = min(rho), spec.radius, swept / (2.0 * math.pi)
-        if curves and clearance <= coil_radius:  # not integrated: every row reports the loop as entering the coil
-            turns = turns_error = math.nan
-        elif curves:  # the circulation is linear in the flux, so one integral at unit flux serves every flux
-            result = _circulation(solenoid_field(SolenoidSpec(1.0, spec.radius, spec.axis_point, spec.axis_direction)), curves, quad)
-            turns, turns_error = turns + result.value, result.error_estimate
     length, length_error = (loop.length if column is None else column.length()), 0.0
     if length is None:  # the exact chords and arc lengths, plus the integrated length of the generic curves
         ends = loop.ends[is_line]

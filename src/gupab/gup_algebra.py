@@ -81,8 +81,12 @@ def deformation_factor(p0_mag, a):
 def deform_momentum(p0, a: float) -> np.ndarray:
     """Apply the deformation map to a 3-vector or an (..., 3) array; the zero vector is fixed."""
     p0, a = momenta(p0), _strength(a)
+    # the norm of a copy in units of a power of 2 near its largest entry neither overflows nor underflows, and
+    # times that power it is np.linalg.norm(p0) bit for bit wherever that neither overflows nor underflows
+    _, exponent = np.frexp(np.max(np.abs(p0), axis=-1, keepdims=True))
+    unit = np.ldexp(1.0, exponent - 1)
     with np.errstate(all="ignore"):  # a result that overflows is reported below
-        deformed = p0 * deformation_factor(np.linalg.norm(p0, axis=-1, keepdims=True), a)
+        deformed = p0 * deformation_factor(np.linalg.norm(p0 / unit, axis=-1, keepdims=True) * unit, a)
     if not np.isfinite(deformed).all():
         raise GupabError(_OVERFLOW.format("deformed momentum"))
     return deformed
@@ -139,14 +143,20 @@ def jacobian_commutator(p0, i: int, j: int, a: float):
 
 
 def _bracket_deviations(p0, a_values):
-    """The (k,) log a values and the (..., k) logs of each momentum's largest |jacobian - target| entry."""
+    """The (k,) log a values and the (..., k) logs of each momentum's largest |jacobian - target| entry.
+
+    DomainError where a deviation rounds to 0, as it does at a small enough a.
+    """
     a = to_floats(a_values)
     if a.ndim != 1 or not np.all(a > 0.0) or len(set(a.tolist())) < 2:  # one distinct a leaves the slope 0 / 0
         raise DomainError("need at least two positive a values")
     a, p0 = _strength(a), momenta(p0)[..., None, :]
     # each momentum against all k strengths in (..., k, 3, 3) brackets; |i x - i y| is |x - y| bit for bit
     jacobian, target = (_real_brackets(p0, a[:, None, None], kind) for kind in ("jacobian", "target"))
-    return np.log(a), np.log(np.max(np.abs(jacobian - target), axis=(-2, -1)))
+    deviations = np.max(np.abs(jacobian - target), axis=(-2, -1))
+    if not deviations.all():  # its log would be -inf, and the slope not finite
+        raise DomainError("the bracket deviation rounds to 0 at some a: a |p0| is too small for a slope")
+    return np.log(a), np.log(deviations)
 
 
 def _slopes(x, y):

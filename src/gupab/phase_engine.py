@@ -22,8 +22,10 @@ radians without 2 pi reduction. Natural units (hbar = c = 1).
 The phase is assembled in two steps. ``field_geometry.loop_geometry``
 computes, once per loop, the record that no particle, flux or coupling
 changes: the swept turns, the clearance from the axis and the length, each
-with its error, in closed form for lines and normal arcs and by quadrature
-for generic curves and tilted arcs alone. ``phase_rows`` then takes charge,
+with its error. The turns and the clearance are closed forms for every
+piece, generic curves and tilted arcs through the chords of their samples,
+which are assumed to resolve the curve; only the length of generic curves is
+integrated, by quadrature. ``phase_rows`` then takes charge,
 mass, speed, flux and a as floats or broadcast arrays and gives every row its
 phases, each row with the same IEEE operations in the same order as a lone
 row. One result type, ``PhaseResult``, holds a row or a column:
@@ -42,7 +44,7 @@ from functools import cached_property
 import numpy as np
 
 from .clifford import alpha, beta, gamma, momenta, positive_mass
-from .errors import DomainError, GeometryError, GupabError, raise_first, read_ints, to_floats
+from .errors import DomainError, GeometryError, GupabError, raise_first, read_floats, to_floats
 from .field_geometry import LoopGeometry, LoopPath, QuadratureSpec, SolenoidSpec, loop_geometry
 from .units import nonnegative_a
 
@@ -70,7 +72,7 @@ class ParticleSpec:
     speed: float
 
     def __post_init__(self):
-        read_ints(self, "charge", "mass", "speed")  # an int past the doubles reads as the infinity of its sign
+        read_floats(self, "charge", "mass", "speed")  # a str that spells a number is that number, an int past the doubles an infinity
         raise_first(
             positive_mass(self.mass),
             (not math.isfinite(self.mass), DomainError, "m must be finite"),

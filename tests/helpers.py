@@ -554,7 +554,10 @@ def reference_uncertainty_check(grid, state, a, tolerance=1e-3 / 2.0):
 
 
 def reference_lab_fields(grid, a):
-    """The measured fields of ``gup_algebra.grid_operator_lab``, by name, all computed at once as the lab did when it was eager."""
+    """The measured fields of ``gup_algebra.grid_operator_lab``, by name, all computed at once as the lab did when it was eager.
+
+    Where a bracket deviation rounds to 0, the slope's field holds the ``DomainError`` it raises.
+    """
     coarse = grid.points
     fine = np.linspace(coarse[0], coarse[-1], 2 * grid.n)
     res_coarse = gup_algebra._lab_max_residual(coarse, a)
@@ -565,5 +568,8 @@ def reference_lab_fields(grid, a):
     decade = (a, a / math.sqrt(10.0), a / 10.0)
     margin = gup_algebra._BOUNDARY_MARGIN
     interior = gup_algebra._on_x_axis(coarse[margin : coarse.size - margin])
-    exponent = gup_algebra.commutator_consistency_exponent(interior, decade) if a > 0.0 else math.nan
+    try:
+        exponent = gup_algebra.commutator_consistency_exponent(interior, decade) if a > 0.0 else math.nan
+    except DomainError as exc:  # a deviation rounds to 0: the error in place of the slope
+        exponent = exc
     return {"max_residual_interior": res_coarse, "discretization_order": order, "gup_scaling_exponent": exponent}

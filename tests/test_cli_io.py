@@ -1423,19 +1423,19 @@ def test_overflowing_charge_times_flux_is_not_finite(tmp_path, capsys, command, 
 
 
 def test_flux_sweep_over_a_generic_curve_integrates_once(tmp_path, monkeypatch):
-    # a library config may hold a curve with no recorded shape: its circulation at unit flux serves every row
+    # a library config may hold a curve with no recorded shape: its turns, sampled once, serve every row
     config = replace(
         load_config(write_config(tmp_path, BASE_CONFIG)),
         loop=fourier_loop(np.random.default_rng(5)),
         sweep=SweepSpec(parameter="solenoid.flux", values=(1.0, -2.0, 0.5)),
     )
-    calls, circulation = [], field_geometry._circulation
+    calls, sampler = [], field_geometry._sampled_about_axis
 
-    def counted(*args):  # every quadrature circulation, whichever public function asks for it
+    def counted(*args):  # every sampled piece's azimuth, whichever public function asks for it
         calls.append(args)
-        return circulation(*args)
+        return sampler(*args)
 
-    monkeypatch.setattr(field_geometry, "_circulation", counted)
+    monkeypatch.setattr(field_geometry, "_sampled_about_axis", counted)
     values, result = run_sweep(config)
     assert len(calls) == 1
     expected = reference_sweep(config)

@@ -641,11 +641,11 @@ def test_loop_geometry_lengths_are_exact():
         assert loop.length == pytest.approx(loop_length(loop, DOUBLING).value, rel=1e-13)
         assert loop.reverse().length == pytest.approx(length, rel=1e-15)
     assert fourier_loop(np.random.default_rng(79)).length is None
-    # a generic curve leaves the flux and the length to quadrature, but still gets a (sampled) clearance
+    # a generic curve leaves only its length to quadrature: it winds once, within its turns' rounding bound
     generic_loop, spec = fourier_loop(np.random.default_rng(79)), SolenoidSpec(flux=1.0, radius=0.1)
     generic = loop_geometry(generic_loop, spec)
-    circulation, length = solenoid_circulation(spec, generic_loop), loop_length(generic_loop)
-    assert (generic.turns, generic.turns_error) == (circulation.value, circulation.error_estimate)
+    length = loop_length(generic_loop)
+    assert abs(generic.turns - 1.0) <= generic.turns_error
     assert (generic.length, generic.length_error) == (length.value, length.error_estimate)
     assert generic.clearance > 1.0
 
@@ -653,19 +653,18 @@ def test_loop_geometry_lengths_are_exact():
 def _assert_lines_stay_exact(vertices, stripped, spec, quad):
     """The polygon's geometry with the edges ``stripped`` as generic curves, checked against the all-line polygon.
 
-    Only the generic edges are integrated, so the turns and the length equal
-    the all-line closed forms within the errors of those edges, each
-    integrated on its own, plus a few ulps; the reported errors are theirs.
+    The generic edges' turns come from the chords of their samples, so the
+    turns equal the all-line closed form within a few ulps, and within the
+    rounding bound reported. Only their lengths are integrated, so the length
+    equals the all-line one within the errors of those edges, each integrated
+    on its own, plus a few ulps; the reported length error is theirs.
     """
     lines = polyline_loop(vertices)
     mixed = LoopPath(tuple(strip_shape(seg) if k in stripped else seg for k, seg in enumerate(lines.segments)))
     exact, geometry = loop_geometry(lines, spec, quad), loop_geometry(mixed, spec, quad)
-    unit_flux = SolenoidSpec(1.0, spec.radius, spec.axis_point, spec.axis_direction)
     pieces = [LoopPath((strip_shape(lines.segments[k]),), closed=False) for k in stripped]
-    turns_error = sum(solenoid_circulation(unit_flux, piece, quad).error_estimate for piece in pieces)
     length_error = sum(loop_length(piece, quad).error_estimate for piece in pieces)
-    assert geometry.turns_error <= turns_error + 4.0 * math.ulp(1.0)
-    assert abs(geometry.turns - exact.turns) <= turns_error + 4.0 * len(vertices) * math.ulp(1.0)
+    assert abs(geometry.turns - exact.turns) <= min(geometry.turns_error, 4.0 * len(vertices) * math.ulp(1.0))
     assert geometry.length_error <= length_error + 4.0 * math.ulp(exact.length)
     assert abs(geometry.length - exact.length) <= length_error + 4.0 * len(vertices) * math.ulp(exact.length)
     assert (geometry.clearance, geometry.coil_radius) == (exact.clearance, exact.coil_radius)
@@ -692,33 +691,125 @@ def test_a_generic_far_edge_leaves_the_pentagon_one_whole_turn(quad):
     quad=st.sampled_from([None, DOUBLING]),
 )
 def test_generic_edges_leave_every_line_of_a_polygon_exact(radii, start, near, along, gap, inside, strip, quad):
-    # a polygon star-shaped about the origin, whose edge ``near`` passes ``gap`` coil radii from the axis on
-    # either side, and whose edges at least half their length from the axis may be generic curves
-    n, coil = len(radii), 0.05
-    angles = start + 2.0 * math.pi * np.arange(n) / n
-    vertices = np.column_stack([radii * np.cos(angles), radii * np.sin(angles), np.zeros(n)])
-    a, step = vertices[near % n], vertices[(near + 1) % n] - vertices[near % n]
-    normal = np.array([-step[1], step[0], 0.0]) / math.hypot(step[0], step[1])  # into the polygon
-    spec = SolenoidSpec(flux=1.0, radius=coil, axis_point=tuple(a + along * step + (gap if inside else -gap) * coil * normal))
+    # edges at least half their length from the axis may be generic curves
+    vertices, spec = _polygon_beside_a_coil(radii, start, near, along, gap, inside, 0.05)
     lines = polyline_loop(vertices)
-    assume(loop_geometry(lines, spec).clearance > coil)
+    assume(loop_geometry(lines, spec).clearance > spec.radius)
     far = [loop_geometry(LoopPath((seg,), closed=False), spec).clearance >= 0.5 * math.dist(*seg) for seg in lines.segments]
-    stripped = [k for k in range(n) if strip[k] and far[k] and k != near % n]
+    stripped = [k for k in range(len(radii)) if strip[k] and far[k] and k != near % len(radii)]
     assume(stripped)
     _assert_lines_stay_exact(vertices, stripped, spec, quad)
 
 
+def _polygon_beside_a_coil(radii, start, near, along, gap, inside, coil):
+    """(vertices, coil): a polygon star-shaped about the origin, whose edge ``near`` passes ``gap`` coil radii from the axis."""
+    n = len(radii)
+    angles = start + 2.0 * math.pi * np.arange(n) / n
+    vertices = np.column_stack([radii * np.cos(angles), radii * np.sin(angles), np.zeros(n)])
+    a, step = vertices[near % n], vertices[(near + 1) % n] - vertices[near % n]
+    normal = np.array([-step[1], step[0], 0.0]) / math.hypot(step[0], step[1])  # into the polygon
+    axis_point = a + along * step + (gap if inside else -gap) * coil * normal  # on either side of the edge
+    return vertices, SolenoidSpec(flux=1.0, radius=coil, axis_point=tuple(axis_point))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    radii=st.lists(st.floats(1.0, 3.0), min_size=3, max_size=9),
+    start=st.floats(-math.pi, math.pi),
+    near=st.integers(0, 8),
+    along=st.floats(0.2, 0.8),
+    gap=st.floats(1.01, 4.0),
+    inside=st.booleans(),
+    coil=st.floats(-3.0, -1.0).map(lambda exponent: 10.0**exponent),
+)
+def test_a_polygon_of_generic_edges_sweeps_the_closed_form_of_its_lines(radii, start, near, along, gap, inside, coil):
+    # every edge a generic curve, one 1.01 to 4 coil radii from the axis: the chords of the samples give the
+    # all-line turns within the rounding bound reported, the clearance within rounding, and the same bits
+    # under either quadrature rule
+    vertices, spec = _polygon_beside_a_coil(radii, start, near, along, gap, inside, coil)
+    lines = polyline_loop(vertices)
+    exact = loop_geometry(lines, spec)
+    assume(exact.clearance > coil)
+    stripped = LoopPath(tuple(strip_shape(seg) for seg in lines.segments))
+    geometry, doubling = loop_geometry(stripped, spec), loop_geometry(stripped, spec, DOUBLING)
+    assert exact.turns_error == 0.0
+    assert abs(geometry.turns - exact.turns) <= geometry.turns_error
+    assert geometry.clearance == pytest.approx(exact.clearance, rel=1e-9)
+    assert _bits(geometry.turns, geometry.turns_error, geometry.clearance) == _bits(doubling.turns, doubling.turns_error, doubling.clearance)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    tilt=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)).filter(lambda tilt: tilt != (0.0, 0.0)),
+    facing=st.sampled_from([1.0, -1.0]),
+    foot=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    theta0=st.floats(-math.pi, math.pi),
+    sweep=st.floats(-8.0, 8.0).filter(lambda sweep: abs(sweep) > 0.05),
+)
+def test_a_circle_tilted_to_the_axis_sweeps_its_winding_number(tilt, facing, foot, theta0, sweep):
+    # the axis pierces the circle's plane z = 0.5 at ``foot``: the circle winds once, with the sign of the
+    # axis' z component, where that is inside it, else not at all; an arc and its generic copy agree bit for bit.
+    # The axis tilts at most 55 degrees, so a foot 0.01 off the circle keeps it over 5 coil radii away
+    assume(abs(math.hypot(*foot) - 1.0) > 0.01)
+    spec = SolenoidSpec(flux=1.0, radius=1e-3, axis_point=(*foot, 0.5), axis_direction=(*tilt, facing))
+    circle = circle_loop(center=(0.0, 0.0, 0.5), radius=1.0)
+    geometry = loop_geometry(circle, spec)
+    winding = facing if math.hypot(*foot) < 1.0 else 0.0
+    assert abs(geometry.turns - winding) <= geometry.turns_error
+    arc = LoopPath((arc_segment((0.0, 0.0, 0.5), 1.0, theta0, theta0 + sweep),), closed=False)
+    for path in (circle, arc):
+        generic = LoopPath((strip_shape(path.segments[0]),), closed=path.closed)
+        want, got = loop_geometry(path, spec), loop_geometry(generic, spec)
+        assert _bits(got.turns, got.turns_error, got.clearance) == _bits(want.turns, want.turns_error, want.clearance)
+
+
+def test_a_tilted_arc_of_many_turns_starts_from_16_samples_a_turn():
+    # from 64 samples alone, each chord of 62 turns spans 62/63 of a turn, whose azimuth aliases to -1/63 turn
+    spec = SolenoidSpec(flux=1.0, radius=1e-3, axis_direction=(0.3, 0.1, 1.0))
+    for windings in (62, 63, 64, -125):
+        geometry = loop_geometry(circle_loop(radius=1.0, windings=windings), spec)
+        assert abs(geometry.turns - windings) <= geometry.turns_error
+
+
+def test_a_sampled_piece_through_the_axis_or_past_the_sample_cap_is_a_geometry_error(monkeypatch):
+    spec = SolenoidSpec(flux=1.0, radius=1e-3)
+    # a circle through the axis: the chords beside it never get shorter than their distance from it
+    through = LoopPath((strip_shape(arc_segment((2.0, 0.0, 0.0), 2.0, 0.0, 2.0 * math.pi)),))
+    with pytest.raises(GeometryError, match="^segment 0 is not resolved about the solenoid axis within 65536 samples$"):
+        loop_geometry(through, spec)
+    # 40 turns need more than 16 chords a turn: resolved under the cap, named when the cap is lower
+    lead, turns = line_segment((2.0, 0.0, 0.0), (1.0, 0.0, 0.0)), arc_segment((0.0, 0.0, 0.0), 1.0, 0.0, 80.0 * math.pi)
+    path = LoopPath((lead, strip_shape(turns)), closed=False)
+    geometry = loop_geometry(path, spec)
+    assert abs(geometry.turns - 40.0) <= geometry.turns_error
+    assert field_geometry._MAX_SAMPLES == 2**16
+    monkeypatch.setattr(field_geometry, "_MAX_SAMPLES", 512)
+    with pytest.raises(GeometryError, match="^segment 1 is not resolved about the solenoid axis within 512 samples$"):
+        loop_geometry(path, spec)
+    # an arc of 40 turns about a tilted axis would start from 641 samples, past that cap
+    tilted = SolenoidSpec(flux=1.0, radius=1e-3, axis_direction=(0.3, 0.1, 1.0))
+    with pytest.raises(GeometryError, match="^segment 1 is not resolved about the solenoid axis within 512 samples$"):
+        loop_geometry(LoopPath((lead, turns), closed=False), tilted)
+    # a curve that is finite on its 64 validation samples only: the first sample between them raises
+    circle = arc_segment((1.05, 0.0, 0.0), 1.0, 0.0, 2.0 * math.pi)
+    grid = np.linspace(0.0, 1.0, 64)
+    holes = Segment(lambda s: np.where(np.isin(s, grid)[:, None], circle.point(s), math.nan), circle.tangent)
+    with pytest.raises(GeometryError, match="^segment has non-finite points or tangents$"):
+        loop_geometry(LoopPath((holes,)), spec)
+
+
 @pytest.mark.parametrize("quad", [None, DOUBLING])
 def test_a_line_stays_exact_beside_an_arc_tilted_to_the_axis(quad):
-    # the line passes about 3 coil radii from the axis; only the arc is integrated
+    # the line passes about 3 coil radii from the axis; only the arc is sampled, and the loop winds once
     arc, line = arc_segment((0.0, 0.0, 0.0), 2.0, 0.0, math.pi), line_segment((-2.0, 0.0, 0.0), (2.0, 0.0, 0.0))
     spec = SolenoidSpec(flux=1.0, radius=0.05, axis_point=(0.3, 0.15, 0.0), axis_direction=(0.3, 0.1, 1.0))
     geometry = loop_geometry(LoopPath((arc, line)), spec, quad)
     closed_form = loop_geometry(LoopPath((line,), closed=False), spec, quad)
-    integrated = solenoid_circulation(spec, LoopPath((arc,), closed=False), quad)
+    sampled = loop_geometry(LoopPath((arc,), closed=False), spec, quad)
     assert closed_form.turns_error == 0.0 and geometry.clearance <= 4.0 * spec.radius
-    assert (geometry.turns, geometry.turns_error) == (closed_form.turns + integrated.value, integrated.error_estimate)
-    assert geometry.turns == pytest.approx(1.0, abs=geometry.turns_error + 1e-15)
+    assert geometry.turns_error == sampled.turns_error > 0.0
+    assert geometry.turns == pytest.approx(closed_form.turns + sampled.turns, abs=2.0 * math.ulp(1.0))
+    assert geometry.turns == pytest.approx(1.0, abs=geometry.turns_error)
     assert (geometry.length, geometry.length_error) == (2.0 * math.pi + 4.0, 0.0)
 
 

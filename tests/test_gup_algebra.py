@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from gupab.gup_algebra import (
     commutator_target,
     consistency_exponents,
     deform_momentum,
+    deformation_factor,
     gaussian_state,
     grid_operator_lab,
     jacobian_commutator,
@@ -410,8 +412,13 @@ def test_brackets_match_the_complex_formula_bit_for_bit(momenta, a, kind):
 @settings(max_examples=100, deadline=None)
 @given(momenta=_WIDE_MOMENTA, a_values=st.lists(_STRENGTHS, min_size=2, max_size=4, unique=True))
 def test_bracket_deviations_match_the_per_a_loop_bit_for_bit(momenta, a_values):
-    with np.errstate(all="ignore"):  # a deviation may round to 0, whose log is -inf on both sides
-        new, old = _bracket_deviations(momenta, a_values), reference_bracket_deviations(momenta, a_values)
+    with np.errstate(all="ignore"):  # a deviation may round to 0, whose log the reference takes as -inf
+        old = reference_bracket_deviations(momenta, a_values)
+    if np.isneginf(old[1]).any():  # where the deviations take no log, and raise
+        with pytest.raises(DomainError, match="rounds to 0"):
+            _bracket_deviations(momenta, a_values)
+        return
+    new = _bracket_deviations(momenta, a_values)
     assert _same_bits(new[0], old[0]) and _same_bits(new[1], old[1])
 
 
@@ -467,14 +474,34 @@ _LAB_FIELDS = ("max_residual_interior", "discretization_order", "gup_scaling_exp
     order=st.permutations(_LAB_FIELDS),
 )
 def test_lazy_lab_fields_match_the_eager_lab_bit_for_bit(p_min, span, n, share, order):
-    # each field is measured on first read, whichever is read first, and then kept
+    # each field is measured on first read, whichever is read first, and then kept; at a tiny a a deviation
+    # may round to 0, and the slope raises on both sides alike
     grid = MomentumGrid.uniform(p_min, p_min + span, n)
     report = grid_operator_lab(grid, share * 0.5 / grid.points[-1])
-    with np.errstate(divide="ignore", invalid="ignore"):  # at a tiny a a deviation may round to 0, on both sides alike
-        eager = reference_lab_fields(grid, report.a)
-        for name in order + order:
+    eager = reference_lab_fields(grid, report.a)
+    measured = [name for name in _LAB_FIELDS if not isinstance(eager[name], DomainError)]
+    for name in order + order:
+        if name in measured:
             assert getattr(report, name).hex() == eager[name].hex(), name
-    assert all(name in vars(report) for name in _LAB_FIELDS)
+        else:
+            with pytest.raises(DomainError, match=f"^{re.escape(str(eager[name]))}$"):
+                getattr(report, name)
+    assert all(name in vars(report) for name in measured)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_slope_whose_deviation_rounds_to_0_is_a_domain_error():
+    # the lab at a = 2.5e-7 fits down to a = 2.5e-8, where the brackets agree to double precision at some grid
+    # momenta: no log(0) warning, and no slope that is not finite
+    report = grid_operator_lab(MomentumGrid.uniform(1.0, 2.0, 64), 2.5e-7)
+    momentum = [1.0 + 2.0 / 63.0, 0.0, 0.0]  # the third grid point, whose deviation rounds to 0 at a = 2.5e-8
+    for call in (
+        lambda: report.gup_scaling_exponent,
+        lambda: consistency_exponents([[1.0, 0.0, 0.0], momentum], (2.5e-7, 2.5e-8)),
+        lambda: commutator_consistency_exponent(momentum, (2.5e-7, 2.5e-8)),
+    ):
+        with pytest.raises(DomainError, match=r"^the bracket deviation rounds to 0 at some a: a \|p0\| is too small for a slope$"):
+            call()
 
 
 _GRID64 = MomentumGrid.uniform(0.5, 2.5, 64)
@@ -502,6 +529,20 @@ def test_an_a_past_the_doubles_or_infinite_is_a_domain_error(call):
     with pytest.raises(DomainError) as caught:
         call()
     assert str(caught.value) == "a must be finite"
+
+
+@pytest.mark.filterwarnings("error")
+def test_deform_momentum_takes_its_norm_without_overflow():
+    # the norm of a scaled copy: a finite answer is returned, and the bits where the raw norm is finite
+    assert deform_momentum([1e300, 1e300, 0.0], 0.0).tolist() == [1e300, 1e300, 0.0]
+    assert deform_momentum([1e300, -1e300, 0.0], 1e-320).tolist() == [1e300, -1e300, 0.0]
+    rng = np.random.default_rng(11)
+    p0 = rng.normal(size=(200, 3)) * 10.0 ** rng.uniform(-100.0, 100.0, size=(200, 1))
+    for a in (0.0, 0.1, 1e-50):
+        with np.errstate(over="ignore"):
+            raw = p0 * deformation_factor(np.linalg.norm(p0, axis=-1, keepdims=True), a)
+        finite = np.isfinite(raw).all(axis=-1)
+        assert deform_momentum(p0[finite], a).tobytes() == raw[finite].tobytes()
 
 
 @pytest.mark.filterwarnings("error")

@@ -19,7 +19,7 @@ from helpers import (
 )
 from gupab import gup_algebra, phase_engine
 from gupab.clifford import gamma, momenta, on_shell_spinor, positive_mass
-from gupab.errors import DomainError, GeometryError, GupabError, raise_first
+from gupab.errors import DomainError, GeometryError, GupabError, raise_first, to_floats
 from gupab.field_geometry import (
     Arc,
     Line,
@@ -480,7 +480,7 @@ EDGE_THROUGH_AXIS = (
     polyline_loop([(-1.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]),
     SolenoidSpec(flux=1.0, radius=1e-6),
 )
-# the same edges as generic curves, with a sampled clearance inside the coil: their turns are NaN
+# the same edges as generic curves: the chords of the edge through the axis never resolve it
 GENERIC_EDGE_THROUGH_AXIS = (
     LoopPath(tuple(strip_shape(segment) for segment in EDGE_THROUGH_AXIS[0].segments)),
     SolenoidSpec(flux=1.0, radius=0.01),
@@ -786,6 +786,18 @@ def test_generic_curve_phase_within_its_error_at_any_flux(name, flux):
     assert abs(result.standard_phase - exact.standard_phase) <= result.quadrature_error
 
 
+def test_a_generic_circle_beside_a_thin_coil_finds_its_clearance():
+    # radius-2 circles 0.0004 and 0.0025 from the axis of a coil of radius 0.001, whose nearest stretch a
+    # fixed sample misses: the chords find the first entering the coil, and the second winding 0 times
+    solenoid = SolenoidSpec(flux=1.0, radius=1e-3)
+    near, clear = (LoopPath((strip_shape(circle_loop(center=(x, 0.0, 0.0), radius=2.0).segments[0]),)) for x in (2.0004, 2.0025))
+    with pytest.raises(GeometryError, match="enters the solenoid interior"):
+        total_phase(PARTICLE, solenoid, near, 0.01)
+    geometry = loop_geometry(clear, solenoid)
+    assert abs(geometry.turns) <= geometry.turns_error
+    assert geometry.clearance == pytest.approx(0.0025, rel=1e-9)
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -1001,11 +1013,27 @@ def test_the_specs_read_an_int_past_the_doubles_as_an_infinity():
         with pytest.raises(DomainError, match="^q must be finite$"):
             ParticleSpec(charge, 1.0, 0.5)
     assert SolenoidSpec(1.0, 10**400) == SolenoidSpec(1.0, math.inf)
-    # a str is not read as a number
-    with pytest.raises((TypeError, GupabError)):
-        ParticleSpec(1.0, 1.0, "0.5")
-    with pytest.raises((TypeError, GupabError)):
-        SolenoidSpec("1.0", 0.1)
+
+
+def test_every_number_reads_a_str_as_the_number_it_spells_and_anything_else_unreadable_as_a_domain_error():
+    # one rule for the specs, the loop builders and the coupling: errors.to_float's
+    assert ParticleSpec(1.0, 1.0, "0.5") == ParticleSpec(1.0, 1.0, 0.5)
+    assert type(ParticleSpec("1", "2.0", "0.5").charge) is float
+    assert SolenoidSpec("1.0", 0.1) == SolenoidSpec(1.0, 0.1)
+    assert circle_loop(radius="2.0") == circle_loop(radius=2.0)
+    assert GupParameter("0.1") == GupParameter(0.1)
+    for build in (
+        lambda: ParticleSpec(1.0, 1.0, "abc"),
+        lambda: ParticleSpec(None, 1.0, 0.5),
+        lambda: SolenoidSpec("abc", 0.1),
+        lambda: circle_loop(radius="abc"),
+        lambda: GupParameter(None),
+    ):
+        with pytest.raises(DomainError, match="^not a number: "):
+            build()
+    for value in ("abc", {"x": 1.0}, [[1.0, 2.0], [3.0]]):
+        with pytest.raises(DomainError, match="^not a number or an array of numbers: "):
+            to_floats(value)
 
 
 @pytest.mark.parametrize("message, call", _CALLERS)
