@@ -482,7 +482,7 @@ def _quadrature(integrand, segments, quad) -> IntegralResult:
     return IntegralResult(value=fine, error_estimate=abs(fine - coarse), nodes_per_segment=2 * n)
 
 
-def _circulation(sample, segments, quad) -> IntegralResult:
+def _circulation(sample, loop: LoopPath, quad) -> IntegralResult:
     def integrand(seg, s):
         vals = np.asarray(sample(seg.point(s)), dtype=float)
         if not np.isfinite(vals).all():
@@ -490,7 +490,7 @@ def _circulation(sample, segments, quad) -> IntegralResult:
             raise FieldEvaluationError(f"field sample is not finite at curve parameter s = {s[bad]!r}", parameter=float(s[bad]))
         return np.einsum("ij,ij->i", vals, seg.tangent(s))
 
-    return _quadrature(integrand, segments, quad)
+    return _quadrature(integrand, loop.segments, quad)
 
 
 def _speed(seg, s):
@@ -499,7 +499,7 @@ def _speed(seg, s):
 
 def line_integral(field, loop: LoopPath, quad: QuadratureSpec | None = None) -> IntegralResult:
     """Circulation of a per-point vector field along the path, with a doubling error estimate."""
-    return _circulation(lambda pts: np.asarray([field(p) for p in pts], dtype=float), loop.segments, quad)
+    return _circulation(lambda pts: np.asarray([field(p) for p in pts], dtype=float), loop, quad)
 
 
 def solenoid_circulation(spec: SolenoidSpec, loop: LoopPath, quad: QuadratureSpec | None = None) -> IntegralResult:
@@ -508,7 +508,7 @@ def solenoid_circulation(spec: SolenoidSpec, loop: LoopPath, quad: QuadratureSpe
     Same nodes, refinement and error estimate as
     ``line_integral(solenoid_field(spec), loop, quad)``.
     """
-    return _circulation(lambda pts: solenoid_vector_potential(pts, spec), loop.segments, quad)
+    return _circulation(lambda pts: solenoid_vector_potential(pts, spec), loop, quad)
 
 
 def loop_length(loop: LoopPath, quad: QuadratureSpec | None = None) -> IntegralResult:
@@ -548,43 +548,59 @@ def _lines_about_axis(ends: np.ndarray, spec: SolenoidSpec):
     return np.sqrt((closest * closest).sum(axis=1)) * scale, angle
 
 
+def _samples(seg, s):
+    """(points, unit tangents, speeds) of a piece at the parameters s; GeometryError unless each is finite and nonzero."""
+    points, tangents = np.asarray(seg.point(s), dtype=float), np.asarray(seg.tangent(s), dtype=float)
+    if points.shape != (s.size, 3) or tangents.shape != (s.size, 3) or not (np.isfinite(points).all() and np.isfinite(tangents).all()):
+        raise GeometryError(_NON_FINITE)
+    speed = np.hypot.reduce(tangents, axis=1)
+    if not (speed > 0.0).all():
+        raise GeometryError(_VANISHING)
+    return points, tangents / speed[:, None], speed
+
+
 def _sampled_about_axis(seg, spec: SolenoidSpec, index: int):
     """(least distance from the axis, swept azimuth, a rounding bound of it) of a piece, over chords of its samples.
 
     From the 64 validation samples, a chord is halved while it turns more
-    than pi/8 about the axis or passes no farther from it than its length;
-    the chords then take the lines' closed forms, which assumes the samples
-    resolve the curve. Each chord's azimuth rounds within about 4 eps, and
-    rounding at the piece's ends moves it by eps max(rho) / clearance, so
-    4 eps n max(rho) / clearance radians bounds it for n samples.
-    GeometryError naming the piece past ``_MAX_SAMPLES`` samples or the
-    parameter's precision, as for a piece through the axis. An arc, whose
-    sweep is known, starts from 16 samples a turn if that is more, since a
-    chord that spans most of a turn can alias to a small azimuth.
+    than pi/8 about the axis, passes no farther from it than its length, or
+    strays from the curve: its direction is more than pi/8 from the tangent
+    at either end, or its length is under cos(pi/8) times either end's speed
+    times its parameter step, so a chord that spans a whole loop of the
+    curve splits rather than alias a turn. The chords then take
+    the lines' closed forms, which assumes the samples resolve the curve.
+    Each chord's azimuth rounds within about 4 eps, and rounding at the
+    piece's ends moves it by eps max(rho) / clearance, so 4 eps n max(rho) /
+    clearance radians bounds it for n samples. The halving stops at a sample
+    within the coil radius of the axis, so the clearance is then no more than
+    the coil radius, which a phase rejects. GeometryError naming the piece
+    past ``_MAX_SAMPLES`` samples or the parameter's precision.
     """
-    count = _VALIDATION_SAMPLES
-    if isinstance(seg, Arc):
-        count = max(count, math.ceil(8.0 * abs(seg.theta1 - seg.theta0) / math.pi) + 1)
     unresolved = GeometryError(f"segment {index} is not resolved about the solenoid axis within {_MAX_SAMPLES} samples")
-    if count > _MAX_SAMPLES:
-        raise unresolved
-    s = np.linspace(0.0, 1.0, count)
-    points = np.asarray(seg.point(s), dtype=float)
+    s = np.linspace(0.0, 1.0, _VALIDATION_SAMPLES)
+    points, directions, speed = _samples(seg, s)
+    cos_limit = math.cos(math.pi / 8.0)
     while True:
         clearance, angle = _lines_about_axis(np.stack([points[:-1], points[1:]], axis=1), spec)
-        split = np.flatnonzero((abs(angle) > math.pi / 8.0) | (clearance <= _gaps(points[:-1], points[1:])))
+        rho = np.hypot.reduce(spec.radial(points), axis=1)  # radial distances, with no squares
+        if rho.min() <= spec.radius:
+            break
+        step, length = points[1:] - points[:-1], _gaps(points[:-1], points[1:])
+        chord = np.divide(step, length[:, None], out=np.zeros_like(step), where=length[:, None] > 0.0)  # 0 splits
+        along = ((chord * directions[:-1]).sum(axis=1) >= cos_limit) & ((chord * directions[1:]).sum(axis=1) >= cos_limit)
+        short = length < cos_limit * np.maximum(speed[:-1], speed[1:]) * np.diff(s)
+        split = np.flatnonzero((abs(angle) > math.pi / 8.0) | (clearance <= length) | ~along | short)
         if not split.size:
             break
         mid = 0.5 * (s[split] + s[split + 1])
         if s.size + split.size > _MAX_SAMPLES or not ((s[split] < mid) & (mid < s[split + 1])).all():
             raise unresolved
-        new = np.asarray(seg.point(mid), dtype=float)
-        if new.shape != (mid.size, 3) or not np.isfinite(new).all():
-            raise GeometryError(_NON_FINITE)
-        s, points = np.insert(s, split + 1, mid), np.insert(points, split + 1, new, axis=0)
-    reach = float(np.hypot.reduce(spec.radial(points), axis=1).max())  # the largest radial distance, with no squares
+        new = _samples(seg, mid)
+        s = np.insert(s, split + 1, mid)
+        points, directions, speed = (np.insert(old, split + 1, added, axis=0) for old, added in zip((points, directions, speed), new))
     least = float(clearance.min())
-    return least, float(angle.sum()), 4.0 * math.ulp(1.0) * s.size * reach / least
+    rounding = 4.0 * math.ulp(1.0) * s.size * float(rho.max()) / least if least > 0.0 else math.inf
+    return least, float(angle.sum()), rounding
 
 
 def _arc_about_axis(arc, spec: SolenoidSpec):

@@ -38,6 +38,7 @@ from gupab.field_geometry import (
     solenoid_field,
     solenoid_vector_potential,
 )
+from gupab.phase_engine import ParticleSpec, total_phase
 
 DOUBLING = QuadratureSpec(refinement="doubling", tolerance=1e-12)
 
@@ -744,7 +745,7 @@ def test_a_polygon_of_generic_edges_sweeps_the_closed_form_of_its_lines(radii, s
     facing=st.sampled_from([1.0, -1.0]),
     foot=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
     theta0=st.floats(-math.pi, math.pi),
-    sweep=st.floats(-8.0, 8.0).filter(lambda sweep: abs(sweep) > 0.05),
+    sweep=st.floats(-400.0, 400.0).filter(lambda sweep: abs(sweep) > 0.05),
 )
 def test_a_circle_tilted_to_the_axis_sweeps_its_winding_number(tilt, facing, foot, theta0, sweep):
     # the axis pierces the circle's plane z = 0.5 at ``foot``: the circle winds once, with the sign of the
@@ -763,20 +764,33 @@ def test_a_circle_tilted_to_the_axis_sweeps_its_winding_number(tilt, facing, foo
         assert _bits(got.turns, got.turns_error, got.clearance) == _bits(want.turns, want.turns_error, want.clearance)
 
 
-def test_a_tilted_arc_of_many_turns_starts_from_16_samples_a_turn():
-    # from 64 samples alone, each chord of 62 turns spans 62/63 of a turn, whose azimuth aliases to -1/63 turn
-    spec = SolenoidSpec(flux=1.0, radius=1e-3, axis_direction=(0.3, 0.1, 1.0))
+def test_a_piece_of_many_turns_splits_every_chord_that_spans_a_loop():
+    # from 64 samples alone, each chord of 62 turns spans 62/63 of a turn, whose azimuth aliases to -1/63 turn:
+    # its direction and length disagree with the tangent at its ends, so it splits, for an arc and a generic curve
+    axial, tilted = SolenoidSpec(flux=1.0, radius=1e-3), SolenoidSpec(flux=1.0, radius=1e-3, axis_direction=(0.3, 0.1, 1.0))
     for windings in (62, 63, 64, -125):
-        geometry = loop_geometry(circle_loop(radius=1.0, windings=windings), spec)
-        assert abs(geometry.turns - windings) <= geometry.turns_error
+        circle = circle_loop(radius=1.0, windings=windings)
+        generic = LoopPath((strip_shape(circle.segments[0]),))
+        for spec in (axial, tilted):
+            geometry = loop_geometry(generic, spec)
+            assert abs(geometry.turns - windings) <= geometry.turns_error
+        arc = loop_geometry(circle, tilted)
+        assert abs(arc.turns - windings) <= arc.turns_error
+        assert _bits(arc.turns, arc.turns_error, arc.clearance) == _bits(geometry.turns, geometry.turns_error, geometry.clearance)
+    # a curve whose samples mostly fall on one point: its chords of length 0 split, with no warning
+    unit = circle_loop(radius=1.0).segments[0]
+    wound = Segment(lambda s: unit.point(63.0 * s % 1.0), lambda s: 63.0 * unit.tangent(63.0 * s % 1.0))
+    geometry = loop_geometry(LoopPath((wound,)), axial)
+    assert abs(geometry.turns - 63.0) <= geometry.turns_error
 
 
-def test_a_sampled_piece_through_the_axis_or_past_the_sample_cap_is_a_geometry_error(monkeypatch):
+def test_a_sampled_piece_through_the_axis_enters_the_coil_and_one_past_the_sample_cap_is_named(monkeypatch):
     spec = SolenoidSpec(flux=1.0, radius=1e-3)
-    # a circle through the axis: the chords beside it never get shorter than their distance from it
+    # a circle through the axis: the halving stops at the first sample inside the coil, whose clearance it reports
     through = LoopPath((strip_shape(arc_segment((2.0, 0.0, 0.0), 2.0, 0.0, 2.0 * math.pi)),))
-    with pytest.raises(GeometryError, match="^segment 0 is not resolved about the solenoid axis within 65536 samples$"):
-        loop_geometry(through, spec)
+    assert loop_geometry(through, spec).clearance <= spec.radius
+    with pytest.raises(GeometryError, match="^loop enters the solenoid interior"):
+        total_phase(ParticleSpec(1.0, 1.0, 0.6), spec, through, 0.01)
     # 40 turns need more than 16 chords a turn: resolved under the cap, named when the cap is lower
     lead, turns = line_segment((2.0, 0.0, 0.0), (1.0, 0.0, 0.0)), arc_segment((0.0, 0.0, 0.0), 1.0, 0.0, 80.0 * math.pi)
     path = LoopPath((lead, strip_shape(turns)), closed=False)
@@ -786,7 +800,7 @@ def test_a_sampled_piece_through_the_axis_or_past_the_sample_cap_is_a_geometry_e
     monkeypatch.setattr(field_geometry, "_MAX_SAMPLES", 512)
     with pytest.raises(GeometryError, match="^segment 1 is not resolved about the solenoid axis within 512 samples$"):
         loop_geometry(path, spec)
-    # an arc of 40 turns about a tilted axis would start from 641 samples, past that cap
+    # the arc of 40 turns itself, about a tilted axis, takes the same rule
     tilted = SolenoidSpec(flux=1.0, radius=1e-3, axis_direction=(0.3, 0.1, 1.0))
     with pytest.raises(GeometryError, match="^segment 1 is not resolved about the solenoid axis within 512 samples$"):
         loop_geometry(LoopPath((lead, turns), closed=False), tilted)

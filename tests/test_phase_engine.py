@@ -480,7 +480,7 @@ EDGE_THROUGH_AXIS = (
     polyline_loop([(-1.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]),
     SolenoidSpec(flux=1.0, radius=1e-6),
 )
-# the same edges as generic curves: the chords of the edge through the axis never resolve it
+# the same edges as generic curves: the halving of the edge through the axis stops at a sample inside the coil
 GENERIC_EDGE_THROUGH_AXIS = (
     LoopPath(tuple(strip_shape(segment) for segment in EDGE_THROUGH_AXIS[0].segments)),
     SolenoidSpec(flux=1.0, radius=0.01),
@@ -490,9 +490,9 @@ GENERIC_EDGE_THROUGH_AXIS = (
 @pytest.mark.parametrize("loop, solenoid", [LONG_EDGE_GRAZING_COIL, EDGE_THROUGH_AXIS, GENERIC_EDGE_THROUGH_AXIS])
 def test_straight_edge_reaching_coil_rejected(loop, solenoid):
     for path in (loop, loop.reverse()):
-        with pytest.raises(GeometryError):
+        with pytest.raises(GeometryError, match="^loop enters the solenoid interior"):
             ab_phase(PARTICLE, solenoid, path, DOUBLING)
-        with pytest.raises(GeometryError):
+        with pytest.raises(GeometryError, match="^loop enters the solenoid interior"):
             total_phase(PARTICLE, solenoid, path, 0.01, DOUBLING)
 
 
