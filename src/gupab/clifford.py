@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, raise_first, to_floats
+from .errors import DomainError, GupabError, raise_first, to_floats
 
 PAULI = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -69,7 +69,12 @@ class FourVector:
     z: float | np.ndarray
 
     def dot(self, other: "FourVector"):
-        return self.t * other.t - self.x * other.x - self.y * other.y - self.z * other.z
+        """The metric product; a ``GupabError`` where it is not finite, as where a component's product overflows."""
+        with np.errstate(all="ignore"):  # a product that is not finite is reported below
+            product = self.t * other.t - self.x * other.x - self.y * other.y - self.z * other.z
+        if not np.isfinite(product).all():
+            raise GupabError("four-vector product is not finite: the components overflow double precision")
+        return product
 
     def square(self):
         return self.dot(self)

@@ -78,15 +78,28 @@ def deformation_factor(p0_mag, a):
     return 1.0 - a * p0_mag + 2.0 * a * a * p0_mag * p0_mag
 
 
+def _norm(v):
+    """``np.linalg.norm(v, axis=-1, keepdims=True)``, taken again on a power-of-2-scaled copy where it is 0 or infinite.
+
+    Where every square of a nonzero v underflows, or one overflows, the
+    norm of a copy in units of a power of 2 near its largest entry, which
+    neither underflows nor overflows, times that power is the norm; every
+    other norm keeps ``np.linalg.norm``'s bits. Run it under ``np.errstate``.
+    """
+    norm = np.linalg.norm(v, axis=-1, keepdims=True)
+    lost = (norm == 0.0) | (norm == np.inf)
+    if lost.any():
+        _, exponent = np.frexp(np.max(np.abs(v), axis=-1, keepdims=True))
+        unit = np.ldexp(1.0, exponent - 1)
+        norm = np.where(lost, np.linalg.norm(v / unit, axis=-1, keepdims=True) * unit, norm)
+    return norm
+
+
 def deform_momentum(p0, a: float) -> np.ndarray:
     """Apply the deformation map to a 3-vector or an (..., 3) array; the zero vector is fixed."""
     p0, a = momenta(p0), _strength(a)
-    # the norm of a copy in units of a power of 2 near its largest entry neither overflows nor underflows, and
-    # times that power it is np.linalg.norm(p0) bit for bit wherever that neither overflows nor underflows
-    _, exponent = np.frexp(np.max(np.abs(p0), axis=-1, keepdims=True))
-    unit = np.ldexp(1.0, exponent - 1)
     with np.errstate(all="ignore"):  # a result that overflows is reported below
-        deformed = p0 * deformation_factor(np.linalg.norm(p0 / unit, axis=-1, keepdims=True) * unit, a)
+        deformed = p0 * deformation_factor(_norm(p0), a)
     if not np.isfinite(deformed).all():
         raise GupabError(_OVERFLOW.format("deformed momentum"))
     return deformed
@@ -96,11 +109,12 @@ def _real_brackets(p0, a, kind):
     """The (..., 3, 3) 'target' or 'jacobian' brackets divided by i, for a > 0 that broadcasts against them.
 
     p0 is a checked momentum array; an array of strengths gives all their
-    brackets in one pass, each as its own call would. A bracket that
-    overflows is a ``GupabError``.
+    brackets in one pass, each as its own call would. Both magnitudes, of
+    p0 and of the deformed momentum, are ``_norm``'s, so a tiny nonzero
+    momentum is not taken for zero. A bracket that overflows is a ``GupabError``.
     """
     with np.errstate(all="ignore"):
-        mag = np.linalg.norm(p0, axis=-1)[..., None, None]
+        mag = _norm(p0)[..., None]
         if np.any(mag == 0.0):
             raise SingularInputError(f"{kind} bracket needs |p0| > 0 when a > 0")
         p_i, p_j = p0[..., :, None], p0[..., None, :]
@@ -109,7 +123,7 @@ def _real_brackets(p0, a, kind):
         else:
             scale = deformation_factor(mag, a)  # the deformed momentum, as rows and as columns
             pd_i, pd_j = p_i * scale, p_j * scale
-            mag = np.linalg.norm(pd_j, axis=-1, keepdims=True)
+            mag = _norm(pd_j)
             pipj = pd_i * pd_j
             brackets = _DELTA - a * (mag * _DELTA + pipj / mag) + a * a * (mag * mag * _DELTA + 3.0 * pipj)
     if not np.isfinite(brackets).all():
@@ -246,20 +260,29 @@ def _on_x_axis(p: np.ndarray) -> np.ndarray:
 
 
 def _probe_state(points: np.ndarray) -> np.ndarray:
+    """The probe's amplitudes on the grid points; a ``GupabError`` where its squared offsets and width underflow to 0 / 0."""
     span = points[-1] - points[0]
     center = points[0] + _PROBE_CENTER_FRACTION * span
     width = _PROBE_WIDTH_FRACTION * span
-    return np.exp(-((points - center) ** 2) / (2.0 * width * width))
+    with np.errstate(all="ignore"):  # a probe that is not finite is reported below
+        psi = np.exp(-((points - center) ** 2) / (2.0 * width * width))
+    if not np.isfinite(psi).all():
+        raise GupabError("probe state is not finite: the grid's squared span is out of double precision's range")
+    return psi
 
 
 def _lab_max_residual(points: np.ndarray, a: float) -> float:
-    """Max interior deviation of [x, p] applied to the probe from the exact bracket."""
+    """Max interior deviation of [x, p] applied to the probe from the exact bracket; a ``GupabError`` where it overflows."""
     h = float(points[1] - points[0])
-    g = points * deformation_factor(points, a)
-    psi = _probe_state(points)
-    commutator = _position(g * psi, h) - g * _position(psi, h)
-    residual = commutator - jacobian_commutator(_on_x_axis(points), 1, 1, a) * psi
-    return float(np.max(np.abs(residual[_BOUNDARY_MARGIN : points.size - _BOUNDARY_MARGIN])))
+    with np.errstate(all="ignore"):  # a residual that is not finite is reported below
+        g = points * deformation_factor(points, a)
+        psi = _probe_state(points)
+        commutator = _position(g * psi, h) - g * _position(psi, h)
+        residual = commutator - jacobian_commutator(_on_x_axis(points), 1, 1, a) * psi
+    worst = float(np.max(np.abs(residual[_BOUNDARY_MARGIN : points.size - _BOUNDARY_MARGIN])))
+    if not math.isfinite(worst):
+        raise GupabError(_OVERFLOW.format("lab residual"))
+    return worst
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,11 @@ earlier row-by-row CSV writer. ``reference_position``,
 ``reference_brackets`` and ``reference_bracket_deviations`` are the
 earlier complex-arithmetic forms of ``gup_algebra``'s stencil, brackets and
 consistency deviations, kept as the bit-for-bit oracles of its real
-kernels; ``reference_uncertainty_check`` and ``reference_lab_fields`` are,
-likewise, the earlier allocating uncertainty kernel and the earlier eager
-grid lab. ``reference_on_shell_spinor``, ``reference_table`` and
+kernels, and ``reference_real_brackets`` the earlier real brackets, which
+took ``np.linalg.norm`` of the raw momenta; ``reference_uncertainty_check``
+and ``reference_lab_fields`` are, likewise, the earlier allocating
+uncertainty kernel and the earlier eager grid lab.
+``reference_on_shell_spinor``, ``reference_table`` and
 ``reference_points`` are, likewise, the earlier spinor assembly
 (``np.concatenate`` and ``np.linalg.norm``), the earlier CSV table
 (``np.stack`` of ``np.broadcast_arrays``) and the earlier config point list
@@ -31,11 +33,12 @@ from dataclasses import fields, replace
 import numpy as np
 
 from gupab import clifford, gup_algebra
-from gupab.cli_io import _check, _gamma_algebra_residual, _vector3, run_phase
+from gupab.cli_io import _vector3, run_phase
 from gupab.errors import ConfigError, DomainError, GeometryError, GupabError, raise_first, to_floats
 from gupab.field_geometry import _NON_FINITE, _OPEN, _VANISHING, LoopPath, QuadratureSpec, Segment, SolenoidSpec, _broken, _gaps, circle_loop
 from gupab.phase_engine import _ALPHA_ROWS, ParticleSpec, PhaseResult, ab_phase, dispersion, gup_phase_projected
 from gupab.units import GupParameter, nonnegative_a
+from gupab.verification import _check, _gamma_algebra_residual
 
 # Dirac representation rebuilt from scratch (oracle side).
 _S = [
@@ -504,6 +507,20 @@ def reference_brackets(p0, a, kind):
     mag = np.linalg.norm(pd, axis=-1)[..., None, None]
     pipj = pd[..., :, None] * pd[..., None, :]
     return 1j * (np.eye(3) - a * (mag * np.eye(3) + pipj / mag) + a * a * (mag * mag * np.eye(3) + 3.0 * pipj))
+
+
+def reference_real_brackets(p0, a, kind):
+    """``gup_algebra._real_brackets`` as it was with ``np.linalg.norm`` of the raw momenta, whose squares may underflow or overflow."""
+    with np.errstate(all="ignore"):
+        mag = np.linalg.norm(p0, axis=-1)[..., None, None]
+        p_i, p_j = p0[..., :, None], p0[..., None, :]
+        if kind == "jacobian":
+            return np.eye(3) * gup_algebra.deformation_factor(mag, a) + p_j * (-a * p_i / mag + 4.0 * a * a * p_i)
+        scale = gup_algebra.deformation_factor(mag, a)
+        pd_i, pd_j = p_i * scale, p_j * scale
+        mag = np.linalg.norm(pd_j, axis=-1, keepdims=True)
+        pipj = pd_i * pd_j
+        return np.eye(3) - a * (mag * np.eye(3) + pipj / mag) + a * a * (mag * mag * np.eye(3) + 3.0 * pipj)
 
 
 def reference_bracket_deviations(p0, a_values):

@@ -17,7 +17,7 @@ from gupab.clifford import (
     on_shell_spinor,
     slash,
 )
-from gupab.errors import DomainError
+from gupab.errors import DomainError, GupabError
 from gupab.gup_algebra import commutator_target, deform_momentum, jacobian_commutator
 from gupab.phase_engine import dispersion
 
@@ -333,3 +333,37 @@ def test_spinor_of_an_infinite_mass_is_at_rest(m):
         warnings.simplefilter("error")
         u = on_shell_spinor([1, 0, 0], m)
     assert np.array_equal(u, [1.0, 0.0, 0.0, 0.0])
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_four_vector_product_that_is_not_finite_is_a_gupab_error():
+    # 1e200^2 - 1e200^2 is exactly 0, but each square overflows: inf - inf
+    for components in ((1e200, 1e200, 0.0, 0.0), (np.array([1e200, 1.0]), np.array([1e200, 1.0]), 0.0, 0.0)):
+        with pytest.raises(GupabError, match="^four-vector product is not finite"):
+            FourVector(*components).square()
+    assert FourVector(np.array([2.0, 2.0**500]), 1.0, 0.0, 0.0).square().tolist() == [3.0, 2.0**1000]
+
+
+# magnitudes from 1e-300 to 1e300, either sign, and both zeros
+_EXTREME = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-300.0, 300.0)).map(lambda pair: pair[0] * 10.0 ** pair[1]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(components=arrays(float, (2, 4, 3), elements=_EXTREME), scalar=st.booleans())
+def test_four_vectors_of_any_size_give_a_finite_product_with_its_bits_or_a_gupab_error(components, scalar):
+    if scalar:
+        components = components[..., 0].tolist()  # Python floats, whose products overflow with no warning
+    u, v = FourVector(*components[0]), FourVector(*components[1])
+    with np.errstate(all="ignore"):
+        plain = np.asarray(u.t * v.t - u.x * v.x - u.y * v.y - u.z * v.z)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            product = np.asarray(u.dot(v))
+        except GupabError:
+            assert not np.isfinite(plain).all()
+            return
+    assert np.isfinite(product).all() and product.tobytes() == plain.tobytes()

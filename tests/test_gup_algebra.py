@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from helpers import (
     reference_brackets,
     reference_lab_fields,
     reference_position,
+    reference_real_brackets,
     reference_uncertainty_check,
 )
 from hypothesis import given, settings
@@ -24,6 +26,7 @@ from gupab.gup_algebra import (
     _bracket_deviations,
     _brackets,
     _position,
+    _real_brackets,
     _trapezoid_weights,
     commutator_consistency_exponent,
     commutator_target,
@@ -610,3 +613,108 @@ def test_a_grid_point_count_that_is_not_an_int_in_range_is_a_domain_error(monkey
     monkeypatch.setattr(np, "linspace", lambda start, stop, num: asked.append(num) or points)
     MomentumGrid.uniform(0.5, 2.5, _MAX_GRID_POINTS)
     assert asked == [_MAX_GRID_POINTS]
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_tiny_nonzero_momentum_is_not_taken_for_zero():
+    # its squares underflow to 0, so its norm is taken on a power-of-2-scaled copy
+    assert jacobian_commutator([1e-170, 0.0, 0.0], 1, 1, 0.1) == 1j
+    assert commutator_target([1e-170, 0.0, 0.0], 1, 1, 0.1) == 1j
+    # -a p1 p2 / |p| + 4 a^2 p1 p2 at p1 = p2 = 1e-170, a = 1e150
+    expected = -1e150 * 1e-170 / math.sqrt(2.0) + 4e300 * 1e-340
+    assert math.isclose(jacobian_commutator([1e-170, 1e-170, 0.0], 1, 2, 1e150).imag, expected, rel_tol=1e-15)
+    with pytest.raises(DomainError, match="rounds to 0"):  # a slope needs a deviation that does not round to 0
+        commutator_consistency_exponent([1e-300, 0.0, 0.0], (0.1, 0.01))
+    with pytest.raises(SingularInputError, match="needs \\|p0\\| > 0"):  # the zero momentum still has no bracket
+        jacobian_commutator([0.0, -0.0, 0.0], 1, 1, 0.1)
+
+
+@pytest.mark.filterwarnings("error")
+def test_the_lab_probe_on_a_grid_whose_squares_underflow_is_a_gupab_error():
+    lab = grid_operator_lab(MomentumGrid.uniform(1e-300, 2e-300, 64), 0.1)
+    for name in ("max_residual_interior", "discretization_order"):
+        with pytest.raises(GupabError, match="^probe state is not finite"):
+            getattr(lab, name)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_lab_whose_deformation_overflows_is_a_gupab_error():
+    # a p_max = 0.49 passes the lab's check, but at p ~ 1e-155 the factor's 2 a a overflows before p p scales it
+    grid = MomentumGrid.uniform(1e-155, 2e-155, 64)
+    lab = grid_operator_lab(grid, 0.49 / grid.points[-1])
+    for name in ("max_residual_interior", "discretization_order"):
+        with pytest.raises(GupabError, match="is not finite: the inputs overflow double precision$"):
+            getattr(lab, name)
+
+
+_ORDINARY_MOMENTA = arrays(
+    float,
+    array_shapes(min_dims=1, max_dims=3, max_side=4).map(lambda shape: shape + (3,)),
+    elements=st.floats(-1e3, 1e3),
+).filter(lambda p: np.all(np.linalg.norm(p, axis=-1) > 0.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(momenta=_ORDINARY_MOMENTA, a=st.floats(min_value=1e-300, max_value=1e3), kind=st.sampled_from(["jacobian", "target"]))
+def test_real_brackets_match_the_raw_norm_brackets_bit_for_bit(momenta, a, kind):
+    assert _same_bits(_real_brackets(momenta, a, kind), reference_real_brackets(momenta, a, kind))
+
+
+# magnitudes from 1e-300 to 1e300, either sign, and both zeros
+_EXTREME = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-300.0, 300.0)).map(lambda pair: pair[0] * 10.0 ** pair[1]),
+)
+
+
+def _outcome(call):
+    """call()'s value, asserted finite, or the GupabError that call raises."""
+    try:
+        value = call()
+    except GupabError as error:
+        return error
+    assert np.isfinite(value).all()
+    return value
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    momenta=arrays(float, st.integers(1, 4).map(lambda rows: (rows, 3)), elements=_EXTREME),
+    a=st.one_of(st.just(0.0), _EXTREME.map(abs).filter(lambda a: a > 0.0)),
+    i=st.integers(1, 3),
+    j=st.integers(1, 3),
+)
+def test_momenta_of_any_size_give_finite_values_or_a_gupab_error(momenta, a, i, j):
+    calls = (
+        lambda: deform_momentum(momenta, a),
+        lambda: jacobian_commutator(momenta, i, j, a),
+        lambda: commutator_target(momenta, i, j, a),
+        lambda: commutator_consistency_exponent(momenta, (a, a / 10.0)),
+        lambda: consistency_exponents(momenta),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        outcomes = [_outcome(call) for call in calls]
+    if np.any(momenta, axis=-1).all():  # only the zero momentum is singular
+        assert not any(isinstance(outcome, SingularInputError) for outcome in outcomes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    log_p_min=st.floats(-300.0, 300.0),
+    log_span=st.floats(-300.0, 150.0),
+    n=st.integers(64, 256),
+    share=st.one_of(st.just(0.0), st.floats(-12.0, 0.0).map(lambda e: 10.0**e)),
+)
+def test_grids_of_any_span_give_finite_lab_fields_or_a_gupab_error(log_p_min, log_span, n, share):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p_min = 10.0**log_p_min
+        try:
+            grid = MomentumGrid.uniform(p_min, p_min + 10.0**log_span, n)
+            lab = grid_operator_lab(grid, share * 0.49 / grid.points[-1])
+        except GupabError:
+            return
+        names = ["max_residual_interior", "discretization_order"] + (["gup_scaling_exponent"] if lab.a > 0.0 else [])
+        for name in names:
+            _outcome(lambda: getattr(lab, name))
