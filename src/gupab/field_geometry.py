@@ -71,7 +71,8 @@ class SolenoidSpec:
 
     def __post_init__(self):
         read_floats(self, "flux", "radius")  # a str that spells a number is that number, an int past the doubles an infinity
-        raise_first((np.logical_not(self.radius > 0.0), DomainError, "radius must be positive"), finite_flux(self.flux))
+        positive = (np.logical_not(self.radius > 0.0), DomainError, "radius must be positive")
+        raise_first(positive, (self.radius == math.inf, DomainError, "radius must be finite"), finite_flux(self.flux))
         object.__setattr__(self, "axis_point", _point(self.axis_point, "axis point", DomainError))
         raise_first((not all(map(math.isfinite, self.axis_point)), DomainError, "axis point must be finite"))
         object.__setattr__(self, "axis_direction", _unit(self.axis_direction, "axis direction"))
@@ -275,26 +276,17 @@ def _measure(seg):
     """(start and end points, length scale) of an arc or a generic curve; raise GeometryError if it is not valid.
 
     An ``Arc`` is checked from its record (``Arc.checks``) and not called.
-    A generic curve is checked on a 64-point sample, and its scale is the
-    mean sampled speed; arcs report None, their exact length being taken by
-    ``LoopPath``.
+    A generic curve is checked by ``_samples`` at 64 points, and its scale is
+    the mean sampled speed; arcs report None, their exact length being taken
+    by ``LoopPath``.
     """
     if isinstance(seg, Arc):
         if len(seg.center) != 3:  # an Arc built directly: its center raises as in arc_segment
             _point(seg.center, "arc center")
         raise_first(*seg.checks())
         return seg.ends(), None
-    s = np.linspace(0.0, 1.0, _VALIDATION_SAMPLES)
-    pts = np.asarray(seg.point(s), dtype=float)
-    tans = np.asarray(seg.tangent(s), dtype=float)
-    if pts.shape != (s.size, 3) or tans.shape != (s.size, 3):
-        raise GeometryError("segment callables must map (n,) parameters to (n, 3) arrays")
-    if not (np.isfinite(pts).all() and np.isfinite(tans).all()):
-        raise GeometryError(_NON_FINITE)
-    speed = np.linalg.norm(tans, axis=1)
-    if np.min(speed) <= 0.0:
-        raise GeometryError(_VANISHING)
-    return (pts[0], pts[-1]), float(np.mean(speed))
+    points, _, speed = _samples(seg, np.linspace(0.0, 1.0, _VALIDATION_SAMPLES))
+    return (points[0], points[-1]), float(np.mean(speed))
 
 
 def _gaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -549,9 +541,11 @@ def _lines_about_axis(ends: np.ndarray, spec: SolenoidSpec):
 
 
 def _samples(seg, s):
-    """(points, unit tangents, speeds) of a piece at the parameters s; GeometryError unless each is finite and nonzero."""
+    """(points, unit tangents, speeds) of a piece at the parameters s; GeometryError unless they are (n, 3), finite and nonzero."""
     points, tangents = np.asarray(seg.point(s), dtype=float), np.asarray(seg.tangent(s), dtype=float)
-    if points.shape != (s.size, 3) or tangents.shape != (s.size, 3) or not (np.isfinite(points).all() and np.isfinite(tangents).all()):
+    if points.shape != (s.size, 3) or tangents.shape != (s.size, 3):
+        raise GeometryError("segment callables must map (n,) parameters to (n, 3) arrays")
+    if not (np.isfinite(points).all() and np.isfinite(tangents).all()):
         raise GeometryError(_NON_FINITE)
     speed = np.hypot.reduce(tangents, axis=1)
     if not (speed > 0.0).all():
@@ -563,18 +557,22 @@ def _sampled_about_axis(seg, spec: SolenoidSpec, index: int):
     """(least distance from the axis, swept azimuth, a rounding bound of it) of a piece, over chords of its samples.
 
     From the 64 validation samples, a chord is halved while it turns more
-    than pi/8 about the axis, passes no farther from it than its length, or
-    strays from the curve: its direction is more than pi/8 from the tangent
-    at either end, or its length is under cos(pi/8) times either end's speed
-    times its parameter step, so a chord that spans a whole loop of the
-    curve splits rather than alias a turn. The chords then take
-    the lines' closed forms, which assumes the samples resolve the curve.
-    Each chord's azimuth rounds within about 4 eps, and rounding at the
+    than pi/8 about the axis, passes no farther from it than its length,
+    strays from the curve (its direction more than pi/8 from the tangent at
+    either end, or its length under cos(pi/8) times either end's speed times
+    its parameter step, so a chord that spans a loop of the curve splits
+    rather than alias a turn), or may let the curve into the coil: its
+    clearance less (L/2) tan(alpha/2), alpha the larger angle between it and
+    the tangent at its ends, is within the coil radius. That bound is the
+    sagitta of the circular arc on the chord at that angle, exact for arcs.
+    The halving stops when no chord splits or at a sample within the coil
+    radius, so a piece that enters the coil puts a sample there, which a
+    phase rejects, or runs past ``_MAX_SAMPLES`` samples or the parameter's
+    precision, a GeometryError naming it. The clearance is the chords' least
+    distance, up to that bound above the curve's. The chords take the lines'
+    closed forms; each azimuth rounds within about 4 eps, and rounding at the
     piece's ends moves it by eps max(rho) / clearance, so 4 eps n max(rho) /
-    clearance radians bounds it for n samples. The halving stops at a sample
-    within the coil radius of the axis, so the clearance is then no more than
-    the coil radius, which a phase rejects. GeometryError naming the piece
-    past ``_MAX_SAMPLES`` samples or the parameter's precision.
+    clearance radians bounds it for n samples.
     """
     unresolved = GeometryError(f"segment {index} is not resolved about the solenoid axis within {_MAX_SAMPLES} samples")
     s = np.linspace(0.0, 1.0, _VALIDATION_SAMPLES)
@@ -583,14 +581,19 @@ def _sampled_about_axis(seg, spec: SolenoidSpec, index: int):
     while True:
         clearance, angle = _lines_about_axis(np.stack([points[:-1], points[1:]], axis=1), spec)
         rho = np.hypot.reduce(spec.radial(points), axis=1)  # radial distances, with no squares
-        if rho.min() <= spec.radius:
-            break
         step, length = points[1:] - points[:-1], _gaps(points[:-1], points[1:])
         chord = np.divide(step, length[:, None], out=np.zeros_like(step), where=length[:, None] > 0.0)  # 0 splits
-        along = ((chord * directions[:-1]).sum(axis=1) >= cos_limit) & ((chord * directions[1:]).sum(axis=1) >= cos_limit)
+        # each chord's angle to the tangent at its start (row 0) and end (row 1): its cos, and chord x tangent as
+        # np.cross forms it, whose norm is its sin, so tan(alpha / 2) = sin / (1 + cos) reads 0 to rounding on a
+        # straight piece (an acos of the cos reads about 1e-8); cos = -1 splits anyway, as not along the tangent
+        ends = np.stack([directions[:-1], directions[1:]])
+        cos = (chord * ends).sum(axis=2)
+        cross = chord.take(_NEXT, axis=1) * ends.take(_NEXT2, axis=2) - chord.take(_NEXT2, axis=1) * ends.take(_NEXT, axis=2)
+        half = np.divide(np.sqrt((cross * cross).sum(axis=2)), 1.0 + cos, out=np.zeros_like(cos), where=cos > -1.0).max(axis=0)
         short = length < cos_limit * np.maximum(speed[:-1], speed[1:]) * np.diff(s)
-        split = np.flatnonzero((abs(angle) > math.pi / 8.0) | (clearance <= length) | ~along | short)
-        if not split.size:
+        along, bulge = (cos >= cos_limit).all(axis=0), clearance - 0.5 * length * half <= spec.radius
+        split = np.flatnonzero((abs(angle) > math.pi / 8.0) | (clearance <= length) | ~along | short | bulge)
+        if not split.size or rho.min() <= spec.radius:
             break
         mid = 0.5 * (s[split] + s[split + 1])
         if s.size + split.size > _MAX_SAMPLES or not ((s[split] < mid) & (mid < s[split + 1])).all():

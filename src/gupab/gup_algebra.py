@@ -74,8 +74,18 @@ def _strength(a):
 
 
 def deformation_factor(p0_mag, a):
-    """Radial rescaling 1 - a p0 + 2 a^2 p0^2 (positive for all real p0)."""
-    return 1.0 - a * p0_mag + 2.0 * a * a * p0_mag * p0_mag
+    """Radial rescaling 1 - a p0 + 2 a^2 p0^2 (positive for all real p0).
+
+    Taken left to right, 2 a a overflows once a passes about 1e154, even
+    where a p0 is small and the factor finite; only where that form is not
+    finite is the factor taken again as 1 - (a p0) + 2 (a p0) (a p0), so
+    every other factor keeps its bits.
+    """
+    factor = 1.0 - a * p0_mag + 2.0 * a * a * p0_mag * p0_mag
+    if np.isfinite(factor).all():
+        return factor
+    ap = a * p0_mag
+    return np.where(np.isfinite(factor), factor, 1.0 - ap + 2.0 * ap * ap)[()]  # [()]: a scalar for scalar inputs
 
 
 def _norm(v):
@@ -360,14 +370,21 @@ def gaussian_state(grid: MomentumGrid) -> np.ndarray:
 
     The packet sits mid-grid with its 6-sigma points at the boundaries: its
     momentum spread is width = span / 12, and the position spread of the
-    continuum state is 1 / (2 width). A grid whose squared span overflows
-    is a ``GupabError``.
+    continuum state is 1 / (2 width). Where the width is outside 1e-150 to
+    1e150, its square is subnormal or the offsets' squares overflow, so the
+    plain form is not finite or off by up to 1% (a span of 1e-160 or 3e154);
+    there the state, which does not depend on the width, is taken in units
+    of it, and every other grid keeps the plain form's bits. A state that is
+    still not finite is a ``GupabError``.
     """
     p = grid.points
     with np.errstate(all="ignore"):  # a state that overflows is reported below
         center = float(0.5 * (p[0] + p[-1]))
         width = float((p[-1] - p[0]) / 12.0)
-        psi = np.exp(-((p - center) ** 2) / (4.0 * width * width)).astype(complex)
+        if 1e-150 < width < 1e150:
+            psi = np.exp(-((p - center) ** 2) / (4.0 * width * width)).astype(complex)
+        else:
+            psi = np.exp(-(((p - center) / width) ** 2) / 4.0).astype(complex)
         norm = np.sqrt(np.sum(_trapezoid_weights(grid.n, grid.h) * np.abs(psi) ** 2))
         psi = psi * (1.0 / norm)
     if not np.isfinite(psi).all():

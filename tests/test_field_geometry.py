@@ -812,6 +812,63 @@ def test_a_sampled_piece_through_the_axis_enters_the_coil_and_one_past_the_sampl
         loop_geometry(LoopPath((holes,)), spec)
 
 
+_THIN = SolenoidSpec(flux=1.0, radius=1e-3)
+
+
+def _generic_circle_beside_the_axis(radius, offset, start):
+    """A circle of ``radius`` from angle ``start``, as a generic curve, whose nearest point is ``offset`` from the z axis."""
+    return LoopPath((strip_shape(arc_segment((radius + offset, 0.0, 0.0), radius, start, start + 2.0 * math.pi)),))
+
+
+def test_a_generic_circle_that_dips_into_the_coil_never_gets_a_phase():
+    # 5e-9 inside the coil, where its nearest chord passes 1.0000044e-3 from the axis: less its bound on the
+    # curve's distance from it, that chord is within the coil radius, so it splits until a sample falls inside
+    dipping = _generic_circle_beside_the_axis(2.0, 0.999995e-3, 0.123)
+    assert loop_geometry(dipping, _THIN).clearance <= _THIN.radius
+    with pytest.raises(GeometryError, match="^loop enters the solenoid interior"):
+        total_phase(ParticleSpec(1.0, 1.0, 0.6), _THIN, dipping, 0.01)
+
+
+@pytest.mark.parametrize(
+    "offset, clearance, turns_error",
+    [
+        (1.0000005e-3, "0x1.062586ca80532p-10", "0x1.bfb351c03f47ep-35"),
+        (2.5e-3, "0x1.47af19b1d2252p-9", "0x1.565ea1ee10971p-36"),
+        (0.5, "0x1.00ed2cd268100p-1", "0x1.6d58a697c7b69p-44"),
+    ],
+)
+def test_a_generic_circle_outside_the_coil_keeps_the_chords_the_bound_does_not_split(offset, clearance, turns_error):
+    # each chord's clearance less its bound stays above the coil radius, so the bound splits none: the
+    # clearance, the chords' least distance, and the rounding bound, which counts the samples, are those of the
+    # split rule without it. The chords' clearance exceeds the curve's by up to the bound (9.4e-9 at the first)
+    circle = _generic_circle_beside_the_axis(2.0, offset, 0.123)
+    geometry = loop_geometry(circle, _THIN)
+    assert (geometry.clearance.hex(), geometry.turns_error.hex()) == (clearance, turns_error)
+    assert abs(geometry.turns) <= geometry.turns_error  # the axis is outside the circle
+    total_phase(ParticleSpec(1.0, 1.0, 0.6), _THIN, circle, 0.01)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    radius=st.floats(0.5, 3.0),
+    start=st.floats(-math.pi, math.pi),
+    inside=st.booleans(),
+    depth=st.floats(-7.0, -0.5).map(lambda exponent: 10.0**exponent),
+)
+def test_a_generic_circle_near_the_coil_gets_a_phase_exactly_when_it_stays_outside(radius, start, inside, depth):
+    # its nearest point coil radius x (1 -+ depth) from the axis, depth 1e-7 to 0.3: a circle that dips inside
+    # the coil raises, however shallow the dip, and one that stays outside is resolved and gets a phase
+    offset = _THIN.radius * (1.0 - depth if inside else 1.0 + depth)
+    circle = _generic_circle_beside_the_axis(radius, offset, start)
+    if inside:
+        with pytest.raises(GeometryError, match="^loop enters the solenoid interior"):
+            total_phase(ParticleSpec(1.0, 1.0, 0.6), _THIN, circle, 0.01)
+    else:
+        geometry = loop_geometry(circle, _THIN)
+        assert geometry.clearance > _THIN.radius and abs(geometry.turns) <= geometry.turns_error
+        total_phase(ParticleSpec(1.0, 1.0, 0.6), _THIN, circle, 0.01)
+
+
 @pytest.mark.parametrize("quad", [None, DOUBLING])
 def test_a_line_stays_exact_beside_an_arc_tilted_to_the_axis(quad):
     # the line passes about 3 coil radii from the axis; only the arc is sampled, and the loop winds once

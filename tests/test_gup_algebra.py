@@ -589,7 +589,6 @@ def _flat_state(grid):
             "uncertainty bound",
             id="uncertainty_check",
         ),
-        pytest.param(lambda: gaussian_state(MomentumGrid.uniform(0.5, 1e300, 64)), "gaussian state", id="gaussian_state"),
     ],
 )
 def test_a_result_that_overflows_is_a_gupab_error(call, quantity):
@@ -645,6 +644,48 @@ def test_a_lab_whose_deformation_overflows_is_a_gupab_error():
     for name in ("max_residual_interior", "discretization_order"):
         with pytest.raises(GupabError, match="is not finite: the inputs overflow double precision$"):
             getattr(lab, name)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_deformation_factor_whose_two_a_a_overflows_is_taken_in_a_p():
+    # a p = 0.49, so the factor is 1 - 0.49 + 2 (0.49)^2 = 0.9902, though 2 a a passes the largest double
+    a = 0.49 / 2e-155
+    assert deformation_factor(2e-155, a) == pytest.approx(0.9902, rel=1e-15)
+    deformed = deform_momentum([[2e-155, 0.0, 0.0], [0.0, -1e-155, 0.0]], a)
+    factors = [0.9902, 1.0 - 0.245 + 2.0 * 0.245**2]  # a p = 0.49 and 0.245
+    np.testing.assert_allclose(deformed, [[2e-155 * factors[0], 0.0, 0.0], [0.0, -1e-155 * factors[1], 0.0]], rtol=1e-15)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p_min, p_max", [(1e-300, 2e-300), (1.0, 1e170), (0.5, 1e300), (1e-160, 2e-160), (3e154, 6e154)])
+def test_a_gaussian_state_whose_squares_underflow_or_overflow_is_taken_in_units_of_the_width(p_min, p_max):
+    # the state is scale-free: on a grid scaled by c it is the unit grid's state over sqrt(c). The plain form
+    # is not finite on the first three grids, and finite but 0.7% and 0.06% off on the last two
+    grid, unit = MomentumGrid.uniform(p_min, p_max, 64), MomentumGrid.uniform(1.0, p_max / p_min, 64)
+    np.testing.assert_allclose(gaussian_state(grid) * math.sqrt(p_min), gaussian_state(unit), rtol=1e-12, atol=0.0)
+
+
+def _plain_gaussian_state(grid):
+    """The Gaussian state as the plain form computes it, with no units of the width."""
+    p = grid.points
+    center, width = float(0.5 * (p[0] + p[-1])), float((p[-1] - p[0]) / 12.0)
+    psi = np.exp(-((p - center) ** 2) / (4.0 * width * width)).astype(complex)
+    return psi * (1.0 / np.sqrt(np.sum(_trapezoid_weights(grid.n, grid.h) * np.abs(psi) ** 2)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    momenta=arrays(float, st.integers(1, 8), elements=st.floats(0.0, 1e3)),
+    a=st.floats(0.0, 1e3),
+    p_min=st.floats(1e-3, 1e3),
+    spread=st.floats(0.5, 1e3),
+    n=st.integers(8, 256),
+)
+def test_the_deformation_factor_and_gaussian_state_keep_the_plain_form_bit_for_bit(momenta, a, p_min, spread, n):
+    # ordinary inputs never take the forms in units of a p or of the width
+    assert _same_bits(deformation_factor(momenta, a), 1.0 - a * momenta + 2.0 * a * a * momenta * momenta)
+    grid = MomentumGrid.uniform(p_min, p_min * (1.0 + spread), n)
+    assert _same_bits(gaussian_state(grid), _plain_gaussian_state(grid))
 
 
 _ORDINARY_MOMENTA = arrays(
