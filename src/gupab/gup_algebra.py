@@ -13,9 +13,12 @@ written in the deformed variables themselves. The module works in natural
 units only (hbar = 1). Two independent evaluations are provided:
 ``commutator_target`` evaluates that right-hand side directly, and
 ``jacobian_commutator`` evaluates i dp_j/dp0_i from the map, which is the
-exact bracket. Each builds the whole 3x3 bracket matrix at once and returns
-the requested entry: a complex number for a 3-vector p0, an (...) array for
-an (..., 3) array of momenta. They agree to O(a^3);
+exact bracket. The factor and both brackets are functions of s = a |p0|
+and the direction p0 / |p0| alone, and are computed from those two: no
+a^2 or p0_i p0_j is formed, which would leave the doubles at sizes where s
+does not. Each builds the whole 3x3 bracket matrix at once and returns the
+requested entry: a complex number for a 3-vector p0, an (...) array for an
+(..., 3) array of momenta. They agree to O(a^3);
 ``commutator_consistency_exponent`` (over all momenta at once),
 ``consistency_exponents`` (per momentum) and the grid operator lab measure
 that scaling numerically.
@@ -74,35 +77,22 @@ def _strength(a):
 
 
 def deformation_factor(p0_mag, a):
-    """Radial rescaling 1 - a p0 + 2 a^2 p0^2 (positive for all real p0).
-
-    Taken left to right, 2 a a overflows once a passes about 1e154, even
-    where a p0 is small and the factor finite; only where that form is not
-    finite is the factor taken again as 1 - (a p0) + 2 (a p0) (a p0), so
-    every other factor keeps its bits.
-    """
-    factor = 1.0 - a * p0_mag + 2.0 * a * a * p0_mag * p0_mag
-    if np.isfinite(factor).all():
-        return factor
-    ap = a * p0_mag
-    return np.where(np.isfinite(factor), factor, 1.0 - ap + 2.0 * ap * ap)[()]  # [()]: a scalar for scalar inputs
+    """Radial rescaling 1 - s + 2 s^2 of s = a p0 (positive for all real s), a function of s alone."""
+    s = a * p0_mag
+    return 1.0 - s + 2.0 * s * s
 
 
 def _norm(v):
-    """``np.linalg.norm(v, axis=-1, keepdims=True)``, taken again on a power-of-2-scaled copy where it is 0 or infinite.
+    """``np.linalg.norm(v, axis=-1, keepdims=True)``, taken on a copy in units of a power of 2 near its largest entry.
 
-    Where every square of a nonzero v underflows, or one overflows, the
-    norm of a copy in units of a power of 2 near its largest entry, which
-    neither underflows nor overflows, times that power is the norm; every
-    other norm keeps ``np.linalg.norm``'s bits. Run it under ``np.errstate``.
+    The copy's squares neither underflow nor overflow, so a tiny nonzero v
+    has a nonzero norm and a finite norm does not overflow; where no square
+    of v underflows or overflows, these are ``np.linalg.norm``'s own bits.
+    Run it under ``np.errstate``.
     """
-    norm = np.linalg.norm(v, axis=-1, keepdims=True)
-    lost = (norm == 0.0) | (norm == np.inf)
-    if lost.any():
-        _, exponent = np.frexp(np.max(np.abs(v), axis=-1, keepdims=True))
-        unit = np.ldexp(1.0, exponent - 1)
-        norm = np.where(lost, np.linalg.norm(v / unit, axis=-1, keepdims=True) * unit, norm)
-    return norm
+    _, exponent = np.frexp(np.max(np.abs(v), axis=-1, keepdims=True))
+    unit = np.ldexp(1.0, exponent - 1)
+    return np.linalg.norm(v / unit, axis=-1, keepdims=True) * unit
 
 
 def deform_momentum(p0, a: float) -> np.ndarray:
@@ -116,26 +106,29 @@ def deform_momentum(p0, a: float) -> np.ndarray:
 
 
 def _real_brackets(p0, a, kind):
-    """The (..., 3, 3) 'target' or 'jacobian' brackets divided by i, for a > 0 that broadcasts against them.
+    """The (..., 3, 3) 'target' or 'jacobian' brackets divided by i, for a > 0 that broadcasts against p0's (..., 1) norms.
 
-    p0 is a checked momentum array; an array of strengths gives all their
-    brackets in one pass, each as its own call would. Both magnitudes, of
-    p0 and of the deformed momentum, are ``_norm``'s, so a tiny nonzero
+    Each bracket is A(s) d_ij + B(s) u_i u_j, a function of s = a |p0| and
+    the direction u = p0 / |p0| alone: the jacobian's A = f(s), the
+    deformation factor, and B = s (4 s - 1); the target's, with t = a |p| =
+    s f(s), A = 1 - t + t^2 and B = t (3 t - 1). p0 is a checked momentum
+    array; an array of strengths gives all their brackets in one pass, each
+    as its own call would. The norm is ``_norm``'s, so a tiny nonzero
     momentum is not taken for zero. A bracket that overflows is a ``GupabError``.
     """
     with np.errstate(all="ignore"):
-        mag = _norm(p0)[..., None]
+        mag = _norm(p0)
         if np.any(mag == 0.0):
             raise SingularInputError(f"{kind} bracket needs |p0| > 0 when a > 0")
-        p_i, p_j = p0[..., :, None], p0[..., None, :]
+        unit = p0 / mag
+        s, factor = (a * mag)[..., None], deformation_factor(mag, a)[..., None]
+        outer = unit[..., :, None] * unit[..., None, :]
+        # B u_i u_j as s ((4 s - 1) u_i u_j), and in t for the target: B itself may overflow where no entry does
         if kind == "jacobian":
-            brackets = _DELTA * deformation_factor(mag, a) + p_j * (-a * p_i / mag + 4.0 * a * a * p_i)
+            brackets = _DELTA * factor + s * ((4.0 * s - 1.0) * outer)
         else:
-            scale = deformation_factor(mag, a)  # the deformed momentum, as rows and as columns
-            pd_i, pd_j = p_i * scale, p_j * scale
-            mag = _norm(pd_j)
-            pipj = pd_i * pd_j
-            brackets = _DELTA - a * (mag * _DELTA + pipj / mag) + a * a * (mag * mag * _DELTA + 3.0 * pipj)
+            t = s * factor
+            brackets = _DELTA * (1.0 - t + t * t) + t * ((3.0 * t - 1.0) * outer)
     if not np.isfinite(brackets).all():
         raise GupabError(_OVERFLOW.format(f"{kind} bracket"))
     return brackets
@@ -176,7 +169,7 @@ def _bracket_deviations(p0, a_values):
         raise DomainError("need at least two positive a values")
     a, p0 = _strength(a), momenta(p0)[..., None, :]
     # each momentum against all k strengths in (..., k, 3, 3) brackets; |i x - i y| is |x - y| bit for bit
-    jacobian, target = (_real_brackets(p0, a[:, None, None], kind) for kind in ("jacobian", "target"))
+    jacobian, target = (_real_brackets(p0, a[:, None], kind) for kind in ("jacobian", "target"))
     deviations = np.max(np.abs(jacobian - target), axis=(-2, -1))
     if not deviations.all():  # its log would be -inf, and the slope not finite
         raise DomainError("the bracket deviation rounds to 0 at some a: a |p0| is too small for a slope")
@@ -270,14 +263,14 @@ def _on_x_axis(p: np.ndarray) -> np.ndarray:
 
 
 def _probe_state(points: np.ndarray) -> np.ndarray:
-    """The probe's amplitudes on the grid points; a ``GupabError`` where its squared offsets and width underflow to 0 / 0."""
+    """The probe's amplitudes on the grid points, taken in units of its width; a ``GupabError`` where they are not finite."""
     span = points[-1] - points[0]
     center = points[0] + _PROBE_CENTER_FRACTION * span
     width = _PROBE_WIDTH_FRACTION * span
     with np.errstate(all="ignore"):  # a probe that is not finite is reported below
-        psi = np.exp(-((points - center) ** 2) / (2.0 * width * width))
+        psi = np.exp(-(((points - center) / width) ** 2) / 2.0)
     if not np.isfinite(psi).all():
-        raise GupabError("probe state is not finite: the grid's squared span is out of double precision's range")
+        raise GupabError("probe state is not finite: the grid's span is out of double precision's range")
     return psi
 
 
@@ -370,21 +363,15 @@ def gaussian_state(grid: MomentumGrid) -> np.ndarray:
 
     The packet sits mid-grid with its 6-sigma points at the boundaries: its
     momentum spread is width = span / 12, and the position spread of the
-    continuum state is 1 / (2 width). Where the width is outside 1e-150 to
-    1e150, its square is subnormal or the offsets' squares overflow, so the
-    plain form is not finite or off by up to 1% (a span of 1e-160 or 3e154);
-    there the state, which does not depend on the width, is taken in units
-    of it, and every other grid keeps the plain form's bits. A state that is
-    still not finite is a ``GupabError``.
+    continuum state is 1 / (2 width). The state is taken in units of the
+    width, on which it does not depend, so no square of a grid's scale
+    underflows or overflows. A state that is not finite is a ``GupabError``.
     """
     p = grid.points
     with np.errstate(all="ignore"):  # a state that overflows is reported below
         center = float(0.5 * (p[0] + p[-1]))
         width = float((p[-1] - p[0]) / 12.0)
-        if 1e-150 < width < 1e150:
-            psi = np.exp(-((p - center) ** 2) / (4.0 * width * width)).astype(complex)
-        else:
-            psi = np.exp(-(((p - center) / width) ** 2) / 4.0).astype(complex)
+        psi = np.exp(-(((p - center) / width) ** 2) / 4.0).astype(complex)
         norm = np.sqrt(np.sum(_trapezoid_weights(grid.n, grid.h) * np.abs(psi) ** 2))
         psi = psi * (1.0 / norm)
     if not np.isfinite(psi).all():

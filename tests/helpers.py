@@ -12,21 +12,24 @@ checked one constructor per row. ``reference_loop_of_lines`` and
 line-loop build and of ``loop_geometry``'s lines branch, kept as the
 bit-for-bit oracle of the current code; ``reference_dispersion`` and
 ``reference_csv`` are, likewise, the earlier eager ``dispersion`` and the
-earlier row-by-row CSV writer. ``reference_position``,
-``reference_brackets`` and ``reference_bracket_deviations`` are the
-earlier complex-arithmetic forms of ``gup_algebra``'s stencil, brackets and
-consistency deviations, kept as the bit-for-bit oracles of its real
-kernels, and ``reference_real_brackets`` the earlier real brackets, which
-took ``np.linalg.norm`` of the raw momenta; ``reference_uncertainty_check``
+earlier row-by-row CSV writer. ``reference_position`` and
+``reference_bracket_deviations`` are the earlier complex-arithmetic forms
+of ``gup_algebra``'s stencil and consistency deviations, kept as the
+bit-for-bit oracles of its real kernels; ``reference_uncertainty_check``
 and ``reference_lab_fields`` are, likewise, the earlier allocating
 uncertainty kernel and the earlier eager grid lab.
 ``reference_on_shell_spinor``, ``reference_table`` and
 ``reference_points`` are, likewise, the earlier spinor assembly
 (``np.concatenate`` and ``np.linalg.norm``), the earlier CSV table
 (``np.stack`` of ``np.broadcast_arrays``) and the earlier config point list
-read one coordinate at a time.
+read one coordinate at a time. ``exact_factor``, ``exact_deformed`` and
+``exact_brackets`` are exact oracles instead: the deformation factor, the
+deformed momentum and the brackets of the float inputs in 60-digit
+``decimal`` arithmetic, written in ``a`` and the components as the
+formulas write them, each result rounded once.
 """
 
+import decimal
 import math
 from dataclasses import fields, replace
 
@@ -496,31 +499,51 @@ def reference_position(psi, h):
     return xpsi
 
 
-def reference_brackets(p0, a, kind):
-    """The (..., 3, 3) complex 'target' or 'jacobian' brackets for one a > 0, as the complex formula writes them."""
-    p0 = clifford.momenta(p0)
-    mag = np.linalg.norm(p0, axis=-1)[..., None, None]
-    if kind == "jacobian":
-        p_i, p_j = p0[..., :, None], p0[..., None, :]
-        return 1j * (np.eye(3) * gup_algebra.deformation_factor(mag, a) + p_j * (-a * p_i / mag + 4.0 * a * a * p_i))
-    pd = p0 * gup_algebra.deformation_factor(np.linalg.norm(p0, axis=-1, keepdims=True), a)
-    mag = np.linalg.norm(pd, axis=-1)[..., None, None]
-    pipj = pd[..., :, None] * pd[..., None, :]
-    return 1j * (np.eye(3) - a * (mag * np.eye(3) + pipj / mag) + a * a * (mag * mag * np.eye(3) + 3.0 * pipj))
+_EXACT = decimal.Context(prec=60)
 
 
-def reference_real_brackets(p0, a, kind):
-    """``gup_algebra._real_brackets`` as it was with ``np.linalg.norm`` of the raw momenta, whose squares may underflow or overflow."""
-    with np.errstate(all="ignore"):
-        mag = np.linalg.norm(p0, axis=-1)[..., None, None]
-        p_i, p_j = p0[..., :, None], p0[..., None, :]
+def _decimal_factor(a, mag):
+    return 1 - a * mag + 2 * a * a * mag * mag
+
+
+def exact_factor(p0_mag, a):
+    """The deformation factor 1 - a p0 + 2 a^2 p0^2 of the float inputs, in 60-digit decimal, rounded once to a float."""
+    with decimal.localcontext(_EXACT):
+        return float(_decimal_factor(decimal.Decimal(float(a)), decimal.Decimal(float(p0_mag))))
+
+
+def exact_deformed(p0, a):
+    """The deformed momentum p0 f(|p0|) of one float 3-vector, in 60-digit decimal, each component rounded once."""
+    with decimal.localcontext(_EXACT):
+        p = [decimal.Decimal(float(x)) for x in p0]
+        factor = _decimal_factor(decimal.Decimal(float(a)), sum(x * x for x in p).sqrt())
+        return np.array([float(x * factor) for x in p])
+
+
+def exact_brackets(p0, a, kind):
+    """The 3x3 'target' or 'jacobian' brackets divided by i of one float 3-vector p0 and a >= 0, in 60-digit decimal.
+
+    Each is written as the bracket's formula writes it, in a and the
+    components, not in a |p0|: the jacobian d_ij f + p0_i p0_j (4 a^2 - a / |p0|),
+    with f the deformation factor at |p0|, and the target d_ij - a (|p| d_ij
+    + p_i p_j / |p|) + a^2 (|p|^2 d_ij + 3 p_i p_j) at p = f p0. Every entry
+    is rounded once to a float.
+    """
+    with decimal.localcontext(_EXACT):
+        a = decimal.Decimal(float(a))
+        p = [decimal.Decimal(float(x)) for x in p0]
+        mag = sum(x * x for x in p).sqrt()
+        factor = _decimal_factor(a, mag)
         if kind == "jacobian":
-            return np.eye(3) * gup_algebra.deformation_factor(mag, a) + p_j * (-a * p_i / mag + 4.0 * a * a * p_i)
-        scale = gup_algebra.deformation_factor(mag, a)
-        pd_i, pd_j = p_i * scale, p_j * scale
-        mag = np.linalg.norm(pd_j, axis=-1, keepdims=True)
-        pipj = pd_i * pd_j
-        return np.eye(3) - a * (mag * np.eye(3) + pipj / mag) + a * a * (mag * mag * np.eye(3) + 3.0 * pipj)
+            entries = [[(factor if i == j else 0) + p[i] * p[j] * (4 * a * a - a / mag) for j in range(3)] for i in range(3)]
+        else:
+            p = [x * factor for x in p]
+            mag = sum(x * x for x in p).sqrt()
+            entries = [
+                [(1 - a * mag + a * a * mag * mag if i == j else 0) - a * p[i] * p[j] / mag + 3 * a * a * p[i] * p[j] for j in range(3)]
+                for i in range(3)
+            ]
+    return np.array([[float(x) for x in row] for row in entries])
 
 
 def reference_bracket_deviations(p0, a_values):
