@@ -22,23 +22,16 @@ _EXPORTS = {  # submodule -> the public names the package re-exports from it
     ),
     "field_geometry": (
         "Arc",
-        "IntegralResult",
         "Line",
         "LoopPath",
         "QuadratureSpec",
-        "Segment",
         "SolenoidSpec",
         "arc_segment",
         "circle_loop",
-        "gauge_shift",
-        "line_integral",
         "line_segment",
-        "loop_length",
         "make_loop",
         "polyline_loop",
         "rectangle_loop",
-        "solenoid_field",
-        "solenoid_vector_potential",
     ),
     "gup_algebra": (
         "CommutatorReport",
@@ -52,6 +45,15 @@ _EXPORTS = {  # submodule -> the public names the package re-exports from it
         "grid_operator_lab",
         "jacobian_commutator",
         "uncertainty_check",
+    ),
+    "line_integrals": (
+        "IntegralResult",
+        "Segment",
+        "gauge_shift",
+        "line_integral",
+        "loop_length",
+        "solenoid_field",
+        "solenoid_vector_potential",
     ),
     "phase_engine": (
         "DispersionResult",

@@ -21,7 +21,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -37,6 +36,7 @@ from .phase_engine import (
     subluminal_speed,
     total_phase,
 )
+from .records import Record, store
 from .units import GupParameter, UnitSystem, gup_from_a0, nonnegative_a
 
 SWEEP_CSV_HEADER = "sweep_value,a,standard_phase,projected_correction,total_phase,quadrature_error"
@@ -127,29 +127,42 @@ def _build(section: str, factory, *args, **kwargs):
         raise ConfigError(f"{section}.{exc}") from exc
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(Record):
     """The swept parameter and its values, each checked when the config is parsed."""
 
-    parameter: str
-    values: tuple
+    __slots__ = _fields = ("parameter", "values")
+
+    def __init__(self, parameter: str, values: tuple):
+        store(self, "parameter", parameter)
+        store(self, "values", values)
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """Fully validated inputs for one engine run (plus an optional sweep).
 
     ``loop`` is built once, when the config is parsed; a ``loop.radius``
     sweep builds none of its own.
     """
 
-    particle: ParticleSpec
-    solenoid: SolenoidSpec
-    loop: LoopPath
-    a: float
-    quadrature: QuadratureSpec
-    spinor: np.ndarray | None
-    sweep: SweepSpec | None
+    __slots__ = _fields = ("particle", "solenoid", "loop", "a", "quadrature", "spinor", "sweep")
+
+    def __init__(
+        self,
+        particle: ParticleSpec,
+        solenoid: SolenoidSpec,
+        loop: LoopPath,
+        a: float,
+        quadrature: QuadratureSpec,
+        spinor: np.ndarray | None,
+        sweep: SweepSpec | None,
+    ):
+        store(self, "particle", particle)
+        store(self, "solenoid", solenoid)
+        store(self, "loop", loop)
+        store(self, "a", a)
+        store(self, "quadrature", quadrature)
+        store(self, "spinor", spinor)
+        store(self, "sweep", sweep)
 
 
 def _parse_particle(raw) -> ParticleSpec:

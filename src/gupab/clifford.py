@@ -12,11 +12,10 @@ handful of them stay exact in double precision, so algebraic identities
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError, GupabError, raise_first, to_floats
+from .records import Record, store
 
 PAULI = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -56,17 +55,19 @@ def gamma(mu: int) -> np.ndarray:
     return _GAMMA[mu].copy()
 
 
-@dataclass(frozen=True)
-class FourVector:
+class FourVector(Record):
     """Contravariant components (t, x, y, z) with the (+, -, -, -) metric.
 
     The components are floats, or (...) arrays for a batch of four-vectors.
     """
 
-    t: float | np.ndarray
-    x: float | np.ndarray
-    y: float | np.ndarray
-    z: float | np.ndarray
+    __slots__ = _fields = ("t", "x", "y", "z")
+
+    def __init__(self, t: float | np.ndarray, x: float | np.ndarray, y: float | np.ndarray, z: float | np.ndarray):
+        store(self, "t", t)
+        store(self, "x", x)
+        store(self, "y", y)
+        store(self, "z", z)
 
     def dot(self, other: "FourVector"):
         """The metric product; a ``GupabError`` where it is not finite, as where a component's product overflows."""

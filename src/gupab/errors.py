@@ -66,12 +66,6 @@ def to_float(x) -> float:
         raise DomainError(f"not a number: {x!r:.60}") from None
 
 
-def read_floats(spec, *names):
-    """Store ``to_float`` of each named field of a frozen dataclass."""
-    for name in names:
-        object.__setattr__(spec, name, to_float(getattr(spec, name)))
-
-
 def to_floats(x) -> np.ndarray:
     """x as a float array, each entry as ``to_float`` reads it; DomainError unless x is a number or an array of them."""
     try:

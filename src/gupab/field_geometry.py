@@ -1,4 +1,4 @@
-"""Solenoid vector potential, closed-loop geometry, and line-integral quadrature.
+"""Solenoid specs, closed-loop geometry, and the closed forms a phase needs of a loop.
 
 Loops are piecewise-smooth parametric curves; each piece maps s in [0, 1] to
 points with an analytic tangent. Straight pieces are ``Line`` records and
@@ -12,29 +12,24 @@ about its axis and the least distance from it: for lines by ufuncs and
 ndarray methods over the ends array, for arcs normal to the axis by two atan2
 end terms, each within (-pi/2, pi/2), so with no unwrapping needed, and for
 generic curves and tilted arcs by the lines' forms over the chords of their
-refined samples. Composite Gauss-Legendre quadrature, with the error
-estimated by node doubling, gives only the length of generic curves and the
-public circulations.
-The built-in field source is the ideal infinite solenoid: purely azimuthal
-potential, flux Phi / (2 pi rho) outside the coil and Phi rho / (2 pi R^2)
-inside, taken for a whole (n, 3) array of points in one call; generic fields
-handed to ``line_integral`` are called once per point.
+refined samples.
+Generic curves, their sampler, the quadrature that gives their length and the
+public circulations, and the solenoid's potential live in ``line_integrals``,
+which no CLI command loads: this module imports it for a generic curve or a
+tilted arc, and resolves its public names (``_LIBRARY_NAMES``) on first read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, FieldEvaluationError, GeometryError, SingularInputError, raise_first, read_floats, to_float, to_floats
+from .errors import DomainError, GeometryError, raise_first, to_float, to_floats
+from .records import Record, store
 
 _MAX_NODES_PER_SEGMENT = 1024  # 2**10 cap for the doubling refinement
-_VALIDATION_SAMPLES = 64
-_MAX_SAMPLES = 2**16  # per piece sampled for its azimuth about the axis: generic curves and tilted arcs
 _NEXT, _NEXT2 = np.array([1, 2, 0]), np.array([2, 0, 1])  # each 3-vector component's index plus one, plus two
 
 
@@ -60,22 +55,21 @@ def finite_flux(flux):
     return np.logical_not(abs(flux) < math.inf), DomainError, "flux must be finite"
 
 
-@dataclass(frozen=True)
-class SolenoidSpec:
+class SolenoidSpec(Record):
     """Ideal infinite solenoid: total flux, coil radius, and axis placement."""
 
-    flux: float
-    radius: float
-    axis_point: tuple = (0.0, 0.0, 0.0)
-    axis_direction: tuple = (0.0, 0.0, 1.0)
+    __slots__ = _fields = ("flux", "radius", "axis_point", "axis_direction")
 
-    def __post_init__(self):
-        read_floats(self, "flux", "radius")  # a str that spells a number is that number, an int past the doubles an infinity
-        positive = (np.logical_not(self.radius > 0.0), DomainError, "radius must be positive")
-        raise_first(positive, (self.radius == math.inf, DomainError, "radius must be finite"), finite_flux(self.flux))
-        object.__setattr__(self, "axis_point", _point(self.axis_point, "axis point", DomainError))
-        raise_first((not all(map(math.isfinite, self.axis_point)), DomainError, "axis point must be finite"))
-        object.__setattr__(self, "axis_direction", _unit(self.axis_direction, "axis direction"))
+    def __init__(self, flux: float, radius: float, axis_point: tuple = (0.0, 0.0, 0.0), axis_direction: tuple = (0.0, 0.0, 1.0)):
+        flux, radius = to_float(flux), to_float(radius)  # a str that spells a number is that number, an int past the doubles an infinity
+        positive = (np.logical_not(radius > 0.0), DomainError, "radius must be positive")
+        raise_first(positive, (radius == math.inf, DomainError, "radius must be finite"), finite_flux(flux))
+        axis_point = _point(axis_point, "axis point", DomainError)
+        raise_first((not all(map(math.isfinite, axis_point)), DomainError, "axis point must be finite"))
+        store(self, "flux", flux)
+        store(self, "radius", radius)
+        store(self, "axis_point", axis_point)
+        store(self, "axis_direction", _unit(axis_direction, "axis direction"))
 
     def radial(self, point) -> np.ndarray:
         """The part of point - axis_point normal to the axis, for a 3-vector or an (..., 3) array."""
@@ -92,52 +86,6 @@ class SolenoidSpec:
         radial = self.radial(point)
         rho = np.linalg.norm(radial, axis=-1)
         return radial, (float(rho) if rho.ndim == 0 else rho)
-
-
-def solenoid_vector_potential(point, spec: SolenoidSpec) -> np.ndarray:
-    """Azimuthal vector potential of the ideal solenoid, in Cartesian components.
-
-    Takes a 3-vector or an (..., 3) array of points and returns the same
-    shape. Continuous at the coil radius; singular-direction only on the axis
-    itself, which is rejected if any point lies on it.
-    """
-    radial, rho = spec.axial_decomposition(point)
-    if np.any(rho == 0.0):
-        raise SingularInputError("vector potential direction is undefined on the solenoid axis")
-    azimuthal = np.cross(np.asarray(spec.axis_direction), radial)  # magnitude rho, direction phi-hat * rho
-    # Phi / (2 pi rho^2) outside the coil, Phi / (2 pi R^2) inside
-    r = np.maximum(rho, spec.radius)
-    return (spec.flux / (2.0 * math.pi * r * r))[..., None] * azimuthal
-
-
-def solenoid_field(spec: SolenoidSpec) -> Callable[[np.ndarray], np.ndarray]:
-    """Close over a spec to get a plain point -> A function for the integrator."""
-    return lambda point: solenoid_vector_potential(point, spec)
-
-
-def gauge_shift(field, chi_gradient):
-    """Shift a field by the gradient of a (single-valued) scalar, point -> A + grad chi."""
-    return lambda point: np.asarray(field(point), dtype=float) + np.asarray(chi_gradient(point), dtype=float)
-
-
-@dataclass(frozen=True)
-class Segment:
-    """One smooth generic piece: s in [0, 1] -> R^3, with analytic tangent.
-
-    Both callables must accept a 1D array of parameters and return an
-    (n, 3) array. Straight pieces and circular arcs are ``Line`` and ``Arc``
-    records instead, which ``loop_geometry`` takes in closed form.
-    """
-
-    point: Callable[[np.ndarray], np.ndarray]
-    tangent: Callable[[np.ndarray], np.ndarray]
-
-    def reversed(self) -> "Segment":
-        fwd_point, fwd_tangent = self.point, self.tangent
-        return Segment(
-            point=lambda s: fwd_point(1.0 - np.asarray(s, dtype=float)),
-            tangent=lambda s: -fwd_tangent(1.0 - np.asarray(s, dtype=float)),
-        )
 
 
 class Line(NamedTuple):
@@ -276,15 +224,17 @@ def _measure(seg):
     """(start and end points, length scale) of an arc or a generic curve; raise GeometryError if it is not valid.
 
     An ``Arc`` is checked from its record (``Arc.checks``) and not called.
-    A generic curve is checked by ``_samples`` at 64 points, and its scale is
-    the mean sampled speed; arcs report None, their exact length being taken
-    by ``LoopPath``.
+    A generic curve is checked by ``line_integrals._samples`` at 64 points,
+    and its scale is the mean sampled speed; arcs report None, their exact
+    length being taken by ``LoopPath``.
     """
     if isinstance(seg, Arc):
         if len(seg.center) != 3:  # an Arc built directly: its center raises as in arc_segment
             _point(seg.center, "arc center")
         raise_first(*seg.checks())
         return seg.ends(), None
+    from .line_integrals import _VALIDATION_SAMPLES, _samples  # a generic curve: the library half loads here
+
     points, _, speed = _samples(seg, np.linspace(0.0, 1.0, _VALIDATION_SAMPLES))
     return (points[0], points[-1]), float(np.mean(speed))
 
@@ -295,8 +245,7 @@ def _gaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.hypot(np.hypot(d[:, 0], d[:, 1]), d[:, 2])
 
 
-@dataclass(frozen=True)
-class LoopPath:
+class LoopPath(Record):
     """Ordered smooth pieces forming a (usually closed) contour.
 
     Construction validates the pieces, all lines first in one array call
@@ -313,14 +262,13 @@ class LoopPath:
     or None when some segment is a generic curve.
     """
 
-    segments: tuple
-    closed: bool = True
-    ends: np.ndarray = field(init=False, repr=False, compare=False)
-    length: float | None = field(init=False, repr=False, compare=False)
+    __slots__ = ("segments", "closed", "ends", "length")
+    _fields = ("segments", "closed")
 
-    def __post_init__(self):
-        segments = tuple(self.segments)
-        object.__setattr__(self, "segments", segments)
+    def __init__(self, segments: tuple, closed: bool = True):
+        segments = tuple(segments)
+        store(self, "segments", segments)
+        store(self, "closed", closed)
         if not segments:
             raise GeometryError("path needs at least one segment")
         lines = [seg for seg in segments if isinstance(seg, Line)]
@@ -348,11 +296,11 @@ class LoopPath:
         broken = np.flatnonzero(_broken(junctions, tol))
         if broken.size:
             raise GeometryError(f"segments do not join continuously (gap {junctions[broken[0]]:.3e})")
-        if self.closed and _broken(closure, tol):
+        if closed and _broken(closure, tol):
             raise GeometryError(_OPEN.format(closure))
         ends.flags.writeable = False
-        object.__setattr__(self, "ends", ends)
-        object.__setattr__(self, "length", None if sampled else exact)
+        store(self, "ends", ends)
+        store(self, "length", None if sampled else exact)
 
     def reverse(self) -> "LoopPath":
         return LoopPath(tuple(seg.reversed() for seg in reversed(self.segments)), closed=self.closed)
@@ -417,95 +365,23 @@ def make_loop(kind: str, **params) -> LoopPath:
     return builders[kind](**params)
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Gauss-Legendre order per segment and the refinement policy."""
+class QuadratureSpec(Record):
+    """Gauss-Legendre order per segment and the refinement policy; the tolerance is the float ``errors.to_float`` reads."""
 
-    nodes_per_segment: int = 16
-    refinement: str = "fixed"  # 'fixed' or 'doubling'
-    tolerance: float = 1e-10
+    __slots__ = _fields = ("nodes_per_segment", "refinement", "tolerance")
 
-    def __post_init__(self):
-        n = self.nodes_per_segment  # the fine rule, 2n nodes, must be within the cap; True fails the range
+    def __init__(self, nodes_per_segment: int = 16, refinement: str = "fixed", tolerance: float = 1e-10):
+        n = nodes_per_segment  # the fine rule, 2n nodes, must be within the cap; True fails the range
         if not (isinstance(n, (int, np.integer)) and 4 <= n <= _MAX_NODES_PER_SEGMENT // 2):
             raise DomainError(f"nodes_per_segment must be an integer in [4, {_MAX_NODES_PER_SEGMENT // 2}]")
-        if self.refinement not in ("fixed", "doubling"):
+        if refinement not in ("fixed", "doubling"):
             raise DomainError("refinement must be 'fixed' or 'doubling'")
-        if not (self.tolerance > 0.0):
+        tolerance = to_float(tolerance)
+        if not (tolerance > 0.0):
             raise DomainError("tolerance must be positive")
-
-
-@dataclass(frozen=True)
-class IntegralResult:
-    """A loop integral by quadrature: its value, its node-doubling error and the nodes per segment it ended on."""
-
-    value: float
-    error_estimate: float
-    nodes_per_segment: int
-
-
-@lru_cache(maxsize=32)
-def _unit_interval_rule(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
-def _quadrature(integrand, segments, quad) -> IntegralResult:
-    """The sum over ``segments`` of integrand(segment, s) on each one's Gauss-Legendre nodes s, refined in place.
-
-    Each rule of n nodes is checked against the rule of 2n; under
-    ``doubling`` the pair moves up one doubling while their difference
-    exceeds the tolerance and the next fine rule stays below the cap. The
-    result is the last fine value, its difference from the coarse one and
-    the fine rule's nodes per segment. A NaN difference stops the doubling.
-    """
-    quad = quad or QuadratureSpec()
-
-    def evaluate(n):
-        s, w = _unit_interval_rule(n)
-        return sum(float(np.sum(w * integrand(seg, s))) for seg in segments)
-
-    n = quad.nodes_per_segment
-    coarse, fine = evaluate(n), evaluate(2 * n)
-    if quad.refinement == "doubling":
-        while abs(fine - coarse) > quad.tolerance and 2 * n < _MAX_NODES_PER_SEGMENT:
-            n *= 2
-            coarse, fine = fine, evaluate(2 * n)
-    return IntegralResult(value=fine, error_estimate=abs(fine - coarse), nodes_per_segment=2 * n)
-
-
-def _circulation(sample, loop: LoopPath, quad) -> IntegralResult:
-    def integrand(seg, s):
-        vals = np.asarray(sample(seg.point(s)), dtype=float)
-        if not np.isfinite(vals).all():
-            bad = int(np.argwhere(~np.isfinite(vals))[0, 0])
-            raise FieldEvaluationError(f"field sample is not finite at curve parameter s = {s[bad]!r}", parameter=float(s[bad]))
-        return np.einsum("ij,ij->i", vals, seg.tangent(s))
-
-    return _quadrature(integrand, loop.segments, quad)
-
-
-def _speed(seg, s):
-    return np.linalg.norm(seg.tangent(s), axis=1)
-
-
-def line_integral(field, loop: LoopPath, quad: QuadratureSpec | None = None) -> IntegralResult:
-    """Circulation of a per-point vector field along the path, with a doubling error estimate."""
-    return _circulation(lambda pts: np.asarray([field(p) for p in pts], dtype=float), loop, quad)
-
-
-def solenoid_circulation(spec: SolenoidSpec, loop: LoopPath, quad: QuadratureSpec | None = None) -> IntegralResult:
-    """Circulation of the solenoid potential, sampling each segment's nodes in one batch.
-
-    Same nodes, refinement and error estimate as
-    ``line_integral(solenoid_field(spec), loop, quad)``.
-    """
-    return _circulation(lambda pts: solenoid_vector_potential(pts, spec), loop, quad)
-
-
-def loop_length(loop: LoopPath, quad: QuadratureSpec | None = None) -> IntegralResult:
-    """Arc length of the whole path by the same quadrature machinery."""
-    return _quadrature(_speed, loop.segments, quad)
+        store(self, "nodes_per_segment", n)
+        store(self, "refinement", refinement)
+        store(self, "tolerance", tolerance)
 
 
 def _unit_scale(radial: np.ndarray):
@@ -538,72 +414,6 @@ def _lines_about_axis(ends: np.ndarray, spec: SolenoidSpec):
     normal = nxt[:, 0] * nxt2[:, 1] - nxt2[:, 0] * nxt[:, 1]
     angle = np.arctan2(normal @ np.asarray(spec.axis_direction), (unit[:, 0] * unit[:, 1]).sum(axis=1))
     return np.sqrt((closest * closest).sum(axis=1)) * scale, angle
-
-
-def _samples(seg, s):
-    """(points, unit tangents, speeds) of a piece at the parameters s; GeometryError unless they are (n, 3), finite and nonzero."""
-    points, tangents = np.asarray(seg.point(s), dtype=float), np.asarray(seg.tangent(s), dtype=float)
-    if points.shape != (s.size, 3) or tangents.shape != (s.size, 3):
-        raise GeometryError("segment callables must map (n,) parameters to (n, 3) arrays")
-    if not (np.isfinite(points).all() and np.isfinite(tangents).all()):
-        raise GeometryError(_NON_FINITE)
-    speed = np.hypot.reduce(tangents, axis=1)
-    if not (speed > 0.0).all():
-        raise GeometryError(_VANISHING)
-    return points, tangents / speed[:, None], speed
-
-
-def _sampled_about_axis(seg, spec: SolenoidSpec, index: int):
-    """(least distance from the axis, swept azimuth, a rounding bound of it) of a piece, over chords of its samples.
-
-    From the 64 validation samples, a chord is halved while it turns more
-    than pi/8 about the axis, passes no farther from it than its length,
-    strays from the curve (its direction more than pi/8 from the tangent at
-    either end, or its length under cos(pi/8) times either end's speed times
-    its parameter step, so a chord that spans a loop of the curve splits
-    rather than alias a turn), or may let the curve into the coil: its
-    clearance less (L/2) tan(alpha/2), alpha the larger angle between it and
-    the tangent at its ends, is within the coil radius. That bound is the
-    sagitta of the circular arc on the chord at that angle, exact for arcs.
-    The halving stops when no chord splits or at a sample within the coil
-    radius, so a piece that enters the coil puts a sample there, which a
-    phase rejects, or runs past ``_MAX_SAMPLES`` samples or the parameter's
-    precision, a GeometryError naming it. The clearance is the chords' least
-    distance, up to that bound above the curve's. The chords take the lines'
-    closed forms; each azimuth rounds within about 4 eps, and rounding at the
-    piece's ends moves it by eps max(rho) / clearance, so 4 eps n max(rho) /
-    clearance radians bounds it for n samples.
-    """
-    unresolved = GeometryError(f"segment {index} is not resolved about the solenoid axis within {_MAX_SAMPLES} samples")
-    s = np.linspace(0.0, 1.0, _VALIDATION_SAMPLES)
-    points, directions, speed = _samples(seg, s)
-    cos_limit = math.cos(math.pi / 8.0)
-    while True:
-        clearance, angle = _lines_about_axis(np.stack([points[:-1], points[1:]], axis=1), spec)
-        rho = np.hypot.reduce(spec.radial(points), axis=1)  # radial distances, with no squares
-        step, length = points[1:] - points[:-1], _gaps(points[:-1], points[1:])
-        chord = np.divide(step, length[:, None], out=np.zeros_like(step), where=length[:, None] > 0.0)  # 0 splits
-        # each chord's angle to the tangent at its start (row 0) and end (row 1): its cos, and chord x tangent as
-        # np.cross forms it, whose norm is its sin, so tan(alpha / 2) = sin / (1 + cos) reads 0 to rounding on a
-        # straight piece (an acos of the cos reads about 1e-8); cos = -1 splits anyway, as not along the tangent
-        ends = np.stack([directions[:-1], directions[1:]])
-        cos = (chord * ends).sum(axis=2)
-        cross = chord.take(_NEXT, axis=1) * ends.take(_NEXT2, axis=2) - chord.take(_NEXT2, axis=1) * ends.take(_NEXT, axis=2)
-        half = np.divide(np.sqrt((cross * cross).sum(axis=2)), 1.0 + cos, out=np.zeros_like(cos), where=cos > -1.0).max(axis=0)
-        short = length < cos_limit * np.maximum(speed[:-1], speed[1:]) * np.diff(s)
-        along, bulge = (cos >= cos_limit).all(axis=0), clearance - 0.5 * length * half <= spec.radius
-        split = np.flatnonzero((abs(angle) > math.pi / 8.0) | (clearance <= length) | ~along | short | bulge)
-        if not split.size or rho.min() <= spec.radius:
-            break
-        mid = 0.5 * (s[split] + s[split + 1])
-        if s.size + split.size > _MAX_SAMPLES or not ((s[split] < mid) & (mid < s[split + 1])).all():
-            raise unresolved
-        new = _samples(seg, mid)
-        s = np.insert(s, split + 1, mid)
-        points, directions, speed = (np.insert(old, split + 1, added, axis=0) for old, added in zip((points, directions, speed), new))
-    least = float(clearance.min())
-    rounding = 4.0 * math.ulp(1.0) * s.size * float(rho.max()) / least if least > 0.0 else math.inf
-    return least, float(angle.sum()), rounding
 
 
 def _arc_about_axis(arc, spec: SolenoidSpec):
@@ -697,15 +507,33 @@ def loop_geometry(loop: LoopPath, spec: SolenoidSpec | None, quad: QuadratureSpe
             swept += angle
         for k, seg in enumerate(loop.segments):  # generic curves and arcs tilted to the axis, in path order
             if not (is_line[k] or (along_z and isinstance(seg, Arc))):
+                from .line_integrals import _sampled_about_axis  # a sampled piece: the library half loads here
+
                 piece_rho, angle, rounding = _sampled_about_axis(seg, spec, k)
                 rho.append(piece_rho)
                 swept, turns_error = swept + angle, turns_error + rounding / (2.0 * math.pi)
         clearance, coil_radius, turns = min(rho), spec.radius, swept / (2.0 * math.pi)
     length, length_error = (loop.length if column is None else column.length()), 0.0
     if length is None:  # the exact chords and arc lengths, plus the integrated length of the generic curves
+        from .line_integrals import _quadrature, _speed
+
         ends = loop.ends[is_line]
         result = _quadrature(_speed, [seg for seg in loop.segments if not isinstance(seg, (Line, Arc))], quad)
         exact = float(_gaps(ends[:, 0], ends[:, 1]).sum()) + sum(seg.length() for seg in loop.segments if isinstance(seg, Arc))
         length, length_error = exact + result.value, result.error_estimate
     displacement = None if loop.closed else loop.ends[-1, 1] - loop.ends[0, 0]
     return LoopGeometry(turns, turns_error, clearance, coil_radius, length, length_error, displacement)
+
+
+_LIBRARY_NAMES = frozenset(
+    ("IntegralResult", "Segment", "gauge_shift", "line_integral", "loop_length", "solenoid_circulation", "solenoid_field", "solenoid_vector_potential")
+)
+
+
+def __getattr__(name):
+    """A name of ``_LIBRARY_NAMES``, read from ``line_integrals``, which loads on the first such read (PEP 562)."""
+    if name not in _LIBRARY_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import line_integrals
+
+    return getattr(line_integrals, name)

@@ -41,13 +41,13 @@ points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .clifford import momenta
 from .errors import DomainError, GupabError, SingularInputError, raise_first, to_float, to_floats
+from .records import Record, store
 from .units import nonnegative_a
 
 # Probe state used by the operator lab: a sup-normalized Gaussian sitting at
@@ -82,24 +82,39 @@ def deformation_factor(p0_mag, a):
     return 1.0 - s + 2.0 * s * s
 
 
+def _power_of_2(v):
+    """A power of 2 near the largest entry of each vector of v, with a trailing axis of 1: v over it has its largest entry in [1, 2)."""
+    _, exponent = np.frexp(np.max(np.abs(v), axis=-1, keepdims=True))
+    return np.ldexp(1.0, exponent - 1)
+
+
 def _norm(v):
-    """``np.linalg.norm(v, axis=-1, keepdims=True)``, taken on a copy in units of a power of 2 near its largest entry.
+    """``np.linalg.norm(v, axis=-1, keepdims=True)``, taken on a copy in units of ``_power_of_2(v)``.
 
     The copy's squares neither underflow nor overflow, so a tiny nonzero v
     has a nonzero norm and a finite norm does not overflow; where no square
     of v underflows or overflows, these are ``np.linalg.norm``'s own bits.
     Run it under ``np.errstate``.
     """
-    _, exponent = np.frexp(np.max(np.abs(v), axis=-1, keepdims=True))
-    unit = np.ldexp(1.0, exponent - 1)
+    unit = _power_of_2(v)
     return np.linalg.norm(v / unit, axis=-1, keepdims=True) * unit
 
 
 def deform_momentum(p0, a: float) -> np.ndarray:
-    """Apply the deformation map to a 3-vector or an (..., 3) array; the zero vector is fixed."""
+    """Apply the deformation map to a 3-vector or an (..., 3) array; the zero vector is fixed.
+
+    The 2 s^2 of f(s) may leave the doubles where p0 times it does not,
+    which needs a largest entry below 1. So the product is p0 / unit times
+    unit f(s), for unit the lesser of 1 and ``_power_of_2(p0)``: neither factor
+    overflows where the result does not, and p0 / unit, scaled up by a power
+    of 2, is exact. Where no intermediate of unit f(s) underflows, these are
+    the bits of ``p0 * deformation_factor(|p0|, a)``, and at a largest entry
+    of 1 or more they are those bits.
+    """
     p0, a = momenta(p0), _strength(a)
     with np.errstate(all="ignore"):  # a result that overflows is reported below
-        deformed = p0 * deformation_factor(_norm(p0), a)
+        unit, s = np.minimum(_power_of_2(p0), 1.0), a * _norm(p0)
+        deformed = p0 / unit * (unit - unit * s + 2.0 * (unit * s) * s)
     if not np.isfinite(deformed).all():
         raise GupabError(_OVERFLOW.format("deformed momentum"))
     return deformed
@@ -198,15 +213,14 @@ def consistency_exponents(p0, a_values=(1e-1, 1e-2, 1e-3)) -> np.ndarray:
     return _slopes(*_bracket_deviations(p0, a_values))
 
 
-@dataclass(frozen=True)
-class MomentumGrid:
+class MomentumGrid(Record):
     """Uniform 1D momentum samples on a positive half-line."""
 
-    points: np.ndarray
+    __slots__ = _fields = ("points",)
 
-    def __post_init__(self):
-        points = np.asarray(self.points, dtype=float)
-        object.__setattr__(self, "points", points)
+    def __init__(self, points: np.ndarray):
+        points = np.asarray(points, dtype=float)
+        store(self, "points", points)
         if points.ndim != 1 or points.size < 8:
             raise DomainError("grid needs at least 8 points in one dimension")
         if not points[0] > 0.0:
@@ -288,8 +302,7 @@ def _lab_max_residual(points: np.ndarray, a: float) -> float:
     return worst
 
 
-@dataclass(frozen=True)
-class CommutatorReport:
+class CommutatorReport(Record):
     """Residuals and convergence rates measured by the grid operator lab, each measured when it is first read.
 
     ``max_residual_interior`` is the probe's residual on the grid,
@@ -301,10 +314,15 @@ class CommutatorReport:
     order; a bracket that overflows is a ``GupabError`` when its field is read.
     """
 
-    a: float
-    grid_points: int
-    h: float
-    _points: np.ndarray = field(repr=False, compare=False)
+    __slots__ = ("a", "grid_points", "h", "_points", "__dict__")  # __dict__ holds the measured fields
+    _fields = ("a", "grid_points", "h", "_points")
+    _compared = ("a", "grid_points", "h")
+
+    def __init__(self, a: float, grid_points: int, h: float, _points: np.ndarray):
+        store(self, "a", a)
+        store(self, "grid_points", grid_points)
+        store(self, "h", h)
+        store(self, "_points", _points)
 
     @cached_property
     def max_residual_interior(self) -> float:
@@ -379,17 +397,28 @@ def gaussian_state(grid: MomentumGrid) -> np.ndarray:
     return psi
 
 
-@dataclass(frozen=True)
-class UncertaintyReport:
+class UncertaintyReport(Record):
     """Measured spreads and the deformed lower bound: floats for one state, (...) arrays for a stack."""
 
-    delta_x: float | np.ndarray
-    delta_p: float | np.ndarray
-    mean_p: float | np.ndarray
-    mean_p_sq: float | np.ndarray
-    lhs: float | np.ndarray
-    rhs: float | np.ndarray
-    holds: bool | np.ndarray
+    __slots__ = _fields = ("delta_x", "delta_p", "mean_p", "mean_p_sq", "lhs", "rhs", "holds")
+
+    def __init__(
+        self,
+        delta_x: float | np.ndarray,
+        delta_p: float | np.ndarray,
+        mean_p: float | np.ndarray,
+        mean_p_sq: float | np.ndarray,
+        lhs: float | np.ndarray,
+        rhs: float | np.ndarray,
+        holds: bool | np.ndarray,
+    ):
+        store(self, "delta_x", delta_x)
+        store(self, "delta_p", delta_p)
+        store(self, "mean_p", mean_p)
+        store(self, "mean_p_sq", mean_p_sq)
+        store(self, "lhs", lhs)
+        store(self, "rhs", rhs)
+        store(self, "holds", holds)
 
 
 def uncertainty_check(

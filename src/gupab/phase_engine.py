@@ -38,14 +38,14 @@ row of it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .clifford import alpha, beta, gamma, momenta, positive_mass
-from .errors import DomainError, GeometryError, GupabError, raise_first, read_floats, to_floats
+from .errors import DomainError, GeometryError, GupabError, raise_first, to_float, to_floats
 from .field_geometry import LoopGeometry, LoopPath, QuadratureSpec, SolenoidSpec, loop_geometry
+from .records import Record, store
 from .units import nonnegative_a
 
 _G0 = gamma(0)
@@ -63,22 +63,23 @@ def subluminal_speed(v):
     return np.logical_not((0.0 < v) & (v < 1.0)), DomainError, "v must be in (0,1)"
 
 
-@dataclass(frozen=True)
-class ParticleSpec:
+class ParticleSpec(Record):
     """Charge, mass, and constant traversal speed (natural units, v < 1); the charge and the mass are finite."""
 
-    charge: float
-    mass: float
-    speed: float
+    __slots__ = _fields = ("charge", "mass", "speed")
 
-    def __post_init__(self):
-        read_floats(self, "charge", "mass", "speed")  # a str that spells a number is that number, an int past the doubles an infinity
+    def __init__(self, charge: float, mass: float, speed: float):
+        # a str that spells a number is that number, an int past the doubles an infinity
+        charge, mass, speed = to_float(charge), to_float(mass), to_float(speed)
         raise_first(
-            positive_mass(self.mass),
-            (not math.isfinite(self.mass), DomainError, "m must be finite"),
-            subluminal_speed(self.speed),
-            (not math.isfinite(self.charge), DomainError, "q must be finite"),
+            positive_mass(mass),
+            (not math.isfinite(mass), DomainError, "m must be finite"),
+            subluminal_speed(speed),
+            (not math.isfinite(charge), DomainError, "q must be finite"),
         )
+        store(self, "charge", charge)
+        store(self, "mass", mass)
+        store(self, "speed", speed)
 
     @property
     def lorentz_gamma(self) -> float:
@@ -93,8 +94,7 @@ class ParticleSpec:
         return self.lorentz_gamma * self.mass * self.speed
 
 
-@dataclass(frozen=True)
-class PhaseResult:
+class PhaseResult(Record):
     """Standard flux phase, matrix correction, its projection, the total, their error and the coupling a.
 
     Each field is a float for one row, or an array for a column of rows; the
@@ -102,12 +102,23 @@ class PhaseResult:
     axes.
     """
 
-    standard_phase: float | np.ndarray
-    correction_matrix: np.ndarray
-    projected_correction: float | np.ndarray
-    total_phase: float | np.ndarray
-    quadrature_error: float | np.ndarray
-    a: float | np.ndarray
+    __slots__ = _fields = ("standard_phase", "correction_matrix", "projected_correction", "total_phase", "quadrature_error", "a")
+
+    def __init__(
+        self,
+        standard_phase: float | np.ndarray,
+        correction_matrix: np.ndarray,
+        projected_correction: float | np.ndarray,
+        total_phase: float | np.ndarray,
+        quadrature_error: float | np.ndarray,
+        a: float | np.ndarray,
+    ):
+        store(self, "standard_phase", standard_phase)
+        store(self, "correction_matrix", correction_matrix)
+        store(self, "projected_correction", projected_correction)
+        store(self, "total_phase", total_phase)
+        store(self, "quadrature_error", quadrature_error)
+        store(self, "a", a)
 
     def to_json_dict(self) -> dict:
         flat = np.ascontiguousarray(self.correction_matrix, dtype=complex).reshape(-1, 1).view(float).tolist()
@@ -309,15 +320,23 @@ def total_phase(
     return phase_rows(geometry, particle.charge, particle.mass, particle.speed, solenoid.flux, a, spinor)
 
 
-@dataclass(frozen=True)
-class DispersionResult:
-    """Analytic branches over (..., 3) momenta; the explicit 4x4 Hamiltonian and its spectrum are built on first read."""
+class DispersionResult(Record):
+    """Analytic branches over (..., 3) momenta; the explicit 4x4 Hamiltonian and its spectrum are built on first read.
 
-    e_plus: float | np.ndarray
-    e_minus: float | np.ndarray
-    _p3: np.ndarray = field(repr=False, compare=False)
-    _m: np.ndarray = field(repr=False, compare=False)
-    _a: np.ndarray = field(repr=False, compare=False)
+    The momenta, masses and strengths ``_p3``, ``_m`` and ``_a`` that build
+    them are private fields, which ``==``, ``hash`` and ``repr`` leave out.
+    """
+
+    __slots__ = ("e_plus", "e_minus", "_p3", "_m", "_a", "__dict__")  # __dict__ holds the cached properties
+    _fields = ("e_plus", "e_minus", "_p3", "_m", "_a")
+    _compared = ("e_plus", "e_minus")
+
+    def __init__(self, e_plus: float | np.ndarray, e_minus: float | np.ndarray, _p3: np.ndarray, _m: np.ndarray, _a: np.ndarray):
+        store(self, "e_plus", e_plus)
+        store(self, "e_minus", e_minus)
+        store(self, "_p3", _p3)
+        store(self, "_m", _m)
+        store(self, "_a", _a)
 
     @cached_property
     def hamiltonian(self) -> np.ndarray:

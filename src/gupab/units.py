@@ -19,11 +19,11 @@ which the finite check rejects, and a str is the number it spells.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, raise_first, to_float
+from .records import Record, store
 
 # CODATA 2018 literals (c is exact by definition of the metre).
 PLANCK_LENGTH_SI = 1.616255e-35  # m
@@ -32,23 +32,28 @@ HBAR_SI = 1.054571817e-34  # J s
 C_SI = 299792458.0  # m / s
 
 
-@dataclass(frozen=True)
-class UnitSystem:
-    """A fixed set of constants; 'natural' forces hbar = c = 1 exactly."""
+class UnitSystem(Record):
+    """A fixed set of constants; 'natural' forces hbar = c = 1 exactly. Each constant is the float ``errors.to_float`` reads."""
 
-    mode: str  # 'natural' or 'si'
-    hbar: float
-    c: float
-    planck_length: float
-    planck_mass: float
+    __slots__ = _fields = ("mode", "hbar", "c", "planck_length", "planck_mass")
 
-    def __post_init__(self):
-        if self.mode not in ("natural", "si"):
-            raise DomainError(f"unknown unit mode {self.mode!r}")
-        if self.mode == "natural" and not (self.hbar == 1.0 and self.c == 1.0):
+    def __init__(self, mode: str, hbar: float, c: float, planck_length: float, planck_mass: float):
+        if mode not in ("natural", "si"):
+            raise DomainError(f"unknown unit mode {mode!r}")
+        hbar, c, planck_length, planck_mass = to_float(hbar), to_float(c), to_float(planck_length), to_float(planck_mass)
+        if mode == "natural" and not (hbar == 1.0 and c == 1.0):
             raise DomainError("natural units require hbar = c = 1 exactly")
-        if not (self.planck_length > 0.0 and self.planck_mass > 0.0):
+        if not (planck_length > 0.0 and planck_mass > 0.0):
             raise DomainError("Planck scales must be strictly positive")
+        if not (planck_length < math.inf and planck_mass < math.inf):
+            raise DomainError("Planck scales must be finite")
+        if not (0.0 < hbar < math.inf and 0.0 < c < math.inf):
+            raise DomainError("hbar and c must be finite and strictly positive")
+        store(self, "mode", mode)  # 'natural' or 'si'
+        store(self, "hbar", hbar)
+        store(self, "c", c)
+        store(self, "planck_length", planck_length)
+        store(self, "planck_mass", planck_mass)
 
     @classmethod
     def natural(cls) -> "UnitSystem":
@@ -64,15 +69,14 @@ def nonnegative_a(a):
     return np.logical_not(a >= 0.0), DomainError, "a must be nonnegative"
 
 
-@dataclass(frozen=True)
-class GupParameter:
+class GupParameter(Record):
     """Deformation strength a (inverse momentum), stored as the float ``errors.to_float`` reads: nonnegative, then finite."""
 
-    a: float
+    __slots__ = _fields = ("a",)
 
-    def __post_init__(self):
-        a = to_float(self.a)
-        object.__setattr__(self, "a", a)
+    def __init__(self, a: float):
+        a = to_float(a)
+        store(self, "a", a)
         raise_first(nonnegative_a(a), (not math.isfinite(a), DomainError, "a must be finite"))
 
 

@@ -31,7 +31,6 @@ formulas write them, each result rounded once.
 
 import decimal
 import math
-from dataclasses import fields, replace
 
 import numpy as np
 
@@ -310,15 +309,15 @@ def reference_verification(level, perturbation):
 
 
 def _swept_row(config, parameter, value):
-    """What one sweep row changes of ``config``, built by its own constructor: the ``replace`` keywords."""
+    """What one sweep row changes of ``config``, built by its own constructor: the ``_replace`` keywords."""
     if parameter == "gup.a":
         return {"a": GupParameter(a=value).a}
     if parameter == "particle.v":
-        return {"particle": replace(config.particle, speed=value)}
+        return {"particle": config.particle._replace(speed=value)}
     if parameter == "loop.radius":
         (arc,) = config.loop.segments
         return {"loop": circle_loop(center=arc.center, radius=value, windings=round((arc.theta1 - arc.theta0) / (2.0 * math.pi)))}
-    return {"solenoid": replace(config.solenoid, flux=value)}
+    return {"solenoid": config.solenoid._replace(flux=value)}
 
 
 def reference_sweep(config):
@@ -332,9 +331,9 @@ def reference_sweep(config):
     axis. This is the oracle the batch is compared against.
     """
     sweep = config.sweep
-    rows = [replace(config, **_swept_row(config, sweep.parameter, value)) for value in sweep.values]
+    rows = [config._replace(**_swept_row(config, sweep.parameter, value)) for value in sweep.values]
     results = [run_phase(row) for row in rows]
-    columns = (np.array([getattr(result, f.name) for result in results]) for f in fields(PhaseResult))
+    columns = (np.array([getattr(result, name) for result in results]) for name in PhaseResult._fields)
     return np.array(sweep.values), PhaseResult(*columns)
 
 

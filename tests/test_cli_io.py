@@ -8,8 +8,6 @@ import sys
 import tempfile
 import warnings
 
-from dataclasses import fields, replace
-
 import numpy as np
 import pytest
 from helpers import (
@@ -25,7 +23,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gupab import cli_io, field_geometry, gup_algebra, phase_engine
+from gupab import cli_io, gup_algebra, line_integrals, phase_engine
 from gupab.cli_io import (
     DISPERSION_CSV_HEADER,
     PROJECTIONS,
@@ -306,8 +304,8 @@ def _assert_phase_json_restores(result):
     text = phase_json(result)
     assert text == json.dumps(result.to_json_dict(), indent=2) + "\n"
     restored = PhaseResult.from_json_dict(json.loads(text))
-    for field in fields(PhaseResult):
-        assert np.asarray(getattr(restored, field.name)).tobytes() == np.asarray(getattr(result, field.name)).tobytes()
+    for name in PhaseResult._fields:
+        assert np.asarray(getattr(restored, name)).tobytes() == np.asarray(getattr(result, name)).tobytes()
 
 
 _EXTREME_DOUBLES = (0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308)
@@ -582,9 +580,9 @@ def test_sweep_keeps_solenoid_axis(tmp_path):
     config = load_config(write_config(tmp_path, payload))
     # the circle of radius 2 about the origin does not enclose this axis
     offset = SolenoidSpec(flux=1.0, radius=0.1, axis_point=(5.0, 0.0, 0.0), axis_direction=(0.0, 0.2, 1.0))
-    values, result = run_sweep(replace(config, solenoid=offset))
+    values, result = run_sweep(config._replace(solenoid=offset))
     for value, standard in zip(values.tolist(), result.standard_phase.tolist(), strict=True):
-        expected = run_phase(replace(config, solenoid=replace(offset, flux=value)))
+        expected = run_phase(config._replace(solenoid=offset._replace(flux=value)))
         assert standard == expected.standard_phase
         assert standard == pytest.approx(0.0, abs=1e-9)
 
@@ -1424,18 +1422,17 @@ def test_overflowing_charge_times_flux_is_not_finite(tmp_path, capsys, command, 
 
 def test_flux_sweep_over_a_generic_curve_integrates_once(tmp_path, monkeypatch):
     # a library config may hold a curve with no recorded shape: its turns, sampled once, serve every row
-    config = replace(
-        load_config(write_config(tmp_path, BASE_CONFIG)),
+    config = load_config(write_config(tmp_path, BASE_CONFIG))._replace(
         loop=fourier_loop(np.random.default_rng(5)),
         sweep=SweepSpec(parameter="solenoid.flux", values=(1.0, -2.0, 0.5)),
     )
-    calls, sampler = [], field_geometry._sampled_about_axis
+    calls, sampler = [], line_integrals._sampled_about_axis
 
     def counted(*args):  # every sampled piece's azimuth, whichever public function asks for it
         calls.append(args)
         return sampler(*args)
 
-    monkeypatch.setattr(field_geometry, "_sampled_about_axis", counted)
+    monkeypatch.setattr(line_integrals, "_sampled_about_axis", counted)
     values, result = run_sweep(config)
     assert len(calls) == 1
     expected = reference_sweep(config)

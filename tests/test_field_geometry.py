@@ -15,7 +15,7 @@ from helpers import (
     riemann_circulation,
     strip_shape,
 )
-from gupab import field_geometry
+from gupab import line_integrals
 from gupab.errors import DomainError, FieldEvaluationError, GeometryError, GupabError, SingularInputError
 from gupab.field_geometry import (
     Arc,
@@ -345,6 +345,11 @@ def test_quadrature_spec_validation():
     for nodes in (3, 513, 10**6, 2**1100, math.nan, 16.0, 16.5, True):
         with pytest.raises(DomainError, match=f"^{re.escape('nodes_per_segment must be an integer in [4, 512]')}$"):
             QuadratureSpec(nodes_per_segment=nodes)
+    # the tolerance is the float errors.to_float reads: a str is the number it spells, anything else a DomainError
+    assert QuadratureSpec(tolerance="1e-10") == QuadratureSpec() and type(QuadratureSpec(tolerance=1).tolerance) is float
+    for tolerance, message in ((None, "not a number: None"), ("junk", "not a number: 'junk'"), (math.nan, "tolerance must be positive")):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            QuadratureSpec(tolerance=tolerance)
 
 
 def test_arc_segment_quarter_circle():
@@ -457,7 +462,7 @@ def test_polyline_circulation_property(steps, start):
 
 
 def test_quadrature_doubles_up_to_the_cap(monkeypatch):
-    monkeypatch.setattr(field_geometry, "_MAX_NODES_PER_SEGMENT", 64)
+    monkeypatch.setattr(line_integrals, "_MAX_NODES_PER_SEGMENT", 64)
     calls = []
 
     def integrand(seg, s):  # 2 + 1/n on an n-node rule: the difference never meets the tolerance
@@ -465,14 +470,14 @@ def test_quadrature_doubles_up_to_the_cap(monkeypatch):
         return np.full(s.size, 2.0 + 1.0 / s.size)
 
     path = LoopPath((line_segment((1.0, 0.0, 0.0), (2.0, 0.0, 0.0)),), closed=False)
-    result = field_geometry._quadrature(integrand, path.segments, QuadratureSpec(8, "doubling", 1e-15))
+    result = line_integrals._quadrature(integrand, path.segments, QuadratureSpec(8, "doubling", 1e-15))
     assert calls == [8, 16, 32, 64]
     assert result.nodes_per_segment == 64
     assert result.error_estimate == pytest.approx(1.0 / 32 - 1.0 / 64, rel=1e-13)
     assert result.value == pytest.approx(2.0 + 1.0 / 64, rel=1e-15)
     # a NaN difference stops the doubling at once
     calls.clear()
-    result = field_geometry._quadrature(lambda seg, s: integrand(seg, s) * math.nan, path.segments, QuadratureSpec(8, "doubling", 1e-15))
+    result = line_integrals._quadrature(lambda seg, s: integrand(seg, s) * math.nan, path.segments, QuadratureSpec(8, "doubling", 1e-15))
     assert calls == [8, 16]
     assert result.nodes_per_segment == 16 and math.isnan(result.error_estimate)
 
@@ -796,8 +801,8 @@ def test_a_sampled_piece_through_the_axis_enters_the_coil_and_one_past_the_sampl
     path = LoopPath((lead, strip_shape(turns)), closed=False)
     geometry = loop_geometry(path, spec)
     assert abs(geometry.turns - 40.0) <= geometry.turns_error
-    assert field_geometry._MAX_SAMPLES == 2**16
-    monkeypatch.setattr(field_geometry, "_MAX_SAMPLES", 512)
+    assert line_integrals._MAX_SAMPLES == 2**16
+    monkeypatch.setattr(line_integrals, "_MAX_SAMPLES", 512)
     with pytest.raises(GeometryError, match="^segment 1 is not resolved about the solenoid axis within 512 samples$"):
         loop_geometry(path, spec)
     # the arc of 40 turns itself, about a tilted axis, takes the same rule

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import re
 import warnings
@@ -442,7 +441,7 @@ def _normalized_stacks(draw):
 
 def _same_report(new, old):
     """Every field of two ``UncertaintyReport``s of one type, shape and dtype, bit for bit."""
-    for name in (f.name for f in dataclasses.fields(old)):
+    for name in old._fields:
         x, y = getattr(new, name), getattr(old, name)
         if type(x) is not type(y) or np.shape(x) != np.shape(y) or np.asarray(x).dtype != np.asarray(y).dtype:
             return False
@@ -653,6 +652,8 @@ _T_AT_049 = 0.49 * (1.0 - 0.49 + 2.0 * 0.49**2)  # t = s f(s) at s = 0.49
     [
         # 2 a a p p underflows to 0 in a and p, where a p = 1 and the factor is 2
         pytest.param(lambda: deform_momentum([1e170, 0.0, 0.0], 1e-170), [2e170, 0.0, 0.0], id="deform_at_s_1"),
+        # 2 s^2 = 2e320 passes the largest double at s = 1e160, where p0 times it, 2e180, does not
+        pytest.param(lambda: deform_momentum([1e-140, 0.0, 0.0], 1e300), [2e180, 0.0, 0.0], id="deform_at_s_1e160"),
         # f(1) + 1 (4 - 1) at s = 1
         pytest.param(lambda: jacobian_commutator([1e170, 0.0, 0.0], 1, 1, 1e-170), 5j, id="jacobian_at_s_1"),
         # 4 a a p_i overflows in a and p, where f(0.49) + 0.49 (4 0.49 - 1) = 0.9902 + 0.4704
@@ -757,6 +758,8 @@ def _outcome(call):
 @example(momenta=np.array([[1e-155, 0.0, 0.0]]), a=0.49 / 1e-155, i=1, j=1)
 # B = s (4 s - 1) passes the largest double at s = 7e153, where the largest entry, about 3.3 s^2, does not
 @example(momenta=np.array([[1.0, 1.0, 1.0]]), a=7e153 / math.sqrt(3.0), i=1, j=1)
+# 2 s^2 passes the largest double at s = 1e160, where the deformed momentum, 2e180, does not
+@example(momenta=np.array([[1e-140, 0.0, 0.0]]), a=1e300, i=1, j=1)
 def test_momenta_of_any_size_give_finite_values_or_a_gupab_error(momenta, a, i, j):
     calls = (
         lambda: deform_momentum(momenta, a),
@@ -771,9 +774,13 @@ def test_momenta_of_any_size_give_finite_values_or_a_gupab_error(momenta, a, i, 
     if not np.any(momenta, axis=-1).all():  # only the zero momentum is singular
         return
     assert not any(isinstance(outcome, SingularInputError) for outcome in outcomes)
-    # a deformed momentum that is returned is the oracle's, within the factor's bound and a rounding of the product
-    if not isinstance(outcomes[0], GupabError):
-        assert _ulps(outcomes[0], [exact_deformed(row, a) for row in momenta], floor=0.0) <= _ORACLE_ULPS["factor"] + 1.0
+    # a deformed momentum is returned wherever the oracle's is finite, and is the oracle's, within the factor's
+    # bound and a rounding of the product
+    exact = [exact_deformed(row, a) for row in momenta]
+    if isinstance(outcomes[0], GupabError):
+        assert not np.isfinite(exact).all()
+    else:
+        assert _ulps(outcomes[0], exact, floor=0.0) <= _ORACLE_ULPS["factor"] + 1.0
     # a bracket is the oracle's entry, and an error only where an entry of the oracle's leaves the doubles
     for outcome, kind in zip(outcomes[1:3], ("jacobian", "target")):
         exact = np.stack([exact_brackets(row, a, kind) for row in momenta])

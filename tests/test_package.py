@@ -1,4 +1,4 @@
-"""The package loads each submodule on first use: a command imports only the code it runs."""
+"""The package loads each submodule on first use: a command imports only the code it runs, and creates no dataclass."""
 
 import json
 import subprocess
@@ -97,6 +97,39 @@ def test_phase_sweep_and_dispersion_load_neither_the_algebra_nor_the_suite(tmp_p
     code, modules = _loaded(_MAIN.format([command, "-c", str(path)]) if command else "import gupab.cli_io")
     assert code == 0 and "gupab.cli_io" in modules
     assert "gupab.gup_algebra" not in modules and "gupab.verification" not in modules
+    assert "gupab.line_integrals" not in modules
+
+
+def test_no_class_the_cli_loads_is_a_dataclass():
+    # every record is a records.Record with a hand-written constructor: creating the classes generates no code
+    code = """
+import sys, gupab.cli_io
+classes = [v for name, m in list(sys.modules.items()) if name.split(".")[0] == "gupab" for v in vars(m).values() if isinstance(v, type)]
+assert len(classes) >= 20, len(classes)
+assert not [c for c in classes if hasattr(c, "__dataclass_fields__")]
+"""
+    assert _loaded(code)[0] == 0
+
+
+def test_the_library_geometry_names_resolve_through_field_geometry():
+    # field_geometry reads them from gupab.line_integrals, which loads on the first such read
+    code = """
+import sys, gupab.field_geometry as fg
+assert "gupab.line_integrals" not in sys.modules
+from gupab.field_geometry import Segment, line_integral
+assert "gupab.line_integrals" in sys.modules
+import gupab.line_integrals as li
+for name in ("IntegralResult", "Segment", "gauge_shift", "line_integral", "loop_length", "solenoid_circulation",
+             "solenoid_field", "solenoid_vector_potential"):
+    assert getattr(fg, name) is getattr(li, name), name
+try:
+    fg._sampled_about_axis
+except AttributeError as error:
+    assert str(error) == "module 'gupab.field_geometry' has no attribute '_sampled_about_axis'"
+else:
+    raise AssertionError("a private name of line_integrals resolved through field_geometry")
+"""
+    assert _loaded(code)[0] == 0
 
 
 def test_verify_loads_the_algebra_and_the_suite():

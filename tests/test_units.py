@@ -141,3 +141,23 @@ def test_an_a0_given_as_a_str_is_read_as_the_number_it_spells():
     assert gup_from_a0("2.5", si) == gup_from_a0(2.5, si)
     assert min_length("2.5", si) == min_length(2.5, si)
     assert max_momentum("2.5", si) == max_momentum(2.5, si)
+
+
+@pytest.mark.filterwarnings("error")
+def test_unit_system_constants_are_read_as_floats_and_planck_scales_must_be_finite():
+    # each constant is the float errors.to_float reads: a str is the number it spells, junk a DomainError
+    si = UnitSystem("si", HBAR_SI, C_SI, "1.616255e-35", PLANCK_MASS_SI)
+    assert si == UnitSystem.si() and type(si.planck_length) is float
+    assert UnitSystem("natural", 1, "1", 1, 1) == UnitSystem.natural()
+    with pytest.raises(DomainError, match="^not a number: 'junk'$"):
+        UnitSystem("si", 1.0, 1.0, "junk", 1.0)
+    for length, mass in ((math.inf, 1.0), (1.0, math.inf), (_PAST, 1.0), (1.0, "inf")):
+        with pytest.raises(DomainError, match="^Planck scales must be finite$"):
+            UnitSystem("si", 1.0, 1.0, length, mass)
+    for length, mass in ((-math.inf, 1.0), (math.nan, 1.0), (1.0, 0.0)):
+        with pytest.raises(DomainError, match="^Planck scales must be strictly positive$"):
+            UnitSystem("si", 1.0, 1.0, length, mass)
+    # si's hbar and c, which gup_from_a0 and max_momentum divide by and multiply with, too
+    for hbar, c in ((0.0, 1.0), (-1.0, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, _PAST)):
+        with pytest.raises(DomainError, match="^hbar and c must be finite and strictly positive$"):
+            UnitSystem("si", hbar, c, 1.0, 1.0)
